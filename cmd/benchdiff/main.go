@@ -15,6 +15,9 @@
 // match, then a path ending in "/after" (the convention the BENCH
 // files use for the post-change column). Repeated runs of the same
 // benchmark (-count N) are collapsed to their median before diffing.
+// Baseline keys that no benchmark line matched are listed after the
+// table, so a dropped or renamed benchmark arm is visible instead of
+// silently skipped.
 //
 // By default the diff is informational (exit 0). With -max-regress P,
 // the tool exits 1 if any matched benchmark's median ns/op regressed
@@ -211,12 +214,14 @@ func main() {
 		"benchmark (vs "+*baselinePath+")", "old ns/op", "new ns/op", "Δns", "old allocs", "new allocs", "Δallocs")
 	var nsRegressed, allocRegressed bool
 	matched := 0
+	used := map[string]bool{}
 	for _, n := range names {
 		key, ok := match(n, base)
 		if !ok {
 			continue
 		}
 		matched++
+		used[key] = true
 		b, c := base[key], cur[n]
 		dns := pct(b.ns, c.ns)
 		line := fmt.Sprintf("%-48s %14.0f %14.0f %+7.1f%%", n, b.ns, c.ns, dns)
@@ -233,6 +238,19 @@ func main() {
 		}
 	}
 	fmt.Fprintf(w, "%d/%d benchmarks matched against baseline\n", matched, len(cur))
+	var unused []string
+	for k := range base {
+		if !used[k] {
+			unused = append(unused, k)
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		fmt.Fprintf(w, "%d/%d baseline keys matched no benchmark line:\n", len(unused), len(base))
+		for _, k := range unused {
+			fmt.Fprintf(w, "  %s\n", k)
+		}
+	}
 	if nsRegressed || allocRegressed {
 		w.Flush()
 		if nsRegressed {

@@ -30,10 +30,9 @@ func TestCorpusCoversExamples(t *testing.T) {
 
 // TestGoldenEquivalence is the kernel acceptance suite: every corpus
 // program (the examples plus the negation/builtin-deferral/complex-
-// term corpora) runs its embedded queries through {generic, tuple,
-// batched} × {sequential, parallel} engines — tuple is the compiled
-// path pinned to batch size 1, batched is the default vectorized
-// executor — and all six answer sets must be byte-identical.
+// term/non-linear-recursion corpora) runs its embedded queries through
+// {generic, compiled} × {sequential, parallel} engines, and all four
+// answer sets must be byte-identical.
 // EvaluateUnoptimized sorts answers canonically, so equality here
 // really is byte equality.
 func TestGoldenEquivalence(t *testing.T) {
@@ -49,11 +48,9 @@ func TestGoldenEquivalence(t *testing.T) {
 		opts []Option
 	}{
 		{"generic/seq", []Option{WithCompiledKernels(false)}},
-		{"tuple/seq", []Option{WithBatchSize(1)}},
-		{"batched/seq", nil},
+		{"compiled/seq", nil},
 		{"generic/par", []Option{WithCompiledKernels(false), WithParallel(4)}},
-		{"tuple/par", []Option{WithBatchSize(1), WithParallel(4)}},
-		{"batched/par", []Option{WithParallel(4)}},
+		{"compiled/par", []Option{WithParallel(4)}},
 	}
 	render := func(rows [][]string) string {
 		var b strings.Builder
@@ -108,20 +105,21 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestCorpusCounterParity is the vectorized executor's work-accounting
-// acceptance: for every corpus query, generic, tuple-at-a-time and
-// batched execution must report identical logical work counters
-// (tuples, iterations, unifications, lookups) — the batch size is
-// invisible in everything except Blocks and wall clock. It also pins
-// the structured-term programs to the kernel path: their rules must
-// all compile (KernelFallbacks 0), proving complex-term construction
-// and decomposition no longer fall back to the generic interpreter.
+// TestCorpusCounterParity is the kernel executor's work-accounting
+// acceptance: for every corpus query, generic and compiled execution
+// must report identical logical work counters (tuples, iterations,
+// unifications, lookups) — framing is invisible in everything except
+// Blocks and wall clock, including the one-row frames of applications
+// that read the relation they insert into (nonlinear.ldl aliases the
+// head in every delta round). It also pins the structured-term and
+// non-linear programs to the kernel path: their rules must all compile
+// (KernelFallbacks 0) and run there (Blocks > 0).
 func TestCorpusCounterParity(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.ldl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	noFallback := map[string]bool{"complexterms": true, "listapp": true, "treefold": true}
+	noFallback := map[string]bool{"complexterms": true, "listapp": true, "treefold": true, "nonlinear": true}
 	for _, f := range files {
 		name := strings.TrimSuffix(filepath.Base(f), ".ldl")
 		t.Run(name, func(t *testing.T) {
@@ -138,32 +136,25 @@ func TestCorpusCounterParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", goal, err)
 				}
-				_, tuple, err := sys.EvaluateUnoptimized(goal, WithBatchSize(1))
-				if err != nil {
-					t.Fatalf("%s: %v", goal, err)
-				}
-				_, batched, err := sys.EvaluateUnoptimized(goal)
+				_, compiled, err := sys.EvaluateUnoptimized(goal)
 				if err != nil {
 					t.Fatalf("%s: %v", goal, err)
 				}
 				if noFallback[name] {
-					if batched.KernelFallbacks != 0 {
-						t.Errorf("%s: KernelFallbacks = %d, want 0 (all rules must compile)", goal, batched.KernelFallbacks)
+					if compiled.KernelFallbacks != 0 {
+						t.Errorf("%s: KernelFallbacks = %d, want 0 (all rules must compile)", goal, compiled.KernelFallbacks)
 					}
-					if batched.Blocks == 0 {
-						t.Errorf("%s: Blocks = 0, vectorized path never engaged", goal)
+					if compiled.Blocks == 0 {
+						t.Errorf("%s: Blocks = 0, kernel executor never engaged", goal)
 					}
 				}
 				// Zero the counters that legitimately differ across
 				// executors before the exact-match compare.
-				for _, es := range []*ExecStats{&generic, &tuple, &batched} {
+				for _, es := range []*ExecStats{&generic, &compiled} {
 					es.KernelCompiles, es.KernelFallbacks, es.Blocks = 0, 0, 0
 				}
-				if tuple != generic {
-					t.Errorf("%s: tuple counters diverge: %+v vs generic %+v", goal, tuple, generic)
-				}
-				if batched != generic {
-					t.Errorf("%s: batched counters diverge: %+v vs generic %+v", goal, batched, generic)
+				if compiled != generic {
+					t.Errorf("%s: compiled counters diverge: %+v vs generic %+v", goal, compiled, generic)
 				}
 			}
 		})

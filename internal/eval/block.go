@@ -1,39 +1,39 @@
 package eval
 
-// Vectorized (block-at-a-time) execution of compiled join programs.
-// The tuple executor in compile.go walks one register frame through
-// the steps per candidate; this executor pushes a columnar frame — a
-// struct-of-arrays of interned term.ID register columns — of up to
-// BatchSize rows through each step at a time, so probes, tests and
-// head insertion run as tight loops over dense ID slices with
-// amortized dispatch. Frames stay in ID space end to end: scans gather
-// candidate IDs straight from the relation's columns (ColumnAt /
-// AppendMatchesID), and terms are only materialized at the edges —
-// pattern decomposition, arithmetic, and genuinely new head tuples.
+// Block-at-a-time execution of compiled join programs — the one
+// executor of what compile.go produces. A kernelRun pushes a columnar
+// frame — a struct-of-arrays of interned term.ID register columns —
+// through each step at a time, so probes, tests and head insertion run
+// as tight loops over dense ID slices with amortized dispatch. Frames
+// stay in ID space end to end: scans gather candidate IDs straight
+// from the relation's columns (ColumnAt / AppendMatchesID), and terms
+// are only materialized at the edges — pattern decomposition,
+// arithmetic, and genuinely new head tuples.
 //
-// Equivalence contract. Block execution preserves the tuple executor's
+// Equivalence contract. Execution preserves the generic interpreter's
 // answers, error, and work counters exactly:
 //
 //   - Emission order is depth-first-identical: a scan appends matches
 //     in candidate order and flushes the output frame downstream
-//     before gathering more, so head tuples arrive in the order the
-//     tuple executor derives them.
+//     before gathering more, so head tuples arrive in the order a
+//     tuple-at-a-time walk derives them.
 //   - Error order is depth-first-equivalent: when a row fails in a
 //     filter step, the rows ordered before it keep running through the
 //     remaining steps first (their emissions happen; their own error,
 //     if any, wins — it is earlier in depth-first order), then the
 //     remembered error returns and the rows after it never run.
-//   - Counters tick per row exactly where the tuple executor ticks
-//     per call: Lookups once per input row of a scan or negation,
-//     Unifications once per scan candidate, BuiltinCalls once per row
-//     of a test/assign/match step.
-//   - Visibility: a block batches probes ahead of downstream emits, so
-//     a scan must never read the relation being inserted into. Only
-//     the head relation is ever written during an application, so
-//     applyCompiled routes applications whose scans alias the head
-//     (direct-mode seed rounds and naive-method rounds of recursive
-//     cliques) to the tuple executor instead. Frozen-mode (parallel)
-//     applications buffer their emissions and always batch.
+//   - Counters tick per row: Lookups once per input row of a scan or
+//     negation, Unifications once per scan candidate, BuiltinCalls
+//     once per row of a test/assign/match step.
+//   - Visibility: a full frame batches probes ahead of the emits they
+//     feed, so a scan must never read the relation being inserted
+//     into. Only the head relation is written during an application;
+//     frozen-mode (parallel) applications buffer their emissions, and
+//     direct-mode applications whose scans or negations resolve to the
+//     head itself (seed and naive rounds of recursive cliques, every
+//     delta round of non-linear recursion) flush after every row
+//     instead (kernelRun.limit = 1), which is the tuple-at-a-time walk
+//     with its mid-application visibility.
 
 import (
 	"ldl/internal/lang"
@@ -55,27 +55,31 @@ type bframe struct {
 	n    int
 }
 
-// blockState is the reusable vectorized execution state of one
-// compiled rule in one evaluation context — the block twin of
-// kernelState, pooled the same way (per clique sequentially, per
-// worker in the parallel engine) so steady-state blocks allocate
-// nothing.
-type blockState struct {
-	size   int
-	root   *bframe       // single-row entry frame
-	frames []*bframe     // per scanIdx: that scan's output frame
-	sels   [][]int32     // per step index: selection scratch
-	ident  []int32       // identity selection 0..size-1, read-only
-	probes [][]term.ID   // per scanIdx: probe ID row, const IDs prefilled
-	rcols  [][][]term.ID // per scanIdx: borrowed relation columns
-	negIDs [][]term.ID   // per negIdx: ID row, const IDs prefilled
+// kernelState is the mutable, reusable execution state for one
+// compiled rule in one evaluation context (one goroutine): the frames
+// plus every buffer the join program needs, pooled per clique
+// sequentially and per worker in the parallel engine, so steady-state
+// rule application allocates nothing. Constant cells of the probe,
+// negation, and head rows are prefilled here, once.
+type kernelState struct {
+	size    int               // rows per scan-output frame
+	rels    []*store.Relation // per scanIdx, resolved per application
+	negRels []*store.Relation // per negIdx, resolved per application
+	idxs    [][]int32         // per scanIdx: reusable match-index buffers
+	root    *bframe           // single-row entry frame
+	frames  []*bframe         // per scanIdx: that scan's output frame
+	sels    [][]int32         // per step index: selection scratch
+	ident   []int32           // identity selection 0..size-1, read-only
+	probes  [][]term.ID       // per scanIdx: probe ID row, const IDs prefilled
+	rcols   [][][]term.ID     // per scanIdx: borrowed relation columns
+	negIDs  [][]term.ID       // per negIdx: ID row, const IDs prefilled
 
 	headIDs   [][]term.ID // direct mode: columnar head materialization
 	headRow   []term.ID   // frozen mode: per-row head scratch
 	headConst []term.ID   // per head column: const ID, 0 otherwise
 }
 
-func newBlockState(cr *compiledRule, size int) *blockState {
+func newKernelState(cr *compiledRule, size int) *kernelState {
 	newFrame := func(rows int) *bframe {
 		f := &bframe{cols: make([][]term.ID, cr.nregs)}
 		for i := range f.cols {
@@ -83,21 +87,28 @@ func newBlockState(cr *compiledRule, size int) *blockState {
 		}
 		return f
 	}
-	bs := &blockState{
-		size:   size,
-		root:   newFrame(1),
-		frames: make([]*bframe, cr.nscans),
-		sels:   make([][]int32, len(cr.steps)),
-		ident:  make([]int32, size),
-		probes: make([][]term.ID, cr.nscans),
-		rcols:  make([][][]term.ID, cr.nscans),
-		negIDs: make([][]term.ID, cr.nnegs),
+	ks := &kernelState{
+		size:    size,
+		rels:    make([]*store.Relation, cr.nscans),
+		negRels: make([]*store.Relation, cr.nnegs),
+		idxs:    make([][]int32, cr.nscans),
+		root:    newFrame(1),
+		frames:  make([]*bframe, cr.nscans),
+		sels:    make([][]int32, len(cr.steps)),
+		ident:   make([]int32, size),
+		probes:  make([][]term.ID, cr.nscans),
+		rcols:   make([][][]term.ID, cr.nscans),
+		negIDs:  make([][]term.ID, cr.nnegs),
 	}
-	for i := range bs.frames {
-		bs.frames[i] = newFrame(size)
+	for i := range ks.frames {
+		ks.frames[i] = newFrame(size)
+		// Pre-size the match-index buffers: fixpoint rounds reuse this
+		// state, and starting at a useful capacity avoids the regrow
+		// churn of the first rounds after every reset.
+		ks.idxs[i] = make([]int32, 0, 64)
 	}
-	for i := range bs.ident {
-		bs.ident[i] = int32(i)
+	for i := range ks.ident {
+		ks.ident[i] = int32(i)
 	}
 	for _, st := range cr.steps {
 		switch st.kind {
@@ -108,8 +119,8 @@ func newBlockState(cr *compiledRule, size int) *blockState {
 					p[i] = term.Intern(c.val)
 				}
 			}
-			bs.probes[st.scanIdx] = p
-			bs.rcols[st.scanIdx] = make([][]term.ID, len(st.cols))
+			ks.probes[st.scanIdx] = p
+			ks.rcols[st.scanIdx] = make([][]term.ID, len(st.cols))
 		case kNeg:
 			row := make([]term.ID, len(st.negCols))
 			for i, tm := range st.negCols {
@@ -117,26 +128,40 @@ func newBlockState(cr *compiledRule, size int) *blockState {
 					row[i] = term.Intern(tm.lit)
 				}
 			}
-			bs.negIDs[st.negIdx] = row
+			ks.negIDs[st.negIdx] = row
 		}
 	}
-	bs.headIDs = make([][]term.ID, len(cr.head))
-	for i := range bs.headIDs {
-		bs.headIDs[i] = make([]term.ID, size)
+	ks.headIDs = make([][]term.ID, len(cr.head))
+	for i := range ks.headIDs {
+		ks.headIDs[i] = make([]term.ID, size)
 	}
-	bs.headRow = make([]term.ID, len(cr.head))
-	bs.headConst = make([]term.ID, len(cr.head))
+	ks.headRow = make([]term.ID, len(cr.head))
+	ks.headConst = make([]term.ID, len(cr.head))
 	for i, c := range cr.head {
 		if c.op == kcolConst {
-			bs.headConst[i] = term.Intern(c.val)
+			ks.headConst[i] = term.Intern(c.val)
 		}
 	}
-	return bs
+	return ks
+}
+
+// kstate returns the context's cached kernel state for cr, creating it
+// on first use. Contexts are goroutine-local, so no locking.
+func (cx *evalCtx) kstate(cr *compiledRule) *kernelState {
+	if ks, ok := cx.kstates[cr]; ok {
+		return ks
+	}
+	if cx.kstates == nil {
+		cx.kstates = map[*compiledRule]*kernelState{}
+	}
+	ks := newKernelState(cr, cx.e.opts.BatchSize)
+	cx.kstates[cr] = ks
+	return ks
 }
 
 // aliasesHead reports whether any resolved scan or negation relation
-// is the head relation itself — the one configuration block execution
-// cannot batch (see the visibility note in the package comment).
+// is the head relation itself — the one configuration that cannot
+// batch probes ahead of emits (see the visibility note above).
 func (ks *kernelState) aliasesHead(head *store.Relation) bool {
 	for _, r := range ks.rels {
 		if r == head {
@@ -151,49 +176,80 @@ func (ks *kernelState) aliasesHead(head *store.Relation) bool {
 	return false
 }
 
-// blockRun executes one rule application block-at-a-time. It wraps the
-// tuple executor's kernelRun (same resolved relations, same emit
-// targets) with the columnar state.
-type blockRun struct {
-	*kernelRun
-	bs *blockState
+// kernelRun bundles the per-application parameters of a join-program
+// execution so the recursive step walk passes a single receiver.
+type kernelRun struct {
+	cx      *evalCtx
+	cr      *compiledRule
+	ks      *kernelState
+	head    *store.Relation
+	headTag string
+	collect func(string, store.Tuple)
+	limit   int // rows a scan gathers before flushing downstream
 }
 
-// applyBlocked runs the join program vectorized, starting from a
-// single-row root frame (no registers are bound before step 0).
-func (k *kernelRun) applyBlocked(size int) error {
-	ks := k.ks
-	if ks.blk == nil || ks.blk.size != size {
-		ks.blk = newBlockState(k.cr, size)
+// applyCompiled executes a rule's join program — the compiled
+// counterpart of applyRule's generic joinBody walk, with identical
+// counter accounting, governor charging, and emit semantics.
+func (cx *evalCtx) applyCompiled(cr *compiledRule, deltaOcc int, deltas map[string]*store.Relation, collect func(string, store.Tuple)) error {
+	e := cx.e
+	ks := cx.kstate(cr)
+	// Resolve each scan's relation: the designated delta occurrence
+	// reads this round's delta, everything else the full relation.
+	for _, st := range cr.steps {
+		switch st.kind {
+		case kScan:
+			ks.rels[st.scanIdx] = e.RelationFor(st.tag)
+		case kNeg:
+			ks.negRels[st.negIdx] = e.RelationFor(st.negTag)
+		}
 	}
-	b := &blockRun{kernelRun: k, bs: ks.blk}
-	return b.run(0, b.bs.root, b.bs.ident[:1])
+	if deltas != nil && deltaOcc >= 0 && deltaOcc < len(cr.scanForBody) {
+		if si := cr.scanForBody[deltaOcc]; si >= 0 {
+			ks.rels[si] = deltas[cr.steps[cr.scanStep[si]].tag]
+		}
+	}
+	k := &kernelRun{
+		cx:      cx,
+		cr:      cr,
+		ks:      ks,
+		head:    e.ensureDerived(cr.rule.Head.Tag(), cr.rule.Head.Arity()),
+		headTag: cr.rule.Head.Tag(),
+		collect: collect,
+		limit:   ks.size,
+	}
+	if cx.buf == nil && ks.aliasesHead(k.head) {
+		k.limit = 1
+	}
+	// No registers are bound before step 0: a single-row root frame.
+	return k.run(0, ks.root, ks.ident[:1])
 }
 
 // run executes the join program from step si onward over the selected
 // rows of frame f.
-func (b *blockRun) run(si int, f *bframe, sel []int32) error {
+func (k *kernelRun) run(si int, f *bframe, sel []int32) error {
 	if len(sel) == 0 {
 		return nil
 	}
-	// Same deadline discipline as the tuple executor, amortized: tick
-	// once per (step, block) instead of once per row.
-	if err := b.cx.e.opts.Gov.Tick(); err != nil {
+	// Same deadline discipline as joinBody — the join can churn without
+	// deriving anything new — amortized: tick once per (step, frame)
+	// instead of once per row.
+	if err := k.cx.e.opts.Gov.Tick(); err != nil {
 		return err
 	}
-	if si == len(b.cr.steps) {
-		return b.emit(f, sel)
+	if si == len(k.cr.steps) {
+		return k.emit(f, sel)
 	}
-	st := &b.cr.steps[si]
+	st := &k.cr.steps[si]
 	switch st.kind {
 	case kScan:
-		return b.scan(si, st, f, sel)
+		return k.scan(si, st, f, sel)
 	case kTest:
-		keep := b.bs.sels[si][:0]
+		keep := k.ks.sels[si][:0]
 		var rowErr error
 		for _, r := range sel {
-			b.cx.counters.BuiltinCalls++
-			ok, err := b.evalTestRow(st, f, r)
+			k.cx.counters.BuiltinCalls++
+			ok, err := k.evalTestRow(st, f, r)
 			if err != nil {
 				// Depth-first error discipline: finish the rows ordered
 				// before this one (their error, if any, is earlier and
@@ -205,18 +261,18 @@ func (b *blockRun) run(si int, f *bframe, sel []int32) error {
 				keep = append(keep, r)
 			}
 		}
-		b.bs.sels[si] = keep
-		if err := b.run(si+1, f, keep); err != nil {
+		k.ks.sels[si] = keep
+		if err := k.run(si+1, f, keep); err != nil {
 			return err
 		}
 		return rowErr
 	case kAssign:
-		keep := b.bs.sels[si][:0]
+		keep := k.ks.sels[si][:0]
 		var rowErr error
 		dst := f.cols[st.dstReg]
 		for _, r := range sel {
-			b.cx.counters.BuiltinCalls++
-			id, err := b.resolveNormRowID(st.rhs, f, r)
+			k.cx.counters.BuiltinCalls++
+			id, err := k.resolveNormRowID(st.rhs, f, r)
 			if err != nil {
 				rowErr = err
 				break
@@ -224,17 +280,17 @@ func (b *blockRun) run(si int, f *bframe, sel []int32) error {
 			dst[r] = id
 			keep = append(keep, r)
 		}
-		b.bs.sels[si] = keep
-		if err := b.run(si+1, f, keep); err != nil {
+		k.ks.sels[si] = keep
+		if err := k.run(si+1, f, keep); err != nil {
 			return err
 		}
 		return rowErr
 	case kMatch:
-		keep := b.bs.sels[si][:0]
+		keep := k.ks.sels[si][:0]
 		var rowErr error
 		for _, r := range sel {
-			b.cx.counters.BuiltinCalls++
-			v, err := b.resolveNormRow(st.rhs, f, r)
+			k.cx.counters.BuiltinCalls++
+			v, err := k.resolveNormRow(st.rhs, f, r)
 			if err != nil {
 				rowErr = err
 				break
@@ -243,19 +299,19 @@ func (b *blockRun) run(si int, f *bframe, sel []int32) error {
 				keep = append(keep, r)
 			}
 		}
-		b.bs.sels[si] = keep
-		if err := b.run(si+1, f, keep); err != nil {
+		k.ks.sels[si] = keep
+		if err := k.run(si+1, f, keep); err != nil {
 			return err
 		}
 		return rowErr
 	case kNeg:
-		rel := b.ks.negRels[st.negIdx]
-		keep := b.bs.sels[si][:0]
-		row := b.bs.negIDs[st.negIdx]
+		rel := k.ks.negRels[st.negIdx]
+		keep := k.ks.sels[si][:0]
+		row := k.ks.negIDs[st.negIdx]
 		for _, r := range sel {
-			// The tuple executor counts the lookup before the nil check;
-			// a missing relation still passes every row.
-			b.cx.counters.Lookups++
+			// The generic interpreter counts the lookup before the nil
+			// check; a missing relation still passes every row.
+			k.cx.counters.Lookups++
 			if rel != nil {
 				for i, tm := range st.negCols {
 					if tm.reg >= 0 {
@@ -268,8 +324,8 @@ func (b *blockRun) run(si int, f *bframe, sel []int32) error {
 			}
 			keep = append(keep, r)
 		}
-		b.bs.sels[si] = keep
-		return b.run(si+1, f, keep)
+		k.ks.sels[si] = keep
+		return k.run(si+1, f, keep)
 	}
 	return nil
 }
@@ -278,39 +334,49 @@ func (b *blockRun) run(si int, f *bframe, sel []int32) error {
 // rows of the step's relation into the scan's output frame, flushing
 // it downstream whenever it fills — so emission order stays depth-
 // first-identical while probes and gathers run over dense ID columns.
-func (b *blockRun) scan(si int, st *kstep, f *bframe, sel []int32) error {
-	rel := b.ks.rels[st.scanIdx]
+func (k *kernelRun) scan(si int, st *kstep, f *bframe, sel []int32) error {
+	rel := k.ks.rels[st.scanIdx]
 	if rel == nil || rel.Len() == 0 {
 		return nil
 	}
-	bs := b.bs
-	out := bs.frames[st.scanIdx]
+	ks := k.ks
+	out := ks.frames[st.scanIdx]
 	out.n = 0
-	// Borrow the relation's ID columns once per block. Stable for the
-	// whole scan: only the head relation is written during an
-	// application, and it is never scanned here (see aliasesHead).
-	rcols := bs.rcols[st.scanIdx]
-	for c := range rcols {
-		rcols[c] = rel.ColumnAt(c)
+	// Borrow the relation's ID columns once per input frame when it is
+	// one flat run. Only the head relation is written during an
+	// application; when rel is the head (limit 1), rows below the length
+	// captured here never move (ColumnAt's contract), and every
+	// candidate index — the captured full-scan length, the match list
+	// collected before any flush — is below it. A parts-backed relation
+	// serves ColumnAt from a dense copy built once per relation
+	// instance: O(relation) for what may be a handful of candidates (a
+	// maintenance epoch probing a large view it just forked), so its
+	// rows are read in place instead (rcols nil, see cellID).
+	var rcols [][]term.ID
+	if rel.Parts() == 0 {
+		rcols = ks.rcols[st.scanIdx]
+		for c := range rcols {
+			rcols[c] = rel.ColumnAt(c)
+		}
 	}
 	flush := func() error {
 		if out.n == 0 {
 			return nil
 		}
-		b.cx.counters.Blocks++
+		k.cx.counters.Blocks++
 		n := out.n
 		out.n = 0
-		return b.run(si+1, out, bs.ident[:n])
+		return k.run(si+1, out, ks.ident[:n])
 	}
 	if st.mask == 0 {
-		// Full scan: capture the length once (parity with the tuple
-		// executor's snapshot discipline).
+		// Full scan: capture the length once — emits may append to rel
+		// mid-iteration when it is the head.
 		n := rel.Len()
 		for _, r := range sel {
-			b.cx.counters.Lookups++
+			k.cx.counters.Lookups++
 			for j := 0; j < n; j++ {
-				b.candidate(st, f, r, rcols, rel, int32(j), out)
-				if out.n == bs.size {
+				k.candidate(st, f, r, rcols, rel, int32(j), out)
+				if out.n == k.limit {
 					if err := flush(); err != nil {
 						return err
 					}
@@ -319,7 +385,7 @@ func (b *blockRun) scan(si int, st *kstep, f *bframe, sel []int32) error {
 		}
 		return flush()
 	}
-	probe := bs.probes[st.scanIdx]
+	probe := ks.probes[st.scanIdx]
 	for _, r := range sel {
 		ok := true
 		for i, c := range st.cols {
@@ -337,15 +403,15 @@ func (b *blockRun) scan(si int, st *kstep, f *bframe, sel []int32) error {
 				probe[i] = id
 			}
 		}
-		b.cx.counters.Lookups++
+		k.cx.counters.Lookups++
 		if !ok {
 			continue
 		}
-		idxs := rel.AppendMatchesID(st.mask, probe, b.ks.idxs[st.scanIdx][:0])
-		b.ks.idxs[st.scanIdx] = idxs
+		idxs := rel.AppendMatchesID(st.mask, probe, k.ks.idxs[st.scanIdx][:0])
+		k.ks.idxs[st.scanIdx] = idxs
 		for _, j := range idxs {
-			b.candidate(st, f, r, rcols, rel, j, out)
-			if out.n == bs.size {
+			k.candidate(st, f, r, rcols, rel, j, out)
+			if out.n == k.limit {
 				if err := flush(); err != nil {
 					return err
 				}
@@ -357,8 +423,8 @@ func (b *blockRun) scan(si int, st *kstep, f *bframe, sel []int32) error {
 
 // candidate verifies one scan candidate against the non-probe columns
 // and, on success, appends its bindings as a new row of out.
-func (b *blockRun) candidate(st *kstep, f *bframe, r int32, rcols [][]term.ID, rel *store.Relation, j int32, out *bframe) {
-	b.cx.counters.Unifications++
+func (k *kernelRun) candidate(st *kstep, f *bframe, r int32, rcols [][]term.ID, rel *store.Relation, j int32, out *bframe) {
+	k.cx.counters.Unifications++
 	o := out.n
 	// Carry the registers bound before this step into the output row
 	// first; column processing below is left to right, so a pattern's
@@ -369,9 +435,9 @@ func (b *blockRun) candidate(st *kstep, f *bframe, r int32, rcols [][]term.ID, r
 	for i, c := range st.cols {
 		switch c.op {
 		case kcolOut:
-			out.cols[c.reg][o] = rcols[i][j]
+			out.cols[c.reg][o] = cellID(rcols, rel, i, j)
 		case kcolChk:
-			if out.cols[c.reg][o] != rcols[i][j] {
+			if out.cols[c.reg][o] != cellID(rcols, rel, i, j) {
 				return
 			}
 		case kcolPat:
@@ -385,9 +451,21 @@ func (b *blockRun) candidate(st *kstep, f *bframe, r int32, rcols [][]term.ID, r
 	out.n++
 }
 
-// matchPatID is matchPat over an ID frame: patterns reach below the
-// column granularity the frame stores, so the candidate side is a
-// term; registers hold interned IDs.
+// cellID reads column c of rel's row j: from the borrowed dense columns
+// when scan took them, in place otherwise.
+func cellID(rcols [][]term.ID, rel *store.Relation, c int, j int32) term.ID {
+	if rcols != nil {
+		return rcols[c][j]
+	}
+	return rel.IDAt(c, int(j))
+}
+
+// matchPatID matches a ground value against a pattern template,
+// binding fresh registers of row r. It is the kernels' one-way
+// unification: the value side is ground (it came out of a relation or
+// a bound template), so no occurs check or bidirectional binding is
+// needed. Patterns reach below the column granularity the frame
+// stores, so the candidate side is a term; registers hold interned IDs.
 func matchPatID(p *kpat, v term.Term, cols [][]term.ID, r int32) bool {
 	switch p.kind {
 	case patConst:
@@ -416,7 +494,8 @@ func matchPatID(p *kpat, v term.Term, cols [][]term.ID, r int32) bool {
 	return false
 }
 
-// buildTermID is buildTerm over an ID frame.
+// buildTermID assembles the template's term from row r's registers.
+// Registers hold only ground values, so the result is always ground.
 func buildTermID(bld *btmpl, cols [][]term.ID, r int32) term.Term {
 	if bld.args != nil {
 		out := make([]term.Term, len(bld.args))
@@ -431,17 +510,19 @@ func buildTermID(bld *btmpl, cols [][]term.ID, r int32) term.Term {
 	return bld.lit
 }
 
-// evalTestRow evaluates a comparison step for one row — the ID-frame
-// twin of kernelRun.evalTest, with the same evaluation order (lhs
-// first) so error timing matches.
-func (b *blockRun) evalTestRow(st *kstep, f *bframe, r int32) (bool, error) {
+// evalTestRow evaluates a comparison step for one row, lhs first so
+// error timing matches lang.EvalBuiltin. "=" / "\=" normalize both
+// sides (evaluate one that is an arithmetic expression — including one
+// sitting in a register, e.g. from a fact f(1+2)) and compare
+// structurally.
+func (k *kernelRun) evalTestRow(st *kstep, f *bframe, r int32) (bool, error) {
 	switch st.test {
 	case testEq, testNe:
-		lid, err := b.resolveNormRowID(st.lhs, f, r)
+		lid, err := k.resolveNormRowID(st.lhs, f, r)
 		if err != nil {
 			return false, err
 		}
-		rid, err := b.resolveNormRowID(st.rhs, f, r)
+		rid, err := k.resolveNormRowID(st.rhs, f, r)
 		if err != nil {
 			return false, err
 		}
@@ -453,11 +534,11 @@ func (b *blockRun) evalTestRow(st *kstep, f *bframe, r int32) (bool, error) {
 		}
 		return !eq, nil
 	}
-	a, err := b.evalArithRow(st.lhs, f, r)
+	a, err := k.evalArithRow(st.lhs, f, r)
 	if err != nil {
 		return false, err
 	}
-	c, err := b.evalArithRow(st.rhs, f, r)
+	c, err := k.evalArithRow(st.rhs, f, r)
 	if err != nil {
 		return false, err
 	}
@@ -475,10 +556,11 @@ func (b *blockRun) evalTestRow(st *kstep, f *bframe, r int32) (bool, error) {
 }
 
 // resolveNormRowID resolves a template for one row to an interned ID
-// with "=" normalization — kernelRun.resolveNorm in ID space.
-func (b *blockRun) resolveNormRowID(t tmpl, f *bframe, r int32) (term.ID, error) {
+// with "=" normalization: arithmetic expressions (static or dynamic)
+// evaluate to their integer value, everything else passes through.
+func (k *kernelRun) resolveNormRowID(t tmpl, f *bframe, r int32) (term.ID, error) {
 	if t.args != nil {
-		v, err := b.evalArithRow(t, f, r)
+		v, err := k.evalArithRow(t, f, r)
 		if err != nil {
 			return 0, err
 		}
@@ -506,9 +588,9 @@ func (b *blockRun) resolveNormRowID(t tmpl, f *bframe, r int32) (term.ID, error)
 // resolveNormRow is resolveNormRowID returning the term itself — the
 // value side of a kMatch step, which the pattern walk consumes
 // structurally.
-func (b *blockRun) resolveNormRow(t tmpl, f *bframe, r int32) (term.Term, error) {
+func (k *kernelRun) resolveNormRow(t tmpl, f *bframe, r int32) (term.Term, error) {
 	if t.args != nil {
-		v, err := b.evalArithRow(t, f, r)
+		v, err := k.evalArithRow(t, f, r)
 		if err != nil {
 			return nil, err
 		}
@@ -521,22 +603,23 @@ func (b *blockRun) resolveNormRow(t tmpl, f *bframe, r int32) (term.Term, error)
 }
 
 // evalArithRow evaluates a template as an arithmetic expression for
-// one row — kernelRun.evalArith over an ID frame.
-func (b *blockRun) evalArithRow(t tmpl, f *bframe, r int32) (term.Int, error) {
+// one row, without constructing term.Comp nodes for the variable-
+// bearing expressions the compiler broke into sub-templates.
+func (k *kernelRun) evalArithRow(t tmpl, f *bframe, r int32) (term.Int, error) {
 	if t.args == nil {
 		if t.reg >= 0 {
 			return lang.EvalArith(term.InternedTerm(f.cols[t.reg][r]))
 		}
 		return lang.EvalArith(t.lit)
 	}
-	a, err := b.evalArithRow(t.args[0], f, r)
+	a, err := k.evalArithRow(t.args[0], f, r)
 	if err != nil {
 		return 0, err
 	}
 	if len(t.args) == 1 {
 		return lang.ApplyArith1(t.functor, a)
 	}
-	c, err := b.evalArithRow(t.args[1], f, r)
+	c, err := k.evalArithRow(t.args[1], f, r)
 	if err != nil {
 		return 0, err
 	}
@@ -544,8 +627,8 @@ func (b *blockRun) evalArithRow(t tmpl, f *bframe, r int32) (term.Int, error) {
 }
 
 // headID materializes head column i for one row.
-func (b *blockRun) headID(i int, f *bframe, r int32) term.ID {
-	c := &b.cr.head[i]
+func (k *kernelRun) headID(i int, f *bframe, r int32) term.ID {
+	c := &k.cr.head[i]
 	switch c.op {
 	case kcolProbe:
 		return f.cols[c.reg][r]
@@ -554,25 +637,27 @@ func (b *blockRun) headID(i int, f *bframe, r int32) term.ID {
 		// not probe-side waste.
 		return term.Intern(buildTermID(c.bld, f.cols, r))
 	default: // kcolConst
-		return b.bs.headConst[i]
+		return k.ks.headConst[i]
 	}
 }
 
 // emit inserts (direct mode) or buffers (frozen mode) the selected
-// rows' head tuples, in row order — the block twin of kernelRun.emit,
-// with identical dedup, counter, and abort semantics per row.
-func (b *blockRun) emit(f *bframe, sel []int32) error {
-	cx, bs := b.cx, b.bs
+// rows' head tuples, in row order — the compiled counterpart of
+// applyRule's emit closure, with identical dedup, counter, and abort
+// semantics per row. The compiler guarantees groundness (registers
+// only ever hold ground values), so no per-arg check.
+func (k *kernelRun) emit(f *bframe, sel []int32) error {
+	cx, ks := k.cx, k.ks
 	if cx.buf != nil {
 		// Frozen mode: dedup against the stable head snapshot, buffer
 		// the rest. InsertIDs copies the row values, so the reusable
 		// scratch row never aliases the buffer.
-		row := bs.headRow
+		row := ks.headRow
 		for _, r := range sel {
-			for i := range bs.headRow {
-				row[i] = b.headID(i, f, r)
+			for i := range ks.headRow {
+				row[i] = k.headID(i, f, r)
 			}
-			if b.head.ContainsIDs(row) {
+			if k.head.ContainsIDs(row) {
 				continue
 			}
 			added, err := cx.buf.InsertIDs(row)
@@ -590,17 +675,17 @@ func (b *blockRun) emit(f *bframe, sel []int32) error {
 	}
 	// Direct mode: materialize the block's head rows columnar and
 	// bulk-insert; onNew fires per genuinely new row, in row order, so
-	// TuplesDerived accounting and delta collection match the tuple
-	// executor's per-row emit exactly.
+	// TuplesDerived accounting and delta collection match a per-row
+	// emit exactly.
 	m := 0
 	for _, r := range sel {
-		for i := range bs.headIDs {
-			bs.headIDs[i][m] = b.headID(i, f, r)
+		for i := range ks.headIDs {
+			ks.headIDs[i][m] = k.headID(i, f, r)
 		}
 		m++
 	}
-	_, err := b.head.InsertRows(bs.headIDs, m, func(idx int) error {
-		return cx.recordInserted(b.headTag, b.head.TupleAt(idx), b.collect)
+	_, err := k.head.InsertRows(ks.headIDs, m, func(idx int) error {
+		return cx.recordInserted(k.headTag, k.head.TupleAt(idx), k.collect)
 	})
 	return err
 }

@@ -105,6 +105,13 @@ e(1, 2). e(2, 3). e(3, 1).
 tc(X, Y) <- e(X, Y).
 tc(X, Y) <- e(X, Z), tc(Z, Y).
 `, "tc(X, Y)"},
+	// Non-linear recursion: both body occurrences alias the head in
+	// every delta round, so every application runs on one-row frames.
+	{"nonlinear tc", `
+e(1, 2). e(2, 3). e(3, 4). e(4, 2).
+tc(X, Y) <- e(X, Y).
+tc(X, Y) <- tc(X, Z), tc(Z, Y).
+`, "tc(X, Y)"},
 	{"samegen", `
 up(a, p1). up(b, p1). up(p1, g1). up(p2, g1). up(c, p2).
 flat(g1, g1).
@@ -170,14 +177,12 @@ func TestKernelEquivalence(t *testing.T) {
 			}
 			modes := []mode{
 				{"generic/seq", Options{DisableKernels: true}},
-				{"tuple/seq", Options{BatchSize: 1}},
-				{"batched/seq", Options{}},
+				{"compiled/seq", Options{}},
 				// Tiny blocks force the flush-at-capacity path on every
 				// program, not just large workloads.
-				{"batched4/seq", Options{BatchSize: 4}},
+				{"compiled4/seq", Options{BatchSize: 4}},
 				{"generic/par", Options{DisableKernels: true, Parallel: 4}},
-				{"tuple/par", Options{BatchSize: 1, Parallel: 4}},
-				{"batched/par", Options{Parallel: 4}},
+				{"compiled/par", Options{Parallel: 4}},
 			}
 			for _, m := range []Method{Naive, SemiNaive} {
 				var ref string
@@ -196,11 +201,11 @@ func TestKernelEquivalence(t *testing.T) {
 						t.Errorf("%v/%s: answers diverge\n got %s\nwant %s", m, md.name, got, ref)
 					}
 					// Counter parity among the sequential engines: the
-					// kernels — tuple and batched alike — must do the
-					// same logical work, probe for probe (parallel
-					// rounds schedule differently, so only the
-					// sequential modes are comparable).
-					if md.name == "tuple/seq" || md.name == "batched/seq" || md.name == "batched4/seq" {
+					// kernels must do the same logical work at every
+					// block size, probe for probe (parallel rounds
+					// schedule differently, so only the sequential
+					// modes are comparable).
+					if md.name == "compiled/seq" || md.name == "compiled4/seq" {
 						cg, cc := refEng.Counters, eng.Counters
 						if cg.Lookups != cc.Lookups || cg.Unifications != cc.Unifications ||
 							cg.BuiltinCalls != cc.BuiltinCalls || cg.TuplesDerived != cc.TuplesDerived {
@@ -246,8 +251,7 @@ p(Y) <- n(X), X > 5, Y = X / 0.
 				opts Options
 			}{
 				{"generic", Options{DisableKernels: true}},
-				{"tuple", Options{BatchSize: 1}},
-				{"batched", Options{}},
+				{"compiled", Options{}},
 			}
 			for _, m := range modes {
 				_, err := tryRun(c.src, SemiNaive, m.opts)

@@ -78,12 +78,12 @@ type Options struct {
 	// interpreter. The zero value — kernels on — is the default; the
 	// flag exists for A/B verification and as an escape hatch.
 	DisableKernels bool
-	// BatchSize sets the block size of the vectorized kernel executor
-	// (block.go): compiled rules push columnar frames of up to this
-	// many rows through each join step, amortizing probe and dispatch
-	// costs. 0 — the default — selects the tuned default block size;
-	// 1 (or any negative value) forces the tuple-at-a-time executor.
-	// Answers, errors, and work counters are identical in every mode.
+	// BatchSize is the block size of the kernel executor (block.go):
+	// compiled rules push columnar frames of up to this many rows
+	// through each join step. 0 or negative selects DefaultBatchSize,
+	// which is what every caller outside this package's tests uses;
+	// the tests shrink it to cross flush boundaries on small inputs.
+	// Answers, errors, and work counters are identical at every size.
 	BatchSize int
 	// Kernels, when non-nil, supplies precompiled join kernels for the
 	// program (built once with CompileProgram over the same *Program
@@ -117,7 +117,7 @@ func (o *Options) norm() {
 	if o.Parallel < 0 {
 		o.Parallel = runtime.GOMAXPROCS(0)
 	}
-	if o.BatchSize == 0 {
+	if o.BatchSize <= 0 {
 		o.BatchSize = DefaultBatchSize
 	}
 }
@@ -140,9 +140,10 @@ type Counters struct {
 	// rule ran compiled. Always zero when kernels are disabled — the
 	// generic path is then chosen, not fallen back to.
 	KernelFallbacks int
-	// Blocks counts columnar frames the vectorized executor dispatched
-	// between join steps (scan outputs flushed downstream). Zero in
-	// tuple-at-a-time and generic modes.
+	// Blocks counts columnar frames the kernel executor dispatched
+	// between join steps (scan outputs flushed downstream), one-row
+	// frames of head-aliasing applications included. Zero when every
+	// rule ran in the generic interpreter.
 	Blocks int64
 }
 

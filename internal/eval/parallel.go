@@ -92,11 +92,11 @@ func (e *Engine) evalCliqueParallel(c *depgraph.Clique) error {
 	crs := e.compileRules(c, rules)
 	// Kernel-state caches, one per worker slot, hoisted to clique scope:
 	// a fixpoint runs many rounds over the same compiled rules, and
-	// recreating the states every round would re-allocate every register
-	// frame, probe buffer, match-index buffer and vectorized block state
-	// each iteration. Worker w of every round uses slot w exclusively
-	// (and the rounds themselves are sequential), so the states are
-	// never shared between goroutines that run concurrently.
+	// recreating the states every round would re-allocate every frame,
+	// probe row and match-index buffer each iteration. Worker w of every
+	// round uses slot w exclusively (and the rounds themselves are
+	// sequential), so the states are never shared between goroutines
+	// that run concurrently.
 	ksp := make([]map[*compiledRule]*kernelState, e.opts.Parallel)
 	for i := range ksp {
 		ksp[i] = map[*compiledRule]*kernelState{}

@@ -465,46 +465,39 @@ func BenchmarkPreparedVsCold(b *testing.B) {
 	})
 }
 
-// TestPreparedThroughputBar enforces the ≥5× acceptance criterion in a
-// coarse, timer-based way that stays robust on noisy CI machines: it
-// times a fixed number of warm cache-hit queries against the same
-// number of cold Optimize+Execute cycles and requires the 5× gap.
-func TestPreparedThroughputBar(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation skews the prepared/cold ratio")
-	}
-	const n = 30
+// TestPreparedCacheHitPath pins what a warm query form must not pay,
+// deterministically (the wall-clock prepared-vs-cold ratio is the
+// benchmark's point_hot vs cold_forms): every repeat of a cached form
+// is a cache hit that compiles no kernel and prepares no plan, and its
+// allocation count stays under a ceiling.
+func TestPreparedCacheHitPath(t *testing.T) {
 	s := New(mustLoad(t, sgSrc), Config{MaxConcurrent: -1})
 	ctx := context.Background()
 	if _, err := s.Query(ctx, "sg(a1, Y)"); err != nil {
 		t.Fatal(err)
 	}
-	warmStart := time.Now()
-	for i := 0; i < n; i++ {
-		if _, err := s.Query(ctx, "sg(a1, Y)"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	warm := time.Since(warmStart)
-
-	sys := mustLoad(t, sgSrc)
-	coldStart := time.Now()
-	for i := 0; i < n; i++ {
-		p, err := sys.Optimize("sg(a1, Y)")
+	misses := s.Stats().Misses
+	warm := func() {
+		resp, err := s.Query(ctx, "sg(a1, Y)")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Execute(); err != nil {
-			t.Fatal(err)
+		if !resp.CacheHit {
+			t.Fatal("warm query missed the plan cache")
+		}
+		if resp.Stats.KernelCompiles != 0 {
+			t.Fatalf("warm query compiled %d kernels, want 0", resp.Stats.KernelCompiles)
 		}
 	}
-	cold := time.Since(coldStart)
-	if cold < 5*warm {
-		t.Errorf("prepared path %.1fx faster than cold (warm=%s cold=%s), want ≥5x",
-			float64(cold)/float64(warm), warm, cold)
+	allocs := testing.AllocsPerRun(30, warm)
+	if got := s.Stats().Misses; got != misses {
+		t.Errorf("Misses moved %d -> %d across the warm loop", misses, got)
+	}
+	// 582 allocs/op when written (BenchmarkPreparedVsCold/prepared; a
+	// cold Optimize+Execute is ~2 100): the ceiling leaves room for
+	// runtime variation, not for a re-prepare or a kernel compile.
+	if allocs > 700 {
+		t.Errorf("cache-hit query: %.0f allocs/op, want <= 700", allocs)
 	}
 }
 

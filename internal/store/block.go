@@ -6,7 +6,7 @@ package store
 // rows, probe indexes, and insert deduplicated rows while staying in
 // ID space — terms are only materialized when a genuinely new tuple
 // enters the relation. Everything here obeys the package concurrency
-// contract: the read-side accessors (ColumnAt, AppendRows,
+// contract: the read-side accessors (ColumnAt, IDAt, AppendRows,
 // AppendMatchesID, ContainsIDs) are safe under concurrent readers,
 // the insert-side ones (InsertIDs, InsertRows) are writer APIs.
 
@@ -24,6 +24,12 @@ import (
 // existing elements never move). Under ldldebug the capacity is
 // clamped so append-through or past-snapshot access panics.
 func (r *Relation) ColumnAt(c int) []term.ID { return debugBorrowIDs(r.allColView(c)) }
+
+// IDAt returns the interned ID of column c at row i without building
+// the dense combined view ColumnAt serves from: O(1) on the owned
+// tail, O(parts) on the shared prefix. It is the access path for
+// callers that touch a few rows of a large parts-backed relation.
+func (r *Relation) IDAt(c, i int) term.ID { return r.idAt(c, i) }
 
 // AppendRows gathers column c of the given row indexes into dst and
 // returns the extended slice — the block executor's candidate-gather

@@ -69,6 +69,9 @@ func TestFrozenMatchesFlat(t *testing.T) {
 			if fc[i] != gc[i] {
 				t.Fatalf("ColumnAt(%d)[%d]: %d vs %d", c, i, fc[i], gc[i])
 			}
+			if id := frozen.IDAt(c, i); id != gc[i] {
+				t.Fatalf("IDAt(%d, %d): %d vs %d", c, i, id, gc[i])
+			}
 		}
 	}
 	// Deltas straddling the part boundary.

@@ -79,7 +79,7 @@ func genInsertSchedule(t *testing.T, src string, batches int, seed int64) []stri
 // TestIncrementalEquivalenceCorpus is the tentpole acceptance suite:
 // every corpus program runs a random multi-batch insert schedule
 // through a materialized System in all four maintenance modes
-// (generic/batched × seq/par), and after every batch the view answers
+// (generic/compiled × seq/par), and after every batch the view answers
 // must be byte-identical to a scratch recomputation over the
 // accumulated facts. Programs with negation take the per-stratum
 // fallback path here and must come out identical too.
@@ -96,9 +96,9 @@ func TestIncrementalEquivalenceCorpus(t *testing.T) {
 		opts []Option
 	}{
 		{"generic/seq", []Option{WithCompiledKernels(false)}},
-		{"batched/seq", nil},
+		{"compiled/seq", nil},
 		{"generic/par", []Option{WithCompiledKernels(false), WithParallel(4)}},
-		{"batched/par", []Option{WithParallel(4)}},
+		{"compiled/par", []Option{WithParallel(4)}},
 	}
 	for _, f := range files {
 		name := strings.TrimSuffix(filepath.Base(f), ".ldl")

@@ -44,7 +44,7 @@ import (
 type matConfig struct {
 	enabled bool
 	scratch bool    // recompute every epoch instead of continuing (A/B baseline)
-	o       options // evaluation knobs for maintenance (parallel, kernels, batch)
+	o       options // evaluation knobs for maintenance (parallel, kernels)
 }
 
 // matState is the materialized side of one epoch: the derived
@@ -70,9 +70,9 @@ type ivmCounters struct {
 
 // WithMaterialized makes the System maintain materialized views of
 // every derived predicate, incrementally across epochs. opts configures
-// the maintenance evaluation itself (WithParallel, WithCompiledKernels,
-// WithBatchSize); answer-affecting options are ignored. Queries can
-// then be served straight from the views with AnswersFromViews.
+// the maintenance evaluation itself (WithParallel,
+// WithCompiledKernels); answer-affecting options are ignored. Queries
+// can then be served straight from the views with AnswersFromViews.
 func WithMaterialized(opts ...Option) SystemOption {
 	return func(c *sysConfig) {
 		c.mat.enabled = true
@@ -125,7 +125,6 @@ func (s *System) matEngine(ep *epochState) (*eval.Engine, error) {
 		Parallel:       s.matCfg.o.parallel,
 		SizeHints:      ep.hints,
 		DisableKernels: s.matCfg.o.noKernels,
-		BatchSize:      s.matCfg.o.batch,
 		Graph:          s.matGraph,
 		Kernels:        s.matKern,
 	})

@@ -241,11 +241,9 @@ func TestStorageGoldenEquivalence(t *testing.T) {
 		opts []Option
 	}{
 		{"generic/seq", []Option{WithCompiledKernels(false)}},
-		{"tuple/seq", []Option{WithBatchSize(1)}},
-		{"batched/seq", nil},
+		{"compiled/seq", nil},
 		{"generic/par", []Option{WithCompiledKernels(false), WithParallel(4)}},
-		{"tuple/par", []Option{WithBatchSize(1), WithParallel(4)}},
-		{"batched/par", []Option{WithParallel(4)}},
+		{"compiled/par", []Option{WithParallel(4)}},
 	}
 	render := func(rows [][]string) string {
 		var b strings.Builder

@@ -80,7 +80,7 @@ func TestSharedDatabaseStress(t *testing.T) {
 				// materialized-view paths, all racing over shared
 				// databases; two arms write through the incremental
 				// maintenance path while the view arms read.
-				switch (g + r) % 10 {
+				switch (g + r) % 9 {
 				case 0:
 					got, err = sys.Query("sg(a, Y)")
 					want = wantSG
@@ -100,16 +100,9 @@ func TestSharedDatabaseStress(t *testing.T) {
 					got, _, err = sys.EvaluateUnoptimized("tc(1, Y)", WithParallel(4), WithCompiledKernels(false))
 					want = wantTC
 				case 6:
-					// Tuple-at-a-time kernels (the default is batched;
-					// this arm pins the vectorized path off).
-					got, _, err = sys.EvaluateUnoptimized("tc(1, Y)", WithBatchSize(1))
-					want = wantTC
-				case 7:
-					// Vectorized kernels with a tiny block, parallel:
-					// maximizes flush-boundary crossings under -race.
-					got, _, err = sys.EvaluateUnoptimized("sg(a, Y)", WithParallel(4), WithBatchSize(4))
+					got, _, err = sys.EvaluateUnoptimized("sg(a, Y)", WithParallel(4))
 					want = wantSG
-				case 8:
+				case 7:
 					// Serve from the materialized views while other
 					// goroutines run incremental maintenance.
 					var ok bool
@@ -118,7 +111,7 @@ func TestSharedDatabaseStress(t *testing.T) {
 						err = fmt.Errorf("views could not serve tc(1, Y)")
 					}
 					want = wantTC
-				case 9:
+				case 8:
 					// Write through incremental maintenance (a fresh
 					// disconnected edge, then repeats of it — one real
 					// delta, then duplicate-batch epochs), and read the
