@@ -167,12 +167,12 @@ func main() {
 		// replication stream; local writes are refused with a redirect.
 		sys.SetReadOnly(*replicaOf)
 		f := &repl.Follower{
-			Target:      *replicaOf,
-			Peers:       splitPeers(*peers),
-			Applied:     sys.Epoch,
-			Apply:       sys.ApplyReplicated,
-			Term:        sys.Term,
-			ObserveTerm: func(t uint64) { sys.ObserveTerm(t) },
+			Target:           *replicaOf,
+			Peers:            splitPeers(*peers),
+			Applied:          sys.Epoch,
+			Apply:            sys.ApplyReplicated,
+			Term:             sys.Term,
+			ObserveTerm:      func(t uint64) { sys.ObserveTerm(t) },
 			AutoPromoteAfter: *autoProm,
 			Promote: func() {
 				// The deadman fired: no writable leader answered for the

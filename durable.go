@@ -2,32 +2,34 @@ package ldl
 
 // Durability: the glue between the epoch machinery and internal/wal.
 //
-// A System opened with WithDurability(dir) logs every InsertFacts batch
-// to a write-ahead log *before* publishing the new epoch — so a batch
-// the caller saw acknowledged is on disk (per the fsync policy) by the
-// time any reader can observe it — and periodically checkpoints the
-// full base-relation state so recovery does not replay history from the
+// A System opened with WithDurability(dir) logs every committed batch
+// (a leader's InsertFacts, a follower's ApplyReplicated) to a
+// write-ahead log *before* publishing the new epoch — so a batch the
+// caller saw acknowledged is on disk (per the fsync policy) by the time
+// any reader can observe it — and periodically checkpoints the full
+// base-relation state so recovery does not replay history from the
 // beginning of time. On the next Load with the same directory, the
 // newest valid checkpoint is loaded and the log tail replayed on top of
 // the program's own facts; the System resumes at the recovered epoch.
+// WithStorageDir (storage.go) keeps the same log and replaces the
+// snapshot with segment files.
 //
-// Scope: the log persists the *fact base updates* (InsertFacts). The
+// Scope, on both tiers: the log persists the *fact base updates*. The
 // program text (rules and its initial facts) is not logged — it is
 // reloaded from source on every boot, exactly like the LDL++ system
-// reloaded its rule base while the EDB lived in the fact store.
+// reloaded its rule base while the EDB lived in the fact store. The
+// statistics catalog is re-derived from the facts at boot (the storage
+// tier's manifest persists gathered statistics, never overrides), so
 // SetStats overrides and the execution→cost feedback overlay are
 // process-local tuning state and are deliberately not durable.
 //
-// A System without WithDurability pays nothing: the only addition to
-// the InsertFacts hot path is a nil check.
+// A System without WithDurability skips the log: the commit path's
+// only durability cost is a nil check.
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"ldl/internal/lang"
-	"ldl/internal/stats"
 	"ldl/internal/store"
 	"ldl/internal/term"
 	"ldl/internal/wal"
@@ -98,95 +100,35 @@ func withWALFS(fs wal.FS) SystemOption {
 	return func(c *sysConfig) { c.walFS = fs }
 }
 
-// attachWAL recovers the durable state in cfg.walDir into db and opens
-// the log for the System's future batches. Called by Load with the
-// program facts already in db; recovered tuples merge on top (set
+// openLog recovers the log in cfg.walDir on top of db — every replayed
+// batch goes through applyBatch, like a live commit — and opens it for
+// the System's future batches. Records at or below base are already in
+// db (the storage tier's manifest) and are skipped. Called by Load with
+// the program facts already in db; recovered tuples merge on top (set
 // semantics make the overlap harmless).
-func (s *System) attachWAL(db *store.Database, cfg sysConfig) error {
-	apply := func(b wal.Batch) error {
-		for _, r := range b.Rels {
-			if s.prog.IsDerived(r.Tag) {
-				return fmt.Errorf("ldl: recovery: %s is a derived predicate in the current program (program changed since the log was written?)", r.Tag)
+func (s *System) openLog(db *store.Database, cfg sysConfig, base uint64) error {
+	log, rep, err := wal.Open(cfg.walDir, wal.Options{FS: cfg.walFS, Sync: cfg.fsync, Interval: cfg.interval, BaseEpoch: base},
+		func(b wal.Batch) error {
+			if _, _, err := s.applyBatch(db, b); err != nil {
+				return fmt.Errorf("ldl: recovery: %w", err)
 			}
-			rel := db.EnsureOwned(r.Tag, r.Arity)
-			for _, tup := range r.Tuples {
-				if _, err := rel.Insert(store.Tuple(tup)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	log, rep, err := wal.Open(cfg.walDir, wal.Options{
-		FS:       cfg.walFS,
-		Sync:     cfg.fsync,
-		Interval: cfg.interval,
-	}, apply)
+			return nil
+		})
 	if err != nil {
 		return err
 	}
-	s.wal, s.recovery = log, rep
-	if rep.Term > s.term {
-		s.term = rep.Term // restore the fencing high-water mark
-	}
-	s.walDir = cfg.walDir
-	s.walFS = cfg.walFS
-	if s.walFS == nil {
-		s.walFS = wal.OS()
-	}
+	s.wal, s.recovery, s.walDir, s.walFS = log, rep, cfg.walDir, cfg.walFS
+	s.term = max(s.term, rep.Term) // restore the fencing high-water mark
 	s.ckptBytes = cfg.ckptBytes
 	if s.ckptBytes == 0 {
 		s.ckptBytes = 4 << 20
 	}
-	id := rep.Epoch
-	if id < 1 {
-		id = 1
-	}
-	ep := newEpoch(id, db, stats.Gather(db))
-	// Views are process-local (not logged, not checkpointed): recovery
-	// rebuilds them from the recovered fact base in one scratch run,
-	// after which maintenance is incremental again.
-	if err := s.materializeBoot(ep); err != nil {
-		return err
-	}
-	s.epoch.Store(ep)
 	return nil
 }
 
 // Recovery reports what boot-time recovery found; nil for a
 // non-durable System.
 func (s *System) Recovery() *RecoveryReport { return s.recovery }
-
-// logBatch builds and appends (without syncing) the WAL record for one
-// InsertFacts batch, grouped by relation and sorted for a deterministic
-// encoding, returning the record's LSN. Called with writeMu held; the
-// caller makes the record durable with wal.Commit *outside* writeMu and
-// publishes the epoch only after that succeeds — write-ahead ordering
-// with the fsync hoisted out of the writer-serializing lock.
-func (s *System) logBatch(epoch uint64, facts []lang.Rule) (int64, error) {
-	byTag := map[string]*wal.RelFacts{}
-	var tags []string
-	for _, c := range facts {
-		tag := c.Head.Tag()
-		g := byTag[tag]
-		if g == nil {
-			g = &wal.RelFacts{Tag: tag, Arity: c.Head.Arity()}
-			byTag[tag] = g
-			tags = append(tags, tag)
-		}
-		g.Tuples = append(g.Tuples, c.Head.Args)
-	}
-	sort.Strings(tags)
-	rels := make([]wal.RelFacts, len(tags))
-	for i, tag := range tags {
-		rels[i] = *byTag[tag]
-	}
-	lsn, err := s.wal.AppendCommit(wal.Batch{Epoch: epoch, Term: s.term, Rels: rels})
-	if err != nil {
-		return 0, fmt.Errorf("ldl: InsertFacts: write-ahead log: %w", err)
-	}
-	return lsn, nil
-}
 
 // maybeCheckpoint fires the background checkpointer when the active log
 // segment has outgrown the configured threshold. At most one checkpoint
@@ -222,22 +164,8 @@ func (s *System) Checkpoint() (err error) {
 		// a monolithic snapshot.
 		return s.segCheckpoint()
 	}
-	// Rotation must see a frozen epoch<->log boundary: every record
-	// <= ep.id is in the retiring segments, every later batch lands in
-	// the new one. Holding writeMu across the rotate guarantees it. The
-	// boundary epoch is the *head*, and any in-flight group commit is
-	// drained (and its epochs published) first — otherwise the retiring
-	// segment could hold acknowledged records beyond the snapshot.
 	s.writeMu.Lock()
-	ep := s.headState()
-	if s.headLSN > 0 {
-		if err := s.wal.Commit(s.headLSN); err != nil {
-			s.writeMu.Unlock()
-			return err
-		}
-		s.publish(ep)
-	}
-	err = s.wal.Rotate(ep.id)
+	ep, err := s.rotateAtHead()
 	s.writeMu.Unlock()
 	if err != nil {
 		return err
@@ -252,6 +180,24 @@ func (s *System) Checkpoint() (err error) {
 		rels = append(rels, rf)
 	}
 	return s.wal.Checkpoint(ep.id, rels)
+}
+
+// rotateAtHead freezes the epoch<->log boundary a checkpoint needs and
+// returns the boundary epoch: after it, every record <= its id is in the
+// retiring segments and every later batch lands in the new one. The
+// boundary is the *head*, and any in-flight group commit is drained (and
+// its epochs published) first — otherwise the retiring segments could
+// hold acknowledged records beyond the checkpoint. Caller holds writeMu,
+// which keeps the boundary frozen across the rotate.
+func (s *System) rotateAtHead() (*epochState, error) {
+	ep := s.headState()
+	if s.headLSN > 0 {
+		if err := s.wal.Commit(s.headLSN); err != nil {
+			return nil, err
+		}
+		s.publish(ep)
+	}
+	return ep, s.wal.Rotate(ep.id)
 }
 
 // Close shuts a durable System down cleanly: a final checkpoint, then

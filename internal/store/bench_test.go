@@ -29,7 +29,7 @@ func compTuples(n int) []store.Tuple {
 	for i := 0; i < n; i++ {
 		out[i] = store.Tuple{
 			term.Comp{Functor: "pair", Args: []term.Term{term.Int(i), term.Atom("x")}},
-			term.List(term.Int(i), term.Int(i + 1)),
+			term.List(term.Int(i), term.Int(i+1)),
 		}
 	}
 	return out

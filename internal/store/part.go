@@ -39,8 +39,8 @@ type Part struct {
 	hashes []uint64   // full-row structural hashes
 
 	// Lazily built caches, shared by every relation holding the part.
-	rows    atomic.Pointer[[]Tuple]            // materialized term rows
-	set     atomic.Pointer[partSet]            // dedup set, slot = local idx + 1
+	rows    atomic.Pointer[[]Tuple] // materialized term rows
+	set     atomic.Pointer[partSet] // dedup set, slot = local idx + 1
 	indexes atomic.Pointer[map[uint32]*colIndex]
 	buildMu sync.Mutex
 

@@ -88,8 +88,8 @@ func TestFrozenMatchesFlat(t *testing.T) {
 		{4, Tuple{nil, nil, term.Atom("b2")}},
 		{3, Tuple{term.Atom("a9"), term.Int(26), nil}},
 		{7, Tuple{term.Atom("a9"), term.Int(26), term.Atom("b1")}},
-		{2, Tuple{nil, term.Int(99999), nil}},            // zone-map miss
-		{1, Tuple{term.Atom("never_seen"), nil, nil}},    // bloom miss (never interned)
+		{2, Tuple{nil, term.Int(99999), nil}},                     // zone-map miss
+		{1, Tuple{term.Atom("never_seen"), nil, nil}},             // bloom miss (never interned)
 		{7, Tuple{term.Atom("a0"), term.Int(1), term.Atom("b0")}}, // full-row miss
 	} {
 		sameRows(t, fmt.Sprintf("Lookup(%b,%v)", probe.cols, probe.tup),

@@ -35,11 +35,11 @@ func TestInternBasics(t *testing.T) {
 
 func TestInternDistinguishes(t *testing.T) {
 	pairs := [][2]Term{
-		{Atom("a"), Str("a")},                           // kind matters
-		{Atom("ab"), Atom("ba")},                        // content matters
-		{Int(1), Int(2)},                                //
+		{Atom("a"), Str("a")},    // kind matters
+		{Atom("ab"), Atom("ba")}, // content matters
+		{Int(1), Int(2)},         //
 		{Comp{Functor: "f", Args: []Term{Atom("a"), Atom("b")}}, Comp{Functor: "f", Args: []Term{Atom("b"), Atom("a")}}}, // order matters
-		{List(Int(1)), List(Int(1), Int(1))},            // length matters
+		{List(Int(1)), List(Int(1), Int(1))}, // length matters
 	}
 	for _, p := range pairs {
 		if Intern(p[0]) == Intern(p[1]) {

@@ -97,7 +97,7 @@ func (b Batch) Tuples() int {
 // field cannot make the reader allocate unboundedly, and term nesting
 // is bounded so a hostile payload cannot blow the decode stack.
 const (
-	frameHeader   = 8               // len u32 + crc u32
+	frameHeader   = 8                // len u32 + crc u32
 	maxRecordSize = 64 * 1024 * 1024 // 64 MiB per record
 	maxTermDepth  = 512
 )

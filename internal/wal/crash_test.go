@@ -104,7 +104,7 @@ func checkpointRels(state factState) []RelFacts {
 	var rels []RelFacts
 	r := RelFacts{Tag: "par/2", Arity: 2}
 	for i := 0; i < checkpointAfter; i++ {
-		r.Tuples = append(r.Tuples, mkBatch(uint64(firstEpoch+i)).Rels[0].Tuples...)
+		r.Tuples = append(r.Tuples, mkBatch(uint64(firstEpoch + i)).Rels[0].Tuples...)
 	}
 	rels = append(rels, r)
 	return rels

@@ -36,6 +36,7 @@ import (
 	"ldl/internal/lang"
 	"ldl/internal/parser"
 	"ldl/internal/resource"
+	"ldl/internal/segment"
 	"ldl/internal/stats"
 	"ldl/internal/store"
 	"ldl/internal/wal"
@@ -166,7 +167,7 @@ type System struct {
 
 	// Durability (nil / zero unless Load saw WithDurability — the
 	// in-memory path pays only a nil check). wal is the write-ahead log
-	// every InsertFacts batch hits before its epoch publishes; recovery
+	// every committed batch hits before its epoch publishes; recovery
 	// is what boot found in the data directory; ckptBytes triggers the
 	// background checkpointer, ckptBusy dedupes triggers and ckptMu
 	// serializes the checkpoints themselves.
@@ -269,7 +270,7 @@ func (s *System) Epoch() uint64 { return s.snapshot().id }
 // subsequent InsertFacts batches are write-ahead logged.
 func Load(src string, opts ...SystemOption) (_ *System, err error) {
 	defer guard(&err)
-	var cfg sysConfig
+	cfg := sysConfig{walFS: wal.OS()}
 	for _, f := range opts {
 		f(&cfg)
 	}
@@ -289,33 +290,59 @@ func Load(src string, opts ...SystemOption) (_ *System, err error) {
 	if err := s.matSetup(); err != nil {
 		return nil, err
 	}
+	// Every tier boots the same way: a prefix of the database (nothing,
+	// or the storage tier's attached segments), the program facts, the
+	// log suffix replayed through applyBatch, then the boot epoch. Only
+	// the prefix and the log's base epoch differ.
+	db, man := store.NewDatabase(), &segment.Manifest{}
 	if cfg.segDir != "" {
-		// The storage tier builds the database itself: segment parts
-		// must attach before any tail row (program facts included).
 		if cfg.walDir != "" && cfg.walDir != cfg.segDir {
 			return nil, fmt.Errorf("ldl: WithStorageDir(%q) conflicts with WithDurability(%q): the log lives in the storage directory", cfg.segDir, cfg.walDir)
 		}
-		if err := s.attachStorage(cfg); err != nil {
+		// Segment parts attach before any tail row, program facts included.
+		if man, err = s.attachSegments(db, cfg); err != nil {
 			return nil, err
 		}
-		return s, nil
+		cfg.walDir = cfg.segDir
 	}
-	db := store.NewDatabase()
 	if err := db.LoadFacts(prog); err != nil {
 		return nil, err
 	}
+	id := max(1, man.Epoch)
 	if cfg.walDir != "" {
-		if err := s.attachWAL(db, cfg); err != nil {
+		if err := s.openLog(db, cfg, man.Epoch); err != nil {
 			return nil, err
 		}
-		return s, nil
+		id = max(id, s.recovery.Epoch)
 	}
-	ep := newEpoch(1, db, stats.Gather(db))
-	if err := s.materializeBoot(ep); err != nil {
+	// The boot catalog is the manifest's persisted statistics (none off
+	// the storage tier) updated for every relation that grew past its
+	// flushed watermark — the same stats.Update every later epoch makes,
+	// so a clean segment boot gathers nothing.
+	cat, grown := stats.NewCatalog(), map[string]int{}
+	for _, re := range man.Rels {
+		cat.Set(re.Tag, re.Stats)
+		if db.Relation(re.Tag).Len() > re.Rows {
+			grown[re.Tag] = re.Rows
+		}
+	}
+	if err := s.start(id, db, stats.Update(cat, db, grown)); err != nil {
 		return nil, err
 	}
-	s.epoch.Store(ep)
 	return s, nil
+}
+
+// start publishes a System's first epoch, on every tier. Views are
+// process-local (never logged or checkpointed), so they are rebuilt here
+// from the booted facts in one scratch run; maintenance is incremental
+// from the next epoch on.
+func (s *System) start(id uint64, db *store.Database, cat *stats.Catalog) error {
+	ep := newEpoch(id, db, cat)
+	if err := s.materializeBoot(ep); err != nil {
+		return err
+	}
+	s.epoch.Store(ep)
+	return nil
 }
 
 // InsertFacts parses src — which must contain only facts — and
@@ -339,75 +366,136 @@ func (s *System) InsertFacts(src string) (added int, epoch uint64, err error) {
 	if len(prog.Rules) > 0 {
 		return 0, 0, fmt.Errorf("ldl: InsertFacts: %s is a rule, not a fact", prog.Rules[0].Head)
 	}
-	touched := map[string]bool{}
-	for _, c := range prog.Facts {
-		if s.prog.IsDerived(c.Head.Tag()) {
-			return 0, 0, fmt.Errorf("ldl: InsertFacts: %s is a derived predicate", c.Head.Tag())
+	return s.commit(factBatch(prog.Facts), true)
+}
+
+// factBatch groups parsed facts into the wal.Batch a leader commits:
+// one entry per relation, each relation's tuples in source order, the
+// relations sorted by tag for a deterministic log encoding. The same
+// batch is applied to the store and logged, so the rows a leader
+// inserts are exactly the rows its followers and its recovery replay.
+func factBatch(facts []lang.Rule) wal.Batch {
+	byTag := map[string]*wal.RelFacts{}
+	var tags []string
+	for _, c := range facts {
+		tag := c.Head.Tag()
+		g := byTag[tag]
+		if g == nil {
+			g = &wal.RelFacts{Tag: tag, Arity: c.Head.Arity()}
+			byTag[tag] = g
+			tags = append(tags, tag)
 		}
-		touched[c.Head.Tag()] = true
+		g.Tuples = append(g.Tuples, c.Head.Args)
 	}
-	// Phase 1, under writeMu: chain a new epoch onto the head and append
-	// its log record without syncing. The critical section contains no
-	// fsync, so concurrent writers pile their records into the same
-	// segment back to back — the cohort one group commit covers.
+	sort.Strings(tags)
+	rels := make([]wal.RelFacts, len(tags))
+	for i, tag := range tags {
+		rels[i] = *byTag[tag]
+	}
+	return wal.Batch{Rels: rels}
+}
+
+// applyBatch inserts a batch of base facts into db — the only code that
+// adds outside rows to a store: leader commits, follower applies and
+// log recovery all land here. It returns each touched relation's length
+// before the batch (the watermarks stats.Update and view maintenance
+// read the appended suffix from) and the number of genuinely new rows.
+func (s *System) applyBatch(db *store.Database, b wal.Batch) (marks map[string]int, added int, err error) {
+	marks = make(map[string]int, len(b.Rels))
+	for _, r := range b.Rels {
+		if s.prog.IsDerived(r.Tag) {
+			return nil, 0, fmt.Errorf("%s is a derived predicate in the current program", r.Tag)
+		}
+		rel := db.EnsureOwned(r.Tag, r.Arity)
+		if _, seen := marks[r.Tag]; !seen {
+			marks[r.Tag] = rel.Len()
+		}
+		for _, tup := range r.Tuples {
+			isNew, err := rel.Insert(store.Tuple(tup))
+			if err != nil {
+				return nil, 0, err
+			}
+			if isNew {
+				added++
+			}
+		}
+	}
+	return marks, added, nil
+}
+
+// commit is the one write path of the epoch chain, shared by leader
+// InsertFacts (leader) and follower ApplyReplicated (!leader). Under
+// writeMu a caller-specific gate runs first — a leader refuses when
+// read-only and stamps the batch with the next epoch and its term; a
+// follower fences stale terms, adopts newer ones, and skips term bumps
+// and duplicates — then the shared steps: fork the head, apply the
+// batch, derive the catalog, append the log record without syncing,
+// maintain the views, and chain the epoch as the new head. The critical
+// section holds no fsync, so concurrent writers pile their records into
+// one segment back to back — the cohort one group commit covers.
+//
+// Outside writeMu comes write-ahead ordering: the record must be durable
+// (per the fsync policy) before any reader can observe its epoch. On
+// failure the epoch is not published and the log is wedged, so no later
+// batch can publish over the hole. A skipped batch returns epoch 0.
+func (s *System) commit(b wal.Batch, leader bool) (added int, epoch uint64, err error) {
+	op := "replicate"
+	if leader {
+		op = "InsertFacts"
+	}
 	var next *epochState
 	var lsn int64
 	if err := func() error {
 		s.writeMu.Lock()
 		defer s.writeMu.Unlock()
-		if s.readOnly {
-			return &ReadOnlyError{Leader: s.leaderAddr}
-		}
 		ep := s.headState()
-		db2 := ep.db.Fork()
-		// Per-relation watermarks: the length each touched relation had
-		// before this batch, for the added count and for the catalog's
-		// incremental acyclicity recheck over exactly the appended suffix.
-		marks := make(map[string]int, len(touched))
-		before := 0
-		for tag := range touched {
-			if r := db2.Relation(tag); r != nil {
-				marks[tag] = r.Len()
-				before += r.Len()
-			} else {
-				marks[tag] = 0
+		if leader {
+			if s.readOnly {
+				return &ReadOnlyError{Leader: s.leaderAddr}
+			}
+			b.Epoch, b.Term = ep.id+1, s.term
+		} else {
+			// A batch from a term below the high-water mark comes from a
+			// deposed leader — refused before the epoch dedup, so even a
+			// "duplicate" from a stale stream surfaces the fence. Term 0
+			// marks a pre-term stream and bypasses the check.
+			if b.Term > 0 && b.Term < s.term {
+				s.fenced.Add(1)
+				return &FencedError{Local: s.term, Stream: b.Term}
+			}
+			if b.Term > s.term {
+				s.term = b.Term
+				if s.wal != nil {
+					s.wal.SetTerm(b.Term) // checkpoints stamp the adopted mark
+				}
+			}
+			if b.Kind == wal.RecTerm || b.Epoch <= ep.id {
+				return nil // a term bump carries no facts; older epochs are redelivery
 			}
 		}
-		if err := db2.LoadFacts(prog); err != nil {
-			return err
+		db := ep.db.Fork()
+		marks, n, err := s.applyBatch(db, b)
+		if err != nil {
+			return fmt.Errorf("ldl: %s: %w", op, err)
 		}
-		after := 0
-		for tag := range touched {
-			after += db2.Relation(tag).Len()
-		}
-		added = after - before
-		next = newEpoch(ep.id+1, db2, stats.Update(ep.cat, db2, marks))
+		added, next = n, newEpoch(b.Epoch, db, stats.Update(ep.cat, db, marks))
 		if s.wal != nil {
-			var err error
-			if lsn, err = s.logBatch(next.id, prog.Facts); err != nil {
-				return err // nothing appended: head unchanged, batch rejected
+			if lsn, err = s.wal.AppendCommit(b); err != nil {
+				return fmt.Errorf("ldl: %s: write-ahead log: %w", op, err)
 			}
 			s.headLSN = lsn
 		}
-		// Carry the materialized views onto the new epoch by continuing
-		// the previous fixpoint from exactly this batch's rows. Done
-		// before the epoch is chained so views and facts publish together.
+		// Views continue the previous fixpoint from exactly this batch's
+		// rows, before the epoch is chained, so they publish with it.
 		s.maintainViews(next, ep)
 		s.head = next
 		return nil
-	}(); err != nil {
+	}(); err != nil || next == nil {
 		return 0, 0, err
 	}
-	// Phase 2, outside writeMu: write-ahead ordering. The batch must be
-	// durable (per the fsync policy) before any reader can observe its
-	// epoch. Commit group-commits: one cohort leader fsyncs for every
-	// record appended meanwhile. On failure the epoch is not published —
-	// the caller sees the error and the published state keeps the last
-	// acknowledged prefix (the log is wedged, so no later batch can
-	// publish over the hole either).
 	if s.wal != nil {
 		if err := s.wal.Commit(lsn); err != nil {
-			return 0, 0, fmt.Errorf("ldl: InsertFacts: write-ahead log: %w", err)
+			return 0, 0, fmt.Errorf("ldl: %s: write-ahead log: %w", op, err)
 		}
 	}
 	s.publish(next)
@@ -530,6 +618,9 @@ func (s *System) SetStats(tag string, card float64, distinct []float64) {
 	ep := s.headState() // chain off head: an in-flight commit's facts must stay in the chain
 	cat := ep.cat.Clone()
 	cat.Set(tag, stats.RelStats{Card: card, Distinct: distinct})
+	if s.seg != nil {
+		s.seg.overridden[tag] = true
+	}
 	next := newEpoch(ep.id+1, ep.db, cat)
 	next.mat = ep.mat // same facts, same views
 	s.head = next

@@ -186,9 +186,9 @@ func baseDeltas(db *store.Database, marks map[string]int) map[string]*store.Rela
 }
 
 // materializeBoot computes the initial views for the first epoch.
-// Called from Load (and recovery) before the epoch is stored; a failure
-// here fails Load — a program whose full fixpoint cannot be computed
-// cannot be served from views at all.
+// Called from start on every boot tier, before the epoch is stored; a
+// failure here fails Load — a program whose full fixpoint cannot be
+// computed cannot be served from views at all.
 func (s *System) materializeBoot(ep *epochState) error {
 	if !s.matCfg.enabled {
 		return nil

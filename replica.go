@@ -5,8 +5,8 @@ package ldl
 //
 // A follower is an ordinary System (same program, same query engine)
 // whose fact base advances only through ApplyReplicated — the shipped
-// wal.Batch stream, fed through the same code path boot-time recovery
-// uses — and whose InsertFacts refuses with a *ReadOnlyError naming the
+// wal.Batch stream, fed through the commit path leader writes take —
+// and whose InsertFacts refuses with a *ReadOnlyError naming the
 // leader. Because batches apply in leader-epoch order and each publishes
 // atomically, every read the follower serves sees an exact epoch-prefix
 // of the leader's acknowledged history; staleness is visible as the gap
@@ -19,8 +19,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ldl/internal/stats"
-	"ldl/internal/store"
 	"ldl/internal/wal"
 )
 
@@ -152,66 +150,16 @@ func (s *System) Promote() (epoch, term uint64, err error) {
 // 1:1. Batches at or below the current epoch are duplicates (redelivery
 // after a reconnect, or a seed the follower already covers) and are
 // skipped, so the stream may be at-least-once; batches must otherwise
-// arrive in increasing epoch order. On a durable follower the batch is
-// appended to the follower's own WAL first, preserving write-ahead
-// ordering through crashes on the replica itself.
+// arrive in increasing epoch order. The batch takes the leader's own
+// commit path (see commit): same insert, catalog update and incremental
+// view maintenance — the shipped rows are the epoch's seed delta, so
+// catch-up cost tracks the stream, not the database — and on a durable
+// follower the same write-ahead log record, durable before the epoch
+// publishes.
 func (s *System) ApplyReplicated(b wal.Batch) (err error) {
 	defer guard(&err)
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	// Fencing: a batch from a term below the high-water mark comes from
-	// a deposed leader and is refused — before the epoch dedup, so even
-	// a "duplicate" from a stale stream surfaces the fence. Term 0 marks
-	// a pre-term stream and bypasses the check.
-	if b.Term > 0 && b.Term < s.term {
-		s.fenced.Add(1)
-		return &FencedError{Local: s.term, Stream: b.Term}
-	}
-	if b.Term > s.term {
-		s.term = b.Term
-		if s.wal != nil {
-			// Raise the log's mark so a later checkpoint stamps it; the
-			// batch append below persists the term itself.
-			s.wal.SetTerm(b.Term)
-		}
-	}
-	if b.Kind == wal.RecTerm {
-		return nil // a shipped term bump carries no facts
-	}
-	ep := s.headState()
-	if b.Epoch <= ep.id {
-		return nil // duplicate delivery
-	}
-	db2 := ep.db.Fork()
-	touched := make(map[string]int, len(b.Rels))
-	for _, r := range b.Rels {
-		if s.prog.IsDerived(r.Tag) {
-			return fmt.Errorf("ldl: replicate: %s is a derived predicate in the current program (leader and follower programs differ?)", r.Tag)
-		}
-		rel := db2.EnsureOwned(r.Tag, r.Arity)
-		if _, seen := touched[r.Tag]; !seen {
-			touched[r.Tag] = rel.Len() // pre-batch watermark
-		}
-		for _, tup := range r.Tuples {
-			if _, err := rel.Insert(store.Tuple(tup)); err != nil {
-				return err
-			}
-		}
-	}
-	next := newEpoch(b.Epoch, db2, stats.Update(ep.cat, db2, touched))
-	// Followers maintain their views through the same incremental path
-	// the leader uses: the shipped batch's rows are this epoch's seed
-	// delta, so catch-up cost tracks the stream, not the database.
-	s.maintainViews(next, ep)
-	if s.wal != nil {
-		if err := s.wal.Append(b); err != nil {
-			return fmt.Errorf("ldl: replicate: follower log: %w", err)
-		}
-	}
-	s.head = next
-	s.publish(next)
-	s.maybeCheckpoint()
-	return nil
+	_, _, err = s.commit(b, false)
+	return err
 }
 
 // DurabilityStats is the WAL health snapshot STATS exposes.

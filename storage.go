@@ -28,6 +28,7 @@ package ldl
 
 import (
 	"fmt"
+	"maps"
 
 	"ldl/internal/segment"
 	"ldl/internal/stats"
@@ -49,147 +50,59 @@ func WithStorageDir(dir string) SystemOption {
 
 // segState is the storage tier's runtime state. man is the manifest
 // the directory currently commits to; it is read at boot and advanced
-// only by segCheckpoint (under ckptMu).
+// only by segCheckpoint (under ckptMu). overridden (guarded by writeMu)
+// names the tags SetStats overrode: overrides are process-local, so a
+// flush persists freshly gathered statistics for them.
 type segState struct {
-	dir string
-	fs  wal.FS
-	man *segment.Manifest
+	dir        string
+	fs         wal.FS
+	man        *segment.Manifest
+	overridden map[string]bool
 }
 
-// attachStorage boots a System from the storage directory: manifest →
-// segments → program facts → WAL suffix. Called by Load instead of
-// attachWAL when WithStorageDir is set; unlike attachWAL it builds the
-// database itself, because segment parts must attach before any tail
-// row (program facts included) is inserted.
-func (s *System) attachStorage(cfg sysConfig) error {
-	fs := cfg.walFS
-	if fs == nil {
-		fs = wal.OS()
-	}
-	dir := cfg.segDir
+// attachSegments mounts the storage directory's committed prefix into
+// the empty db: it loads the newest valid manifest and attaches each
+// segment as an immutable relation part. Load then inserts the program
+// facts and replays the log suffix past the returned manifest's epoch.
+func (s *System) attachSegments(db *store.Database, cfg sysConfig) (*segment.Manifest, error) {
+	fs, dir := cfg.walFS, cfg.segDir
 	if err := fs.MkdirAll(dir); err != nil {
-		return fmt.Errorf("ldl: storage: %w", err)
+		return nil, fmt.Errorf("ldl: storage: %w", err)
 	}
 	man, err := segment.LoadManifest(fs, dir)
 	if err != nil {
-		return fmt.Errorf("ldl: storage: %w", err)
+		return nil, fmt.Errorf("ldl: storage: %w", err)
 	}
 	// Clear crash debris before touching anything: stale *.tmp files
 	// from an interrupted flush, superseded manifests, and segment
 	// files nothing references.
 	segment.Sweep(fs, dir, man)
-
-	db := store.NewDatabase()
-	if man != nil {
-		for _, re := range man.Rels {
-			rel := db.Ensure(re.Tag, re.Arity)
-			got := 0
-			for _, name := range re.Segments {
-				sg, err := segment.Open(fs, dir, name)
-				if err != nil {
-					return fmt.Errorf("ldl: storage: %w", err)
-				}
-				if sg.Tag != re.Tag || sg.Arity != re.Arity {
-					return fmt.Errorf("ldl: storage: segment %s holds %s/%d, manifest expects %s/%d",
-						name, sg.Tag, sg.Arity, re.Tag, re.Arity)
-				}
-				if err := rel.AttachPart(sg.PartData()); err != nil {
-					return fmt.Errorf("ldl: storage: attaching %s: %w", name, err)
-				}
-				got += sg.Rows
-			}
-			if got != re.Rows {
-				return fmt.Errorf("ldl: storage: %s: segments hold %d rows, manifest records %d", re.Tag, got, re.Rows)
-			}
-		}
-	}
-	// Program facts merge on top; rows already flushed to segments
-	// dedup against the attached parts (row-bloom short-circuit), so a
-	// clean boot leaves every fully-flushed relation exactly at its
-	// manifest watermark.
-	if err := db.LoadFacts(s.prog); err != nil {
-		return err
-	}
-
-	// Replay only the log suffix past the manifest: BaseEpoch makes
-	// recovery skip every record and snapshot the manifest already
-	// covers.
-	var baseEpoch uint64
-	if man != nil {
-		baseEpoch = man.Epoch
-	}
-	apply := func(b wal.Batch) error {
-		for _, r := range b.Rels {
-			if s.prog.IsDerived(r.Tag) {
-				return fmt.Errorf("ldl: recovery: %s is a derived predicate in the current program (program changed since the log was written?)", r.Tag)
-			}
-			rel := db.EnsureOwned(r.Tag, r.Arity)
-			for _, tup := range r.Tuples {
-				if _, err := rel.Insert(store.Tuple(tup)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	log, rep, err := wal.Open(dir, wal.Options{
-		FS:        cfg.walFS,
-		Sync:      cfg.fsync,
-		Interval:  cfg.interval,
-		BaseEpoch: baseEpoch,
-	}, apply)
-	if err != nil {
-		return err
-	}
-	s.wal, s.recovery = log, rep
-	if rep.Term > s.term {
-		s.term = rep.Term // restore the fencing high-water mark
-	}
-	s.walDir, s.walFS = dir, fs
-	s.ckptBytes = cfg.ckptBytes
-	if s.ckptBytes == 0 {
-		s.ckptBytes = 4 << 20
-	}
 	if man == nil {
 		man = &segment.Manifest{}
 	}
-	s.seg = &segState{dir: dir, fs: fs, man: man}
-
-	// Catalog: manifest entries carry the statistics gathered when they
-	// were flushed, so a clean boot skips the O(n) gather entirely.
-	// Only relations that grew past their watermark (WAL suffix, or
-	// program facts the segments have not absorbed) pay an incremental
-	// update over the appended rows.
-	cat := stats.NewCatalog()
-	watermark := map[string]int{}
 	for _, re := range man.Rels {
-		watermark[re.Tag] = re.Rows
-		cat.Set(re.Tag, re.Stats)
-	}
-	for _, tag := range db.Tags() {
-		r := db.Relation(tag)
-		if w, ok := watermark[tag]; ok {
-			if r.Len() > w {
-				cat.Set(tag, stats.UpdateOne(cat.Stats(tag), r, w))
+		rel := db.Ensure(re.Tag, re.Arity)
+		got := 0
+		for _, name := range re.Segments {
+			sg, err := segment.Open(fs, dir, name)
+			if err != nil {
+				return nil, fmt.Errorf("ldl: storage: %w", err)
 			}
-		} else {
-			cat.Set(tag, stats.GatherOne(r))
+			if sg.Tag != re.Tag || sg.Arity != re.Arity {
+				return nil, fmt.Errorf("ldl: storage: segment %s holds %s/%d, manifest expects %s/%d",
+					name, sg.Tag, sg.Arity, re.Tag, re.Arity)
+			}
+			if err := rel.AttachPart(sg.PartData()); err != nil {
+				return nil, fmt.Errorf("ldl: storage: attaching %s: %w", name, err)
+			}
+			got += sg.Rows
+		}
+		if got != re.Rows {
+			return nil, fmt.Errorf("ldl: storage: %s: segments hold %d rows, manifest records %d", re.Tag, got, re.Rows)
 		}
 	}
-
-	id := rep.Epoch
-	if man.Epoch > id {
-		id = man.Epoch
-	}
-	if id < 1 {
-		id = 1
-	}
-	ep := newEpoch(id, db, cat)
-	if err := s.materializeBoot(ep); err != nil {
-		return err
-	}
-	s.epoch.Store(ep)
-	return nil
+	s.seg = &segState{dir: dir, fs: fs, man: man, overridden: map[string]bool{}}
+	return man, nil
 }
 
 // segCheckpoint is Checkpoint on the storage tier: freeze the epoch's
@@ -206,37 +119,28 @@ func (s *System) attachStorage(cfg sysConfig) error {
 // boot) and the old manifest + full log; a crash after it leaves the
 // new manifest + a log suffix recovery already knows to skip.
 func (s *System) segCheckpoint() error {
-	// Phase 1, under writeMu: drain any in-flight group commit (the
-	// retiring log must not hold acknowledged records past the
-	// snapshot), rotate, and republish the same epoch with every tail
-	// frozen. Freezing here is what makes the flush below read stable
-	// arrays — and what makes every later epoch fork pay O(delta).
+	// Phase 1, under writeMu: rotate at the head (see rotateAtHead) and
+	// republish the same epoch with every tail frozen. Freezing here is
+	// what makes the flush below read stable arrays — and what makes
+	// every later epoch fork pay O(delta). A head at the manifest epoch
+	// is already flushed and published: nothing to do.
 	s.writeMu.Lock()
-	ep := s.headState()
-	if s.headLSN > 0 {
-		if err := s.wal.Commit(s.headLSN); err != nil {
-			s.writeMu.Unlock()
-			return err
-		}
-		s.publish(ep)
-	}
-	if ep.id == s.seg.man.Epoch {
+	if s.headState().id == s.seg.man.Epoch {
 		s.writeMu.Unlock()
-		return nil // nothing newer than the last successful flush
+		return nil
 	}
-	if err := s.wal.Rotate(ep.id); err != nil {
-		s.writeMu.Unlock()
-		return err
-	}
+	ep, err := s.rotateAtHead()
 	// The manifest has no term field, so the term must survive in the
 	// log itself: re-anchor the mark in the fresh active segment before
 	// Retire deletes the segments that held the old term records.
-	if s.term > 1 {
-		if err := s.wal.AppendTerm(s.term, ep.id); err != nil {
-			s.writeMu.Unlock()
-			return err
-		}
+	if err == nil && s.term > 1 {
+		err = s.wal.AppendTerm(s.term, ep.id)
 	}
+	if err != nil {
+		s.writeMu.Unlock()
+		return err
+	}
+	overridden := maps.Clone(s.seg.overridden)
 	frozen := &epochState{id: ep.id, db: ep.db.FrozenFork(), cat: ep.cat, hints: ep.hints, mat: ep.mat}
 	s.head = frozen
 	// Same epoch id, same facts: publish() refuses id <= current, so
@@ -274,10 +178,11 @@ func (s *System) segCheckpoint() error {
 			}
 			segs = append(segs[:len(segs):len(segs)], name)
 		}
-		next.Rels = append(next.Rels, segment.RelEntry{
-			Tag: tag, Arity: r.Arity, Rows: n, Segments: segs,
-			Stats: ep.cat.Stats(tag),
-		})
+		st := ep.cat.Stats(tag)
+		if overridden[tag] {
+			st = stats.GatherOne(r)
+		}
+		next.Rels = append(next.Rels, segment.RelEntry{Tag: tag, Arity: r.Arity, Rows: n, Segments: segs, Stats: st})
 	}
 	if err := segment.WriteManifest(s.seg.fs, s.seg.dir, next); err != nil {
 		return err
@@ -336,8 +241,9 @@ func (s *System) StorageStats() StorageStats {
 		st.Segments += len(re.Segments)
 		st.SegmentRows += re.Rows
 	}
-	for _, tag := range s.snapshot().db.Tags() {
-		st.TailRows += s.snapshot().db.Relation(tag).Len()
+	db := s.snapshot().db // one epoch for the whole sum
+	for _, tag := range db.Tags() {
+		st.TailRows += db.Relation(tag).Len()
 	}
 	st.TailRows -= st.SegmentRows
 	if st.TailRows < 0 {
