@@ -171,7 +171,7 @@ func TestDrainRefusesRequests(t *testing.T) {
 func TestDurableRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	boot := func() *ldl.System {
-		sys, err := ldl.Load(serverSrc, ldl.WithDurability(dir))
+		sys, err := ldl.Load(serverSrc, ldl.WithStorageDir(dir))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,10 +5,12 @@
 // the resource governor, and every query is answered from the
 // prepared-plan cache when its adorned form has been seen before.
 //
-// With -data-dir the fact base is durable: the directory is recovered
-// on boot (newest checkpoint plus write-ahead-log tail, with a logged
-// recovery report), every LOAD batch is logged before it is
-// acknowledged, and shutdown takes a final checkpoint.
+// With -storage-dir (or its alias -data-dir) the fact base is durable:
+// boot attaches the directory's segment files and replays the
+// write-ahead-log tail past their manifest (with a logged recovery
+// report), every LOAD batch is logged before it is acknowledged, and
+// shutdown takes a final checkpoint. A directory holding a checkpoint
+// of the retired snapshot format is refused at boot.
 //
 // Protocol (one request per line, responses terminated by a blank line
 // is NOT used — the first token tells the client how much to read):
@@ -29,12 +31,12 @@
 //
 // Replication: a durable server is a replication leader for free — any
 // connection may send "REPL <epoch>" and becomes a log-shipping stream
-// resuming after that epoch (checkpoint seed first when the log prefix
-// was retired). Started with -replica-of the server is a follower: it
-// replicates continuously from the leader, serves QUERY/STATS with the
-// replication lag visible under STATS, and refuses LOAD with the
-// machine-parseable "ERR read-only leader=<addr>" so clients can
-// redirect writes. A durable follower also answers REPL itself —
+// resuming after that epoch (a seed of the newest manifest's rows
+// first when the log prefix was retired). Started with -replica-of the
+// server is a follower: it replicates continuously from the leader,
+// serves QUERY/STATS with the replication lag visible under STATS, and
+// refuses LOAD with the machine-parseable "ERR read-only
+// leader=<addr>" so clients can redirect writes. A durable follower also answers REPL itself —
 // chained replication — forwarding its known leader in the welcome so
 // downstream clients still learn where writes go.
 //
@@ -93,8 +95,7 @@ func main() {
 		workers   = flag.Int("max-concurrent", 8, "max queries executing at once")
 		queue     = flag.Int("max-queue", 16, "max queries waiting for a slot")
 		plans     = flag.Int("max-plans", 128, "prepared-plan cache capacity")
-		dataDir   = flag.String("data-dir", "", "durability directory: recover on boot, write-ahead log every LOAD (empty = in-memory only)")
-		storeDir  = flag.String("storage-dir", "", "columnar storage directory: segment files + manifest + WAL; boot attaches segments instead of replaying history (subsumes -data-dir)")
+		storeDir  = flag.String("storage-dir", "", "durable columnar storage directory: segment files + manifest + WAL; boot attaches segments and replays the log tail (empty = in-memory only)")
 		fsync     = flag.String("fsync", "always", "log fsync policy: always, interval or never")
 		ckptBytes = flag.Int64("checkpoint-bytes", 4<<20, "log size that triggers a background checkpoint")
 		idle      = flag.Duration("idle-timeout", 2*time.Minute, "close connections idle longer than this (0 = never)")
@@ -106,6 +107,7 @@ func main() {
 		advertise = flag.String("advertise", "", "address advertised to followers for write redirects (default -addr)")
 		matMode   = flag.String("materialize", "", "maintain materialized views of the derived predicates: 'incremental' (semi-naive continuation across epochs) or 'scratch' (recompute per epoch; the A/B baseline). Empty disables")
 	)
+	flag.StringVar(storeDir, "data-dir", "", "alias of -storage-dir")
 	flag.Parse()
 	if *program == "" {
 		log.Fatal("ldlserver: -program is required")
@@ -115,20 +117,13 @@ func main() {
 		log.Fatalf("ldlserver: %v", err)
 	}
 	var sysOpts []ldl.SystemOption
-	if *storeDir != "" && *dataDir != "" {
-		log.Fatal("ldlserver: -storage-dir subsumes -data-dir (the log lives in the storage directory); pass one or the other")
-	}
-	if *storeDir != "" || *dataDir != "" {
+	if *storeDir != "" {
 		policy, err := ldl.ParseFsyncPolicy(*fsync)
 		if err != nil {
 			log.Fatalf("ldlserver: %v", err)
 		}
-		if *storeDir != "" {
-			sysOpts = append(sysOpts, ldl.WithStorageDir(*storeDir))
-		} else {
-			sysOpts = append(sysOpts, ldl.WithDurability(*dataDir))
-		}
 		sysOpts = append(sysOpts,
+			ldl.WithStorageDir(*storeDir),
 			ldl.WithFsyncPolicy(policy, 0),
 			ldl.WithCheckpointBytes(*ckptBytes))
 	}
@@ -394,7 +389,7 @@ func (s *server) serveRepl(conn net.Conn, out *bufio.Writer, line string) {
 	}
 	dir, fs, ok := sys.WALAccess()
 	if !ok {
-		refuse("replication requires a durable node (-data-dir)")
+		refuse("replication requires a durable node (-storage-dir)")
 		return
 	}
 	// Replication connections are long-lived and mostly idle; the

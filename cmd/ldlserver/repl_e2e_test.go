@@ -29,7 +29,7 @@ const leaderAdvertise = "ldl-leader.internal:7654"
 // startLeader boots a durable leader server with test-fast shipping.
 func startLeader(t *testing.T, dir string) (addr string, sys *ldl.System, shutdown func(time.Duration)) {
 	t.Helper()
-	sys, err := ldl.Load(serverSrc, ldl.WithDurability(dir))
+	sys, err := ldl.Load(serverSrc, ldl.WithStorageDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,12 +225,59 @@ func TestReplicaBootsFromShippedCheckpoint(t *testing.T) {
 	}
 }
 
+// TestStorageTierSeedsFollowers: every durable node keeps its base in
+// segments, so every reseed is served from a manifest. A leader that
+// has flushed seeds a fresh durable follower R1; R1 flushes too, and a
+// fresh R2 chained off R1 must be seeded from R1's manifest — then both
+// keep tailing the live log.
+func TestStorageTierSeedsFollowers(t *testing.T) {
+	lAddr, lsys, _ := startLeader(t, t.TempDir())
+	lc := dial(t, lAddr)
+	load := func(i int) {
+		t.Helper()
+		if got, err := lc.roundTrip(fmt.Sprintf("LOAD par(r%d, b1). par(b1, rr%d).", i, i)); err != nil || !strings.HasPrefix(got, "OK 2 ") {
+			t.Fatalf("LOAD %d = %q, %v", i, got, err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		load(i)
+	}
+	if err := lsys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	load(3)
+
+	r1Addr, r1sys, _ := startReplica(t, lAddr, ldl.WithStorageDir(t.TempDir()))
+	waitFor(t, "R1 catch-up via the leader's manifest", func() bool { return r1sys.Epoch() == lsys.Epoch() })
+	if err := r1sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	r2Addr, r2sys, _ := startReplica(t, r1Addr)
+	waitFor(t, "R2 catch-up via R1's manifest", func() bool { return r2sys.Epoch() == lsys.Epoch() })
+	load(4)
+	waitFor(t, "chain tail after the seeds", func() bool { return r2sys.Epoch() == lsys.Epoch() })
+
+	rc2 := dial(t, r2Addr)
+	if want, got := replCollect(t, lc), replCollect(t, rc2); got != want {
+		t.Fatalf("chain-seeded replica answers differ:\nleader:\n%s\nR2:\n%s", want, got)
+	}
+	for name, addr := range map[string]string{"R1": r1Addr, "R2": r2Addr} {
+		kv, err := dial(t, addr).stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kv["repl_seeds"] != "1" {
+			t.Errorf("%s repl_seeds = %q, want 1", name, kv["repl_seeds"])
+		}
+	}
+}
+
 // TestPromoteFailover: kill the leader, PROMOTE the (durable) replica,
 // and demand the promoted server answer byte-identically to the dead
 // leader's acknowledged state — then accept writes as the new leader.
 func TestPromoteFailover(t *testing.T) {
 	lAddr, lsys, lShutdown := startLeader(t, t.TempDir())
-	rAddr, rsys, _ := startReplica(t, lAddr, ldl.WithDurability(t.TempDir()))
+	rAddr, rsys, _ := startReplica(t, lAddr, ldl.WithStorageDir(t.TempDir()))
 
 	lc := dial(t, lAddr)
 	for i := 0; i < 4; i++ {
@@ -308,7 +355,7 @@ func TestReplVerbRefusals(t *testing.T) {
 // "QUERY ... wait=<E>" (read-your-writes across the failover).
 func TestThreeNodeFailover(t *testing.T) {
 	lAddr, lsys, lShutdown := startLeader(t, t.TempDir())
-	r1Addr, r1sys, _ := startFollower(t, lAddr, followerCfg{}, ldl.WithDurability(t.TempDir()))
+	r1Addr, r1sys, _ := startFollower(t, lAddr, followerCfg{}, ldl.WithStorageDir(t.TempDir()))
 	r2Addr, r2sys, _ := startFollower(t, lAddr, followerCfg{peers: []string{r1Addr}})
 
 	lc := dial(t, lAddr)
@@ -376,7 +423,7 @@ func TestThreeNodeFailover(t *testing.T) {
 // deadline, and then accepts writes under the new term.
 func TestAutoPromoteFailover(t *testing.T) {
 	lAddr, lsys, lShutdown := startLeader(t, t.TempDir())
-	rAddr, rsys, _ := startFollower(t, lAddr, followerCfg{autoPromoteAfter: 200 * time.Millisecond}, ldl.WithDurability(t.TempDir()))
+	rAddr, rsys, _ := startFollower(t, lAddr, followerCfg{autoPromoteAfter: 200 * time.Millisecond}, ldl.WithStorageDir(t.TempDir()))
 
 	lc := dial(t, lAddr)
 	for i := 0; i < 3; i++ {
@@ -418,7 +465,7 @@ func TestAutoPromoteFailover(t *testing.T) {
 // welcome line forwards it hop by hop).
 func TestChainedReplication(t *testing.T) {
 	lAddr, lsys, _ := startLeader(t, t.TempDir())
-	r1Addr, _, r1srv := startReplica(t, lAddr, ldl.WithDurability(t.TempDir()))
+	r1Addr, _, r1srv := startReplica(t, lAddr, ldl.WithStorageDir(t.TempDir()))
 	// Let R1 finish its handshake with L (learning the advertised leader)
 	// before R2 attaches, so R1's welcome to R2 forwards the real address.
 	waitFor(t, "R1 learns the advertised leader", func() bool {

@@ -2,28 +2,26 @@ package ldl
 
 // Durability: the glue between the epoch machinery and internal/wal.
 //
-// A System opened with WithDurability(dir) logs every committed batch
+// A System opened with WithStorageDir(dir) logs every committed batch
 // (a leader's InsertFacts, a follower's ApplyReplicated) to a
 // write-ahead log *before* publishing the new epoch — so a batch the
 // caller saw acknowledged is on disk (per the fsync policy) by the time
-// any reader can observe it — and periodically checkpoints the full
-// base-relation state so recovery does not replay history from the
-// beginning of time. On the next Load with the same directory, the
-// newest valid checkpoint is loaded and the log tail replayed on top of
-// the program's own facts; the System resumes at the recovered epoch.
-// WithStorageDir (storage.go) keeps the same log and replaces the
-// snapshot with segment files.
+// any reader can observe it — and periodically checkpoints by flushing
+// the fact base to segment files (storage.go), so recovery replays only
+// the log past the newest manifest. On the next Load with the same
+// directory the segments are attached and the log tail replayed on top
+// of the program's own facts; the System resumes at the recovered
+// epoch.
 //
-// Scope, on both tiers: the log persists the *fact base updates*. The
-// program text (rules and its initial facts) is not logged — it is
-// reloaded from source on every boot, exactly like the LDL++ system
-// reloaded its rule base while the EDB lived in the fact store. The
-// statistics catalog is re-derived from the facts at boot (the storage
-// tier's manifest persists gathered statistics, never overrides), so
-// SetStats overrides and the execution→cost feedback overlay are
-// process-local tuning state and are deliberately not durable.
+// Scope: the log persists the *fact base updates*. The program text
+// (rules and its initial facts) is not logged — it is reloaded from
+// source on every boot, exactly like the LDL++ system reloaded its rule
+// base while the EDB lived in the fact store. The manifest persists
+// gathered statistics, never overrides, so SetStats overrides and the
+// execution→cost feedback overlay are process-local tuning state and
+// are deliberately not durable.
 //
-// A System without WithDurability skips the log: the commit path's
+// A System without WithStorageDir skips the log: the commit path's
 // only durability cost is a nil check.
 
 import (
@@ -31,7 +29,6 @@ import (
 	"time"
 
 	"ldl/internal/store"
-	"ldl/internal/term"
 	"ldl/internal/wal"
 )
 
@@ -52,32 +49,22 @@ const (
 // "never") of a policy.
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return wal.ParseSyncPolicy(s) }
 
-// RecoveryReport is what boot-time recovery found: checkpoint epoch and
-// size, records and tuples replayed from the log tail, and any torn
-// tail it had to drop. Its String renders the one-line boot log
-// message.
+// RecoveryReport is what boot-time recovery found: the manifest epoch
+// it started from, records and tuples replayed from the log tail, and
+// any torn tail it had to drop. Its String renders the one-line boot
+// log message.
 type RecoveryReport = wal.RecoveryReport
 
 // SystemOption configures a System at Load time.
 type SystemOption func(*sysConfig)
 
 type sysConfig struct {
-	walDir    string
 	segDir    string
 	walFS     wal.FS
 	fsync     FsyncPolicy
 	interval  time.Duration
 	ckptBytes int64
 	mat       matConfig
-}
-
-// WithDurability makes the System durable: InsertFacts batches are
-// write-ahead logged under dir (created if missing) before the epoch
-// publishes, checkpoints retire the log as it grows, and Load recovers
-// whatever a previous process left in dir. Combine with Close for a
-// clean shutdown (final checkpoint).
-func WithDurability(dir string) SystemOption {
-	return func(c *sysConfig) { c.walDir = dir }
 }
 
 // WithFsyncPolicy selects the log's fsync policy (default FsyncAlways).
@@ -100,14 +87,14 @@ func withWALFS(fs wal.FS) SystemOption {
 	return func(c *sysConfig) { c.walFS = fs }
 }
 
-// openLog recovers the log in cfg.walDir on top of db — every replayed
+// openLog recovers the log in cfg.segDir on top of db — every replayed
 // batch goes through applyBatch, like a live commit — and opens it for
 // the System's future batches. Records at or below base are already in
 // db (the storage tier's manifest) and are skipped. Called by Load with
 // the program facts already in db; recovered tuples merge on top (set
 // semantics make the overlap harmless).
 func (s *System) openLog(db *store.Database, cfg sysConfig, base uint64) error {
-	log, rep, err := wal.Open(cfg.walDir, wal.Options{FS: cfg.walFS, Sync: cfg.fsync, Interval: cfg.interval, BaseEpoch: base},
+	log, rep, err := wal.Open(cfg.segDir, wal.Options{FS: cfg.walFS, Sync: cfg.fsync, Interval: cfg.interval, BaseEpoch: base},
 		func(b wal.Batch) error {
 			if _, _, err := s.applyBatch(db, b); err != nil {
 				return fmt.Errorf("ldl: recovery: %w", err)
@@ -117,7 +104,7 @@ func (s *System) openLog(db *store.Database, cfg sysConfig, base uint64) error {
 	if err != nil {
 		return err
 	}
-	s.wal, s.recovery, s.walDir, s.walFS = log, rep, cfg.walDir, cfg.walFS
+	s.wal, s.recovery = log, rep
 	s.term = max(s.term, rep.Term) // restore the fencing high-water mark
 	s.ckptBytes = cfg.ckptBytes
 	if s.ckptBytes == 0 {
@@ -147,11 +134,11 @@ func (s *System) maybeCheckpoint() {
 	}()
 }
 
-// Checkpoint serializes the current epoch's base relations to a
-// snapshot file and retires the log prefix it covers. Readers are never
-// stalled (the epoch is immutable) and the writer only briefly, for the
-// log rotation; the serialization itself runs without any lock. No-op
-// on a non-durable System.
+// Checkpoint flushes the current epoch's base relations to segment
+// files, commits the manifest naming them, and retires the log prefix
+// it covers. Readers are never stalled (the epoch is immutable) and the
+// writer only briefly, for the log rotation. No-op on a non-durable
+// System.
 func (s *System) Checkpoint() (err error) {
 	defer guard(&err)
 	if s.wal == nil {
@@ -159,27 +146,7 @@ func (s *System) Checkpoint() (err error) {
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	if s.seg != nil {
-		// Storage tier: checkpoint = segment flush + manifest swap, not
-		// a monolithic snapshot.
-		return s.segCheckpoint()
-	}
-	s.writeMu.Lock()
-	ep, err := s.rotateAtHead()
-	s.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	rels := make([]wal.RelFacts, 0, len(ep.db.Tags()))
-	for _, tag := range ep.db.Tags() {
-		r := ep.db.Relation(tag)
-		rf := wal.RelFacts{Tag: tag, Arity: r.Arity, Tuples: make([][]term.Term, 0, r.Len())}
-		for _, t := range r.Tuples() {
-			rf.Tuples = append(rf.Tuples, t)
-		}
-		rels = append(rels, rf)
-	}
-	return s.wal.Checkpoint(ep.id, rels)
+	return s.segCheckpoint()
 }
 
 // rotateAtHead freezes the epoch<->log boundary a checkpoint needs and

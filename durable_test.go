@@ -71,7 +71,7 @@ func checkPrefix(t *testing.T, got map[string]bool, min, max int) int {
 
 func TestDurableRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	sys, err := Load(durSrc, WithDurability(dir))
+	sys, err := Load(durSrc, WithStorageDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	}
 
 	// Restart: same program source, same directory.
-	sys2, err := Load(durSrc, WithDurability(dir))
+	sys2, err := Load(durSrc, WithStorageDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	if rep == nil || rep.Epoch != epoch {
 		t.Fatalf("recovery = %+v, want epoch %d", rep, epoch)
 	}
-	// Close checkpointed, so the restart loads the snapshot, not the log.
+	// Close checkpointed, so the restart attaches the manifest, not the log.
 	if rep.CheckpointEpoch != epoch || rep.RecordsReplayed != 0 {
 		t.Errorf("restart after clean Close should load from checkpoint: %+v", rep)
 	}
@@ -149,7 +149,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 func TestDurableCrashPoints(t *testing.T) {
 	const batches = 5
 	run := func(fs *wal.MemFS) (acked int, sys *System) {
-		sys, err := Load(durSrc, WithDurability("data"), withWALFS(fs), WithCheckpointBytes(-1))
+		sys, err := Load(durSrc, WithStorageDir("data"), withWALFS(fs), WithCheckpointBytes(-1))
 		if err != nil {
 			return 0, nil
 		}
@@ -183,7 +183,7 @@ func TestDurableCrashPoints(t *testing.T) {
 				checkPrefix(t, parTuples(sys), acked, acked)
 			}
 
-			sys2, err := Load(durSrc, WithDurability("data"), withWALFS(fs.Crash(true)))
+			sys2, err := Load(durSrc, WithStorageDir("data"), withWALFS(fs.Crash(true)))
 			if err != nil {
 				t.Fatalf("short=%v failAt=%d: recovery failed: %v", short, failAt, err)
 			}
@@ -196,7 +196,7 @@ func TestDurableCheckpointRetiresLog(t *testing.T) {
 	fs := wal.NewMemFS()
 	// Tiny threshold: every insert overflows it and triggers the
 	// background checkpointer.
-	sys, err := Load(durSrc, WithDurability("data"), withWALFS(fs), WithCheckpointBytes(1))
+	sys, err := Load(durSrc, WithStorageDir("data"), withWALFS(fs), WithCheckpointBytes(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestDurableCheckpointRetiresLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The checkpointer is async; wait for any snapshot to prove it
+	// The checkpointer is async; wait for any manifest to prove it
 	// fired. (A trigger arriving while a checkpoint is in flight is
 	// deliberately dropped, so we cannot demand one per insert.)
 	deadline := time.Now().Add(5 * time.Second)
@@ -213,7 +213,7 @@ func TestDurableCheckpointRetiresLog(t *testing.T) {
 		names, _ := fs.List("data")
 		found := false
 		for _, n := range names {
-			if strings.HasPrefix(n, "snapshot-") {
+			if strings.HasPrefix(n, "manifest-") {
 				found = true
 			}
 		}
@@ -221,7 +221,7 @@ func TestDurableCheckpointRetiresLog(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no snapshot appeared; dir: %v", names)
+			t.Fatalf("no manifest appeared; dir: %v", names)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -230,12 +230,12 @@ func TestDurableCheckpointRetiresLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Restart must come entirely from the checkpoint.
-	sys2, err := Load(durSrc, WithDurability("data"), withWALFS(fs))
+	sys2, err := Load(durSrc, WithStorageDir("data"), withWALFS(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := sys2.Recovery()
-	if rep.RecordsReplayed != 0 || rep.CheckpointTuples == 0 {
+	if rep.RecordsReplayed != 0 || rep.CheckpointEpoch == 0 {
 		t.Fatalf("restart should load from checkpoint only: %+v", rep)
 	}
 	checkPrefix(t, parTuples(sys2), 3, 3)
@@ -246,7 +246,7 @@ func TestDurableCheckpointRetiresLog(t *testing.T) {
 // derives that tag, instead of silently merging facts into an IDB.
 func TestDurableRejectsDerivedOverlap(t *testing.T) {
 	fs := wal.NewMemFS()
-	sys, err := Load("p(a).", WithDurability("data"), withWALFS(fs))
+	sys, err := Load("p(a).", WithStorageDir("data"), withWALFS(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestDurableRejectsDerivedOverlap(t *testing.T) {
 p(a).
 extra(X, Y) <- p(X), p(Y).
 `
-	if _, err := Load(changed, WithDurability("data"), withWALFS(fs)); err == nil ||
+	if _, err := Load(changed, WithStorageDir("data"), withWALFS(fs)); err == nil ||
 		!strings.Contains(err.Error(), "derived") {
 		t.Fatalf("recovery into a derived predicate must fail, got %v", err)
 	}
@@ -286,7 +286,7 @@ func TestDurabilityOffIsFree(t *testing.T) {
 func TestFsyncPolicies(t *testing.T) {
 	for _, p := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
 		dir := t.TempDir()
-		sys, err := Load(durSrc, WithDurability(dir), WithFsyncPolicy(p, 10*time.Millisecond))
+		sys, err := Load(durSrc, WithStorageDir(dir), WithFsyncPolicy(p, 10*time.Millisecond))
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -296,7 +296,7 @@ func TestFsyncPolicies(t *testing.T) {
 		if err := sys.Close(); err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
-		sys2, err := Load(durSrc, WithDurability(dir))
+		sys2, err := Load(durSrc, WithStorageDir(dir))
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -308,7 +308,7 @@ func TestFsyncPolicies(t *testing.T) {
 	}
 	// Sanity: the data dir really is on the real filesystem.
 	dir := t.TempDir()
-	sys, _ := Load(durSrc, WithDurability(dir))
+	sys, _ := Load(durSrc, WithStorageDir(dir))
 	sys.InsertFacts(durBatch(1))
 	sys.Close()
 	ents, err := os.ReadDir(dir)
@@ -316,8 +316,35 @@ func TestFsyncPolicies(t *testing.T) {
 		t.Fatalf("ReadDir(%s) = %v, %v", dir, ents, err)
 	}
 	for _, e := range ents {
-		if !strings.HasPrefix(e.Name(), "log-") && !strings.HasPrefix(e.Name(), "snapshot-") {
+		if !strings.HasPrefix(e.Name(), "log-") && !strings.HasPrefix(e.Name(), "manifest-") && !strings.HasPrefix(e.Name(), "seg-") {
 			t.Errorf("unexpected file %s", filepath.Join(dir, e.Name()))
 		}
+	}
+}
+
+// TestDurableRefusesSnapshotDir: a directory holding a checkpoint of
+// the retired snapshot format must fail Load with an error naming the
+// file, not boot without the facts the snapshot holds.
+func TestDurableRefusesSnapshotDir(t *testing.T) {
+	fs := wal.NewMemFS()
+	sys, err := Load(durSrc, WithStorageDir("data"), withWALFS(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sys.InsertFacts(durBatch(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const snap = "snapshot-0000000000000005"
+	f, err := fs.Create("data/" + snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte("facts this version cannot read"))
+	f.Close()
+	if _, err := Load(durSrc, WithStorageDir("data"), withWALFS(fs)); err == nil || !strings.Contains(err.Error(), snap) {
+		t.Fatalf("Load over a snapshot checkpoint = %v, want an error naming %s", err, snap)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"ldl/internal/segment"
 	"ldl/internal/term"
 	"ldl/internal/wal"
 )
@@ -74,6 +75,9 @@ type chaosLeader struct {
 	mu    sync.Mutex
 	conns []net.Conn
 	arm   func(net.Conn) net.Conn
+	// onHello, when set, runs after the welcome and before shipping
+	// starts — between the follower's hello and its first frame.
+	onHello func()
 }
 
 func newChaosLeader(t *testing.T) *chaosLeader {
@@ -127,19 +131,35 @@ func (ld *chaosLeader) appendT(e uint64) {
 	ld.head.Store(e)
 }
 
-// checkpoint snapshots the cumulative state at e and retires the log
-// prefix, so a follower behind e can only catch up via reseed.
+// checkpoint flushes the cumulative state at e as one segment, commits
+// the manifest naming it, retires the log prefix and sweeps the segments
+// the manifest dropped — so a follower behind e can only catch up via
+// reseed. It may run on a shipper goroutine, hence Errorf, not Fatal.
 func (ld *chaosLeader) checkpoint(e uint64) {
 	if err := ld.log.Rotate(e); err != nil {
-		ld.t.Fatal(err)
+		ld.t.Errorf("rotate: %v", err)
+		return
 	}
-	r := wal.RelFacts{Tag: "par/2", Arity: 2}
+	cols := make([][]term.ID, 2)
 	for i := uint64(2); i <= e; i++ {
-		r.Tuples = append(r.Tuples, mkBatch(i).Rels[0].Tuples...)
+		for _, tup := range mkBatch(i).Rels[0].Tuples {
+			for c, v := range tup {
+				cols[c] = append(cols[c], term.Intern(v))
+			}
+		}
 	}
-	if err := ld.log.Checkpoint(e, []wal.RelFacts{r}); err != nil {
-		ld.t.Fatal(err)
+	name, rows := segment.SegName(e, "par/2", 0), len(cols[0])
+	man := &segment.Manifest{Epoch: e, Rels: []segment.RelEntry{{Tag: "par/2", Arity: 2, Rows: rows, Segments: []string{name}}}}
+	if err := segment.Write(ld.fs, dir, name, "par/2", 2, cols, rows); err != nil {
+		ld.t.Errorf("segment: %v", err)
+		return
 	}
+	if err := segment.WriteManifest(ld.fs, dir, man); err != nil {
+		ld.t.Errorf("manifest: %v", err)
+		return
+	}
+	ld.log.Retire(e)
+	segment.Sweep(ld.fs, dir, man)
 }
 
 // dial is the Follower.Dial hook: one net.Pipe per call, server side
@@ -180,6 +200,9 @@ func (ld *chaosLeader) dial(string) (net.Conn, error) {
 		}
 		if _, err := fmt.Fprintf(conn, "%s\n", WelcomeLine(ld.head.Load(), ld.ship.Advertise, ld.term.Load())); err != nil {
 			return
+		}
+		if ld.onHello != nil {
+			ld.onHello()
 		}
 		ld.ship.Serve(conn, from)
 	}()
@@ -346,6 +369,83 @@ func TestChaosRepeatedFaults(t *testing.T) {
 	done.Wait()
 }
 
+// readHookFS runs hook before the first read of a file whose name
+// contains match — the seam that lands a flush between the ship
+// planner's manifest read and its segment opens.
+type readHookFS struct {
+	*wal.MemFS
+	match string
+	once  sync.Once
+	hook  func()
+}
+
+func (h *readHookFS) ReadFile(name string) ([]byte, error) {
+	if strings.Contains(name, h.match) {
+		h.once.Do(h.hook)
+	}
+	return h.MemFS.ReadFile(name)
+}
+
+// TestChaosFlushDuringSeedPlan races a flush against a fresh follower's
+// reseed: the leader has flushed at 4 (retiring 2..4) and logged 5..6
+// when the follower connects, and a second flush at 6 — which sweeps
+// the segment manifest-4 names — lands either between the hello and the
+// seed frame, or between the planner's manifest read and its segment
+// opens (the plan fails, the shipper drops the connection, the follower
+// reconnects). Either way the follower must be seeded once, from a
+// whole manifest, and stay an exact epoch-prefix at every apply.
+func TestChaosFlushDuringSeedPlan(t *testing.T) {
+	for _, cell := range []string{"hello", "manifest-read"} {
+		t.Run(cell, func(t *testing.T) {
+			ld := newChaosLeader(t)
+			for e := uint64(2); e <= 6; e++ {
+				ld.append(e)
+				if e == 4 {
+					ld.checkpoint(4)
+				}
+			}
+			var fired atomic.Bool
+			race := func() { fired.Store(true); ld.checkpoint(6) }
+			if cell == "hello" {
+				ld.onHello = sync.OnceFunc(race)
+			} else {
+				ld.ship.FS = &readHookFS{MemFS: ld.fs, match: "/seg-", hook: race}
+			}
+			m := &prefixModel{t: t}
+			f := &Follower{
+				Dial:             ld.dial,
+				Applied:          m.Applied,
+				Apply:            m.Apply,
+				HeartbeatTimeout: 60 * time.Millisecond,
+				BackoffBase:      time.Millisecond,
+				BackoffMax:       8 * time.Millisecond,
+			}
+			ctx, cancel := newTestContext(t)
+			var done sync.WaitGroup
+			done.Add(1)
+			go func() { defer done.Done(); f.Run(ctx) }()
+
+			deadline := time.Now().Add(10 * time.Second)
+			for m.Applied() != 6 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			ld.append(7)
+			for m.Applied() != 7 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := m.Applied(); got != 7 || !fired.Load() {
+				t.Fatalf("follower at epoch %d, flush fired=%v (stats=%+v)", got, fired.Load(), f.Stats())
+			}
+			if st := f.Stats(); st.Seeds != 1 {
+				t.Errorf("seeds = %d, want exactly one (from manifest-6)", st.Seeds)
+			}
+			cancel()
+			ld.closeAll()
+			done.Wait()
+		})
+	}
+}
+
 // termMark is the test's stand-in for the serving layer's term
 // high-water mark: monotone, raised by ObserveTerm, read by Term.
 type termMark struct{ v atomic.Uint64 }
@@ -459,7 +559,6 @@ func TestChaosStaleLeaderFenced(t *testing.T) {
 // writes. A fresh term-2 checkpoint then heals it.
 func TestChaosPromotionMidSeed(t *testing.T) {
 	ld := newChaosLeader(t)
-	ld.log.SetTerm(1) // stamp checkpoints with the leader term
 	for e := uint64(2); e <= 5; e++ {
 		ld.appendT(e)
 	}
@@ -507,7 +606,6 @@ func TestChaosPromotionMidSeed(t *testing.T) {
 
 	// Heal: the leader is promoted and cuts a term-2 checkpoint.
 	ld.term.Store(2)
-	ld.log.SetTerm(2)
 	ld.appendT(6)
 	ld.checkpoint(6)
 	for m.Applied() != 6 && time.Now().Before(deadline) {

@@ -13,10 +13,11 @@ import (
 	"io"
 	"time"
 
+	"ldl/internal/segment"
 	"ldl/internal/wal"
 )
 
-// Shipper streams a WAL directory to followers.
+// Shipper streams a storage directory's WAL to followers.
 type Shipper struct {
 	// Dir and FS locate the leader's log (ldl.System.WALAccess).
 	Dir string
@@ -56,7 +57,7 @@ func (s *Shipper) Serve(conn io.Writer, from uint64) error {
 		hb = 2 * time.Second
 	}
 
-	plan, err := wal.PlanShip(s.Dir, s.FS, from)
+	plan, err := segment.PlanShip(s.Dir, s.FS, from)
 	if err != nil {
 		return fmt.Errorf("repl: plan: %w", err)
 	}
@@ -83,8 +84,8 @@ func (s *Shipper) Serve(conn io.Writer, from uint64) error {
 			// A checkpoint deleted the segment under the cursor between
 			// polls. Re-plan from the follower's position: it either
 			// resumes from a surviving segment or gets re-seeded from
-			// the checkpoint that did the retiring.
-			plan, err = wal.PlanShip(s.Dir, s.FS, next.Epoch)
+			// the manifest of the flush that did the retiring.
+			plan, err = segment.PlanShip(s.Dir, s.FS, next.Epoch)
 			if err != nil {
 				return fmt.Errorf("repl: replan: %w", err)
 			}

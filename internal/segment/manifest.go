@@ -13,11 +13,13 @@ package segment
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"ldl/internal/stats"
+	"ldl/internal/term"
 	"ldl/internal/wal"
 )
 
@@ -214,6 +216,110 @@ func LoadManifest(fs wal.FS, dir string) (*Manifest, error) {
 		return m, nil
 	}
 	return nil, nil
+}
+
+// OpenRel opens the segments re names, oldest first, and checks them
+// against the entry: they must hold its relation, arity and row count.
+// Boot attaches the result; PlanShip turns it into a seed.
+func OpenRel(fs wal.FS, dir string, re RelEntry) ([]*Segment, error) {
+	segs := make([]*Segment, 0, len(re.Segments))
+	rows := 0
+	for _, name := range re.Segments {
+		sg, err := Open(fs, dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if sg.Tag != re.Tag || sg.Arity != re.Arity {
+			return nil, fmt.Errorf("segment: %s holds %s/%d, manifest expects %s/%d", name, sg.Tag, sg.Arity, re.Tag, re.Arity)
+		}
+		rows += sg.Rows
+		segs = append(segs, sg)
+	}
+	if rows != re.Rows {
+		return nil, fmt.Errorf("segment: %s: segments hold %d rows, manifest records %d", re.Tag, rows, re.Rows)
+	}
+	return segs, nil
+}
+
+// PlanShip decides how to ship dir's history to a follower whose last
+// applied epoch is from (0 = fresh follower, nothing applied).
+//
+// If a log segment with base <= from survives, every record the
+// follower is missing is still on disk: resume from that segment,
+// skipping records at or below from. Otherwise the records in (from,
+// oldest base] were retired by a flush, and the follower re-seeds from
+// the newest valid manifest's rows before tailing the log after it.
+func PlanShip(dir string, fs wal.FS, from uint64) (wal.ShipPlan, error) {
+	if fs == nil {
+		fs = wal.OS()
+	}
+	logs, err := wal.Segments(dir, fs)
+	if err != nil {
+		return wal.ShipPlan{}, err
+	}
+	// Resume path: the newest segment with base <= from covers the
+	// boundary; everything older holds only epochs <= from.
+	for i := len(logs) - 1; i >= 0; i-- {
+		if logs[i] <= from {
+			return wal.ShipPlan{Cursor: wal.Cursor{Base: logs[i], Epoch: from}}, nil
+		}
+	}
+	man, err := LoadManifest(fs, dir)
+	if err != nil {
+		return wal.ShipPlan{}, err
+	}
+	if man == nil {
+		if len(logs) > 0 {
+			// Records beyond from were retired, yet no manifest covers
+			// them: acknowledged history is unreachable. Refuse rather
+			// than guess.
+			return wal.ShipPlan{}, &wal.CorruptError{
+				Name:   fmt.Sprintf("log-%016x", logs[0]),
+				Reason: fmt.Sprintf("records in (%d, %d] retired with no valid manifest to reseed from", from, logs[0]),
+			}
+		}
+		// Empty directory: nothing to ship yet. Tail from wherever the
+		// writer starts; ReadLive treats a missing segment as "not yet".
+		return wal.ShipPlan{Cursor: wal.Cursor{Base: from, Epoch: from}}, nil
+	}
+	// A segment that vanished since the manifest read fails the plan
+	// whole: the caller drops the follower, which reconnects and
+	// re-plans, and never receives a partial seed.
+	seed, err := manifestRows(fs, dir, man)
+	if err != nil {
+		return wal.ShipPlan{}, err
+	}
+	// Tail from the segment the flush's rotation opened, or from the
+	// oldest survivor if a later flush retired that one too.
+	cur := wal.Cursor{Base: man.Epoch, Epoch: man.Epoch}
+	if len(logs) > 0 && !slices.Contains(logs, man.Epoch) {
+		cur.Base = logs[0]
+	}
+	return wal.ShipPlan{Seed: seed, Cursor: cur}, nil
+}
+
+// manifestRows reads every row man commits to as one batch at its
+// epoch.
+func manifestRows(fs wal.FS, dir string, man *Manifest) (*wal.Batch, error) {
+	b := &wal.Batch{Epoch: man.Epoch, Rels: make([]wal.RelFacts, 0, len(man.Rels))}
+	for _, re := range man.Rels {
+		segs, err := OpenRel(fs, dir, re)
+		if err != nil {
+			return nil, err
+		}
+		rf := wal.RelFacts{Tag: re.Tag, Arity: re.Arity, Tuples: make([][]term.Term, 0, re.Rows)}
+		for _, sg := range segs {
+			for i := 0; i < sg.Rows; i++ {
+				tup := make([]term.Term, sg.Arity)
+				for c := range tup {
+					tup[c] = term.InternedTerm(sg.Cols[c][i])
+				}
+				rf.Tuples = append(rf.Tuples, tup)
+			}
+		}
+		b.Rels = append(b.Rels, rf)
+	}
+	return b, nil
 }
 
 // Sweep removes storage-tier debris from dir: *.tmp files left by

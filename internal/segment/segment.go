@@ -15,9 +15,11 @@
 // footer holding the body length and a whole-body CRC. A reader
 // validates the footer first, then the body checksum, then parses; a
 // torn or doctored file fails closed. Files are written tmp → fsync →
-// rename → dir-sync, the same discipline as WAL snapshots, and a
-// manifest names the exact segment set per relation, so a crash
-// anywhere leaves the previous manifest's state intact.
+// rename → dir-sync, and a manifest names the exact segment set per
+// relation, so a crash anywhere leaves the previous manifest's state
+// intact. The segment tier is the only durable base state: a follower
+// whose log records were retired re-seeds from the manifest's rows
+// (PlanShip).
 package segment
 
 import (

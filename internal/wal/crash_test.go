@@ -1,8 +1,10 @@
 package wal
 
 // The crash matrix: one fault schedule — a fixed sequence of appends
-// with a checkpoint in the middle — run once per possible crash point,
-// in every damage mode (clean fail, torn short write, page-cache loss).
+// with a checkpoint in the middle (rotate, commit the base state
+// outside the log, retire the covered prefix) — run once per possible
+// crash point, in every damage mode (clean fail, torn short write,
+// page-cache loss).
 // The invariant proved for every cell: recovery succeeds, and the
 // recovered fact state equals the state after some PREFIX of the
 // attempted batches — at least covering every acknowledged batch
@@ -83,14 +85,59 @@ func runSchedule(t *testing.T, fs *MemFS, policy SyncPolicy) (acked []uint64) {
 			if err := l.Rotate(e); err != nil {
 				return acked
 			}
-			if err := l.Checkpoint(e, checkpointRels(state)); err != nil {
-				// A failed checkpoint is not fatal to the history —
-				// appends may continue until the fault reaches them.
-				continue
+			// A failed checkpoint is not fatal to the history — appends
+			// may continue until the fault reaches them.
+			if writeBase(fs, Batch{Epoch: e, Rels: checkpointRels(state)}) == nil {
+				l.Retire(e)
 			}
 		}
 	}
 	return acked
+}
+
+// baseFile stands in for the segment tier's manifest: the schedule's
+// checkpoint commits the base state there before retiring the log.
+const baseFile = dir + "/base"
+
+// writeBase commits b as the base state: tmp, sync, rename, dir sync.
+func writeBase(fs FS, b Batch) error {
+	buf, err := AppendRecord(nil, b)
+	if err != nil {
+		return err
+	}
+	f, err := fs.Create(baseFile + ".tmp")
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(buf); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	f.Close()
+	if err := fs.Rename(baseFile+".tmp", baseFile); err != nil {
+		return err
+	}
+	return fs.SyncDir(dir)
+}
+
+// readBase applies the committed base state, if any, and returns its
+// epoch — the BaseEpoch log recovery continues from.
+func readBase(t *testing.T, fs FS, apply func(Batch) error) uint64 {
+	t.Helper()
+	data, err := fs.ReadFile(baseFile)
+	if err != nil {
+		return 0
+	}
+	b, n, err := ReadRecord(data)
+	if err != nil || n != len(data) {
+		t.Fatalf("base file renamed into place but invalid: %v", err)
+	}
+	apply(b)
+	return b.Epoch
 }
 
 // checkpointRels converts the oracle state into the RelFacts a real
@@ -163,14 +210,8 @@ func TestCrashMatrix(t *testing.T) {
 				// Reboot from what a crash at this point leaves behind.
 				rebooted := fs.Crash(mode.dropUnsynced)
 				got := factState{}
-				maxEpoch := uint64(0)
-				rep, err := Recover(dir, rebooted, func(b Batch) error {
-					got.add(b)
-					if b.Epoch > maxEpoch {
-						maxEpoch = b.Epoch
-					}
-					return nil
-				})
+				apply := func(b Batch) error { got.add(b); return nil }
+				rep, err := recoverDir(dir, rebooted, readBase(t, rebooted, apply), apply)
 				if err != nil {
 					t.Fatalf("failAt=%d: crash damage must be recoverable, got %v", failAt, err)
 				}
@@ -201,7 +242,8 @@ func TestCrashMatrix(t *testing.T) {
 				// A second reboot of the recovered-and-truncated state
 				// must land on the same prefix (recovery is idempotent).
 				var open2 []Batch
-				l2, _, err := Open(dir, Options{FS: rebooted}, collect(&open2))
+				base := readBase(t, rebooted, collect(&open2))
+				l2, _, err := Open(dir, Options{FS: rebooted, BaseEpoch: base}, collect(&open2))
 				if err != nil {
 					t.Fatalf("failAt=%d: reopen after recovery: %v", failAt, err)
 				}
@@ -233,11 +275,10 @@ func TestCrashMatrixIntervalPolicy(t *testing.T) {
 			fs.ShortWrite = short
 			fs.SetFailAt(failAt)
 			runSchedule(t, fs, SyncNever)
+			rebooted := fs.Crash(true)
 			got := factState{}
-			_, err := Recover(dir, fs.Crash(true), func(b Batch) error {
-				got.add(b)
-				return nil
-			})
+			apply := func(b Batch) error { got.add(b); return nil }
+			_, err := recoverDir(dir, rebooted, readBase(t, rebooted, apply), apply)
 			if err != nil {
 				t.Fatalf("failAt=%d short=%v: %v", failAt, short, err)
 			}

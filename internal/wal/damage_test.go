@@ -1,108 +1,38 @@
 package wal
 
-// Compound-damage recovery tests: multiple kinds of crash debris
-// present at once, and directories a crash left half-created. Single
-// faults are covered by wal_test.go and the crash matrix; these cases
-// check that recovery's per-fault rules compose.
+// Damage recovery tests: directories a crash left half-created, and a
+// directory holding a checkpoint of the retired snapshot format. Single
+// faults in a live log are covered by wal_test.go and the crash matrix.
 
 import (
 	"strings"
 	"testing"
 )
 
-func TestCompoundTornSnapshotTmpAndTornTail(t *testing.T) {
+// TestSnapshotFileRefused: recovery, Open and the shipping read side
+// refuse a directory holding a snapshot checkpoint, naming the file —
+// replaying the log without it would silently drop the facts it holds.
+func TestSnapshotFileRefused(t *testing.T) {
 	fs := NewMemFS()
 	l, _, _ := mustOpen(t, fs, Options{})
-	state := []RelFacts{{Tag: "par/2", Arity: 2}}
-	for e := uint64(2); e <= 3; e++ {
-		b := mkBatch(e)
-		state[0].Tuples = append(state[0].Tuples, b.Rels[0].Tuples...)
-		if err := l.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Rotate(3); err != nil {
+	if err := l.Append(mkBatch(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Checkpoint(3, state); err != nil {
-		t.Fatal(err)
-	}
-	seg := join(dir, segmentName(3))
-	if err := l.Append(mkBatch(4)); err != nil {
-		t.Fatal(err)
-	}
-	cleanLen := func() int64 { b, _ := fs.ReadFile(seg); return int64(len(b)) }()
-	if err := l.Append(mkBatch(5)); err != nil {
-		t.Fatal(err)
-	}
-	fullLen := func() int64 { b, _ := fs.ReadFile(seg); return int64(len(b)) }()
 	l.Close()
-
-	// Damage 1: a crash mid-Checkpoint(5) left a half-written snapshot
-	// tmp file behind.
-	snapBuf, err := AppendRecord(nil, Batch{Epoch: 5, Rels: state})
+	const snap = "snapshot-0000000000000002"
+	f, err := fs.Create(join(dir, snap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := join(dir, snapshotName(5)+".tmp")
-	f, err := fs.Create(tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write(snapBuf[:len(snapBuf)/2])
 	f.Close()
-	// Damage 2: the same crash tore the final record of the live segment.
-	torn := cleanLen + (fullLen-cleanLen)/2
-	if err := fs.Truncate(seg, torn); err != nil {
-		t.Fatal(err)
-	}
-	fs.SyncDir(dir)
-
-	// Recovery: the tmp is not a snapshot (never renamed into place) and
-	// must be ignored — not "skipped", ignored; the torn tail is dropped;
-	// the state is checkpoint@3 + epoch 4.
-	var got []Batch
-	rep, err := Recover(dir, fs, collect(&got))
-	if err != nil {
-		t.Fatalf("Recover over compound damage: %v", err)
-	}
-	if rep.CheckpointEpoch != 3 || rep.Epoch != 4 || rep.RecordsReplayed != 1 {
-		t.Errorf("report = %+v, want checkpoint@3 + 1 record to epoch 4", rep)
-	}
-	if len(rep.SnapshotsSkipped) != 0 {
-		t.Errorf("tmp counted as a skipped snapshot: %v", rep.SnapshotsSkipped)
-	}
-	if rep.BytesDropped != fullLen-torn || rep.TornSegment != segmentName(3) {
-		t.Errorf("torn tail report = %+v, want %d bytes from %s", rep, fullLen-torn, segmentName(3))
-	}
-	if len(got) != 2 || got[0].Epoch != 3 || got[1].Epoch != 4 {
-		t.Errorf("recovered sequence = %v", epochsOf(got))
-	}
-
-	// The log must reopen over the debris, resume appending, and the next
-	// successful checkpoint must sweep the stale tmp away.
-	l2, _, _ := mustOpen(t, fs, Options{})
-	if err := l2.Append(mkBatch(5)); err != nil {
-		t.Fatalf("append after compound recovery: %v", err)
-	}
-	state[0].Tuples = append(state[0].Tuples, mkBatch(4).Rels[0].Tuples...)
-	state[0].Tuples = append(state[0].Tuples, mkBatch(5).Rels[0].Tuples...)
-	if err := l2.Rotate(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Checkpoint(5, state); err != nil {
-		t.Fatal(err)
-	}
-	l2.Close()
-	names, _ := fs.List(dir)
-	for _, name := range names {
-		if strings.HasSuffix(name, ".tmp") {
-			t.Errorf("stale tmp survived the next checkpoint: %v", names)
+	nop := func(Batch) error { return nil }
+	_, rerr := Recover(dir, fs, nop)
+	_, _, oerr := Open(dir, Options{FS: fs}, nop)
+	_, lerr := ReadLive(dir, fs, Cursor{}, 100, nop)
+	for what, err := range map[string]error{"Recover": rerr, "Open": oerr, "ReadLive": lerr} {
+		if err == nil || !strings.Contains(err.Error(), snap) {
+			t.Errorf("%s over a snapshot checkpoint = %v, want an error naming %s", what, err, snap)
 		}
-	}
-	got = nil
-	if rep, err := Recover(dir, fs, collect(&got)); err != nil || rep.Epoch != 5 {
-		t.Fatalf("final state: rep=%+v err=%v", rep, err)
 	}
 }
 
@@ -150,7 +80,7 @@ func TestRecoverPartiallyCreatedDir(t *testing.T) {
 	})
 
 	t.Run("torn first record ever", func(t *testing.T) {
-		// Crash mid-write of the very first record: no snapshot, no valid
+		// Crash mid-write of the very first record: no base, no valid
 		// prefix at all. Recovery must come up empty (not error), and
 		// Open must truncate and carry on.
 		fs := NewMemFS()

@@ -1,9 +1,9 @@
 package wal
 
-// Crash recovery: rebuild the durable fact state from the newest valid
-// checkpoint plus the log tail, tolerating exactly the damage a crash
-// can cause (a torn or half-synced final record) and refusing to guess
-// past any other damage.
+// Crash recovery: replay the log tail past the durable base epoch,
+// tolerating exactly the damage a crash can cause (a torn or
+// half-synced final record) and refusing to guess past any other
+// damage.
 
 import (
 	"errors"
@@ -33,24 +33,23 @@ func IsCorrupt(err error) bool {
 
 // RecoveryReport says what recovery found and what it had to drop.
 type RecoveryReport struct {
-	// CheckpointEpoch is the epoch of the checkpoint that seeded the
-	// state (0 = no checkpoint, recovery replayed the log from scratch).
+	// CheckpointEpoch is the base epoch recovery started from — the
+	// segment manifest boot attached (0 = none, the log was replayed
+	// from scratch).
 	CheckpointEpoch uint64
-	// CheckpointTuples counts tuples loaded from the checkpoint.
-	CheckpointTuples int
 	// Epoch is the last epoch the recovered state reflects: the newest
-	// of the checkpoint epoch and every replayed record.
+	// of the base epoch and every replayed record.
 	Epoch uint64
 	// RecordsReplayed / TuplesReplayed count the log records applied on
-	// top of the checkpoint.
+	// top of the base.
 	RecordsReplayed int
 	TuplesReplayed  int
-	// RecordsSkipped counts valid records not applied because the
-	// checkpoint already covered their epoch.
+	// RecordsSkipped counts valid records not applied because the base
+	// already covered their epoch.
 	RecordsSkipped int
 	// Term is the leader-term high-water mark: the largest term stamped
-	// on any snapshot or record in the directory, including skipped
-	// ones (0 = the log predates terms / was never promoted).
+	// on any record in the directory, including skipped ones (0 = the
+	// log predates terms / was never promoted).
 	Term uint64
 	// TermRecords counts RecTerm records seen (they restore Term but
 	// are never applied as facts).
@@ -60,9 +59,6 @@ type RecoveryReport struct {
 	BytesDropped int64
 	// TornSegment names the segment whose tail was dropped ("" = none).
 	TornSegment string
-	// SnapshotsSkipped names checkpoint files that failed validation
-	// and were bypassed in favor of an older one.
-	SnapshotsSkipped []string
 
 	// Open's continuation state: where appending resumes.
 	haveSegment     bool
@@ -72,22 +68,18 @@ type RecoveryReport struct {
 
 // String renders the one-line boot log message.
 func (r *RecoveryReport) String() string {
-	s := fmt.Sprintf("recovered to epoch %d: checkpoint@%d (%d tuples) + %d records (%d tuples) replayed",
-		r.Epoch, r.CheckpointEpoch, r.CheckpointTuples, r.RecordsReplayed, r.TuplesReplayed)
+	s := fmt.Sprintf("recovered to epoch %d: checkpoint@%d + %d records (%d tuples) replayed",
+		r.Epoch, r.CheckpointEpoch, r.RecordsReplayed, r.TuplesReplayed)
 	if r.BytesDropped > 0 {
 		s += fmt.Sprintf(", %d-byte torn tail dropped from %s", r.BytesDropped, r.TornSegment)
-	}
-	if len(r.SnapshotsSkipped) > 0 {
-		s += fmt.Sprintf(", %d invalid snapshot(s) skipped", len(r.SnapshotsSkipped))
 	}
 	return s
 }
 
-// Recover rebuilds the durable state in dir read-only, streaming the
-// checkpoint batch (if any) and then every replayed record to apply in
-// epoch order. fs nil means the real filesystem. Use Open to recover
-// and continue appending; Recover alone is the inspection path (and the
-// crash-matrix test's oracle).
+// Recover replays the log in dir read-only, streaming every record to
+// apply in epoch order. fs nil means the real filesystem. Use Open to
+// recover and continue appending; Recover alone is the inspection path
+// (and the crash-matrix test's oracle).
 func Recover(dir string, fs FS, apply func(Batch) error) (*RecoveryReport, error) {
 	if fs == nil {
 		fs = OS()
@@ -96,46 +88,15 @@ func Recover(dir string, fs FS, apply func(Batch) error) (*RecoveryReport, error
 }
 
 func recoverDir(dir string, fs FS, baseEpoch uint64, apply func(Batch) error) (*RecoveryReport, error) {
-	snaps, segs, err := scanDir(dir, fs) // snapshots newest first, segments oldest first
+	segs, err := Segments(dir, fs)
 	if err != nil {
 		return nil, fmt.Errorf("wal: recover: %w", err)
 	}
-
-	rep := &RecoveryReport{Epoch: baseEpoch}
-
-	// Load the newest checkpoint that validates; remember the ones that
-	// do not. A snapshot is one framed record whose epoch must match its
-	// filename. Snapshots at or below the external base epoch carry
-	// nothing the base doesn't already have.
-	for _, e := range snaps {
-		if e <= baseEpoch {
-			continue
-		}
-		name := snapshotName(e)
-		data, err := fs.ReadFile(join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("wal: recover: %w", err)
-		}
-		b, n, derr := ReadRecord(data)
-		if derr != nil || n != len(data) || b.Epoch != e {
-			rep.SnapshotsSkipped = append(rep.SnapshotsSkipped, name)
-			continue
-		}
-		if b.Term > rep.Term {
-			rep.Term = b.Term
-		}
-		if err := apply(b); err != nil {
-			return nil, fmt.Errorf("wal: recover: applying checkpoint %s: %w", name, err)
-		}
-		rep.CheckpointEpoch = e
-		rep.CheckpointTuples = b.Tuples()
-		rep.Epoch = e
-		break
-	}
+	rep := &RecoveryReport{Epoch: baseEpoch, CheckpointEpoch: baseEpoch}
 
 	// Replay the segments oldest-first. Records at or below the applied
-	// epoch are redundant (covered by the checkpoint, or duplicated by
-	// a segment that survived a failed cleanup) and skipped; everything
+	// epoch are redundant (covered by the base, or duplicated by a
+	// segment that survived a failed cleanup) and skipped; everything
 	// else must be strictly increasing.
 	for i, base := range segs {
 		name := segmentName(base)

@@ -14,19 +14,20 @@ package wal
 // Concurrency contract: the writer appends whole framed records with a
 // single File.Write and only ever appends; a reader therefore sees a
 // byte prefix of valid frames, possibly ending mid-frame. Segment files
-// are never modified after rotation, only deleted (by Checkpoint).
+// are never modified after rotation, only deleted (by Retire).
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // ErrRetired reports that the segment a Cursor points into was deleted
 // by a checkpoint while the reader was between polls. The reader must
-// re-plan from the follower's applied epoch (PlanShip), which either
-// resumes from a surviving segment or re-seeds from the checkpoint that
-// did the retiring.
+// re-plan from the follower's applied epoch (segment.PlanShip), which
+// either resumes from a surviving segment or re-seeds from the
+// checkpoint that did the retiring.
 var ErrRetired = errors.New("wal: segment retired under the reader")
 
 // EncodeBatchPayload appends the unframed payload encoding of b — the
@@ -57,73 +58,11 @@ type Cursor struct {
 // ShipPlan says how to bring a follower at some applied epoch up to
 // date: an optional seed batch (the full checkpoint state the follower
 // must load first, because the incremental records it needs were
-// retired) and the cursor to start tailing from.
+// retired) and the cursor to start tailing from. segment.PlanShip
+// makes one.
 type ShipPlan struct {
 	Seed   *Batch
 	Cursor Cursor
-}
-
-// PlanShip decides how to ship dir's history to a follower whose last
-// applied epoch is from (0 = fresh follower, nothing applied).
-//
-// If a segment with base <= from survives, every record the follower
-// is missing is still on disk: resume from that segment, skipping
-// records at or below from. Otherwise the records in (from, oldest
-// base] were retired by a checkpoint, and the follower re-seeds from
-// the newest valid snapshot before tailing the segments after it.
-func PlanShip(dir string, fs FS, from uint64) (ShipPlan, error) {
-	if fs == nil {
-		fs = OS()
-	}
-	snaps, segs, err := scanDir(dir, fs)
-	if err != nil {
-		return ShipPlan{}, err
-	}
-
-	// Resume path: the newest segment with base <= from covers the
-	// boundary; everything older holds only epochs <= from.
-	for i := len(segs) - 1; i >= 0; i-- {
-		if segs[i] <= from {
-			return ShipPlan{Cursor: Cursor{Base: segs[i], Epoch: from}}, nil
-		}
-	}
-
-	// Reseed path: load the newest snapshot that validates (same rule
-	// as recovery) and tail from the segment the matching rotation
-	// opened.
-	for _, e := range snaps {
-		name := snapshotName(e)
-		data, err := fs.ReadFile(join(dir, name))
-		if err != nil {
-			return ShipPlan{}, fmt.Errorf("wal: plan ship: %w", err)
-		}
-		b, n, derr := ReadRecord(data)
-		if derr != nil || n != len(data) || b.Epoch != e {
-			continue
-		}
-		cur := Cursor{Base: e, Epoch: e}
-		// The snapshot's own segment may not exist if the directory is
-		// checkpoint-only; land on the oldest surviving segment instead
-		// (its base is >= e after the retire).
-		if len(segs) > 0 && !containsSeq(segs, e) {
-			cur.Base = segs[0]
-		}
-		return ShipPlan{Seed: &b, Cursor: cur}, nil
-	}
-
-	if len(segs) > 0 {
-		// Segments exist beyond from but no snapshot covers the gap —
-		// acknowledged history is unreachable. This is the shipping
-		// analogue of mid-log corruption: refuse rather than guess.
-		return ShipPlan{}, &CorruptError{
-			Name:   segmentName(segs[0]),
-			Reason: fmt.Sprintf("records in (%d, %d] retired with no valid snapshot to reseed from", from, segs[0]),
-		}
-	}
-
-	// Empty directory: nothing to ship yet. Tail from wherever the
-	// writer starts; ReadLive treats a missing segment as "not yet".
-	return ShipPlan{Cursor: Cursor{Base: from, Epoch: from}}, nil
 }
 
 // ReadLive reads every complete record past cur with epoch in
@@ -139,7 +78,7 @@ func ReadLive(dir string, fs FS, cur Cursor, maxEpoch uint64, emit func(Batch) e
 		fs = OS()
 	}
 	for {
-		_, segs, err := scanDir(dir, fs)
+		segs, err := Segments(dir, fs)
 		if err != nil {
 			return cur, err
 		}
@@ -188,24 +127,26 @@ func ReadLive(dir string, fs FS, cur Cursor, maxEpoch uint64, emit func(Batch) e
 	}
 }
 
-// scanDir lists dir's snapshots (newest first) and segments (oldest
-// first).
-func scanDir(dir string, fs FS) (snaps, segs []uint64, err error) {
+// Segments lists the base epochs of dir's log segments, oldest first.
+// A file of the retired snapshot checkpoint format is an error naming
+// it: recovery and shipping would otherwise run without the facts it
+// holds.
+func Segments(dir string, fs FS) ([]uint64, error) {
 	names, err := fs.List(dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: list %s: %w", dir, err)
+		return nil, fmt.Errorf("wal: list %s: %w", dir, err)
 	}
+	var segs []uint64
 	for _, name := range names {
-		if e, ok := parseSeq(name, "snapshot-"); ok {
-			snaps = append(snaps, e)
+		if strings.HasPrefix(name, "snapshot-") {
+			return nil, fmt.Errorf("wal: %s holds %s, a snapshot checkpoint this version no longer reads", dir, name)
 		}
 		if b, ok := parseSeq(name, "log-"); ok {
 			segs = append(segs, b)
 		}
 	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] })
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	return snaps, segs, nil
+	return segs, nil
 }
 
 func containsSeq(sorted []uint64, v uint64) bool {

@@ -1,8 +1,9 @@
 package wal
 
-// Shipping read-side tests: resume vs reseed planning, live tailing
-// through rotation and checkpoint retirement, the published-epoch cap,
-// and duplicate suppression across re-plans.
+// Shipping read-side tests: live tailing from any epoch inside the log,
+// the published-epoch cap, waiting at a torn tail, and noticing a
+// segment retired under the cursor. Planning — resume vs reseed from a
+// manifest — is segment.PlanShip, tested there.
 
 import (
 	"errors"
@@ -10,32 +11,22 @@ import (
 )
 
 // shipAll drains everything currently shippable for a follower at
-// `from`, re-planning on retirement, and returns the delivered batches
-// (seed first if any).
-func shipAll(t *testing.T, fs FS, from, maxEpoch uint64) (got []Batch, seeds int) {
+// `from` whose records all survive in the log: the cursor starts at the
+// oldest segment and ReadLive skips what the follower already has.
+func shipAll(t *testing.T, fs FS, from, maxEpoch uint64) (got []Batch) {
 	t.Helper()
-	plan, err := PlanShip(dir, fs, from)
+	segs, err := Segments(dir, fs)
 	if err != nil {
-		t.Fatalf("PlanShip(%d): %v", from, err)
+		t.Fatal(err)
 	}
-	for {
-		if plan.Seed != nil {
-			got = append(got, *plan.Seed)
-			seeds++
-		}
-		cur, err := ReadLive(dir, fs, plan.Cursor, maxEpoch, collect(&got))
-		if errors.Is(err, ErrRetired) {
-			plan, err = PlanShip(dir, fs, cur.Epoch)
-			if err != nil {
-				t.Fatalf("re-plan after retire: %v", err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("ReadLive: %v", err)
-		}
-		return got, seeds
+	cur := Cursor{Epoch: from}
+	if len(segs) > 0 {
+		cur.Base = segs[0]
 	}
+	if _, err := ReadLive(dir, fs, cur, maxEpoch, collect(&got)); err != nil {
+		t.Fatalf("ReadLive: %v", err)
+	}
+	return got
 }
 
 func TestShipResumeFromSegments(t *testing.T) {
@@ -47,22 +38,21 @@ func TestShipResumeFromSegments(t *testing.T) {
 		}
 	}
 
-	// A fresh follower replays everything; no seed is needed while the
-	// full log survives.
-	got, seeds := shipAll(t, fs, 0, 100)
-	if seeds != 0 || len(got) != 5 || got[0].Epoch != 2 || got[4].Epoch != 6 {
-		t.Fatalf("fresh ship: %d seeds, epochs %v", seeds, epochsOf(got))
+	// A fresh follower replays everything while the full log survives.
+	got := shipAll(t, fs, 0, 100)
+	if len(got) != 5 || got[0].Epoch != 2 || got[4].Epoch != 6 {
+		t.Fatalf("fresh ship: epochs %v", epochsOf(got))
 	}
 
 	// A follower at epoch 4 resumes mid-segment: exactly 5 and 6, no
 	// duplicates of what it already applied.
-	got, seeds = shipAll(t, fs, 4, 100)
-	if seeds != 0 || len(got) != 2 || got[0].Epoch != 5 || got[1].Epoch != 6 {
-		t.Fatalf("resume ship: %d seeds, epochs %v", seeds, epochsOf(got))
+	got = shipAll(t, fs, 4, 100)
+	if len(got) != 2 || got[0].Epoch != 5 || got[1].Epoch != 6 {
+		t.Fatalf("resume ship: epochs %v", epochsOf(got))
 	}
 
 	// A follower already at the head gets nothing.
-	if got, _ := shipAll(t, fs, 6, 100); len(got) != 0 {
+	if got := shipAll(t, fs, 6, 100); len(got) != 0 {
 		t.Fatalf("caught-up follower shipped %v", epochsOf(got))
 	}
 }
@@ -77,65 +67,14 @@ func TestShipPublishedEpochCap(t *testing.T) {
 	}
 	// Epochs 4 and 5 are appended but (per the cap) not yet published:
 	// they must not ship.
-	got, _ := shipAll(t, fs, 0, 3)
+	got := shipAll(t, fs, 0, 3)
 	if len(got) != 2 || got[1].Epoch != 3 {
 		t.Fatalf("capped ship delivered epochs %v, want [2 3]", epochsOf(got))
 	}
 	// Raising the cap releases them, resuming where the cursor stopped.
-	got, _ = shipAll(t, fs, 3, 5)
+	got = shipAll(t, fs, 3, 5)
 	if len(got) != 2 || got[0].Epoch != 4 || got[1].Epoch != 5 {
 		t.Fatalf("post-publish ship delivered %v, want [4 5]", epochsOf(got))
-	}
-}
-
-func TestShipReseedAfterCheckpointRetire(t *testing.T) {
-	fs := NewMemFS()
-	l, _, _ := mustOpen(t, fs, Options{})
-	state := factState{}
-	for e := uint64(2); e <= 5; e++ {
-		b := mkBatch(e)
-		if err := l.Append(b); err != nil {
-			t.Fatal(err)
-		}
-		state.add(b)
-	}
-	// Checkpoint at 5 retires the only segment holding 2..5.
-	if err := l.Rotate(5); err != nil {
-		t.Fatal(err)
-	}
-	var rels []RelFacts
-	r := RelFacts{Tag: "par/2", Arity: 2}
-	for e := uint64(2); e <= 5; e++ {
-		r.Tuples = append(r.Tuples, mkBatch(e).Rels[0].Tuples...)
-	}
-	rels = append(rels, r)
-	if err := l.Checkpoint(5, rels); err != nil {
-		t.Fatal(err)
-	}
-	for e := uint64(6); e <= 7; e++ {
-		if err := l.Append(mkBatch(e)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A follower at epoch 3 lost its incremental path (records 4..5
-	// retired): it must reseed from the checkpoint, then tail 6..7.
-	got, seeds := shipAll(t, fs, 3, 100)
-	if seeds != 1 {
-		t.Fatalf("want exactly one seed, got %d (epochs %v)", seeds, epochsOf(got))
-	}
-	if got[0].Epoch != 5 || got[0].Tuples() != 8 {
-		t.Fatalf("seed = epoch %d with %d tuples, want checkpoint@5 with 8", got[0].Epoch, got[0].Tuples())
-	}
-	if len(got) != 3 || got[1].Epoch != 6 || got[2].Epoch != 7 {
-		t.Fatalf("post-seed tail = %v, want [6 7]", epochsOf(got[1:]))
-	}
-
-	// A follower at epoch 6 still has its path (segment log-5 holds
-	// 6..7): resume, no seed.
-	got, seeds = shipAll(t, fs, 6, 100)
-	if seeds != 0 || len(got) != 1 || got[0].Epoch != 7 {
-		t.Fatalf("resume past checkpoint: %d seeds, epochs %v", seeds, epochsOf(got))
 	}
 }
 
@@ -147,12 +86,8 @@ func TestShipRetiredUnderCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plan, err := PlanShip(dir, fs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Deliver epoch 2 only, leaving the cursor mid-segment.
-	cur, err := ReadLive(dir, fs, plan.Cursor, 2, func(Batch) error { return nil })
+	cur, err := ReadLive(dir, fs, Cursor{}, 2, func(Batch) error { return nil })
 	if err != nil || cur.Epoch != 2 {
 		t.Fatalf("partial read: cur=%+v err=%v", cur, err)
 	}
@@ -160,16 +95,11 @@ func TestShipRetiredUnderCursor(t *testing.T) {
 	if err := l.Rotate(4); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Checkpoint(4, []RelFacts{{Tag: "par/2", Arity: 2, Tuples: mkBatch(2).Rels[0].Tuples}}); err != nil {
+	if err := l.Retire(4); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadLive(dir, fs, cur, 100, func(Batch) error { return nil }); !errors.Is(err, ErrRetired) {
 		t.Fatalf("read from retired segment = %v, want ErrRetired", err)
-	}
-	// Re-plan from the cursor's epoch reseeds and converges.
-	got, seeds := shipAll(t, fs, cur.Epoch, 100)
-	if seeds != 1 || len(got) != 1 || got[0].Epoch != 4 {
-		t.Fatalf("recover from retire: %d seeds, epochs %v", seeds, epochsOf(got))
 	}
 }
 
@@ -193,12 +123,8 @@ func TestShipWaitsAtTornTail(t *testing.T) {
 	f.Write(buf[:len(buf)/2])
 	f.Close()
 
-	plan, err := PlanShip(dir, fs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got []Batch
-	cur, err := ReadLive(dir, fs, plan.Cursor, 100, collect(&got))
+	cur, err := ReadLive(dir, fs, Cursor{}, 100, collect(&got))
 	if err != nil {
 		t.Fatalf("incomplete frame must mean wait, got %v", err)
 	}
@@ -223,14 +149,7 @@ func TestShipWaitsAtTornTail(t *testing.T) {
 func TestShipEmptyDir(t *testing.T) {
 	fs := NewMemFS()
 	fs.MkdirAll(dir)
-	plan, err := PlanShip(dir, fs, 0)
-	if err != nil {
-		t.Fatalf("PlanShip on empty dir: %v", err)
-	}
-	if plan.Seed != nil {
-		t.Fatal("empty dir produced a seed")
-	}
-	if cur, err := ReadLive(dir, fs, plan.Cursor, 100, func(Batch) error { t.Fatal("emitted from empty dir"); return nil }); err != nil || cur != plan.Cursor {
+	if cur, err := ReadLive(dir, fs, Cursor{}, 100, func(Batch) error { t.Fatal("emitted from empty dir"); return nil }); err != nil || cur != (Cursor{}) {
 		t.Fatalf("ReadLive on empty dir: cur=%+v err=%v", cur, err)
 	}
 }

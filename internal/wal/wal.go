@@ -1,26 +1,28 @@
 // Package wal is the durability layer: a write-ahead fact log with
-// checkpoints and torn-write-tolerant crash recovery.
+// torn-write-tolerant crash recovery.
 //
 // The contract with the epoch machinery above it (ldl.System) is
 // write-ahead ordering: an InsertFacts batch is appended — and, per the
 // fsync policy, made durable — *before* the new epoch is atomically
-// published to readers. A checkpoint serializes one published epoch's
-// base relations from its immutable snapshot (readers and the writer
-// are never stalled) and then retires the log prefix the snapshot
-// covers. Recovery loads the newest valid checkpoint and replays the
-// log tail, stopping cleanly at a torn or corrupt tail record while
+// published to readers. The log holds only what is newer than the
+// durable base state, which lives outside it (the segment tier's
+// manifest, internal/segment): a checkpoint rotates the log, commits
+// the base elsewhere, and then retires the log prefix the base covers.
+// Recovery skips records at or below the base epoch and replays the
+// tail, stopping cleanly at a torn or corrupt tail record while
 // treating corruption in the middle of the log — acknowledged data with
 // later records intact after it — as an unrecoverable, typed error.
 //
 // On-disk layout inside the log directory:
 //
 //	log-<base epoch, hex>       append-only record segments
-//	snapshot-<epoch, hex>       checkpoint files (atomic tmp+rename)
 //
 // A segment named log-B holds records with epochs strictly greater
 // than B; rotation to log-E happens while the writer lock of the epoch
 // machinery is held, so every record with epoch <= E lands in an older
-// segment and checkpoint snapshot-E makes those segments garbage.
+// segment and a checkpoint at E makes those segments garbage. A file of
+// the retired snapshot checkpoint format makes the directory unreadable
+// (see Segments) rather than silently dropping the facts it holds.
 package wal
 
 import (
@@ -85,9 +87,8 @@ type Options struct {
 	Now func() time.Time
 	// BaseEpoch tells recovery that state up to and including this
 	// epoch is already durable elsewhere (the segment tier's manifest):
-	// records at or below it are skipped instead of replayed, exactly
-	// as if a snapshot at that epoch had been applied. Zero means no
-	// external base.
+	// records at or below it are skipped instead of replayed. Zero
+	// means no external base.
 	BaseEpoch uint64
 }
 
@@ -105,7 +106,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Log is the append side of the write-ahead log. Append, Rotate,
-// Checkpoint and Close are safe for concurrent use; the single-writer
+// Retire and Close are safe for concurrent use; the single-writer
 // discipline above it means contention is rare.
 type Log struct {
 	dir  string
@@ -136,19 +137,12 @@ type Log struct {
 	syncing  bool
 	syncCond *sync.Cond
 
-	// lastCkpt is the epoch of the newest successful checkpoint — the
-	// durability-health signal STATS exposes.
+	// lastCkpt is the epoch of the newest checkpoint — the boot base or
+	// the latest Retire — the durability-health signal STATS exposes.
 	lastCkpt uint64
-
-	// term is the leader-term high-water mark: seeded from recovery,
-	// bumped by AppendTerm, stamped into every checkpoint snapshot so
-	// the mark survives log retirement.
-	term uint64
 }
 
 func segmentName(base uint64) string { return fmt.Sprintf("log-%016x", base) }
-
-func snapshotName(epoch uint64) string { return fmt.Sprintf("snapshot-%016x", epoch) }
 
 // parseSeq extracts the hex sequence number from a "prefix-xxxx" name.
 func parseSeq(name, prefix string) (uint64, bool) {
@@ -286,36 +280,12 @@ func (l *Log) maybeSync() error {
 	return nil
 }
 
-// Term reports the log's leader-term high-water mark: the largest term
-// recovered from the directory or appended through AppendTerm.
-func (l *Log) Term() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.term
-}
-
-// SetTerm raises the in-memory term mark without writing a record —
-// for appliers whose incoming batches already persist the term (a
-// follower's log), so checkpoints stamp the right mark.
-func (l *Log) SetTerm(t uint64) {
-	l.mu.Lock()
-	if t > l.term {
-		l.term = t
-	}
-	l.mu.Unlock()
-}
-
 // AppendTerm persists a leader-term bump: a RecTerm record stamped with
-// t at the given head epoch, synced per the fsync policy. The mark is
-// raised in memory even if the append fails (a wedged log still fences
-// correctly until restart); subsequent checkpoints stamp it into their
-// snapshot so it survives segment retirement.
+// t at the given head epoch, synced per the fsync policy. Recovery
+// restores the term high-water mark from these records, so a caller
+// that retires the segments holding them must re-append the mark first
+// (the storage tier's checkpoint does).
 func (l *Log) AppendTerm(t, epoch uint64) error {
-	l.mu.Lock()
-	if t > l.term {
-		l.term = t
-	}
-	l.mu.Unlock()
 	return l.Append(Batch{Kind: RecTerm, Term: t, Epoch: epoch})
 }
 
@@ -374,76 +344,12 @@ func (l *Log) Rotate(epoch uint64) error {
 	return nil
 }
 
-// Checkpoint writes the full base-relation state of one epoch as
-// snapshot-<epoch> (atomically: tmp, sync, rename, dir sync) and then
-// deletes the log segments and older snapshots the new snapshot
-// supersedes. The caller must have Rotated to epoch first, so the
-// retired segments hold only records the snapshot covers. rels is read
-// but never retained.
-func (l *Log) Checkpoint(epoch uint64, rels []RelFacts) error {
-	fs := l.opts.FS
-	tmp := join(l.dir, snapshotName(epoch)+".tmp")
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	buf, err := AppendRecord(nil, Batch{Epoch: epoch, Term: l.Term(), Rels: rels})
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	if err := fs.Rename(tmp, join(l.dir, snapshotName(epoch))); err != nil {
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	if err := fs.SyncDir(l.dir); err != nil {
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	l.mu.Lock()
-	if epoch > l.lastCkpt {
-		l.lastCkpt = epoch
-	}
-	l.mu.Unlock()
-	// The snapshot is durable; retire everything it supersedes. Cleanup
-	// failures are harmless (recovery tolerates stale files), so only
-	// the first error is reported and nothing is retried.
-	names, err := fs.List(l.dir)
-	if err != nil {
-		return nil
-	}
-	for _, name := range names {
-		if b, ok := parseSeq(name, "log-"); ok && b < epoch {
-			fs.Remove(join(l.dir, name))
-		}
-		if e, ok := parseSeq(name, "snapshot-"); ok && e < epoch {
-			fs.Remove(join(l.dir, name))
-		}
-		if strings.HasSuffix(name, ".tmp") && name != snapshotName(epoch)+".tmp" {
-			fs.Remove(join(l.dir, name))
-		}
-	}
-	fs.SyncDir(l.dir)
-	return nil
-}
-
-// Retire deletes the log segments (and any snapshots) that an external
-// checkpoint at epoch supersedes — the segment tier's counterpart of
-// Checkpoint's cleanup, for callers whose durable base state lives
-// outside the log (a segment manifest). The caller must have Rotated
-// to epoch first and made the external state durable: after Retire,
-// recovery of the remaining log replays only records beyond epoch.
-// Cleanup failures are harmless (recovery tolerates stale files) and
-// not reported.
+// Retire deletes the log segments a checkpoint at epoch supersedes. The
+// caller must have Rotated to epoch first and made its base state
+// durable outside the log (a segment manifest): after Retire, recovery
+// of the remaining log replays only records beyond epoch. Cleanup
+// failures are harmless (recovery tolerates stale files) and not
+// reported.
 func (l *Log) Retire(epoch uint64) error {
 	fs := l.opts.FS
 	l.mu.Lock()
@@ -463,17 +369,13 @@ func (l *Log) Retire(epoch uint64) error {
 		if b, ok := parseSeq(name, "log-"); ok && b < epoch {
 			fs.Remove(join(l.dir, name))
 		}
-		if e, ok := parseSeq(name, "snapshot-"); ok && e < epoch {
-			fs.Remove(join(l.dir, name))
-		}
 	}
 	fs.SyncDir(l.dir)
 	return nil
 }
 
-// LastCheckpoint reports the epoch of the newest successful checkpoint
-// this Log took (0 = none since Open; boot-time state is in the
-// RecoveryReport).
+// LastCheckpoint reports the epoch of the newest checkpoint: the base
+// epoch Open recovered from, or the latest Retire (0 = none).
 func (l *Log) LastCheckpoint() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -511,10 +413,10 @@ func (l *Log) Wedged() error {
 	return l.wedged
 }
 
-// Open recovers the durable state in dir — streaming every recovered
-// batch (the checkpoint first, then replayed log records in epoch
-// order) to apply — then truncates any torn tail and opens the log for
-// appending where it left off. A missing or empty dir is a fresh log.
+// Open recovers the log in dir — streaming every record past
+// opts.BaseEpoch to apply, in epoch order — then truncates any torn
+// tail and opens the log for appending where it left off. A missing or
+// empty dir is a fresh log.
 // The returned report says what recovery found; the returned error is
 // non-nil only for unrecoverable states (mid-log corruption, I/O
 // failures), in which case no Log is returned.
@@ -538,7 +440,7 @@ func Open(dir string, opts Options, apply func(Batch) error) (*Log, *RecoveryRep
 	base, size := rep.lastSegmentBase, rep.lastSegmentSize
 	name := segmentName(base)
 	if !rep.haveSegment {
-		// Fresh directory (or checkpoint-only): start a segment at the
+		// Fresh directory (or base-only): start a segment at the
 		// recovered epoch so every future record (epoch > rep.Epoch) is
 		// properly beyond the base.
 		base, size = rep.Epoch, 0
@@ -561,6 +463,5 @@ func Open(dir string, opts Options, apply func(Batch) error) (*Log, *RecoveryRep
 	l := &Log{dir: dir, opts: opts, f: f, base: base, size: fsize, lastSync: opts.Now()}
 	l.syncCond = sync.NewCond(&l.mu)
 	l.lastCkpt = rep.CheckpointEpoch
-	l.term = rep.Term
 	return l, rep, nil
 }

@@ -97,26 +97,27 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 func TestCheckpointRetiresLogPrefix(t *testing.T) {
 	fs := NewMemFS()
 	l, _, _ := mustOpen(t, fs, Options{})
-	state := []RelFacts{{Tag: "par/2", Arity: 2}}
 	for e := uint64(2); e <= 4; e++ {
-		b := mkBatch(e)
-		state[0].Tuples = append(state[0].Tuples, b.Rels[0].Tuples...)
-		if err := l.Append(b); err != nil {
+		if err := l.Append(mkBatch(e)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Rotate(4); err != nil {
 		t.Fatalf("Rotate: %v", err)
 	}
-	if err := l.Checkpoint(4, state); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
+	// The caller has committed the state at 4 outside the log (a segment
+	// manifest); Retire drops the log prefix it covers.
+	if err := l.Retire(4); err != nil {
+		t.Fatalf("Retire: %v", err)
 	}
-	// The pre-checkpoint segment is gone; only log-4 and snapshot-4
-	// remain.
+	// The pre-checkpoint segment is gone; only log-4 remains.
 	names, _ := fs.List(dir)
-	wantNames := []string{segmentName(4), snapshotName(4)}
+	wantNames := []string{segmentName(4)}
 	if fmt.Sprint(names) != fmt.Sprint(wantNames) {
 		t.Errorf("dir after checkpoint = %v, want %v", names, wantNames)
+	}
+	if l.LastCheckpoint() != 4 {
+		t.Errorf("LastCheckpoint = %d, want 4", l.LastCheckpoint())
 	}
 	// Two more batches after the checkpoint.
 	for e := uint64(5); e <= 6; e++ {
@@ -126,20 +127,17 @@ func TestCheckpointRetiresLogPrefix(t *testing.T) {
 	}
 	l.Close()
 
-	var got []Batch
-	rep, err := Recover(dir, fs, collect(&got))
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if rep.CheckpointEpoch != 4 || rep.CheckpointTuples != 6 {
-		t.Errorf("checkpoint part of report = %+v", rep)
+	l2, rep, got := mustOpen(t, fs, Options{BaseEpoch: 4})
+	defer l2.Close()
+	if rep.CheckpointEpoch != 4 || l2.LastCheckpoint() != 4 {
+		t.Errorf("checkpoint part of report = %+v (LastCheckpoint %d)", rep, l2.LastCheckpoint())
 	}
 	if rep.Epoch != 6 || rep.RecordsReplayed != 2 {
 		t.Errorf("replay part of report = %+v", rep)
 	}
-	// First applied batch is the checkpoint itself, then epochs 5, 6.
-	if len(got) != 3 || got[0].Epoch != 4 || got[0].Tuples() != 6 || got[1].Epoch != 5 || got[2].Epoch != 6 {
-		t.Errorf("recovered sequence wrong: %+v", got)
+	// Only the records past the base replay: epochs 5, 6.
+	if len(got) != 2 || got[0].Epoch != 5 || got[1].Epoch != 6 {
+		t.Errorf("recovered sequence wrong: %v", epochsOf(got))
 	}
 }
 
@@ -233,50 +231,6 @@ func TestMidLogCorruptionIsHardError(t *testing.T) {
 	// Open must refuse too, not silently truncate acknowledged data.
 	if _, _, err := Open(dir, Options{FS: fs}, func(Batch) error { return nil }); !IsCorrupt(err) {
 		t.Fatalf("Open after mid-log bit flip = %v, want CorruptError", err)
-	}
-}
-
-func TestCorruptSnapshotFallsBack(t *testing.T) {
-	fs := NewMemFS()
-	l, _, _ := mustOpen(t, fs, Options{})
-	state := []RelFacts{{Tag: "par/2", Arity: 2}}
-	b2 := mkBatch(2)
-	state[0].Tuples = append(state[0].Tuples, b2.Rels[0].Tuples...)
-	if err := l.Append(b2); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Rotate(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Checkpoint(2, state); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(mkBatch(3)); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	// Corrupt the snapshot body. The log prefix it retired is gone, so
-	// recovery falls back to an empty base plus the surviving segment —
-	// and says so in the report.
-	snap := join(dir, snapshotName(2))
-	data, _ := fs.ReadFile(snap)
-	data[len(data)-1] ^= 0xFF
-	f, _ := fs.Create(snap)
-	f.Write(data)
-	f.Sync()
-	f.Close()
-
-	var got []Batch
-	rep, err := Recover(dir, fs, collect(&got))
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if len(rep.SnapshotsSkipped) != 1 || rep.SnapshotsSkipped[0] != snapshotName(2) {
-		t.Errorf("SnapshotsSkipped = %v", rep.SnapshotsSkipped)
-	}
-	if rep.CheckpointEpoch != 0 || len(got) != 1 || got[0].Epoch != 3 {
-		t.Errorf("fallback recovery wrong: rep=%+v got=%+v", rep, got)
 	}
 }
 

@@ -284,7 +284,7 @@ e(1, 2).
 tc(X, Y) <- e(X, Y).
 tc(X, Y) <- e(X, Z), tc(Z, Y).
 `
-	sys, err := Load(src, WithDurability(dir), WithMaterialized())
+	sys, err := Load(src, WithStorageDir(dir), WithMaterialized())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ tc(X, Y) <- e(X, Z), tc(Z, Y).
 		t.Fatal(err)
 	}
 
-	sys2, err := Load(src, WithDurability(dir), WithMaterialized())
+	sys2, err := Load(src, WithStorageDir(dir), WithMaterialized())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,23 +165,19 @@ type System struct {
 	observed map[string]stats.RelStats
 	feedback atomic.Bool
 
-	// Durability (nil / zero unless Load saw WithDurability — the
+	// Durability (nil / zero unless Load saw WithStorageDir — the
 	// in-memory path pays only a nil check). wal is the write-ahead log
 	// every committed batch hits before its epoch publishes; recovery
-	// is what boot found in the data directory; ckptBytes triggers the
-	// background checkpointer, ckptBusy dedupes triggers and ckptMu
-	// serializes the checkpoints themselves.
-	wal       *wal.Log
-	walDir    string
-	walFS     wal.FS
-	recovery  *wal.RecoveryReport
-	ckptBytes int64
-	ckptBusy  atomic.Bool
-	ckptMu    sync.Mutex
-
-	// Storage tier (nil unless Load saw WithStorageDir): the segment
-	// directory state behind segCheckpoint and StorageStats. seg.man is
-	// guarded by ckptMu; segFlushes is the lifetime flush counter.
+	// is what boot found in the storage directory; ckptBytes triggers
+	// the background checkpointer, ckptBusy dedupes triggers and ckptMu
+	// serializes the checkpoints themselves. seg is the segment
+	// directory state behind segCheckpoint and StorageStats (seg.man is
+	// guarded by ckptMu); segFlushes is the lifetime flush counter.
+	wal        *wal.Log
+	recovery   *wal.RecoveryReport
+	ckptBytes  int64
+	ckptBusy   atomic.Bool
+	ckptMu     sync.Mutex
 	seg        *segState
 	segFlushes atomic.Int64
 
@@ -265,9 +261,10 @@ func (s *System) Epoch() uint64 { return s.snapshot().id }
 
 // Load parses LDL source text (rules, facts and optional "goal?" query
 // forms), loads the facts and gathers exact statistics. With
-// WithDurability the facts recovered from the data directory (newest
-// checkpoint plus log tail) are merged on top of the program's own, and
-// subsequent InsertFacts batches are write-ahead logged.
+// WithStorageDir the facts recovered from the storage directory (the
+// newest manifest's segments plus the log tail) are merged with the
+// program's own, and subsequent InsertFacts batches are write-ahead
+// logged.
 func Load(src string, opts ...SystemOption) (_ *System, err error) {
 	defer guard(&err)
 	cfg := sysConfig{walFS: wal.OS()}
@@ -290,26 +287,21 @@ func Load(src string, opts ...SystemOption) (_ *System, err error) {
 	if err := s.matSetup(); err != nil {
 		return nil, err
 	}
-	// Every tier boots the same way: a prefix of the database (nothing,
+	// Both tiers boot the same way: a prefix of the database (nothing,
 	// or the storage tier's attached segments), the program facts, the
-	// log suffix replayed through applyBatch, then the boot epoch. Only
-	// the prefix and the log's base epoch differ.
+	// log suffix replayed through applyBatch, then the boot epoch.
 	db, man := store.NewDatabase(), &segment.Manifest{}
 	if cfg.segDir != "" {
-		if cfg.walDir != "" && cfg.walDir != cfg.segDir {
-			return nil, fmt.Errorf("ldl: WithStorageDir(%q) conflicts with WithDurability(%q): the log lives in the storage directory", cfg.segDir, cfg.walDir)
-		}
 		// Segment parts attach before any tail row, program facts included.
 		if man, err = s.attachSegments(db, cfg); err != nil {
 			return nil, err
 		}
-		cfg.walDir = cfg.segDir
 	}
 	if err := db.LoadFacts(prog); err != nil {
 		return nil, err
 	}
 	id := max(1, man.Epoch)
-	if cfg.walDir != "" {
+	if cfg.segDir != "" {
 		if err := s.openLog(db, cfg, man.Epoch); err != nil {
 			return nil, err
 		}
@@ -463,12 +455,7 @@ func (s *System) commit(b wal.Batch, leader bool) (added int, epoch uint64, err 
 				s.fenced.Add(1)
 				return &FencedError{Local: s.term, Stream: b.Term}
 			}
-			if b.Term > s.term {
-				s.term = b.Term
-				if s.wal != nil {
-					s.wal.SetTerm(b.Term) // checkpoints stamp the adopted mark
-				}
-			}
+			s.term = max(s.term, b.Term)
 			if b.Kind == wal.RecTerm || b.Epoch <= ep.id {
 				return nil // a term bump carries no facts; older epochs are redelivery
 			}

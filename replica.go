@@ -172,8 +172,8 @@ type DurabilityStats struct {
 	// Wedged reports a latched log failure: the fact base still serves
 	// reads but acknowledges no further writes.
 	Wedged bool
-	// LastCheckpoint is the epoch of the newest checkpoint taken by this
-	// process (0 = none yet; the boot-time one is in Recovery).
+	// LastCheckpoint is the epoch of the newest checkpoint: the manifest
+	// boot attached, or the latest flush since (0 = none).
 	LastCheckpoint uint64
 }
 
@@ -190,13 +190,14 @@ func (s *System) Durability() DurabilityStats {
 	}
 }
 
-// WALAccess exposes the log directory and filesystem of a durable
-// System — what a leader-side shipper needs to read segments and plan
-// follower catch-up (wal.PlanShip / wal.ReadLive). ok is false for a
-// non-durable System, which has nothing to ship.
+// WALAccess exposes the storage directory and filesystem of a durable
+// System — what a leader-side shipper needs to plan follower catch-up
+// from its manifest and log (segment.PlanShip) and tail the log
+// (wal.ReadLive). ok is false for a non-durable System, which has
+// nothing to ship.
 func (s *System) WALAccess() (dir string, fs wal.FS, ok bool) {
-	if s.wal == nil {
+	if s.seg == nil {
 		return "", nil, false
 	}
-	return s.walDir, s.walFS, true
+	return s.seg.dir, s.seg.fs, true
 }

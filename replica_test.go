@@ -117,7 +117,7 @@ func TestReadOnlyRefusalAndPromote(t *testing.T) {
 
 func TestDurableFollowerLogsAndRecovers(t *testing.T) {
 	fs := wal.NewMemFS()
-	follower, err := Load(durSrc, WithDurability("data"), withWALFS(fs))
+	follower, err := Load(durSrc, WithStorageDir("data"), withWALFS(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestDurableFollowerLogsAndRecovers(t *testing.T) {
 	}
 	// Crash without Close: the follower's own WAL must have the applied
 	// batches (write-ahead ordering holds on the replica too).
-	reborn, err := Load(durSrc, WithDurability("data"), withWALFS(fs.Crash(true)))
+	reborn, err := Load(durSrc, WithStorageDir("data"), withWALFS(fs.Crash(true)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func (f *countedFile) Sync() error {
 func TestInsertFactsGroupCommit(t *testing.T) {
 	mem := wal.NewMemFS()
 	fs := &syncCounter{FS: mem}
-	sys, err := Load(durSrc, WithDurability("data"), withWALFS(fs))
+	sys, err := Load(durSrc, WithStorageDir("data"), withWALFS(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestInsertFactsGroupCommit(t *testing.T) {
 
 	// Every acknowledged batch survives losing the page cache — Commit
 	// really did fsync before InsertFacts returned.
-	reborn, err := Load(durSrc, WithDurability("data"), withWALFS(mem.Crash(true)))
+	reborn, err := Load(durSrc, WithStorageDir("data"), withWALFS(mem.Crash(true)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestDurabilityStats(t *testing.T) {
 	}
 
 	mem := wal.NewMemFS()
-	sys, err := Load(durSrc, WithDurability("data"), withWALFS(mem))
+	sys, err := Load(durSrc, WithStorageDir("data"), withWALFS(mem))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestObserveTermDeposesLeader(t *testing.T) {
 // comes back in the new term (and stays fenced against the old leader).
 func TestPromotePersistsTermAcrossCrash(t *testing.T) {
 	fs := wal.NewMemFS()
-	follower, err := Load(durSrc, WithDurability("data"), withWALFS(fs))
+	follower, err := Load(durSrc, WithStorageDir("data"), withWALFS(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestPromotePersistsTermAcrossCrash(t *testing.T) {
 	}
 
 	// Crash without Close: recovery must land in term 2.
-	reborn, err := Load(durSrc, WithDurability("data"), withWALFS(fs.Crash(true)))
+	reborn, err := Load(durSrc, WithStorageDir("data"), withWALFS(fs.Crash(true)))
 	if err != nil {
 		t.Fatal(err)
 	}

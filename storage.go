@@ -37,13 +37,15 @@ import (
 	"ldl/internal/wal"
 )
 
-// WithStorageDir opens the System on the persistent columnar storage
-// tier rooted at dir (created if missing): segment files hold each
-// base relation's flushed prefix, the WAL holds everything newer, and
-// boot attaches segments instead of replaying history. It subsumes
-// WithDurability — the log lives in the same directory — and accepts
-// the same WithFsyncPolicy / WithCheckpointBytes knobs. Combining it
-// with WithDurability on a different directory is a Load error.
+// WithStorageDir makes the System durable on the persistent columnar
+// storage tier rooted at dir (created if missing): InsertFacts batches
+// are write-ahead logged under dir before the epoch publishes, segment
+// files hold each base relation's flushed prefix, and Load recovers
+// whatever a previous process left in dir by attaching segments
+// instead of replaying history. WithFsyncPolicy and
+// WithCheckpointBytes tune it; combine with Close for a clean shutdown
+// (final flush). A directory holding a checkpoint of the retired
+// snapshot format is refused, not half-loaded.
 func WithStorageDir(dir string) SystemOption {
 	return func(c *sysConfig) { c.segDir = dir }
 }
@@ -81,24 +83,15 @@ func (s *System) attachSegments(db *store.Database, cfg sysConfig) (*segment.Man
 		man = &segment.Manifest{}
 	}
 	for _, re := range man.Rels {
-		rel := db.Ensure(re.Tag, re.Arity)
-		got := 0
-		for _, name := range re.Segments {
-			sg, err := segment.Open(fs, dir, name)
-			if err != nil {
-				return nil, fmt.Errorf("ldl: storage: %w", err)
-			}
-			if sg.Tag != re.Tag || sg.Arity != re.Arity {
-				return nil, fmt.Errorf("ldl: storage: segment %s holds %s/%d, manifest expects %s/%d",
-					name, sg.Tag, sg.Arity, re.Tag, re.Arity)
-			}
-			if err := rel.AttachPart(sg.PartData()); err != nil {
-				return nil, fmt.Errorf("ldl: storage: attaching %s: %w", name, err)
-			}
-			got += sg.Rows
+		segs, err := segment.OpenRel(fs, dir, re)
+		if err != nil {
+			return nil, fmt.Errorf("ldl: storage: %w", err)
 		}
-		if got != re.Rows {
-			return nil, fmt.Errorf("ldl: storage: %s: segments hold %d rows, manifest records %d", re.Tag, got, re.Rows)
+		rel := db.Ensure(re.Tag, re.Arity)
+		for i, sg := range segs {
+			if err := rel.AttachPart(sg.PartData()); err != nil {
+				return nil, fmt.Errorf("ldl: storage: attaching %s: %w", re.Segments[i], err)
+			}
 		}
 	}
 	s.seg = &segState{dir: dir, fs: fs, man: man, overridden: map[string]bool{}}
@@ -190,9 +183,8 @@ func (s *System) segCheckpoint() error {
 	s.seg.man = next
 	s.segFlushes.Add(1)
 
-	// The manifest is durable: the log prefix and snapshots it covers
-	// are dead weight, as are the previous manifest and any segment it
-	// alone referenced.
+	// The manifest is durable: the log prefix it covers is dead weight,
+	// as are the previous manifest and any segment it alone referenced.
 	if err := s.wal.Retire(ep.id); err != nil {
 		return err
 	}

@@ -13,10 +13,10 @@ import (
 
 // Storage-tier acceptance benchmarks (BENCH_PR9.json): boot a ~1M-fact
 // base from columnar segments (open, don't replay) vs replaying the
-// WAL record-by-record vs loading a monolithic snapshot, and bound
-// query latency against a segment-backed relation vs the same base
-// resident in memory. The fact base is f/2 with a million distinct
-// rows, built once per process and shared across arms.
+// WAL record-by-record, and bound query latency against a
+// segment-backed relation vs the same base resident in memory. The fact
+// base is f/2 with a million distinct rows, built once per process and
+// shared across arms.
 
 const benchFacts = 1_000_000
 
@@ -63,33 +63,16 @@ var replayDir = sync.OnceValues(func() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sys, err := ldl.Load(benchProgram, ldl.WithDurability(dir), ldl.WithCheckpointBytes(-1))
+	sys, err := ldl.Load(benchProgram, ldl.WithStorageDir(dir), ldl.WithCheckpointBytes(-1))
 	if err != nil {
 		return "", err
 	}
 	if err := insertBase(sys, benchFacts); err != nil {
 		return "", err
 	}
-	// No Close: Close writes a snapshot, and this arm measures raw
+	// No Close: Close flushes segments, and this arm measures raw
 	// replay. FsyncAlways already made every batch durable.
 	return dir, nil
-})
-
-// snapDir holds the base as a monolithic snapshot (the WAL tier's best
-// boot before this PR): built durable, closed cleanly.
-var snapDir = sync.OnceValues(func() (string, error) {
-	dir, err := os.MkdirTemp("", "ldl-bench-snap-")
-	if err != nil {
-		return "", err
-	}
-	sys, err := ldl.Load(benchProgram, ldl.WithDurability(dir), ldl.WithCheckpointBytes(-1))
-	if err != nil {
-		return "", err
-	}
-	if err := insertBase(sys, benchFacts); err != nil {
-		return "", err
-	}
-	return dir, sys.Close()
 })
 
 func heapMB() float64 {
@@ -101,9 +84,9 @@ func heapMB() float64 {
 
 // BenchmarkStorageBoot measures time-to-first-query on the 1M-fact
 // base for each boot path. The segment arm must report zero records
-// replayed and zero checkpoint tuples loaded — it opens the manifest,
-// attaches columns, and serves. heap-MB is the post-boot live heap
-// (after GC), the bounded-RSS signal.
+// replayed — it opens the manifest, attaches columns, and serves.
+// heap-MB is the post-boot live heap (after GC), the bounded-RSS
+// signal.
 func BenchmarkStorageBoot(b *testing.B) {
 	arms := []struct {
 		name  string
@@ -112,8 +95,7 @@ func BenchmarkStorageBoot(b *testing.B) {
 		close bool
 	}{
 		{"segment", segDir, func(d string) ldl.SystemOption { return ldl.WithStorageDir(d) }, true},
-		{"snapshot", snapDir, func(d string) ldl.SystemOption { return ldl.WithDurability(d) }, false},
-		{"replay", replayDir, func(d string) ldl.SystemOption { return ldl.WithDurability(d) }, false},
+		{"replay", replayDir, func(d string) ldl.SystemOption { return ldl.WithStorageDir(d) }, false},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
@@ -134,11 +116,11 @@ func BenchmarkStorageBoot(b *testing.B) {
 					b.Fatalf("probe query: %d rows, err=%v", len(rows), err)
 				}
 				rep := sys.Recovery()
-				if arm.name == "segment" && (rep.RecordsReplayed != 0 || rep.CheckpointTuples != 0) {
+				if arm.name == "segment" && rep.RecordsReplayed != 0 {
 					b.Fatalf("segment boot replayed: %+v", rep)
 				}
 				if arm.name == "replay" && rep.RecordsReplayed == 0 {
-					b.Fatal("replay arm replayed nothing — stale snapshot in dir?")
+					b.Fatal("replay arm replayed nothing — stale manifest in dir?")
 				}
 				if i == b.N-1 {
 					b.StopTimer()
@@ -146,9 +128,9 @@ func BenchmarkStorageBoot(b *testing.B) {
 					b.StartTimer()
 				}
 				if arm.close {
-					// Storage-mode Close is cheap here (manifest already
-					// current); snapshot/replay arms skip Close so the dir
-					// stays a pure log for the next iteration.
+					// Close is cheap here (manifest already current); the
+					// replay arm skips Close so the dir stays a pure log
+					// for the next iteration.
 					if err := sys.Close(); err != nil {
 						b.Fatal(err)
 					}

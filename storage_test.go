@@ -77,9 +77,14 @@ func TestStorageRestartRoundTrip(t *testing.T) {
 	if rep == nil || rep.Epoch != epoch {
 		t.Fatalf("recovery = %+v, want epoch %d", rep, epoch)
 	}
-	if rep.RecordsReplayed != 0 || rep.CheckpointTuples != 0 {
-		t.Errorf("open-not-replay: boot after clean Close replayed %d records, loaded %d snapshot tuples (%+v)",
-			rep.RecordsReplayed, rep.CheckpointTuples, rep)
+	if rep.RecordsReplayed != 0 {
+		t.Errorf("open-not-replay: boot after clean Close replayed %d records (%+v)", rep.RecordsReplayed, rep)
+	}
+	// Every recovery report names the manifest boot attached.
+	if rep.CheckpointEpoch != epoch || sys2.Durability().LastCheckpoint != epoch ||
+		!strings.Contains(rep.String(), fmt.Sprintf("checkpoint@%d ", epoch)) {
+		t.Errorf("recovery reports checkpoint %d (LastCheckpoint %d, %q), want the manifest at %d",
+			rep.CheckpointEpoch, sys2.Durability().LastCheckpoint, rep, epoch)
 	}
 	checkPrefix(t, parTuples(sys2), 6, 6)
 	got2, err := sys2.Query("anc(x0, Y)")
@@ -204,21 +209,6 @@ func TestStorageSweepsStaleTmp(t *testing.T) {
 		}
 	}
 	sys2.Close()
-}
-
-// TestStorageConflictsWithDurability: the two directory options must
-// not silently diverge.
-func TestStorageConflictsWithDurability(t *testing.T) {
-	if _, err := Load(durSrc, WithStorageDir("a"), WithDurability("b"), withWALFS(wal.NewMemFS())); err == nil {
-		t.Fatal("WithStorageDir + WithDurability on different dirs must fail")
-	}
-	// Same dir is fine: storage subsumes durability.
-	fs := wal.NewMemFS()
-	sys, err := Load(durSrc, WithStorageDir("d"), WithDurability("d"), withWALFS(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Close()
 }
 
 // TestStorageGoldenEquivalence runs the golden corpus against a

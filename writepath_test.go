@@ -151,9 +151,6 @@ func TestWritePathParity(t *testing.T) {
 		opts func(fs wal.FS) []SystemOption
 	}{
 		{"memory", func(wal.FS) []SystemOption { return nil }},
-		{"durability", func(fs wal.FS) []SystemOption {
-			return []SystemOption{WithDurability("data"), withWALFS(fs), WithCheckpointBytes(-1)}
-		}},
 		{"storage", withStorageFS},
 	}
 	modes := []struct {
@@ -222,43 +219,35 @@ func TestWritePathParity(t *testing.T) {
 }
 
 // TestSetStatsIsProcessLocal: a SetStats override is experiment state
-// for one process. It must not survive a restart on either durable
-// tier, and it must not poison the statistics a restarted process
-// gathers or maintains (a stuck Acyclic=false would disable counting).
+// for one process. It must not survive a restart of the durable tier,
+// and it must not poison the statistics a restarted process gathers or
+// maintains (a stuck Acyclic=false would disable counting).
 func TestSetStatsIsProcessLocal(t *testing.T) {
-	tiers := map[string]func(fs wal.FS) []SystemOption{
-		"durability": func(fs wal.FS) []SystemOption {
-			return []SystemOption{WithDurability("data"), withWALFS(fs), WithCheckpointBytes(-1)}
-		},
-		"storage": withStorageFS,
-	}
-	for name, opts := range tiers {
-		t.Run(name, func(t *testing.T) {
-			fs := wal.NewMemFS()
-			reopen := func() *System {
-				t.Helper()
-				sys, err := Load(durSrc, opts(fs)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ep := sys.snapshot()
-				if got, want := catalogString(ep.cat), catalogString(stats.Gather(ep.db)); got != want {
-					t.Fatalf("catalog after reopen differs from a fresh gather\n got: %s\nwant: %s", got, want)
-				}
-				return sys
+	t.Run("storage", func(t *testing.T) {
+		fs := wal.NewMemFS()
+		reopen := func() *System {
+			t.Helper()
+			sys, err := Load(durSrc, withStorageFS(fs)...)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sys := reopen()
-			sys.SetStats("par/2", 123456, []float64{1, 1})
-			for i := 0; i < 2; i++ {
-				if _, _, err := sys.InsertFacts(durBatch(i)); err != nil {
-					t.Fatal(err)
-				}
-				if err := sys.Close(); err != nil {
-					t.Fatal(err)
-				}
-				sys = reopen()
+			ep := sys.snapshot()
+			if got, want := catalogString(ep.cat), catalogString(stats.Gather(ep.db)); got != want {
+				t.Fatalf("catalog after reopen differs from a fresh gather\n got: %s\nwant: %s", got, want)
 			}
-			sys.Close()
-		})
-	}
+			return sys
+		}
+		sys := reopen()
+		sys.SetStats("par/2", 123456, []float64{1, 1})
+		for i := 0; i < 2; i++ {
+			if _, _, err := sys.InsertFacts(durBatch(i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sys = reopen()
+		}
+		sys.Close()
+	})
 }
