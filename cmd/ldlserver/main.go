@@ -253,8 +253,7 @@ type server struct {
 	// System, and the cancel PROMOTE uses to stop it.
 	follower     *repl.Follower
 	stopFollower context.CancelFunc
-	// shipPoll/shipHeartbeat override the Shipper intervals (tests).
-	shipPoll      time.Duration
+	// shipHeartbeat overrides the Shipper heartbeat interval (tests).
 	shipHeartbeat time.Duration
 
 	// draining refuses new requests on surviving connections while the
@@ -404,9 +403,9 @@ func (s *server) serveRepl(conn net.Conn, out *bufio.Writer, line string) {
 	ship := &repl.Shipper{
 		Dir: dir, FS: fs,
 		Head:      sys.Epoch,
+		Changed:   sys.Changed,
 		Term:      sys.Term,
 		Advertise: s.advertise,
-		Poll:      s.shipPoll,
 		Heartbeat: s.shipHeartbeat,
 	}
 	if err := ship.Serve(conn, from); err != nil && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {

@@ -26,7 +26,7 @@ import (
 // advertises, proving the welcome line carried it end to end.
 const leaderAdvertise = "ldl-leader.internal:7654"
 
-// startLeader boots a durable leader server with test-fast shipping.
+// startLeader boots a durable leader server with test-fast heartbeats.
 func startLeader(t *testing.T, dir string) (addr string, sys *ldl.System, shutdown func(time.Duration)) {
 	t.Helper()
 	sys, err := ldl.Load(serverSrc, ldl.WithStorageDir(dir))
@@ -35,7 +35,6 @@ func startLeader(t *testing.T, dir string) (addr string, sys *ldl.System, shutdo
 	}
 	addr, _, shutdown = startCustom(t, sys, service.Config{}, func(s *server) {
 		s.advertise = leaderAdvertise
-		s.shipPoll = time.Millisecond
 		s.shipHeartbeat = 20 * time.Millisecond
 	})
 	return addr, sys, shutdown
@@ -90,7 +89,6 @@ func startFollower(t *testing.T, leaderAddr string, fc followerCfg, opts ...ldl.
 	addr, srv, _ = startCustom(t, sys, service.Config{}, func(s *server) {
 		s.follower = f
 		s.stopFollower = cancel
-		s.shipPoll = time.Millisecond
 		s.shipHeartbeat = 20 * time.Millisecond
 		s.rywTimeout = 2 * time.Second
 	})

@@ -72,6 +72,11 @@ type chaosLeader struct {
 	term atomic.Uint64
 	ship *Shipper
 
+	// pub is the publish broadcast behind the Shipper's Changed hook,
+	// closed by every head advance, like ldl.System's.
+	pubMu sync.Mutex
+	pub   chan struct{}
+
 	mu    sync.Mutex
 	conns []net.Conn
 	arm   func(net.Conn) net.Conn
@@ -92,9 +97,9 @@ func newChaosLeader(t *testing.T) *chaosLeader {
 	ld.ship = &Shipper{
 		Dir: dir, FS: fs,
 		Head:      ld.head.Load,
+		Changed:   ld.changed,
 		Term:      ld.term.Load,
 		Advertise: "leader:9999",
-		Poll:      time.Millisecond,
 		Heartbeat: 15 * time.Millisecond,
 	}
 	t.Cleanup(ld.closeAll)
@@ -110,13 +115,33 @@ func (ld *chaosLeader) closeAll() {
 	ld.conns = nil
 }
 
+func (ld *chaosLeader) changed() <-chan struct{} {
+	ld.pubMu.Lock()
+	defer ld.pubMu.Unlock()
+	if ld.pub == nil {
+		ld.pub = make(chan struct{})
+	}
+	return ld.pub
+}
+
+// publish advances the head to e and wakes every Changed waiter.
+func (ld *chaosLeader) publish(e uint64) {
+	ld.head.Store(e)
+	ld.pubMu.Lock()
+	defer ld.pubMu.Unlock()
+	if ld.pub != nil {
+		close(ld.pub)
+		ld.pub = nil
+	}
+}
+
 // append logs one batch and publishes its epoch — the leader
 // acknowledging a write.
 func (ld *chaosLeader) append(e uint64) {
 	if err := ld.log.Append(mkBatch(e)); err != nil {
 		ld.t.Fatal(err)
 	}
-	ld.head.Store(e)
+	ld.publish(e)
 }
 
 // appendT logs one batch stamped with the leader's current term — the
@@ -128,7 +153,7 @@ func (ld *chaosLeader) appendT(e uint64) {
 	if err := ld.log.Append(b); err != nil {
 		ld.t.Fatal(err)
 	}
-	ld.head.Store(e)
+	ld.publish(e)
 }
 
 // checkpoint flushes the cumulative state at e as one segment, commits
@@ -307,6 +332,7 @@ func runChaosCell(t *testing.T, mode FaultMode, failAt int) {
 }
 
 func TestChaosMatrix(t *testing.T) {
+	t.Parallel()
 	for _, mode := range []FaultMode{FaultDropMidFrame, FaultStall, FaultCorrupt, FaultDuplicate} {
 		for failAt := 1; failAt <= 8; failAt++ {
 			mode, failAt := mode, failAt

@@ -4,7 +4,10 @@ package repl
 // tailing it live. One Shipper serves any number of connections (it is
 // stateless between calls); the front end calls Serve with the epoch
 // the follower announced in its hello and the connection the handshake
-// arrived on.
+// arrived on. Tailing is event-driven: after each read of the log the
+// shipper sleeps until the next epoch publishes (Changed), with the
+// heartbeat timer as the backstop, so a commit ships as soon as it is
+// acknowledged and an idle stream costs nothing between heartbeats.
 
 import (
 	"encoding/binary"
@@ -27,18 +30,21 @@ type Shipper struct {
 	// never shipped, so a follower can never be ahead of what the leader
 	// has promised.
 	Head func() uint64
+	// Changed returns a channel closed at the next publication of Head
+	// (ldl.System.Changed). Serve takes it before each read of Head, so a
+	// publish racing the read still wakes the next wait. Required.
+	Changed func() <-chan struct{}
 	// Term reports the leader-term high-water mark stamped on every
 	// heartbeat (nil = 0, a pre-term stream followers accept blindly).
 	Term func() uint64
 	// Advertise is the address sent in the welcome line — where the
 	// follower's clients should send writes.
 	Advertise string
-	// Poll is how often the tail of the active segment is re-read when
-	// idle (default 20ms).
-	Poll time.Duration
 	// Heartbeat is the idle-connection heartbeat interval (default 2s).
 	// Every heartbeat also refreshes the follower's view of the leader
-	// head epoch, which is what its staleness bound is measured against.
+	// head epoch, which is what its staleness bound is measured against,
+	// and re-reads the log, so a missed wake-up costs at most one
+	// interval.
 	Heartbeat time.Duration
 }
 
@@ -48,10 +54,6 @@ type Shipper struct {
 // has already read the follower's hello; from is the epoch it resumes
 // at. Closing conn makes Serve return within a heartbeat interval.
 func (s *Shipper) Serve(conn io.Writer, from uint64) error {
-	poll := s.Poll
-	if poll <= 0 {
-		poll = 20 * time.Millisecond
-	}
 	hb := s.Heartbeat
 	if hb <= 0 {
 		hb = 2 * time.Second
@@ -78,11 +80,12 @@ func (s *Shipper) Serve(conn io.Writer, from uint64) error {
 
 	lastBeat := time.Now()
 	for {
+		changed := s.Changed()
 		next, err := wal.ReadLive(s.Dir, s.FS, cur, s.Head(), emit)
 		switch {
 		case errors.Is(err, wal.ErrRetired):
 			// A checkpoint deleted the segment under the cursor between
-			// polls. Re-plan from the follower's position: it either
+			// reads. Re-plan from the follower's position: it either
 			// resumes from a surviving segment or gets re-seeded from
 			// the manifest of the flush that did the retiring.
 			plan, err = segment.PlanShip(s.Dir, s.FS, next.Epoch)
@@ -107,7 +110,12 @@ func (s *Shipper) Serve(conn io.Writer, from uint64) error {
 			lastBeat = time.Now()
 		}
 		cur = next
-		time.Sleep(poll)
+		beat := time.NewTimer(time.Until(lastBeat.Add(hb)))
+		select {
+		case <-changed:
+		case <-beat.C:
+		}
+		beat.Stop()
 	}
 }
 

@@ -354,30 +354,35 @@ func (e *LaggingError) Is(target error) bool { return target == ErrLagging }
 // one check). It is the read-your-writes primitive: a client that wrote
 // through the leader and saw "epoch=E" acknowledged passes wait=E to a
 // replica read, and the read either observes the write or fails with a
-// *LaggingError saying how far behind the replica is. Epoch publication
-// has no notification hook, so the wait polls — starting fine-grained
-// and backing off, bounded by the deadline.
+// *LaggingError saying how far behind the replica is. The wait sleeps
+// until the System publishes (ldl.System.Changed), so it returns the
+// moment the epoch lands. It watches the System served when it began: a
+// concurrent Reload ends it at its deadline.
 func (s *Service) WaitEpoch(ctx context.Context, want uint64, timeout time.Duration) error {
-	at := s.sys.Load().Epoch()
+	sys := s.sys.Load()
+	at := sys.Epoch()
 	if at >= want {
 		return nil
 	}
-	deadline := time.Now().Add(timeout)
-	interval := 100 * time.Microsecond
+	if timeout <= 0 {
+		return &LaggingError{Want: want, At: at}
+	}
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
-		if timeout <= 0 || !time.Now().Before(deadline) {
-			return &LaggingError{Want: want, At: at}
+		changed := sys.Changed()
+		if sys.Epoch() >= want {
+			return nil
 		}
 		select {
+		case <-changed:
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(interval):
-		}
-		if interval *= 2; interval > 2*time.Millisecond {
-			interval = 2 * time.Millisecond
-		}
-		if at = s.sys.Load().Epoch(); at >= want {
-			return nil
+		case <-deadline.C:
+			if at = sys.Epoch(); at >= want {
+				return nil
+			}
+			return &LaggingError{Want: want, At: at}
 		}
 	}
 }

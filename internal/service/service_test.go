@@ -589,3 +589,53 @@ func TestWaitEpoch(t *testing.T) {
 		t.Fatalf("canceled wait: %v, want context.Canceled", err)
 	}
 }
+
+// TestWaitEpochWakesOnPublish pins the wait to publication, not to a
+// poll: with an hour-long bound the wait still returns as soon as a
+// write lands, a cancel mid-wait returns the context's error, and a
+// LaggingError reports the epoch reached when the wait gave up — not
+// the one it started from.
+func TestWaitEpochWakesOnPublish(t *testing.T) {
+	s := New(mustLoad(t, sgSrc), Config{})
+	ctx := context.Background()
+
+	start := s.System().Epoch()
+	var le *LaggingError
+	if err := s.WaitEpoch(ctx, start+1, 0); !errors.As(err, &le) || le.At != start {
+		t.Fatalf("timeout 0: %v, want LaggingError at %d", err, start)
+	}
+
+	for i := 1; i <= 3; i++ {
+		done := make(chan error, 1)
+		go func() { done <- s.WaitEpoch(ctx, start+uint64(i), time.Hour) }()
+		time.Sleep(5 * time.Millisecond) // let the wait block before the write lands
+		if _, _, err := s.Load(ctx, fmt.Sprintf("par(w%d, w%d).", i, i+1)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("wait %d: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("wait %d never woke on its publish", i)
+		}
+	}
+
+	// One publish short of the request: the wait expires at start+4.
+	done := make(chan error, 1)
+	go func() { done <- s.WaitEpoch(ctx, start+5, 50*time.Millisecond) }()
+	if _, _, err := s.Load(ctx, "par(w9, w10)."); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.As(err, &le) || le.At != start+4 || le.Want != start+5 {
+		t.Fatalf("expired wait: %v, want LaggingError want %d at %d", err, start+5, start+4)
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	go func() { done <- s.WaitEpoch(cctx, start+9, time.Hour) }()
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("wait canceled mid-flight: %v, want context.Canceled", err)
+	}
+}

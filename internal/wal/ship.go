@@ -24,7 +24,7 @@ import (
 )
 
 // ErrRetired reports that the segment a Cursor points into was deleted
-// by a checkpoint while the reader was between polls. The reader must
+// by a checkpoint while the reader was between reads. The reader must
 // re-plan from the follower's applied epoch (segment.PlanShip), which
 // either resumes from a surviving segment or re-seeds from the
 // checkpoint that did the retiring.
@@ -68,10 +68,10 @@ type ShipPlan struct {
 // ReadLive reads every complete record past cur with epoch in
 // (cur.Epoch, maxEpoch], calls emit for each, and returns the advanced
 // cursor. It returns with a nil error when it runs out of complete
-// frames (the writer has not produced more yet — poll again later);
-// ErrRetired when cur's segment was deleted under it (re-plan);
-// *CorruptError on mid-stream damage. maxEpoch caps delivery at the
-// writer's published epoch so a record appended but not yet
+// frames (the writer has not produced more yet — read again after the
+// next publish); ErrRetired when cur's segment was deleted under it
+// (re-plan); *CorruptError on mid-stream damage. maxEpoch caps delivery
+// at the writer's published epoch so a record appended but not yet
 // acknowledged is never shipped.
 func ReadLive(dir string, fs FS, cur Cursor, maxEpoch uint64, emit func(Batch) error) (Cursor, error) {
 	if fs == nil {

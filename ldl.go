@@ -140,6 +140,11 @@ type System struct {
 	head    *epochState
 	headLSN int64
 
+	// changed is the publish broadcast behind Changed: nil until someone
+	// asks, closed and cleared by the next publish. Guarded by changedMu.
+	changedMu sync.Mutex
+	changed   chan struct{}
+
 	// readOnly marks a replica: InsertFacts refuses with a
 	// *ReadOnlyError pointing at leaderAddr until Promote. Guarded by
 	// writeMu.
@@ -241,7 +246,7 @@ func (s *System) headState() *epochState {
 // cohort fsync (covering A's record too) can finish before A wakes up —
 // B publishes both, and A's late store must not roll the snapshot back.
 // A later epoch always contains every earlier epoch's facts, so the
-// monotonic rule is safe.
+// monotonic rule is safe. A winning store wakes every Changed waiter.
 func (s *System) publish(next *epochState) {
 	for {
 		cur := s.epoch.Load()
@@ -249,9 +254,33 @@ func (s *System) publish(next *epochState) {
 			return
 		}
 		if s.epoch.CompareAndSwap(cur, next) {
-			return
+			break
 		}
 	}
+	s.changedMu.Lock()
+	if s.changed != nil {
+		close(s.changed)
+		s.changed = nil
+	}
+	s.changedMu.Unlock()
+}
+
+// Changed returns a channel that is closed the next time a new epoch
+// publishes — on a leader's commit, a follower's replicated apply, or a
+// statistics refresh. Bursts coalesce: one close covers every publish
+// until the channel is asked for again. To wait without missing an
+// epoch, take the channel before reading Epoch:
+//
+//	for ch := sys.Changed(); sys.Epoch() < want; ch = sys.Changed() {
+//		<-ch
+//	}
+func (s *System) Changed() <-chan struct{} {
+	s.changedMu.Lock()
+	defer s.changedMu.Unlock()
+	if s.changed == nil {
+		s.changed = make(chan struct{})
+	}
+	return s.changed
 }
 
 // Epoch returns the identifier of the currently published fact-base

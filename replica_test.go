@@ -74,6 +74,55 @@ func TestApplyReplicatedFollowsLeaderEpochs(t *testing.T) {
 	}
 }
 
+// TestChangedClosesOnPublish: the publish broadcast fires on a leader
+// commit and on a replicated apply, coalesces until asked for again, and
+// stays open across an apply that publishes nothing (a duplicate).
+func TestChangedClosesOnPublish(t *testing.T) {
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	leader, err := Load(durSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := leader.Changed()
+	if closed(ch) {
+		t.Fatal("Changed closed before any publish")
+	}
+	if _, _, err := leader.InsertFacts("par(c1, c2)."); err != nil {
+		t.Fatal(err)
+	}
+	next := leader.Changed()
+	if !closed(ch) || closed(next) {
+		t.Fatalf("after a commit: old closed=%v, new closed=%v; want true, false", closed(ch), closed(next))
+	}
+
+	follower, err := Load(durSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower.SetReadOnly("leader:1234")
+	ch = follower.Changed()
+	if err := follower.ApplyReplicated(shipBatch(2, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(ch) {
+		t.Fatal("replicated apply did not close Changed")
+	}
+	ch = follower.Changed()
+	if err := follower.ApplyReplicated(shipBatch(2, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if closed(ch) {
+		t.Fatal("a duplicate apply published nothing but closed Changed")
+	}
+}
+
 func TestReadOnlyRefusalAndPromote(t *testing.T) {
 	follower, err := Load(durSrc)
 	if err != nil {
