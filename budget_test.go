@@ -120,7 +120,7 @@ func TestContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan.opts.ctx = ctx
+	plan.prep.opts.ctx = ctx
 	_, err = plan.Execute()
 	checkResourceErr(t, err, ErrCanceled)
 }

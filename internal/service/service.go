@@ -305,8 +305,8 @@ func (s *Service) insert(key string, p *ldl.Prepared) {
 }
 
 // Load applies a batch of facts and publishes a new epoch. Cached plans
-// are invalidated lazily: their epoch no longer matches, so the next
-// lookup re-prepares under the new statistics.
+// are revalidated lazily: the next lookup keeps an entry whose
+// statistics fingerprint still holds and re-prepares the rest.
 func (s *Service) Load(ctx context.Context, facts string) (added int, epoch uint64, err error) {
 	release, err := s.adm.Acquire(ctx)
 	if err != nil {

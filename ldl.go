@@ -672,6 +672,14 @@ type options struct {
 	optStates     int
 }
 
+// with returns o overlaid with opts.
+func (o options) with(opts []Option) options {
+	for _, f := range opts {
+		f(&o)
+	}
+	return o
+}
+
 // governor builds the resource governor for one call. Each call gets a
 // fresh deadline (now + timeout), so a Plan optimized under a timeout
 // grants every Execute the full duration again.
@@ -756,15 +764,14 @@ func WithCompiledKernels(on bool) Option { return func(o *options) { o.noKernels
 // optimizer versions.
 func WithFlattening() Option { return func(o *options) { o.flatten = true } }
 
-// Plan is an optimized (and compilable) execution for one query form.
-// It captures the epoch it was optimized against: Execute runs on that
-// snapshot, so a Plan's answers are stable under concurrent InsertFacts.
+// Plan is one goal optimized and compiled with its constants inline: a
+// Prepared form pinned to the epoch it was optimized against. Execute
+// runs on that snapshot with the precompiled kernels, so a Plan's
+// answers are stable under concurrent InsertFacts and repeated
+// executions skip optimization and kernel compilation alike.
 type Plan struct {
-	sys    *System
-	goal   lang.Literal
-	epoch  *epochState
-	result *core.Result
-	opts   options // budgets carry over from Optimize to each Execute
+	prep  *Prepared
+	epoch *epochState
 	// Optimizer diagnostics.
 	MemoLookups int
 	MemoHits    int
@@ -775,65 +782,31 @@ type Plan struct {
 // reports false with a Reason(); Execute then refuses to run.
 func (s *System) Optimize(goal string, opts ...Option) (_ *Plan, err error) {
 	defer guard(&err)
-	var o options
-	for _, f := range opts {
-		f(&o)
-	}
-	strat, err := o.strategy.impl(o.seed)
-	if err != nil {
-		return nil, err
-	}
+	o := options{}.with(opts)
 	lit, err := parser.ParseLiteral(goal)
 	if err != nil {
 		return nil, err
 	}
 	ep := s.snapshot()
-	opt, err := core.New(s.prog, s.effectiveCat(ep), strat)
+	p, opt, err := s.prepare(ep, lit.String(), lit, 0, o)
 	if err != nil {
 		return nil, err
 	}
-	opt.Gov = o.governor()
-	var res *core.Result
-	if o.flatten {
-		res, err = opt.OptimizeFlattened(lang.Query{Goal: lit}, 8)
-	} else {
-		res, err = opt.Optimize(lang.Query{Goal: lit})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{sys: s, goal: lit, epoch: ep, result: res, opts: o, MemoLookups: opt.MemoLookups, MemoHits: opt.MemoHits}, nil
+	return &Plan{prep: p, epoch: ep, MemoLookups: opt.MemoLookups, MemoHits: opt.MemoHits}, nil
 }
 
 // Safe reports whether a safe (terminating) execution was found.
-func (p *Plan) Safe() bool { return p.result.Safe }
+func (p *Plan) Safe() bool { return p.prep.Safe() }
 
 // Reason explains why the query is unsafe (empty when Safe).
-func (p *Plan) Reason() string { return p.result.Reason }
+func (p *Plan) Reason() string { return p.prep.Reason() }
 
 // Cost is the estimated cost of the chosen execution (+Inf if unsafe).
-func (p *Plan) Cost() float64 { return float64(p.result.Cost) }
+func (p *Plan) Cost() float64 { return p.prep.Cost() }
 
 // Explain renders the chosen processing tree (Figure 4-1 style:
 // squares materialize, triangles pipeline, CC marks recursive cliques).
-func (p *Plan) Explain() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "query: %s?\n", p.goal)
-	if !p.result.Safe {
-		fmt.Fprintf(&b, "UNSAFE: %s\n", p.result.Reason)
-		return b.String()
-	}
-	fmt.Fprintf(&b, "estimated cost: %.1f, cardinality: %.1f\n", float64(p.result.Cost), p.result.Card)
-	// Downgrade notes accumulate in search-visit order, which the
-	// parallel optimizer does not fix; sort so Explain is deterministic.
-	notes := append([]string(nil), p.result.Downgrades...)
-	sort.Strings(notes)
-	for _, d := range notes {
-		fmt.Fprintf(&b, "note: %s\n", d)
-	}
-	b.WriteString(p.result.Plan.Render())
-	return b.String()
-}
+func (p *Plan) Explain() string { return p.prep.explain("query: " + p.prep.key + "?") }
 
 // ExecStats reports how much work an execution did.
 type ExecStats struct {
@@ -842,9 +815,9 @@ type ExecStats struct {
 	Unifications  int64
 	Lookups       int64
 	// KernelCompiles counts rule bodies compiled to join kernels during
-	// this execution. A Prepared execution reuses its precompiled
-	// kernels, so it reports 0 here — the counter is the observable
-	// proof that the prepared path skips compilation.
+	// this execution. Optimized executions (Plan and Prepared alike)
+	// run kernels compiled once when the form was optimized, so they
+	// always report 0; only EvaluateUnoptimized compiles here.
 	KernelCompiles int
 	// KernelFallbacks counts rules that could not be compiled to join
 	// kernels and ran on the generic interpreter instead. With kernels
@@ -861,8 +834,8 @@ type ExecStats struct {
 	Epoch uint64
 }
 
-// Execute compiles the plan to a program, evaluates it and returns the
-// answers as rows of rendered terms, in canonical order.
+// Execute evaluates the plan on its epoch and returns the answers as
+// rows of rendered terms, in canonical order.
 func (p *Plan) Execute() ([][]string, error) {
 	rows, _, err := p.ExecuteStats()
 	return rows, err
@@ -871,47 +844,10 @@ func (p *Plan) Execute() ([][]string, error) {
 // ExecuteStats is Execute plus work counters.
 func (p *Plan) ExecuteStats() (_ [][]string, es ExecStats, err error) {
 	defer guard(&err)
-	compiled, err := p.result.Compile()
-	if err != nil {
-		return nil, es, err
+	if !p.Safe() {
+		return nil, es, fmt.Errorf("ldl: query %s is unsafe: %s", p.prep.key, p.Reason())
 	}
-	prog2, err := lang.NewProgram(compiled.Clauses)
-	if err != nil {
-		return nil, es, err
-	}
-	// Fork, not Clone: the compiled program's seed facts go into fresh
-	// or copy-on-write relations, so the epoch snapshot is never
-	// touched and the per-execute setup cost is O(relations touched by
-	// seeds), not O(database).
-	db2 := p.epoch.db.Fork()
-	if err := db2.LoadFacts(prog2); err != nil {
-		return nil, es, err
-	}
-	methodFor := methodOverrides(compiled.FixMethods, prog2)
-	// Budgets turn a diverging execution (which the safety analysis
-	// should have prevented) into an error instead of a hang. The
-	// governor layers the caller's (typically tighter) budget on top.
-	e, err := eval.New(prog2, db2, eval.Options{
-		Method: eval.SemiNaive, MethodFor: methodFor,
-		MaxTuples: 5_000_000, MaxIterations: 200_000,
-		Parallel: p.opts.parallel, SizeHints: p.epoch.hints,
-		DisableKernels: p.opts.noKernels,
-		Gov:            p.opts.governor(),
-	})
-	if err != nil {
-		return nil, es, err
-	}
-	if err := e.Run(); err != nil {
-		return nil, es, err
-	}
-	ansPred := compiled.AnswerTag[:strings.LastIndexByte(compiled.AnswerTag, '/')]
-	ts, err := e.Answers(lang.Query{Goal: lang.Literal{Pred: ansPred, Args: p.goal.Args}})
-	if err != nil {
-		return nil, es, err
-	}
-	p.sys.recordObserved(e)
-	es = execStats(e, p.epoch.id)
-	return renderRows(ts), es, nil
+	return p.prep.run(p.epoch, p.prep.shape.Args, nil, p.prep.opts)
 }
 
 // methodOverrides maps the plan's per-fixpoint recursive-method choices
@@ -979,10 +915,7 @@ func (s *System) Query(goal string, opts ...Option) ([][]string, error) {
 // fixpoint does not exist.
 func (s *System) EvaluateTopDown(goal string, opts ...Option) (_ [][]string, es ExecStats, err error) {
 	defer guard(&err)
-	var o options
-	for _, f := range opts {
-		f(&o)
-	}
+	o := options{}.with(opts)
 	lit, err := parser.ParseLiteral(goal)
 	if err != nil {
 		return nil, es, err
@@ -1008,10 +941,7 @@ func (s *System) EvaluateTopDown(goal string, opts ...Option) (_ [][]string, es 
 // optimizer improves on, exposed for comparison and testing.
 func (s *System) EvaluateUnoptimized(goal string, opts ...Option) (_ [][]string, es ExecStats, err error) {
 	defer guard(&err)
-	var o options
-	for _, f := range opts {
-		f(&o)
-	}
+	o := options{}.with(opts)
 	lit, err := parser.ParseLiteral(goal)
 	if err != nil {
 		return nil, es, err

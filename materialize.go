@@ -76,9 +76,7 @@ type ivmCounters struct {
 func WithMaterialized(opts ...Option) SystemOption {
 	return func(c *sysConfig) {
 		c.mat.enabled = true
-		for _, f := range opts {
-			f(&c.mat.o)
-		}
+		c.mat.o = c.mat.o.with(opts)
 	}
 }
 
@@ -91,9 +89,7 @@ func WithMaterializedScratch(opts ...Option) SystemOption {
 	return func(c *sysConfig) {
 		c.mat.enabled = true
 		c.mat.scratch = true
-		for _, f := range opts {
-			f(&c.mat.o)
-		}
+		c.mat.o = c.mat.o.with(opts)
 	}
 }
 

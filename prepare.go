@@ -18,7 +18,9 @@ package ldl
 // inserting the actual constants — as parameter-relation tuples and
 // substituted seed facts — into a copy-on-write fork of the current
 // epoch: zero optimizer search, zero rewriting, zero kernel
-// compilation per call.
+// compilation per call. Optimize runs the same prepare and run steps in
+// literal mode: the constants stay inline, so compound arguments are
+// fine, and the result is pinned to the epoch it was optimized on.
 
 import (
 	"encoding/binary"
@@ -135,13 +137,12 @@ func canonicalForm(lit lang.Literal) (string, lang.Literal, []int, error) {
 // times with different constants. It is immutable after Prepare and
 // safe for concurrent Execute calls.
 type Prepared struct {
-	sys      *System
-	key      string
-	shape    lang.Literal
-	paramPos []int
-	epochID  uint64
-	result   *core.Result
-	opts     options
+	sys     *System
+	key     string
+	shape   lang.Literal
+	epochID uint64
+	result  *core.Result
+	opts    options
 
 	// Statistics fingerprint for epoch-delta revalidation. A plan is
 	// only a function of the catalog entries its program reads, so an
@@ -171,14 +172,7 @@ type Prepared struct {
 // overridden per call.
 func (s *System) Prepare(goal string, opts ...Option) (_ *Prepared, err error) {
 	defer guard(&err)
-	var o options
-	for _, f := range opts {
-		f(&o)
-	}
-	strat, err := o.strategy.impl(o.seed)
-	if err != nil {
-		return nil, err
-	}
+	o := options{}.with(opts)
 	lit, err := parser.ParseLiteral(goal)
 	if err != nil {
 		return nil, err
@@ -187,11 +181,26 @@ func (s *System) Prepare(goal string, opts ...Option) (_ *Prepared, err error) {
 	if err != nil {
 		return nil, err
 	}
-	ep := s.snapshot()
+	p, _, err := s.prepare(s.snapshot(), key, shape, len(params), o)
+	return p, err
+}
+
+// prepare optimizes shape against epoch ep and compiles the result
+// once: seed facts are split off as bind-time templates, the rules are
+// made placeholder-free, and their kernels and dependency graph are
+// built. nparams counts the placeholders in shape; it is 0 in Optimize's
+// literal mode, where the goal's constants stay inline and the rules
+// pass through unchanged. The optimizer is returned for its memo
+// diagnostics.
+func (s *System) prepare(ep *epochState, key string, shape lang.Literal, nparams int, o options) (*Prepared, *core.Optimizer, error) {
+	strat, err := o.strategy.impl(o.seed)
+	if err != nil {
+		return nil, nil, err
+	}
 	cat := s.effectiveCat(ep)
 	opt, err := core.New(s.prog, cat, strat)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	opt.Gov = o.governor()
 	var res *core.Result
@@ -201,20 +210,20 @@ func (s *System) Prepare(goal string, opts ...Option) (_ *Prepared, err error) {
 		res, err = opt.Optimize(lang.Query{Goal: shape})
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	p := &Prepared{sys: s, key: key, shape: shape, paramPos: params, epochID: ep.id, result: res, opts: o}
+	p := &Prepared{sys: s, key: key, shape: shape, epochID: ep.id, result: res, opts: o}
 	if !res.Safe {
 		// The unsafe verdict is static (binding-pattern analysis), not
 		// statistical: the empty-fingerprint entry stays fresh across
 		// every epoch, so the serving layer never re-prepares a form
 		// that can never become safe.
 		p.statsFP = statsFingerprint(cat, nil)
-		return p, nil
+		return p, opt, nil
 	}
 	compiled, err := res.Compile()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Partition the compiled program: facts become bind-time seed
 	// templates (they may carry placeholders, e.g. the magic seed
@@ -226,15 +235,15 @@ func (s *System) Prepare(goal string, opts ...Option) (_ *Prepared, err error) {
 			p.seeds = append(p.seeds, c)
 			continue
 		}
-		rules = append(rules, rewriteParams(c, len(params)))
+		rules = append(rules, rewriteParams(c, nparams))
 	}
 	prog2, err := lang.NewProgram(rules)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	graph, err := depgraph.Analyze(prog2)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.prog = prog2
 	p.graph = graph
@@ -243,7 +252,7 @@ func (s *System) Prepare(goal string, opts ...Option) (_ *Prepared, err error) {
 	p.ansPred = compiled.AnswerTag[:strings.LastIndexByte(compiled.AnswerTag, '/')]
 	p.baseTags = progBaseTags(prog2)
 	p.statsFP = statsFingerprint(cat, p.baseTags)
-	return p, nil
+	return p, opt, nil
 }
 
 // progBaseTags collects the base relations a compiled program scans:
@@ -440,20 +449,30 @@ func (p *Prepared) Cost() float64 { return float64(p.result.Cost) }
 // Explain renders the prepared processing tree with parameters shown as
 // $0, $1, ...
 func (p *Prepared) Explain() string {
+	return strings.ReplaceAll(p.explain("prepared: "+p.key), paramMark, "$")
+}
+
+// explain renders the chosen processing tree (Figure 4-1 style: squares
+// materialize, triangles pipeline, CC marks recursive cliques) under a
+// one-line header.
+func (p *Prepared) explain(header string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "prepared: %s\n", p.key)
+	b.WriteString(header)
+	b.WriteByte('\n')
 	if !p.result.Safe {
 		fmt.Fprintf(&b, "UNSAFE: %s\n", p.result.Reason)
 		return b.String()
 	}
 	fmt.Fprintf(&b, "estimated cost: %.1f, cardinality: %.1f\n", float64(p.result.Cost), p.result.Card)
+	// Downgrade notes accumulate in search-visit order, which the
+	// parallel optimizer does not fix; sort so Explain is deterministic.
 	notes := append([]string(nil), p.result.Downgrades...)
 	sort.Strings(notes)
 	for _, d := range notes {
 		fmt.Fprintf(&b, "note: %s\n", d)
 	}
 	b.WriteString(p.result.Plan.Render())
-	return strings.ReplaceAll(b.String(), paramMark, "$")
+	return b.String()
 }
 
 // Execute runs the prepared plan with the constants taken from goal,
@@ -473,10 +492,7 @@ func (p *Prepared) ExecuteStats(goal string, opts ...Option) (_ [][]string, es E
 	if !p.result.Safe {
 		return nil, es, fmt.Errorf("ldl: prepared form %s is unsafe: %s", p.key, p.result.Reason)
 	}
-	o := p.opts
-	for _, f := range opts {
-		f(&o)
-	}
+	o := p.opts.with(opts)
 	lit, err := parser.ParseLiteral(goal)
 	if err != nil {
 		return nil, es, err
@@ -492,7 +508,14 @@ func (p *Prepared) ExecuteStats(goal string, opts ...Option) (_ [][]string, es E
 	for i, pos := range params {
 		consts[i] = lit.Args[pos]
 	}
-	ep := p.sys.snapshot()
+	return p.run(p.sys.snapshot(), lit.Args, consts, o)
+}
+
+// run executes the safe compiled form against epoch ep with consts
+// bound to the placeholders, and returns the answers matching args. It
+// forks, not clones, the epoch: the snapshot is never touched, and setup
+// costs O(relations the bindings touch), not O(database).
+func (p *Prepared) run(ep *epochState, args, consts []term.Term, o options) (_ [][]string, es ExecStats, err error) {
 	db2 := ep.db.Fork()
 	// Bind: substituted seed facts plus one single-tuple parameter
 	// relation per constant.
@@ -512,6 +535,9 @@ func (p *Prepared) ExecuteStats(goal string, opts ...Option) (_ [][]string, es E
 			return nil, es, err
 		}
 	}
+	// Budgets turn a diverging execution (which the safety analysis
+	// should have prevented) into an error instead of a hang. The
+	// governor layers the caller's (typically tighter) budget on top.
 	e, err := eval.New(p.prog, db2, eval.Options{
 		Method: eval.SemiNaive, MethodFor: p.methodFor,
 		MaxTuples: 5_000_000, MaxIterations: 200_000,
@@ -526,7 +552,7 @@ func (p *Prepared) ExecuteStats(goal string, opts ...Option) (_ [][]string, es E
 	if err := e.Run(); err != nil {
 		return nil, es, err
 	}
-	ts, err := e.Answers(lang.Query{Goal: lang.Literal{Pred: p.ansPred, Args: lit.Args}})
+	ts, err := e.Answers(lang.Query{Goal: lang.Literal{Pred: p.ansPred, Args: args}})
 	if err != nil {
 		return nil, es, err
 	}

@@ -3,6 +3,8 @@ package ldl
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -22,6 +24,18 @@ func sortedRows(rows [][]string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// unoptimized answers goal with EvaluateUnoptimized — the reference
+// that shares no code with the prepare/run path Optimize, Query and
+// Prepared all execute through.
+func unoptimized(t *testing.T, sys *System, goal string) []string {
+	t.Helper()
+	rows, _, err := sys.EvaluateUnoptimized(goal)
+	if err != nil {
+		t.Fatalf("EvaluateUnoptimized(%s): %v", goal, err)
+	}
+	return sortedRows(rows)
 }
 
 func TestQueryFormKeys(t *testing.T) {
@@ -52,8 +66,8 @@ func TestQueryFormKeys(t *testing.T) {
 
 // TestPreparedMatchesOptimize is the parameterization soundness check:
 // for every query form and every binding, the prepared plan's answers
-// equal the one-shot Optimize+Execute answers, and repeated executions
-// report zero kernel compilations.
+// equal the one-shot Optimize+Execute answers and the unoptimized
+// reference, and repeated executions report zero kernel compilations.
 func TestPreparedMatchesOptimize(t *testing.T) {
 	sys, err := Load(sgSrc)
 	if err != nil {
@@ -79,6 +93,9 @@ func TestPreparedMatchesOptimize(t *testing.T) {
 		gw, gg := sortedRows(want), sortedRows(got)
 		if strings.Join(gw, ";") != strings.Join(gg, ";") {
 			t.Errorf("%s: prepared answers %v, one-shot %v", goal, gg, gw)
+		}
+		if ref := unoptimized(t, sys, goal); strings.Join(ref, ";") != strings.Join(gg, ";") {
+			t.Errorf("%s: prepared answers %v, unoptimized %v", goal, gg, ref)
 		}
 		if es.KernelCompiles != 0 {
 			t.Errorf("%s: KernelCompiles = %d, want 0 (precompiled)", goal, es.KernelCompiles)
@@ -117,6 +134,9 @@ func TestPreparedAllFreeAndRepeatedVars(t *testing.T) {
 		if strings.Join(sortedRows(want), ";") != strings.Join(sortedRows(got), ";") {
 			t.Errorf("%s: prepared %v, one-shot %v", goal, sortedRows(got), sortedRows(want))
 		}
+		if ref := unoptimized(t, sys, goal); strings.Join(ref, ";") != strings.Join(sortedRows(got), ";") {
+			t.Errorf("%s: prepared %v, unoptimized %v", goal, sortedRows(got), ref)
+		}
 		if es.KernelCompiles != 0 {
 			t.Errorf("%s: KernelCompiles = %d", goal, es.KernelCompiles)
 		}
@@ -124,13 +144,19 @@ func TestPreparedAllFreeAndRepeatedVars(t *testing.T) {
 }
 
 // TestPreparedSeesNewEpochs: a prepared plan binds against the current
-// snapshot, so facts inserted after Prepare appear in its answers.
+// snapshot, so facts inserted after Prepare appear in its answers. A
+// Plan is the opposite contract: pinned to the epoch Optimize saw, it
+// keeps answering from that epoch and never recompiles.
 func TestPreparedSeesNewEpochs(t *testing.T) {
 	sys, err := Load(sgSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p, err := sys.Prepare("sg(a1, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sys.Optimize("sg(a1, Y)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +193,64 @@ func TestPreparedSeesNewEpochs(t *testing.T) {
 	if !has(after, "a3") {
 		t.Error("a3 not visible after insert")
 	}
-	// One-shot path agrees.
+	// One-shot path and the unoptimized reference agree.
 	want, err := sys.Query("sg(a1, Y)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Join(sortedRows(want), ";") != strings.Join(sortedRows(after), ";") {
 		t.Errorf("prepared %v, one-shot %v", sortedRows(after), sortedRows(want))
+	}
+	if ref := unoptimized(t, sys, "sg(a1, Y)"); strings.Join(ref, ";") != strings.Join(sortedRows(after), ";") {
+		t.Errorf("prepared %v, unoptimized %v", sortedRows(after), ref)
+	}
+	// The Plan optimized before the insert still answers from epoch 1,
+	// on every execution, with the kernels compiled at Optimize.
+	checkPinnedPlan(t, plan, sortedRows(before))
+
+	// The same contract for a goal with a compound argument, which
+	// Prepare refuses but Optimize's literal mode compiles.
+	src, err := os.ReadFile(filepath.Join("testdata", "corpus", "listapp.ldl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsys, err := Load(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goal = "app(cons(1, cons(2, cons(3, nil))), Ys, Zs)"
+	lplan, err := lsys.Optimize(goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := unoptimized(t, lsys, goal)
+	if len(ref) == 0 {
+		t.Fatalf("%s: empty reference", goal)
+	}
+	if _, _, err := lsys.InsertFacts("l2(cons(6, nil))."); err != nil {
+		t.Fatal(err)
+	}
+	checkPinnedPlan(t, lplan, ref)
+}
+
+// checkPinnedPlan executes plan twice and requires each run to return
+// want from epoch 1 without compiling a kernel.
+func checkPinnedPlan(t *testing.T, plan *Plan, want []string) {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		rows, es, err := plan.ExecuteStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sortedRows(rows); strings.Join(got, ";") != strings.Join(want, ";") {
+			t.Errorf("plan execution %d: %v, want %v", i+1, got, want)
+		}
+		if es.Epoch != 1 {
+			t.Errorf("plan execution %d: Epoch = %d, want 1", i+1, es.Epoch)
+		}
+		if es.KernelCompiles != 0 {
+			t.Errorf("plan execution %d: KernelCompiles = %d, want 0", i+1, es.KernelCompiles)
+		}
 	}
 }
 
