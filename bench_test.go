@@ -233,29 +233,6 @@ func BenchmarkSemiNaiveTC(b *testing.B) {
 	}
 }
 
-// BenchmarkSemiNaiveTCParallel measures the parallel stratified
-// fixpoint on the same transitive-closure workloads for worker counts
-// 1 (sequential reference), 2 and 4 — the single- vs multi-core
-// speedup record for BENCH_PR2.json.
-func BenchmarkSemiNaiveTCParallel(b *testing.B) {
-	for _, n := range []int{100, 200} {
-		sys, err := ldl.Load(workload.TCChain(n))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("chain%d/workers%d", n, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := sys.EvaluateUnoptimized("tc(X, Y)", ldl.WithParallel(workers)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // complexTermsChain generates the structured-term benchmark workload:
 // a chain of n edges whose transitive paths are materialized as
 // cons-lists, so every derived tuple constructs a compound head term
@@ -312,39 +289,6 @@ func BenchmarkFixpointKernels(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkParallelStrata measures clique-level parallelism: k
-// independent transitive closures (disjoint strata in the follows
-// order) that the parallel scheduler can run concurrently, joined by a
-// top predicate so a single query reaches them all. A linear chain TC
-// has one semi-naive variant per round, so this — not chain TC — is
-// where the scheduler's concurrency shows.
-func BenchmarkParallelStrata(b *testing.B) {
-	const k, n = 4, 80
-	var src strings.Builder
-	for c := 0; c < k; c++ {
-		for i := 1; i <= n; i++ {
-			fmt.Fprintf(&src, "e%d(%d, %d).\n", c, i, i+1)
-		}
-		fmt.Fprintf(&src, "tc%d(X, Y) <- e%d(X, Y).\n", c, c)
-		fmt.Fprintf(&src, "tc%d(X, Y) <- e%d(X, Z), tc%d(Z, Y).\n", c, c, c)
-		fmt.Fprintf(&src, "reach(X) <- tc%d(1, X).\n", c)
-	}
-	sys, err := ldl.Load(src.String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := sys.EvaluateUnoptimized("reach(X)", ldl.WithParallel(workers)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

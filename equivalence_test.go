@@ -31,7 +31,7 @@ func TestCorpusCoversExamples(t *testing.T) {
 // TestGoldenEquivalence is the kernel acceptance suite: every corpus
 // program (the examples plus the negation/builtin-deferral/complex-
 // term/non-linear-recursion corpora) runs its embedded queries through
-// {generic, compiled} × {sequential, parallel} engines, and all four
+// the generic interpreter and the compiled join kernels, and both
 // answer sets must be byte-identical.
 // EvaluateUnoptimized sorts answers canonically, so equality here
 // really is byte equality.
@@ -47,10 +47,8 @@ func TestGoldenEquivalence(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"generic/seq", []Option{WithCompiledKernels(false)}},
-		{"compiled/seq", nil},
-		{"generic/par", []Option{WithCompiledKernels(false), WithParallel(4)}},
-		{"compiled/par", []Option{WithParallel(4)}},
+		{"generic", []Option{WithCompiledKernels(false)}},
+		{"compiled", nil},
 	}
 	render := func(rows [][]string) string {
 		var b strings.Builder
@@ -96,7 +94,7 @@ func TestGoldenEquivalence(t *testing.T) {
 						continue
 					}
 					if got != ref {
-						t.Errorf("%s / %s: answers diverge from generic/seq\n got:\n%s\nwant:\n%s",
+						t.Errorf("%s / %s: answers diverge from generic\n got:\n%s\nwant:\n%s",
 							goal, cfg.name, got, ref)
 					}
 				}

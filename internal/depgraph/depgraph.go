@@ -273,33 +273,6 @@ func (g *Graph) Follows(a, b *Clique) bool {
 // cliques in this order respects the follows order.
 func (g *Graph) TopoCliques() []*Clique { return g.Cliques }
 
-// CliqueDeps returns the condensation DAG as adjacency lists: deps[i]
-// holds the IDs of the cliques that clique i directly depends on
-// (reads from), deduplicated. Cliques with disjoint transitive
-// dependency sets are independent in the follows partial order — the
-// parallel evaluator runs them concurrently.
-func (g *Graph) CliqueDeps() [][]int {
-	deps := make([][]int, len(g.Cliques))
-	seen := make([]map[int]bool, len(g.Cliques))
-	for _, e := range g.Edges {
-		cf, ct := g.ByPred[e.From], g.ByPred[e.To]
-		if cf == ct {
-			continue
-		}
-		if seen[ct] == nil {
-			seen[ct] = map[int]bool{}
-		}
-		if !seen[ct][cf] {
-			seen[ct][cf] = true
-			deps[ct] = append(deps[ct], cf)
-		}
-	}
-	for _, d := range deps {
-		sort.Ints(d)
-	}
-	return deps
-}
-
 // MaxStratum returns the highest stratum number in the program.
 func (g *Graph) MaxStratum() int {
 	m := 0

@@ -27,13 +27,12 @@ package eval
 //     once per row of a test/assign/match step.
 //   - Visibility: a full frame batches probes ahead of the emits they
 //     feed, so a scan must never read the relation being inserted
-//     into. Only the head relation is written during an application;
-//     frozen-mode (parallel) applications buffer their emissions, and
-//     direct-mode applications whose scans or negations resolve to the
-//     head itself (seed and naive rounds of recursive cliques, every
-//     delta round of non-linear recursion) flush after every row
-//     instead (kernelRun.limit = 1), which is the tuple-at-a-time walk
-//     with its mid-application visibility.
+//     into. Only the head relation is written during an application,
+//     and applications whose scans or negations resolve to the head
+//     itself (seed and naive rounds of recursive cliques, every delta
+//     round of non-linear recursion) flush after every row instead
+//     (kernelRun.limit = 1), which is the tuple-at-a-time walk with its
+//     mid-application visibility.
 
 import (
 	"ldl/internal/lang"
@@ -56,11 +55,10 @@ type bframe struct {
 }
 
 // kernelState is the mutable, reusable execution state for one
-// compiled rule in one evaluation context (one goroutine): the frames
-// plus every buffer the join program needs, pooled per clique
-// sequentially and per worker in the parallel engine, so steady-state
-// rule application allocates nothing. Constant cells of the probe,
-// negation, and head rows are prefilled here, once.
+// compiled rule in one evaluation context: the frames plus every
+// buffer the join program needs, pooled per clique evaluation, so
+// steady-state rule application allocates nothing. Constant cells of
+// the probe, negation, and head rows are prefilled here, once.
 type kernelState struct {
 	size    int               // rows per scan-output frame
 	rels    []*store.Relation // per scanIdx, resolved per application
@@ -74,8 +72,7 @@ type kernelState struct {
 	rcols   [][][]term.ID     // per scanIdx: borrowed relation columns
 	negIDs  [][]term.ID       // per negIdx: ID row, const IDs prefilled
 
-	headIDs   [][]term.ID // direct mode: columnar head materialization
-	headRow   []term.ID   // frozen mode: per-row head scratch
+	headIDs   [][]term.ID // columnar head materialization
 	headConst []term.ID   // per head column: const ID, 0 otherwise
 }
 
@@ -135,7 +132,6 @@ func newKernelState(cr *compiledRule, size int) *kernelState {
 	for i := range ks.headIDs {
 		ks.headIDs[i] = make([]term.ID, size)
 	}
-	ks.headRow = make([]term.ID, len(cr.head))
 	ks.headConst = make([]term.ID, len(cr.head))
 	for i, c := range cr.head {
 		if c.op == kcolConst {
@@ -218,7 +214,7 @@ func (cx *evalCtx) applyCompiled(cr *compiledRule, deltaOcc int, deltas map[stri
 		collect: collect,
 		limit:   ks.size,
 	}
-	if cx.buf == nil && ks.aliasesHead(k.head) {
+	if ks.aliasesHead(k.head) {
 		k.limit = 1
 	}
 	// No registers are bound before step 0: a single-row root frame.
@@ -248,7 +244,7 @@ func (k *kernelRun) run(si int, f *bframe, sel []int32) error {
 		keep := k.ks.sels[si][:0]
 		var rowErr error
 		for _, r := range sel {
-			k.cx.counters.BuiltinCalls++
+			k.cx.e.Counters.BuiltinCalls++
 			ok, err := k.evalTestRow(st, f, r)
 			if err != nil {
 				// Depth-first error discipline: finish the rows ordered
@@ -271,7 +267,7 @@ func (k *kernelRun) run(si int, f *bframe, sel []int32) error {
 		var rowErr error
 		dst := f.cols[st.dstReg]
 		for _, r := range sel {
-			k.cx.counters.BuiltinCalls++
+			k.cx.e.Counters.BuiltinCalls++
 			id, err := k.resolveNormRowID(st.rhs, f, r)
 			if err != nil {
 				rowErr = err
@@ -289,7 +285,7 @@ func (k *kernelRun) run(si int, f *bframe, sel []int32) error {
 		keep := k.ks.sels[si][:0]
 		var rowErr error
 		for _, r := range sel {
-			k.cx.counters.BuiltinCalls++
+			k.cx.e.Counters.BuiltinCalls++
 			v, err := k.resolveNormRow(st.rhs, f, r)
 			if err != nil {
 				rowErr = err
@@ -311,7 +307,7 @@ func (k *kernelRun) run(si int, f *bframe, sel []int32) error {
 		for _, r := range sel {
 			// The generic interpreter counts the lookup before the nil
 			// check; a missing relation still passes every row.
-			k.cx.counters.Lookups++
+			k.cx.e.Counters.Lookups++
 			if rel != nil {
 				for i, tm := range st.negCols {
 					if tm.reg >= 0 {
@@ -363,7 +359,7 @@ func (k *kernelRun) scan(si int, st *kstep, f *bframe, sel []int32) error {
 		if out.n == 0 {
 			return nil
 		}
-		k.cx.counters.Blocks++
+		k.cx.e.Counters.Blocks++
 		n := out.n
 		out.n = 0
 		return k.run(si+1, out, ks.ident[:n])
@@ -373,7 +369,7 @@ func (k *kernelRun) scan(si int, st *kstep, f *bframe, sel []int32) error {
 		// mid-iteration when it is the head.
 		n := rel.Len()
 		for _, r := range sel {
-			k.cx.counters.Lookups++
+			k.cx.e.Counters.Lookups++
 			for j := 0; j < n; j++ {
 				k.candidate(st, f, r, rcols, rel, int32(j), out)
 				if out.n == k.limit {
@@ -403,7 +399,7 @@ func (k *kernelRun) scan(si int, st *kstep, f *bframe, sel []int32) error {
 				probe[i] = id
 			}
 		}
-		k.cx.counters.Lookups++
+		k.cx.e.Counters.Lookups++
 		if !ok {
 			continue
 		}
@@ -424,7 +420,7 @@ func (k *kernelRun) scan(si int, st *kstep, f *bframe, sel []int32) error {
 // candidate verifies one scan candidate against the non-probe columns
 // and, on success, appends its bindings as a new row of out.
 func (k *kernelRun) candidate(st *kstep, f *bframe, r int32, rcols [][]term.ID, rel *store.Relation, j int32, out *bframe) {
-	k.cx.counters.Unifications++
+	k.cx.e.Counters.Unifications++
 	o := out.n
 	// Carry the registers bound before this step into the output row
 	// first; column processing below is left to right, so a pattern's
@@ -641,42 +637,16 @@ func (k *kernelRun) headID(i int, f *bframe, r int32) term.ID {
 	}
 }
 
-// emit inserts (direct mode) or buffers (frozen mode) the selected
-// rows' head tuples, in row order — the compiled counterpart of
-// applyRule's emit closure, with identical dedup, counter, and abort
-// semantics per row. The compiler guarantees groundness (registers
-// only ever hold ground values), so no per-arg check.
+// emit inserts the selected rows' head tuples, in row order — the
+// compiled counterpart of applyRule's emit closure, with identical
+// dedup, counter, and abort semantics per row. The compiler guarantees
+// groundness (registers only ever hold ground values), so no per-arg
+// check. The block's head rows are materialized columnar and
+// bulk-inserted; onNew fires per genuinely new row, in row order, so
+// TuplesDerived accounting and delta collection match a per-row emit
+// exactly.
 func (k *kernelRun) emit(f *bframe, sel []int32) error {
 	cx, ks := k.cx, k.ks
-	if cx.buf != nil {
-		// Frozen mode: dedup against the stable head snapshot, buffer
-		// the rest. InsertIDs copies the row values, so the reusable
-		// scratch row never aliases the buffer.
-		row := ks.headRow
-		for _, r := range sel {
-			for i := range ks.headRow {
-				row[i] = k.headID(i, f, r)
-			}
-			if k.head.ContainsIDs(row) {
-				continue
-			}
-			added, err := cx.buf.InsertIDs(row)
-			if err != nil {
-				return err
-			}
-			if !added {
-				continue
-			}
-			if err := cx.recordBuffered(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Direct mode: materialize the block's head rows columnar and
-	// bulk-insert; onNew fires per genuinely new row, in row order, so
-	// TuplesDerived accounting and delta collection match a per-row
-	// emit exactly.
 	m := 0
 	for _, r := range sel {
 		for i := range ks.headIDs {

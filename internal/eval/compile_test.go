@@ -165,9 +165,9 @@ unwrap(X) <- q(Y), f(X) = Y.
 }
 
 // TestKernelEquivalence runs every corpus program through
-// {compiled, generic} × {Naive, SemiNaive} × {sequential, parallel}
+// {generic, compiled, compiled with 4-row blocks} × {Naive, SemiNaive}
 // and requires identical answers and identical work counters between
-// compiled and generic on the sequential engines.
+// compiled and generic.
 func TestKernelEquivalence(t *testing.T) {
 	for _, p := range kernelPrograms {
 		t.Run(p.name, func(t *testing.T) {
@@ -181,8 +181,6 @@ func TestKernelEquivalence(t *testing.T) {
 				// Tiny blocks force the flush-at-capacity path on every
 				// program, not just large workloads.
 				{"compiled4/seq", Options{BatchSize: 4}},
-				{"generic/par", Options{DisableKernels: true, Parallel: 4}},
-				{"compiled/par", Options{Parallel: 4}},
 			}
 			for _, m := range []Method{Naive, SemiNaive} {
 				var ref string
@@ -200,17 +198,13 @@ func TestKernelEquivalence(t *testing.T) {
 					if got != ref {
 						t.Errorf("%v/%s: answers diverge\n got %s\nwant %s", m, md.name, got, ref)
 					}
-					// Counter parity among the sequential engines: the
-					// kernels must do the same logical work at every
-					// block size, probe for probe (parallel rounds
-					// schedule differently, so only the sequential
-					// modes are comparable).
-					if md.name == "compiled/seq" || md.name == "compiled4/seq" {
-						cg, cc := refEng.Counters, eng.Counters
-						if cg.Lookups != cc.Lookups || cg.Unifications != cc.Unifications ||
-							cg.BuiltinCalls != cc.BuiltinCalls || cg.TuplesDerived != cc.TuplesDerived {
-							t.Errorf("%v: counters diverge: generic %+v vs compiled %+v", m, cg, cc)
-						}
+					// Counter parity: the kernels must do the same logical
+					// work as the generic interpreter at every block size,
+					// probe for probe.
+					cg, cc := refEng.Counters, eng.Counters
+					if cg.Lookups != cc.Lookups || cg.Unifications != cc.Unifications ||
+						cg.BuiltinCalls != cc.BuiltinCalls || cg.TuplesDerived != cc.TuplesDerived {
+						t.Errorf("%v: counters diverge: generic %+v vs compiled %+v", m, cg, cc)
 					}
 				}
 			}

@@ -5,23 +5,15 @@
 // optimized plans (after plan-directed program rewriting) and the
 // reference evaluator that correctness tests compare against.
 //
-// The engine has two drive modes. The default is the sequential
-// reference evaluator. Options.Parallel > 1 enables the parallel
-// stratified fixpoint (parallel.go): independent cliques of the
-// follows order run concurrently, and within a clique each fixpoint
-// round fans its rule applications across a worker pool, reading a
-// frozen snapshot of the relations and merging per-variant delta
-// buffers at a barrier. Both modes compute the same least fixpoint;
-// Answers output is identical.
+// An engine evaluates one query on one goroutine: concurrency lives
+// between queries (each over its own engine and a shared, read-only
+// epoch), never inside a fixpoint.
 package eval
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"ldl/internal/depgraph"
 	"ldl/internal/lang"
@@ -64,11 +56,6 @@ type Options struct {
 	// MaxTuples bounds total derived tuples (0 = 10M); exceeding it
 	// aborts with ErrRunaway.
 	MaxTuples int
-	// Parallel sets the evaluation drive mode: 0 or 1 runs the
-	// sequential reference engine, n > 1 runs the parallel stratified
-	// fixpoint on n workers, and any negative value sizes the pool by
-	// GOMAXPROCS. Final query answers are identical in every mode.
-	Parallel int
 	// SizeHints maps predicate tags to expected cardinalities; derived
 	// relations and delta sets are pre-sized from them so fixpoint runs
 	// avoid rehash growth. Missing entries cost nothing.
@@ -102,8 +89,7 @@ type Options struct {
 	// deadlines/cancellation all charge against it, and a violation
 	// aborts the run with the governor's typed ResourceError. It is the
 	// caller-facing budget; MaxIterations/MaxTuples above remain the
-	// engine's own runaway backstop. The governor is goroutine-safe, so
-	// one budget governs all parallel workers.
+	// engine's own runaway backstop.
 	Gov *resource.Governor
 }
 
@@ -113,9 +99,6 @@ func (o *Options) norm() {
 	}
 	if o.MaxTuples <= 0 {
 		o.MaxTuples = 10_000_000
-	}
-	if o.Parallel < 0 {
-		o.Parallel = runtime.GOMAXPROCS(0)
 	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = DefaultBatchSize
@@ -147,17 +130,6 @@ type Counters struct {
 	Blocks int64
 }
 
-func (c *Counters) add(o *Counters) {
-	c.Iterations += o.Iterations
-	c.TuplesDerived += o.TuplesDerived
-	c.Unifications += o.Unifications
-	c.Lookups += o.Lookups
-	c.BuiltinCalls += o.BuiltinCalls
-	c.KernelCompiles += o.KernelCompiles
-	c.KernelFallbacks += o.KernelFallbacks
-	c.Blocks += o.Blocks
-}
-
 // Engine evaluates one program against one database.
 type Engine struct {
 	Prog     *lang.Program
@@ -168,15 +140,6 @@ type Engine struct {
 	opts    Options
 	derived map[string]*store.Relation
 	ran     bool
-
-	// Parallel-mode bookkeeping: mu guards Counters merges from worker
-	// goroutines and first-error capture; derivedN mirrors
-	// Counters.TuplesDerived as an atomic so workers can enforce the
-	// MaxTuples backstop without taking the lock.
-	mu       sync.Mutex
-	runErr   error
-	aborted  atomic.Bool
-	derivedN atomic.Int64
 }
 
 // New analyzes prog and prepares an engine. The database is not
@@ -233,24 +196,14 @@ func (e *Engine) ensureDerived(tag string, arity int) *store.Relation {
 	return r
 }
 
-// Run computes every derived predicate, cliques in follows order (the
-// parallel mode relaxes the order to the follows partial order: only
-// genuine dependencies serialize).
+// Run computes every derived predicate, cliques in follows order.
 func (e *Engine) Run() error {
 	if e.ran {
 		return nil
 	}
-	// Pre-create derived relations so empty predicates exist — and so
-	// the parallel scheduler never mutates the derived map concurrently.
+	// Pre-create derived relations so empty predicates exist.
 	for _, r := range e.Prog.Rules {
 		e.ensureDerived(r.Head.Tag(), r.Head.Arity())
-	}
-	if e.opts.Parallel > 1 {
-		if err := e.runParallel(); err != nil {
-			return err
-		}
-		e.ran = true
-		return nil
 	}
 	for _, c := range e.Graph.TopoCliques() {
 		if len(c.Rules) == 0 {
@@ -300,7 +253,7 @@ func (e *Engine) newDeltas(c *depgraph.Clique) map[string]*store.Relation {
 func (e *Engine) evalClique(c *depgraph.Clique) error {
 	rules, method := e.cliqueRules(c)
 	crs := e.compileRules(c, rules)
-	cx := &evalCtx{e: e, counters: &e.Counters}
+	cx := &evalCtx{e: e}
 	if !c.Recursive {
 		// Single pass suffices: dependencies are already computed.
 		for i, r := range rules {
@@ -374,52 +327,24 @@ func (e *Engine) evalClique(c *depgraph.Clique) error {
 	}
 }
 
-// evalCtx is the per-goroutine evaluation context. The sequential
-// engine uses one context writing Engine.Counters directly and
-// inserting into the derived relations as it goes; parallel workers
-// use private contexts with local counters and a frozen-mode buffer,
-// merged at round barriers.
+// evalCtx is the context of one clique evaluation: the engine it
+// writes (derived relations, Engine.Counters) and the kernel states its
+// rule applications reuse across rounds.
 type evalCtx struct {
-	e        *Engine
-	counters *Counters
-	// buf, when non-nil, switches emit to frozen mode: candidate head
-	// tuples are deduplicated against the (frozen) head relation and
-	// buffered instead of inserted, so worker goroutines never mutate
-	// shared relations. bufN counts buffered tuples for the MaxTuples
-	// backstop.
-	buf  *store.Relation
-	bufN int
+	e *Engine
 	// kstates caches one reusable kernel execution state per compiled
 	// rule this context has run (register frame, probe and match
 	// buffers), created lazily by kstate.
 	kstates map[*compiledRule]*kernelState
 }
 
-// recordBuffered charges one frozen-mode buffered head tuple against
-// the runaway backstop and the governor. The budget is charged at
-// materialization time: a buffered tuple is real work (and real
-// memory) even if another variant derives it too and the merge dedups
-// it.
-func (cx *evalCtx) recordBuffered() error {
-	e := cx.e
-	cx.bufN++
-	if int(e.derivedN.Load())+cx.bufN > e.opts.MaxTuples {
-		return fmt.Errorf("%w: more than %d tuples", ErrRunaway, e.opts.MaxTuples)
-	}
-	return e.opts.Gov.AddTuples(1)
-}
-
-// recordInserted does the bookkeeping for a direct-mode head insert
-// that was genuinely new: counters, the runaway backstop, the
-// governor, and the delta-collect callback.
+// recordInserted does the bookkeeping for a head insert that was
+// genuinely new: counters, the runaway backstop, the governor, and the
+// delta-collect callback.
 func (cx *evalCtx) recordInserted(tag string, t store.Tuple, collect func(string, store.Tuple)) error {
 	e := cx.e
-	cx.counters.TuplesDerived++
-	// The runaway backstop reads the shared atomic mirror, not the
-	// context-local counter: parallel cliques run direct-mode contexts
-	// whose counters reset per round, and only the global total is a
-	// meaningful bound.
-	if int(e.derivedN.Add(1)) > e.opts.MaxTuples {
+	e.Counters.TuplesDerived++
+	if e.Counters.TuplesDerived > e.opts.MaxTuples {
 		return fmt.Errorf("%w: more than %d tuples", ErrRunaway, e.opts.MaxTuples)
 	}
 	if err := e.opts.Gov.AddTuples(1); err != nil {
@@ -432,8 +357,8 @@ func (cx *evalCtx) recordInserted(tag string, t store.Tuple, collect func(string
 }
 
 // applyRule evaluates one rule body left-to-right; every newly derived
-// head tuple is inserted into the head relation (direct mode) or
-// buffered (frozen mode), and passed to collect (if non-nil).
+// head tuple is inserted into the head relation and passed to collect
+// (if non-nil).
 // deltaOcc, when >= 0, makes body literal deltaOcc read from
 // deltas[tag] instead of the full relation. A non-nil cr routes the
 // application through the rule's compiled join kernel; nil runs the
@@ -452,19 +377,6 @@ func (cx *evalCtx) applyRule(r lang.Rule, cr *compiledRule, deltaOcc int, deltas
 			}
 		}
 		t := store.Tuple(args)
-		if cx.buf != nil {
-			// Frozen mode: the head relation is a stable snapshot for the
-			// duration of the round; novelty relative to it plus the
-			// buffer's own set semantics bound the buffer size.
-			if head.Contains(t) {
-				return nil
-			}
-			added, err := cx.buf.Insert(t)
-			if err != nil || !added {
-				return err
-			}
-			return cx.recordBuffered()
-		}
 		added, err := head.Insert(t)
 		if err != nil {
 			return err
@@ -482,8 +394,6 @@ func (cx *evalCtx) applyRule(r lang.Rule, cr *compiledRule, deltaOcc int, deltas
 // Options.Kernels for this program the lookup is free; otherwise rules
 // are compiled once per clique evaluation — every fixpoint round and
 // every semi-naive delta variant shares the same program either way.
-// Safe from concurrent clique goroutines: the KernelCompiles merge
-// takes the engine lock.
 func (e *Engine) compileRules(c *depgraph.Clique, rules []lang.Rule) []*compiledRule {
 	crs := make([]*compiledRule, len(rules))
 	if e.opts.DisableKernels {
@@ -503,10 +413,9 @@ func (e *Engine) compileRules(c *depgraph.Clique, rules []lang.Rule) []*compiled
 	return crs
 }
 
-// noteFallbacks merges a clique's kernel-resolution counters under the
-// engine lock: compiled counts compilation work done here (zero on the
-// precompiled fast path), and every nil kernel is a generic-
-// interpreter fallback.
+// noteFallbacks adds a clique's kernel-resolution counters: compiled
+// counts compilation work done here (zero on the precompiled fast
+// path), and every nil kernel is a generic-interpreter fallback.
 func (e *Engine) noteFallbacks(crs []*compiledRule, compiled int) {
 	fallbacks := 0
 	for _, cr := range crs {
@@ -514,13 +423,8 @@ func (e *Engine) noteFallbacks(crs []*compiledRule, compiled int) {
 			fallbacks++
 		}
 	}
-	if compiled == 0 && fallbacks == 0 {
-		return
-	}
-	e.mu.Lock()
 	e.Counters.KernelCompiles += compiled
 	e.Counters.KernelFallbacks += fallbacks
-	e.mu.Unlock()
 }
 
 // joinBody enumerates the substitutions satisfying body[i:], carrying
@@ -591,9 +495,9 @@ func (cx *evalCtx) joinBody(body []lang.Literal, i, deltaOcc int, deltas map[str
 			probe[ai] = a
 		}
 	}
-	cx.counters.Lookups++
+	e.Counters.Lookups++
 	for _, t := range rel.Lookup(mask, probe) {
-		cx.counters.Unifications++
+		e.Counters.Unifications++
 		s2 := s.Clone()
 		ok := true
 		for ai, a := range resolved {
@@ -630,7 +534,7 @@ func (cx *evalCtx) tryDeferred(l lang.Literal, s term.Subst) (ok, done bool, err
 			return false, false, fmt.Errorf("eval: negated builtin %s", l)
 		}
 		rel := e.RelationFor(l.Tag())
-		cx.counters.Lookups++
+		e.Counters.Lookups++
 		if rel == nil {
 			return true, true, nil
 		}
@@ -646,7 +550,7 @@ func (cx *evalCtx) tryDeferred(l lang.Literal, s term.Subst) (ok, done bool, err
 	if !lang.BuiltinEC(l, bound) {
 		return false, false, nil
 	}
-	cx.counters.BuiltinCalls++
+	e.Counters.BuiltinCalls++
 	ok, err = lang.EvalBuiltin(l, s)
 	return ok, true, err
 }

@@ -35,12 +35,6 @@ package eval
 //     from the diff; if anything was retracted, everything downstream
 //     of it falls back to scratch too (detected per clique via the
 //     dependency graph, never silently stale).
-//
-// Both drive modes are supported: the sequential engine applies the
-// variants inline; the parallel engine fans each round across the
-// worker pool exactly like runParallel (cliques are walked in topo
-// order — the change-tracking is inherently ordered — but every round
-// inside a clique uses the frozen-read merge-later schedule).
 
 import (
 	"fmt"
@@ -151,13 +145,7 @@ func (e *Engine) RunIncremental(prior map[string]*store.Relation, baseDeltas map
 
 		case cliqueScratch:
 			st.CliquesScratch++
-			var err error
-			if e.opts.Parallel > 1 {
-				err = e.evalCliqueParallel(c)
-			} else {
-				err = e.evalClique(c)
-			}
-			if err != nil {
+			if err := e.evalClique(c); err != nil {
 				return st, err
 			}
 			for _, p := range c.Preds {
@@ -226,10 +214,7 @@ func cliqueChangeMode(c *depgraph.Clique, rules []lang.Rule, changed map[string]
 // number of in-clique rounds run.
 func (e *Engine) continueClique(c *depgraph.Clique, rules []lang.Rule, changed map[string]*store.Relation) (int, error) {
 	crs := e.compileRules(c, rules)
-	if e.opts.Parallel > 1 {
-		return e.continueCliquePar(c, rules, crs, changed)
-	}
-	cx := &evalCtx{e: e, counters: &e.Counters}
+	cx := &evalCtx{e: e}
 	deltas := e.newDeltas(c)
 	collect := func(tag string, t store.Tuple) {
 		head := e.derived[tag]
@@ -289,74 +274,6 @@ func (e *Engine) continueClique(c *depgraph.Clique, rules []lang.Rule, changed m
 					return rounds, err
 				}
 			}
-		}
-		deltas = next
-	}
-}
-
-// continueCliquePar is continueClique on the parallel round machinery:
-// the seed variants and every subsequent round fan across the worker
-// pool with frozen reads and an ordered merge, exactly like
-// evalCliqueParallel.
-func (e *Engine) continueCliquePar(c *depgraph.Clique, rules []lang.Rule, crs []*compiledRule, changed map[string]*store.Relation) (int, error) {
-	ksp := make([]map[*compiledRule]*kernelState, e.opts.Parallel)
-	for i := range ksp {
-		ksp[i] = map[*compiledRule]*kernelState{}
-	}
-	deltas := e.newDeltas(c)
-	var seed []variant
-	for i, r := range rules {
-		for bi, l := range r.Body {
-			if l.Neg || lang.IsBuiltin(l.Pred) || changed[l.Tag()] == nil {
-				continue
-			}
-			seed = append(seed, variant{rule: r, cr: crs[i], deltaOcc: bi})
-		}
-	}
-	if len(seed) > 0 {
-		if _, err := e.runRound(seed, changed, deltas, ksp); err != nil {
-			return 0, err
-		}
-	}
-	if !c.Recursive {
-		return 0, nil
-	}
-	rounds := 0
-	for iter := 0; ; iter++ {
-		if iter >= e.opts.MaxIterations {
-			return rounds, fmt.Errorf("%w: clique %v exceeded %d iterations", ErrRunaway, c.Preds, e.opts.MaxIterations)
-		}
-		if err := e.opts.Gov.AddIteration(); err != nil {
-			return rounds, err
-		}
-		e.mu.Lock()
-		e.Counters.Iterations++
-		e.mu.Unlock()
-		rounds++
-		empty := true
-		for _, d := range deltas {
-			if d.Len() > 0 {
-				empty = false
-			}
-		}
-		if empty {
-			return rounds, nil
-		}
-		var vs []variant
-		for i, r := range rules {
-			for bi, l := range r.Body {
-				if l.Neg || lang.IsBuiltin(l.Pred) || !c.Contains(l.Tag()) {
-					continue
-				}
-				vs = append(vs, variant{rule: r, cr: crs[i], deltaOcc: bi})
-			}
-		}
-		next := make(map[string]*store.Relation, len(deltas))
-		for p, d := range deltas {
-			next[p] = store.NewRelationSized(p+"Δ", d.Arity, e.opts.SizeHints[p]/2)
-		}
-		if _, err := e.runRound(vs, deltas, next, ksp); err != nil {
-			return rounds, err
 		}
 		deltas = next
 	}

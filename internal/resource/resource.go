@@ -13,10 +13,10 @@
 // and trips with a ResourceError carrying the work counters at the
 // moment of the violation.
 //
-// The governor is safe for concurrent use: the parallel evaluator's
-// worker goroutines all charge the same governor, so the counters are
-// atomics and the sticky violation is published through an atomic
-// pointer. The uncontended cost stays a few nanoseconds per charge.
+// The governor is safe for concurrent use: the counters are atomics
+// and the sticky violation is published through an atomic pointer, so
+// any goroutine may charge or inspect a query's governor. The
+// uncontended cost stays a few nanoseconds per charge.
 //
 // A nil *Governor is valid everywhere and enforces nothing — the
 // ungoverned path stays allocation- and branch-cheap.
@@ -102,8 +102,8 @@ func (b Budget) IsZero() bool {
 
 // govCore is the shared mutable state behind one governor; views made
 // by StatesExempt alias it so counters stay globally consistent.
-// Counters are atomics: one governor may be charged from every worker
-// of the parallel evaluator at once.
+// Counters are atomics: one governor may be charged from several
+// goroutines at once.
 type govCore struct {
 	ctx      context.Context
 	start    time.Time
@@ -133,8 +133,7 @@ type govCore struct {
 }
 
 // Governor meters one query's resource consumption. It is safe for
-// concurrent use: one governor governs one query, which the parallel
-// evaluator may spread across many goroutines.
+// concurrent use.
 type Governor struct {
 	core *govCore
 	// exemptStates views skip the MaxStates limit (they still count
@@ -231,9 +230,8 @@ const tickInterval = 256
 
 // Tick is the cheap inner-loop check: it enforces only time limits,
 // reading the clock every tickInterval calls (the counter is shared, so
-// with N workers ticking the clock is read every tickInterval charges
-// fleet-wide, not per goroutine — deadline precision improves under
-// parallelism rather than degrading).
+// with several goroutines ticking the clock is read every tickInterval
+// charges across all of them, not per goroutine).
 func (g *Governor) Tick() error {
 	if g == nil {
 		return nil

@@ -8,13 +8,9 @@ package store
 // enters the relation. Everything here obeys the package concurrency
 // contract: the read-side accessors (ColumnAt, IDAt, AppendRows,
 // AppendMatchesID, ContainsIDs) are safe under concurrent readers,
-// the insert-side ones (InsertIDs, InsertRows) are writer APIs.
+// the insert-side one (InsertRows) is a writer API.
 
-import (
-	"fmt"
-
-	"ldl/internal/term"
-)
+import "ldl/internal/term"
 
 // ColumnAt returns column c as a borrowed slice of interned term IDs,
 // row-indexed: ColumnAt(c)[i] is the ID of TupleAt(i)[c]. The slice
@@ -91,27 +87,6 @@ func (r *Relation) ContainsIDs(ids []term.ID) bool {
 		return false
 	}
 	return r.findByIDs(idRowHash(ids), ids) >= 0
-}
-
-// InsertIDs adds the tuple given as a full interned-ID row, returning
-// true if it was new. The term-level tuple is materialized from the
-// intern table only when the row is genuinely new — duplicate
-// derivations never touch terms at all. Writer-side API.
-func (r *Relation) InsertIDs(ids []term.ID) (bool, error) {
-	if len(ids) != r.Arity {
-		return false, fmt.Errorf("store: %s: inserting arity %d ID row into arity %d relation", r.Name, len(ids), r.Arity)
-	}
-	debugCheckIDRow(r, ids)
-	h := idRowHash(ids)
-	if r.findByIDs(h, ids) >= 0 {
-		return false, nil
-	}
-	t := make(Tuple, len(ids))
-	for i, id := range ids {
-		t[i] = term.InternedTerm(id)
-	}
-	r.appendRow(t, ids, h)
-	return true, nil
 }
 
 // InsertRows bulk-inserts n rows given column-major (cols[c][i] is

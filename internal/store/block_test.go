@@ -45,6 +45,17 @@ func TestBlockColumnAccessors(t *testing.T) {
 	}
 }
 
+// insertIDRow inserts one interned-ID row through the columnar
+// InsertRows path, reporting whether it was new.
+func insertIDRow(r *Relation, row []term.ID) (bool, error) {
+	cols := make([][]term.ID, len(row))
+	for c, id := range row {
+		cols[c] = []term.ID{id}
+	}
+	added, err := r.InsertRows(cols, 1, nil)
+	return added == 1, err
+}
+
 // TestBlockIDInsertAndLookup: the ID-level insert/lookup APIs share
 // one dedup set with the term-level ones — a row inserted through
 // either path is a duplicate through the other, and mixed-path
@@ -52,11 +63,11 @@ func TestBlockColumnAccessors(t *testing.T) {
 func TestBlockIDInsertAndLookup(t *testing.T) {
 	r := NewRelation("e", 2)
 	r.MustInsert(tup(1, 2))
-	if added, err := r.InsertIDs(ids(1, 2)); err != nil || added {
-		t.Fatalf("InsertIDs of term-inserted row = (%v, %v), want duplicate", added, err)
+	if added, err := insertIDRow(r, ids(1, 2)); err != nil || added {
+		t.Fatalf("ID insert of term-inserted row = (%v, %v), want duplicate", added, err)
 	}
-	if added, err := r.InsertIDs(ids(3, 4)); err != nil || !added {
-		t.Fatalf("InsertIDs of fresh row = (%v, %v)", added, err)
+	if added, err := insertIDRow(r, ids(3, 4)); err != nil || !added {
+		t.Fatalf("ID insert of fresh row = (%v, %v)", added, err)
 	}
 	if added, _ := r.Insert(tup(3, 4)); added {
 		t.Error("term Insert of ID-inserted row was not a duplicate")
@@ -80,7 +91,7 @@ func TestBlockAppendMatchesID(t *testing.T) {
 	r := NewRelation("e", 2)
 	r.MustInsert(tup(1, 2))
 	r.MustInsert(tup(1, 3))
-	if _, err := r.InsertIDs(ids(1, 4)); err != nil {
+	if _, err := insertIDRow(r, ids(1, 4)); err != nil {
 		t.Fatal(err)
 	}
 	r.MustInsert(tup(2, 2))

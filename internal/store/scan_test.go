@@ -153,7 +153,7 @@ func TestDistinctCache(t *testing.T) {
 	if got := r.Distinct(1); got != 6 {
 		t.Errorf("Distinct(1) after insert = %d, want 6", got)
 	}
-	// InsertFrom path (the parallel merge) updates the cache too.
+	// InsertFrom path (delta collection) updates the cache too.
 	src := NewRelation("buf", 2)
 	src.MustInsert(tup(42, 42))
 	if ok, err := r.InsertFrom(src, 0); err != nil || !ok {

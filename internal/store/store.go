@@ -15,10 +15,9 @@
 // distinct-count builds inside Lookup/Scan/Distinct, which publish
 // atomically — but writers (Insert, InsertCopy, InsertFrom,
 // BuildIndex) must be externally serialized and must not run
-// concurrently with readers of the same relation. The parallel
-// evaluator relies on exactly this: relations are frozen while worker
-// goroutines read them and mutated only at single-threaded merge
-// points.
+// concurrently with readers of the same relation. Concurrent queries
+// rely on exactly this: they read the relations of a published epoch,
+// which no writer mutates.
 package store
 
 import (
@@ -276,8 +275,7 @@ func (r *Relation) Len() int { return r.partRows + len(r.tuples) }
 func (r *Relation) Tuples() []Tuple { return r.allTuplesView() }
 
 // Snapshot returns an independent copy of the tuple slice, decoupled
-// from subsequent Inserts. The parallel evaluator snapshots relations
-// it iterates while another goroutine may later extend them.
+// from subsequent Inserts.
 func (r *Relation) Snapshot() []Tuple {
 	all := r.allTuplesView()
 	out := make([]Tuple, len(all))
@@ -416,8 +414,8 @@ func (r *Relation) appendRow(t Tuple, ids []term.ID, h uint64) {
 }
 
 // InsertFrom adds row i of src, reusing src's interned IDs and row
-// hash instead of re-hashing — the merge fast path for the parallel
-// evaluator's per-worker buffers. Both relations must share the arity.
+// hash instead of re-hashing — the fast path that copies a freshly
+// derived head row into its delta. Both relations must share the arity.
 func (r *Relation) InsertFrom(src *Relation, i int) (bool, error) {
 	if src.Arity != r.Arity {
 		return false, fmt.Errorf("store: %s: merging arity %d relation into arity %d relation", r.Name, src.Arity, r.Arity)

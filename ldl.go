@@ -659,7 +659,6 @@ type options struct {
 	strategy  Strategy
 	seed      int64
 	flatten   bool
-	parallel  int
 	noKernels bool
 
 	// Resource governor configuration. Zero values mean "no limit";
@@ -729,17 +728,6 @@ func WithMaxIterations(n int) Option { return func(o *options) { o.maxIterations
 // recorded in Plan.Explain. KBZ itself is exempt (it is the floor of
 // the ladder), so Optimize still returns a plan unless time runs out.
 func WithOptimizerBudget(n int) Option { return func(o *options) { o.optStates = n } }
-
-// WithParallel evaluates the bottom-up fixpoint on n workers:
-// independent recursive cliques of the follows order run concurrently,
-// and rule applications within one fixpoint round fan out across the
-// pool. n <= 1 keeps the sequential reference engine (the default);
-// n < 0 sizes the pool by GOMAXPROCS. Query answers are identical in
-// every mode — plans, Explain output and answer order do not change,
-// only evaluation wall-clock. Work counters (ExecStats) remain exact,
-// but Iterations may differ from the sequential engine's because
-// parallel rounds see derivations one barrier later.
-func WithParallel(n int) Option { return func(o *options) { o.parallel = n } }
 
 // WithCompiledKernels controls the compiled join-kernel execution path
 // (on by default). When on, each rule is compiled once per recursive
@@ -948,7 +936,7 @@ func (s *System) EvaluateUnoptimized(goal string, opts ...Option) (_ [][]string,
 	}
 	ep := s.snapshot()
 	e, err := eval.New(s.prog, ep.db, eval.Options{
-		Method: eval.SemiNaive, Parallel: o.parallel,
+		Method:    eval.SemiNaive,
 		SizeHints: ep.hints, DisableKernels: o.noKernels,
 		Gov: o.governor(),
 	})

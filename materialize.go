@@ -44,7 +44,7 @@ import (
 type matConfig struct {
 	enabled bool
 	scratch bool    // recompute every epoch instead of continuing (A/B baseline)
-	o       options // evaluation knobs for maintenance (parallel, kernels)
+	o       options // evaluation knobs for maintenance (kernels)
 }
 
 // matState is the materialized side of one epoch: the derived
@@ -70,8 +70,8 @@ type ivmCounters struct {
 
 // WithMaterialized makes the System maintain materialized views of
 // every derived predicate, incrementally across epochs. opts configures
-// the maintenance evaluation itself (WithParallel,
-// WithCompiledKernels); answer-affecting options are ignored. Queries
+// the maintenance evaluation itself (WithCompiledKernels);
+// answer-affecting options are ignored. Queries
 // can then be served straight from the views with AnswersFromViews.
 func WithMaterialized(opts ...Option) SystemOption {
 	return func(c *sysConfig) {
@@ -118,7 +118,6 @@ func (s *System) matSetup() error {
 func (s *System) matEngine(ep *epochState) (*eval.Engine, error) {
 	return eval.New(s.prog, ep.db, eval.Options{
 		Method:         eval.SemiNaive,
-		Parallel:       s.matCfg.o.parallel,
 		SizeHints:      ep.hints,
 		DisableKernels: s.matCfg.o.noKernels,
 		Graph:          s.matGraph,

@@ -477,7 +477,7 @@ func (p *Prepared) explain(header string) string {
 
 // Execute runs the prepared plan with the constants taken from goal,
 // which must have the same canonical form as the prepared goal (same
-// QueryForm key). Per-call options (deadline, context, parallelism)
+// QueryForm key). Per-call options (deadline, context, budgets)
 // overlay the Prepare-time options. It is safe to call concurrently:
 // each call forks the current epoch snapshot copy-on-write, binds the
 // constants, and evaluates with the shared precompiled kernels.
@@ -541,7 +541,7 @@ func (p *Prepared) run(ep *epochState, args, consts []term.Term, o options) (_ [
 	e, err := eval.New(p.prog, db2, eval.Options{
 		Method: eval.SemiNaive, MethodFor: p.methodFor,
 		MaxTuples: 5_000_000, MaxIterations: 200_000,
-		Parallel: o.parallel, SizeHints: ep.hints,
+		SizeHints:      ep.hints,
 		DisableKernels: o.noKernels,
 		Gov:            o.governor(),
 		Kernels:        p.kernels, Graph: p.graph,

@@ -230,10 +230,8 @@ func TestStorageGoldenEquivalence(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"generic/seq", []Option{WithCompiledKernels(false)}},
-		{"compiled/seq", nil},
-		{"generic/par", []Option{WithCompiledKernels(false), WithParallel(4)}},
-		{"compiled/par", []Option{WithParallel(4)}},
+		{"generic", []Option{WithCompiledKernels(false)}},
+		{"compiled", nil},
 	}
 	render := func(rows [][]string) string {
 		var b strings.Builder
