@@ -109,10 +109,11 @@ func (o *Optimizer) OptimizeFlattened(q lang.Query, maxRounds int) (*Result, err
 			break
 		}
 		prog = np
-		o2, err := New(prog, o.Model.Cat, o.Strategy)
+		g, err := depgraph.Analyze(prog)
 		if err != nil {
 			return nil, err
 		}
+		o2 := New(prog, g, o.Model.Cat, o.Strategy)
 		// The rescue rounds share the original call's governor so the
 		// whole flatten-and-retry loop stays under one budget.
 		o2.Gov = o.Gov

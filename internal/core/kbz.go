@@ -52,6 +52,7 @@ func (k KBZ) Order(m *cost.Model, body []lang.Literal, bound map[string]bool, in
 // cancellation still apply.
 func (KBZ) OrderBudget(m *cost.Model, body []lang.Literal, bound map[string]bool, inCard float64, sf cost.StatsFn, gov *resource.Governor) ([]int, cost.ConjunctResult, error) {
 	gov = gov.StatesExempt()
+	pr := m.NewPricer(body, bound, inCard, sf)
 	// Separate relational goals from builtins/negations; the latter are
 	// re-inserted greedily afterwards.
 	var rel []int
@@ -65,7 +66,7 @@ func (KBZ) OrderBudget(m *cost.Model, body []lang.Literal, bound map[string]bool
 	}
 	if len(rel) == 0 {
 		perm := identityPerm(len(body))
-		return perm, m.Conjunct(body, perm, bound, inCard, sf), nil
+		return perm, pr.Price(perm), nil
 	}
 
 	// Query graph over relational goals: edge when two goals share a
@@ -97,7 +98,7 @@ func (KBZ) OrderBudget(m *cost.Model, body []lang.Literal, bound map[string]bool
 	// components are unavoidable).
 	comps := components(rel, adj)
 	bestPerm := identityPerm(len(body))
-	bestRes := m.Conjunct(body, bestPerm, bound, inCard, sf)
+	bestRes := pr.Price(bestPerm)
 
 	// Try every root in each component (n roots × an O(n log n)
 	// linearization keeps the strategy quadratic) and keep the root
@@ -117,7 +118,7 @@ func (KBZ) OrderBudget(m *cost.Model, body []lang.Literal, bound map[string]bool
 				return bestPerm, bestRes, err
 			}
 			order := linearize(m, body, bound, sf, comp, adj, root)
-			r := m.Conjunct(body, order, bound, inCard, sf)
+			r := pr.Price(order)
 			if !bestSet || (r.Safe && r.Total < bestCost) {
 				bestCO = compOrder{order: order, card: r.OutCard}
 				bestCost = r.Total
@@ -132,7 +133,7 @@ func (KBZ) OrderBudget(m *cost.Model, body []lang.Literal, bound map[string]bool
 		relOrder = append(relOrder, co.order...)
 	}
 	perm := insertNonRelational(body, relOrder, other, bound)
-	res := m.Conjunct(body, perm, bound, inCard, sf)
+	res := pr.Price(perm)
 	if betterThan(res, bestRes) {
 		return perm, res, nil
 	}

@@ -87,13 +87,10 @@ type Result struct {
 	query lang.Query
 }
 
-// New builds an optimizer over a program and catalog. strategy defaults
-// to Exhaustive.
-func New(prog *lang.Program, cat *stats.Catalog, strategy Strategy) (*Optimizer, error) {
-	g, err := depgraph.Analyze(prog)
-	if err != nil {
-		return nil, err
-	}
+// New builds an optimizer over a program, its dependency graph (from
+// depgraph.Analyze; read-only, so one graph serves every optimizer over
+// the program) and a catalog. strategy defaults to Exhaustive.
+func New(prog *lang.Program, g *depgraph.Graph, cat *stats.Catalog, strategy Strategy) *Optimizer {
 	if strategy == nil {
 		strategy = Exhaustive{}
 	}
@@ -112,7 +109,7 @@ func New(prog *lang.Program, cat *stats.Catalog, strategy Strategy) (*Optimizer,
 	for i, r := range prog.Rules {
 		o.ruleIdxFor[r.Head.Tag()] = append(o.ruleIdxFor[r.Head.Tag()], i)
 	}
-	return o, nil
+	return o
 }
 
 // Optimize runs the OPT algorithm (Figure 7-2) for the query form.

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"ldl/internal/cost"
+	"ldl/internal/depgraph"
 	"ldl/internal/eval"
 	"ldl/internal/lang"
 	"ldl/internal/parser"
@@ -29,11 +30,11 @@ func setup(t *testing.T, src string, s Strategy) (*Optimizer, *lang.Program, *st
 	if err := db.LoadFacts(prog); err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(prog, stats.Gather(db), s)
+	g, err := depgraph.Analyze(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return o, prog, db
+	return New(prog, g, stats.Gather(db), s), prog, db
 }
 
 // runCompiled executes a compiled plan against the fact base and
@@ -425,11 +426,11 @@ func setupQ(src string, s Strategy) (*Optimizer, *lang.Program, *store.Database)
 	if err := db.LoadFacts(prog); err != nil {
 		panic(err)
 	}
-	o, err := New(prog, stats.Gather(db), s)
+	g, err := depgraph.Analyze(prog)
 	if err != nil {
 		panic(err)
 	}
-	return o, prog, db
+	return New(prog, g, stats.Gather(db), s), prog, db
 }
 
 func referenceQ(src string, goal lang.Literal) ([]string, *eval.Engine) {

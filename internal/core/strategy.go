@@ -15,7 +15,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"ldl/internal/adorn"
 	"ldl/internal/cost"
 	"ldl/internal/lang"
 	"ldl/internal/resource"
@@ -65,6 +64,15 @@ func (e Exhaustive) Order(m *cost.Model, body []lang.Literal, bound map[string]b
 	return perm, r
 }
 
+// OrderBudget walks the permutations depth first in lexicographic
+// order — the order adorn.Permutations lists them, so ties still go to
+// the first ordering found — pricing each prefix once for all of its
+// completions. A prefix that is unsafe, or whose cost already reaches
+// the best safe total, is skipped: every step costs ≥ 0 (the Pricer
+// turns the bound off when statistics break that), so none of its
+// completions could win the strict < comparison. A skipped prefix still
+// charges the governor one state per completion, so state counts,
+// budget trips and the anytime best are those of the full n! walk.
 func (e Exhaustive) OrderBudget(m *cost.Model, body []lang.Literal, bound map[string]bool, inCard float64, sf cost.StatsFn, gov *resource.Governor) ([]int, cost.ConjunctResult, error) {
 	limit := e.FallbackAt
 	if limit <= 0 {
@@ -73,19 +81,67 @@ func (e Exhaustive) OrderBudget(m *cost.Model, body []lang.Literal, bound map[st
 	if len(body) > limit {
 		return DP{}.OrderBudget(m, body, bound, inCard, sf, gov)
 	}
-	bestPerm := identityPerm(len(body))
-	best := m.Conjunct(body, bestPerm, bound, inCard, sf)
-	for _, perm := range adorn.Permutations(len(body)) {
-		if err := gov.AddStates(1); err != nil {
-			return bestPerm, best, err
-		}
-		r := m.Conjunct(body, perm, bound, inCard, sf)
-		if betterThan(r, best) {
-			best = r
-			bestPerm = append(bestPerm[:0], perm...)
-		}
+	n := len(body)
+	pr := m.NewPricer(body, bound, inCard, sf)
+	pre := pr.Prefixes(n + 1)
+	pr.Start(&pre[0])
+	// The identity ordering is the incumbent; best keeps only its Safe
+	// and Total, which is all the comparisons read.
+	for k := 0; k < n; k++ {
+		pr.Step(&pre[k+1], &pre[k], k)
 	}
-	return bestPerm, best, nil
+	bestPerm := identityPerm(n)
+	best := cost.Prefix{Safe: pre[n].Safe, Total: pre[n].Total}
+	// completions[k] is the number of orderings below a prefix of k
+	// goals; used[g] marks the goals placed in perm.
+	work := make([]int, 3*n+1)
+	completions, perm, used := work[:n+1], work[n+1:2*n+1], work[2*n+1:]
+	completions[n] = 1
+	for k := n - 1; k >= 0; k-- {
+		completions[k] = satMul(completions[k+1], n-k)
+	}
+	var walk func(k int) error
+	walk = func(k int) error {
+		if k == n {
+			if err := gov.AddStates(1); err != nil {
+				return err
+			}
+			if better(&pre[n], &best) {
+				best.Safe, best.Total = true, pre[n].Total
+				copy(bestPerm, perm)
+			}
+			return nil
+		}
+		for g := 0; g < n; g++ {
+			if used[g] != 0 {
+				continue
+			}
+			pr.Step(&pre[k+1], &pre[k], g)
+			if c := &pre[k+1]; !c.Safe || pr.Exact() && best.Safe && c.Total >= best.Total {
+				if err := gov.AddStates(completions[k+1]); err != nil {
+					return err
+				}
+				continue
+			}
+			perm[k], used[g] = g, 1
+			err := walk(k + 1)
+			used[g] = 0
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	err := walk(0)
+	return bestPerm, pr.Price(bestPerm), err
+}
+
+// better is betterThan over prefix states.
+func better(a, b *cost.Prefix) bool {
+	if a.Safe != b.Safe {
+		return a.Safe
+	}
+	return a.Total < b.Total
 }
 
 func betterThan(a, b cost.ConjunctResult) bool {
@@ -93,6 +149,15 @@ func betterThan(a, b cost.ConjunctResult) bool {
 		return a.Safe
 	}
 	return a.Total < b.Total
+}
+
+// satMul multiplies non-negative counts, saturating instead of
+// overflowing.
+func satMul(a, b int) int {
+	if b != 0 && a > math.MaxInt/b {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // DP is the dynamic-programming enumeration of [Sel 79]: O(2^n) states
@@ -108,50 +173,48 @@ func (d DP) Order(m *cost.Model, body []lang.Literal, bound map[string]bool, inC
 	return perm, r
 }
 
+// OrderBudget fills the table by subset: each entry is the best
+// ordering of its goals, extended by one Step from the best ordering of
+// the subset without its last goal; every (subset, last goal) pair
+// charges one state.
 func (DP) OrderBudget(m *cost.Model, body []lang.Literal, bound map[string]bool, inCard float64, sf cost.StatsFn, gov *resource.Governor) ([]int, cost.ConjunctResult, error) {
 	n := len(body)
+	pr := m.NewPricer(body, bound, inCard, sf)
 	if n == 0 {
-		return nil, m.Conjunct(body, nil, bound, inCard, sf), nil
+		return nil, pr.Price(nil), nil
 	}
-	type entry struct {
-		perm []int
-		res  cost.ConjunctResult
-		ok   bool
-	}
-	table := make([]entry, 1<<uint(n))
-	table[0] = entry{perm: []int{}, res: cost.ConjunctResult{Safe: true}, ok: true}
+	table := pr.Prefixes(1 << uint(n))
+	lastOf := make([]int, 1<<uint(n))
+	pr.Start(&table[0])
+	scratch := pr.Prefixes(2)
 	for s := 1; s < 1<<uint(n); s++ {
+		cand, best := &scratch[0], &scratch[1]
 		bestSet := false
-		var best entry
 		for last := 0; last < n; last++ {
 			if s&(1<<uint(last)) == 0 {
-				continue
-			}
-			prev := table[s&^(1<<uint(last))]
-			if !prev.ok {
 				continue
 			}
 			if err := gov.AddStates(1); err != nil {
 				// Mid-table abort: the identity ordering is the only
 				// complete costing available at this point.
 				perm := identityPerm(n)
-				return perm, m.Conjunct(body, perm, bound, inCard, sf), err
+				return perm, pr.Price(perm), err
 			}
-			perm := append(append([]int{}, prev.perm...), last)
-			r := m.Conjunct(body, perm, bound, inCard, sf)
-			if !bestSet || betterThan(r, best.res) {
-				best = entry{perm: perm, res: r, ok: true}
+			pr.Step(cand, &table[s&^(1<<uint(last))], last)
+			if !bestSet || better(cand, best) {
+				cand, best = best, cand
+				lastOf[s] = last
 				bestSet = true
 			}
 		}
-		table[s] = best
+		pr.Copy(&table[s], best)
 	}
-	final := table[1<<uint(n)-1]
-	if !final.ok {
-		r := m.Conjunct(body, identityPerm(n), bound, inCard, sf)
-		return identityPerm(n), r, nil
+	perm := make([]int, n)
+	for s, k := 1<<uint(n)-1, n-1; k >= 0; k-- {
+		perm[k] = lastOf[s]
+		s &^= 1 << uint(lastOf[s])
 	}
-	return final.perm, final.res, nil
+	return perm, pr.Price(perm), nil
 }
 
 // Anneal is the simulated-annealing strategy of §7.1: a random walk of
@@ -187,9 +250,10 @@ func (a Anneal) OrderBudget(m *cost.Model, body []lang.Literal, bound map[string
 		t0frac = 0.5
 	}
 	rng := rand.New(rand.NewSource(a.Seed))
+	pr := m.NewPricer(body, bound, inCard, sf)
 
-	cur := a.initialPerm(m, body, bound, inCard, sf, rng)
-	curRes := m.Conjunct(body, cur, bound, inCard, sf)
+	cur := initialPerm(pr, n)
+	curRes := pr.Price(cur)
 	bestPerm := append([]int{}, cur...)
 	bestRes := curRes
 
@@ -212,7 +276,7 @@ func (a Anneal) OrderBudget(m *cost.Model, body []lang.Literal, bound map[string
 		}
 		cand := append([]int{}, cur...)
 		cand[x], cand[y] = cand[y], cand[x]
-		r := m.Conjunct(body, cand, bound, inCard, sf)
+		r := pr.Price(cand)
 		accept := false
 		switch {
 		case betterThan(r, curRes):
@@ -238,8 +302,7 @@ func (a Anneal) OrderBudget(m *cost.Model, body []lang.Literal, bound map[string
 // initialPerm seeds the walk with a greedy EC-feasible ordering:
 // repeatedly pick the unplaced goal that is evaluable now and has the
 // smallest estimated expansion.
-func (a Anneal) initialPerm(m *cost.Model, body []lang.Literal, bound map[string]bool, inCard float64, sf cost.StatsFn, rng *rand.Rand) []int {
-	n := len(body)
+func initialPerm(pr *cost.Pricer, n int) []int {
 	used := make([]bool, n)
 	var perm []int
 	for len(perm) < n {
@@ -250,7 +313,7 @@ func (a Anneal) initialPerm(m *cost.Model, body []lang.Literal, bound map[string
 				continue
 			}
 			cand := append(append([]int{}, perm...), i)
-			r := m.Conjunct(body, cand, bound, inCard, sf)
+			r := pr.Price(cand)
 			if !r.Safe {
 				continue
 			}
@@ -271,7 +334,6 @@ func (a Anneal) initialPerm(m *cost.Model, body []lang.Literal, bound map[string
 		used[bestIdx] = true
 		perm = append(perm, bestIdx)
 	}
-	_ = rng
 	return perm
 }
 

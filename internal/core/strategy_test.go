@@ -136,8 +136,8 @@ func TestAnnealNeverWorseThanGreedyStart(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		c := workload.RandomConjunct(r, 6, workload.Cycle)
 		m := cost.NewModel(c.Cat)
-		a := Anneal{Seed: seed, Steps: 0}
-		init := a.initialPerm(m, c.Prog.Rules[0].Body, nil, 1, nil, rand.New(rand.NewSource(seed)))
+		body := c.Prog.Rules[0].Body
+		init := initialPerm(m.NewPricer(body, nil, 1, nil), len(body))
 		initRes := m.Conjunct(c.Prog.Rules[0].Body, init, nil, 1, nil)
 		_, got := Anneal{Seed: seed, Steps: 200}.Order(m, c.Prog.Rules[0].Body, nil, 1, nil)
 		return got.Total <= initRes.Total || !initRes.Safe

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
 	"ldl/internal/adorn"
 	"ldl/internal/core"
 	"ldl/internal/cost"
+	"ldl/internal/depgraph"
 	"ldl/internal/lang"
 	"ldl/internal/parser"
 	"ldl/internal/stats"
@@ -105,17 +107,25 @@ func A2MemoAblation() *Table {
 		}
 		cat := stats.Gather(db)
 		goal := lang.Query{Goal: lang.Lit("top", term.Int(1), term.Var{Name: "Z"})}
+		// One optimization takes well under a millisecond, so each arm
+		// reports its fastest of five runs rather than one scheduler-
+		// exposed sample.
 		timeIt := func(disable bool) time.Duration {
-			start := time.Now()
-			o, err := core.New(prog, cat, core.Exhaustive{})
-			if err != nil {
-				panic(err)
+			best := time.Duration(math.MaxInt64)
+			for rep := 0; rep < 5; rep++ {
+				start := time.Now()
+				g, err := depgraph.Analyze(prog)
+				if err != nil {
+					panic(err)
+				}
+				o := core.New(prog, g, cat, core.Exhaustive{})
+				o.DisableMemo = disable
+				if _, err := o.Optimize(goal); err != nil {
+					panic(err)
+				}
+				best = min(best, time.Since(start))
 			}
-			o.DisableMemo = disable
-			if _, err := o.Optimize(goal); err != nil {
-				panic(err)
-			}
-			return time.Since(start)
+			return best
 		}
 		with := timeIt(false)
 		without := timeIt(true)

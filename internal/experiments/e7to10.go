@@ -8,6 +8,7 @@ import (
 	"ldl/internal/adorn"
 	"ldl/internal/core"
 	"ldl/internal/cost"
+	"ldl/internal/depgraph"
 	"ldl/internal/eval"
 	"ldl/internal/lang"
 	"ldl/internal/parser"
@@ -258,10 +259,11 @@ func E10Memoization() *Table {
 		if err := db.LoadFacts(prog); err != nil {
 			panic(err)
 		}
-		o, err := core.New(prog, stats.Gather(db), core.DP{})
+		g, err := depgraph.Analyze(prog)
 		if err != nil {
 			panic(err)
 		}
+		o := core.New(prog, g, stats.Gather(db), core.DP{})
 		if _, err := o.Optimize(lang.Query{Goal: lang.Lit("top", parserMustTerm("1"), parserMustVar("Z"))}); err != nil {
 			panic(err)
 		}

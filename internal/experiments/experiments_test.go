@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,23 @@ func TestE3ScalingShape(t *testing.T) {
 	}
 	if tab.Metrics["us_n8_kbz"] <= 0 {
 		t.Error("no kbz timing metric")
+	}
+	// The space each search covers is exact: n! orderings for
+	// exhaustive (pruned prefixes included), n·2^(n-1) table states for
+	// dp, one state per probe for anneal.
+	fact := map[int]float64{4: 24, 6: 720, 8: 40320}
+	for _, n := range []int{4, 6, 8, 10, 12} {
+		if f, ok := fact[n]; ok {
+			if got := tab.Metrics[fmt.Sprintf("states_n%d_exhaustive", n)]; got != f {
+				t.Errorf("n=%d exhaustive covered %v orderings, want %v", n, got, f)
+			}
+		}
+		if got, want := tab.Metrics[fmt.Sprintf("states_n%d_dp", n)], float64(n<<(n-1)); got != want {
+			t.Errorf("n=%d dp charged %v states, want %v", n, got, want)
+		}
+		if got := tab.Metrics[fmt.Sprintf("states_n%d_anneal", n)]; got != 400 {
+			t.Errorf("n=%d anneal charged %v states, want 400", n, got)
+		}
 	}
 }
 

@@ -288,7 +288,10 @@ func (g *Governor) AddIteration() error {
 
 // AddStates charges n optimizer search states (each state prices one
 // candidate ordering under the cost model, which dwarfs a clock read,
-// so time is checked every call).
+// so time is checked every call). A batch that crosses the state limit
+// charges exactly as n AddStates(1) calls would: it stops at the first
+// state past the limit, so a search that charges a pruned subtree in
+// one call trips with the same counters as one that walks it.
 func (g *Governor) AddStates(n int) error {
 	if g == nil {
 		return nil
@@ -296,6 +299,9 @@ func (g *Governor) AddStates(n int) error {
 	c := g.core
 	if d := c.done.Load(); d != nil {
 		return d
+	}
+	if !g.exemptStates && c.maxStates > 0 && n > 1 {
+		n = int(min(int64(n), max(c.maxStates-c.states.Load()+1, 1)))
 	}
 	s := c.states.Add(int64(n))
 	if !g.exemptStates && c.maxStates > 0 && s > c.maxStates {

@@ -161,6 +161,32 @@ func TestStateBudgetIsRecoverable(t *testing.T) {
 	}
 }
 
+// A batch charge that crosses the state limit leaves the same counters
+// as charging its states one by one.
+func TestStateBatchStopsAtLimit(t *testing.T) {
+	g := New(nil, Budget{MaxStates: 5})
+	if err := g.AddStates(3); err != nil {
+		t.Fatal(err)
+	}
+	err := g.AddStates(10)
+	var re *ResourceError
+	if !errors.As(err, &re) || !errors.Is(err, ErrOptimizerBudget) {
+		t.Fatalf("err = %v, want ErrOptimizerBudget", err)
+	}
+	if re.Counters.StatesExplored != 6 {
+		t.Errorf("trip StatesExplored = %d, want 6 (first state past the limit)", re.Counters.StatesExplored)
+	}
+	if err := g.AddStates(4); !errors.Is(err, ErrOptimizerBudget) {
+		t.Fatalf("after trip = %v", err)
+	}
+	if err := g.StatesExempt().AddStates(10); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Snapshot().StatesExplored; got != 17 {
+		t.Errorf("StatesExplored = %d, want 17", got)
+	}
+}
+
 func TestDowngrades(t *testing.T) {
 	g := New(nil, Budget{MaxStates: 1})
 	g.NoteDowngrade("rule r: exhaustive fell back to kbz")

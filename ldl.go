@@ -186,16 +186,22 @@ type System struct {
 	seg        *segState
 	segFlushes atomic.Int64
 
+	// graph is the program's dependency analysis, made once at Load and
+	// read-only after: every Prepare's optimizer and every epoch's view
+	// maintenance share it. graphErr (a program that cannot be
+	// stratified) surfaces where the graph is first needed — Prepare
+	// and Query, or Load itself for a materialized System.
+	graph    *depgraph.Graph
+	graphErr error
+
 	// Materialized views (zero unless Load saw WithMaterialized):
-	// maintenance configuration, the Load-time cached dependency graph
-	// and compiled kernels every epoch's maintenance reuses, and the
-	// lifetime telemetry behind IVMStats. The views themselves live on
-	// the epoch (epochState.mat) so they publish atomically with the
-	// facts.
-	matCfg   matConfig
-	matGraph *depgraph.Graph
-	matKern  *eval.ProgramKernels
-	ivm      ivmCounters
+	// maintenance configuration, the Load-time compiled kernels every
+	// epoch's maintenance reuses, and the lifetime telemetry behind
+	// IVMStats. The views themselves live on the epoch (epochState.mat)
+	// so they publish atomically with the facts.
+	matCfg  matConfig
+	matKern *eval.ProgramKernels
+	ivm     ivmCounters
 }
 
 // epochState is one immutable published version of the fact base: the
@@ -311,6 +317,7 @@ func Load(src string, opts ...SystemOption) (_ *System, err error) {
 		return nil, err
 	}
 	s := &System{prog: prog, queries: queries, observed: map[string]stats.RelStats{}}
+	s.graph, s.graphErr = depgraph.Analyze(prog)
 	s.term = 1 // terms start at 1; durable boots raise it from recovery
 	s.matCfg = cfg.mat
 	if err := s.matSetup(); err != nil {
@@ -938,7 +945,7 @@ func (s *System) EvaluateUnoptimized(goal string, opts ...Option) (_ [][]string,
 	e, err := eval.New(s.prog, ep.db, eval.Options{
 		Method:    eval.SemiNaive,
 		SizeHints: ep.hints, DisableKernels: o.noKernels,
-		Gov: o.governor(),
+		Gov: o.governor(), Graph: s.graph,
 	})
 	if err != nil {
 		return nil, es, err

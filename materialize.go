@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"ldl/internal/depgraph"
 	"ldl/internal/eval"
 	"ldl/internal/parser"
 	"ldl/internal/store"
@@ -93,19 +92,16 @@ func WithMaterializedScratch(opts ...Option) SystemOption {
 	}
 }
 
-// matSetup caches the analysis artifacts maintenance reuses every
-// epoch: the dependency graph and the compiled program kernels. Called
-// once from Load; a program that cannot be stratified cannot be
-// materialized, so the error surfaces at Load.
+// matSetup caches the compiled program kernels maintenance reuses every
+// epoch. Called once from Load; a program that cannot be stratified
+// cannot be materialized, so the graph's error surfaces at Load.
 func (s *System) matSetup() error {
 	if !s.matCfg.enabled {
 		return nil
 	}
-	g, err := depgraph.Analyze(s.prog)
-	if err != nil {
-		return fmt.Errorf("ldl: materialize: %w", err)
+	if s.graphErr != nil {
+		return fmt.Errorf("ldl: materialize: %w", s.graphErr)
 	}
-	s.matGraph = g
 	if !s.matCfg.o.noKernels {
 		s.matKern = eval.CompileProgram(s.prog)
 	}
@@ -120,7 +116,7 @@ func (s *System) matEngine(ep *epochState) (*eval.Engine, error) {
 		Method:         eval.SemiNaive,
 		SizeHints:      ep.hints,
 		DisableKernels: s.matCfg.o.noKernels,
-		Graph:          s.matGraph,
+		Graph:          s.graph,
 		Kernels:        s.matKern,
 	})
 }

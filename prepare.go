@@ -197,11 +197,11 @@ func (s *System) prepare(ep *epochState, key string, shape lang.Literal, nparams
 	if err != nil {
 		return nil, nil, err
 	}
-	cat := s.effectiveCat(ep)
-	opt, err := core.New(s.prog, cat, strat)
-	if err != nil {
-		return nil, nil, err
+	if s.graphErr != nil {
+		return nil, nil, s.graphErr
 	}
+	cat := s.effectiveCat(ep)
+	opt := core.New(s.prog, s.graph, cat, strat)
 	opt.Gov = o.governor()
 	var res *core.Result
 	if o.flatten {
@@ -464,8 +464,8 @@ func (p *Prepared) explain(header string) string {
 		return b.String()
 	}
 	fmt.Fprintf(&b, "estimated cost: %.1f, cardinality: %.1f\n", float64(p.result.Cost), p.result.Card)
-	// Downgrade notes accumulate in search-visit order, which the
-	// parallel optimizer does not fix; sort so Explain is deterministic.
+	// Downgrade notes accumulate in the order the search visits rules;
+	// sort them so Explain lists them by rule text, not by walk order.
 	notes := append([]string(nil), p.result.Downgrades...)
 	sort.Strings(notes)
 	for _, d := range notes {
