@@ -44,7 +44,7 @@ func runCompiled(c *plan.Compiled, db *store.Database, goal lang.Literal) ([]str
 	if err != nil {
 		return nil, nil, err
 	}
-	db2 := db.Clone()
+	db2 := db.Fork() // LoadFacts writes through EnsureOwned
 	if err := db2.LoadFacts(prog2); err != nil {
 		return nil, nil, err
 	}

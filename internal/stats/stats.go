@@ -172,12 +172,9 @@ func acyclicAfter(r *store.Relation, from int) bool {
 	if r.Arity < 2 {
 		return true
 	}
-	tuples := r.Tuples()
-	if from < 0 {
-		from = 0
-	}
-	for i := from; i < len(tuples); i++ {
-		if reaches(r, tuples[i][1], term.Key(tuples[i][0])) {
+	for i, n := max(from, 0), r.Len(); i < n; i++ {
+		t := r.TupleAt(i)
+		if reaches(r, t[1], term.Key(t[0])) {
 			return false
 		}
 	}

@@ -11,40 +11,64 @@ package store
 import "ldl/internal/term"
 
 // RowsSince returns the tuples appended at or after the watermark
-// `from` (a row count captured earlier, e.g. a previous epoch's Len)
-// as a borrowed read-only view sharing its backing array with the live
-// relation. A watermark beyond the current length yields nil. Under
-// ldldebug the capacity is clamped so append-through panics.
+// `from` (a row count captured earlier, e.g. a previous epoch's Len),
+// read-only. A watermark beyond the current length yields nil. Inside
+// the owned tail it is a borrowed view sharing the live backing array
+// (under ldldebug the capacity is clamped so append-through panics);
+// a suffix reaching into the part prefix is gathered from the part
+// holding `from` onward into a new slice — O(suffix), never the
+// whole-relation view.
 func (r *Relation) RowsSince(from int) []Tuple {
-	if from < 0 {
-		from = 0
-	}
+	from = max(from, 0)
 	if from >= r.Len() {
 		return nil
 	}
 	if ti := from - r.partRows; ti >= 0 {
-		// The common incremental case: the watermark is past the frozen
-		// prefix, so the suffix is the owned tail — no combined-view
-		// materialization.
 		return debugBorrow(r.tuples[ti:])
 	}
-	return debugBorrow(r.allTuplesView()[from:])
+	k := r.partIndex(from)
+	out := r.parts[k].appendTuples(make([]Tuple, 0, r.Len()-from), from-r.partOff[k])
+	for _, p := range r.parts[k+1:] {
+		out = p.appendTuples(out, 0)
+	}
+	return append(out, r.tuples...)
+}
+
+// appendTuples appends the part's rows from local index lo on: from
+// the materialized rows when the part has them, else built from the
+// interned IDs for just those rows.
+func (p *Part) appendTuples(dst []Tuple, lo int) []Tuple {
+	if rp := p.rows.Load(); rp != nil {
+		return append(dst, (*rp)[lo:]...)
+	}
+	for i := lo; i < p.n; i++ {
+		t := make(Tuple, len(p.cols))
+		for c := range p.cols {
+			t[c] = term.InternedTerm(p.cols[c][i])
+		}
+		dst = append(dst, t)
+	}
+	return dst
 }
 
 // ColumnSince returns the suffix of column c appended at or after the
-// watermark — the columnar twin of RowsSince, beside ColumnAt. Same
-// borrow contract: read-only, capture lengths before inserting.
+// watermark — the columnar twin of RowsSince, beside ColumnAt, with the
+// same contract: read-only, borrowed inside the tail, gathered in
+// O(suffix) when it reaches into the part prefix.
 func (r *Relation) ColumnSince(c, from int) []term.ID {
-	if from < 0 {
-		from = 0
-	}
+	from = max(from, 0)
 	if c < 0 || c >= r.Arity || from >= r.Len() {
 		return nil
 	}
 	if ti := from - r.partRows; ti >= 0 {
 		return debugBorrowIDs(r.cols[c][ti:])
 	}
-	return debugBorrowIDs(r.allColView(c)[from:])
+	k := r.partIndex(from)
+	out := append(make([]term.ID, 0, r.Len()-from), r.parts[k].cols[c][from-r.partOff[k]:]...)
+	for _, p := range r.parts[k+1:] {
+		out = append(out, p.cols[c]...)
+	}
+	return append(out, r.cols[c]...)
 }
 
 // DeltaSince materializes the appended suffix as an independent
@@ -54,28 +78,28 @@ func (r *Relation) ColumnSince(c, from int) []term.ID {
 // the kernels can scan and probe it like any relation. The suffix of a
 // set is itself duplicate-free, so every row lands.
 func (r *Relation) DeltaSince(from int) *Relation {
-	if from < 0 {
-		from = 0
-	}
-	n := r.Len() - from
-	if n < 0 {
-		n = 0
-	}
+	from = max(from, 0)
+	n := max(r.Len()-from, 0)
 	d := NewRelationSized(r.Name+"+", r.Arity, n)
-	for i := from; i < r.Len(); i++ {
-		if _, err := d.InsertFrom(r, i); err != nil {
-			// Same-arity by construction; unreachable.
-			panic(err)
+	if n == 0 {
+		return d
+	}
+	rows := r.RowsSince(from)
+	ids := make([]term.ID, r.Arity)
+	for j, t := range rows {
+		i := from + j
+		for c := range ids {
+			ids[c] = r.idAt(c, i)
 		}
+		d.appendRow(t, ids, r.hashAt(i))
 	}
 	return d
 }
 
-// CloneOwned returns an independent writable copy of the relation —
-// tuple store, dedup set, and column indexes — for continuing a
-// fixpoint from a prior epoch's derived relation without mutating the
-// published original. See clone for what is and isn't carried over.
-// On a relation whose prefix was frozen (Frozen), the parts are shared
-// by pointer and only the tail is copied, so the per-epoch clone that
-// incremental view maintenance pays is O(delta), not O(relation).
+// CloneOwned returns an independent writable copy of the relation for
+// continuing a fixpoint from a prior epoch's derived relation without
+// mutating the published original. See clone for what is carried over:
+// the parts are shared by pointer and only the tail is copied, so on a
+// frozen view the per-epoch clone incremental maintenance pays is O(1)
+// in the view's size.
 func (r *Relation) CloneOwned() *Relation { return r.clone() }

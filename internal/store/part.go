@@ -5,32 +5,38 @@ package store
 // epoch) followed by an owned in-memory tail that absorbs inserts.
 // Global row index = concatenation order: part 0's rows, part 1's, ...,
 // then the tail. Rows never move, so all published row indexes stay
-// valid across freezes.
+// valid across freezes and merges.
+//
+// Lifecycle: a commit freezes every relation it wrote before the epoch
+// publishes (Frozen), so a published written relation has an empty
+// tail and the next epoch's copy-on-write clone copies nothing. Frozen
+// keeps the chain short with a size-tiered (binary-counter) merge:
+// while the second-to-last part has fewer than twice the rows of the
+// last, the two are concatenated into one new part. Consecutive parts
+// therefore at least halve in size, so n rows live in at most
+// ⌊log2 n⌋+1 parts; and every part a merge recopies grows by more than
+// half, so each row is recopied O(log n) times over its life.
 //
 // Parts are shared by pointer across epochs and clones: their lazily
-// built dedup sets and column indexes are built once and reused by
-// every relation that shares the part, which is what makes a
-// copy-on-write clone O(tail) instead of O(n) — the satellite fix for
-// incremental view maintenance's per-epoch clone.
+// built dedup sets, column indexes and per-column distinct sets are
+// built once and reused by every relation that shares the part. A
+// merge builds a new part and leaves the old ones untouched, so older
+// epochs keep reading exactly the parts they captured.
 //
 // Concurrency: a Part is immutable after construction except for its
-// lazily built caches (rows, set, indexes), which publish atomically
-// under buildMu — the same discipline as the Relation's own lazy
-// builds, and safe under concurrent readers from many epochs at once.
+// lazily built caches (rows, set, indexes, distinct), which publish
+// atomically under buildMu — the same discipline as the Relation's own
+// lazy builds, and safe under concurrent readers from many epochs at
+// once.
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"ldl/internal/term"
 )
-
-// maxParts bounds the shared prefix's part count: a probe visits every
-// part, so freezing compacts back to a single part once the chain gets
-// this long — the classic LSM amortization (each row is recopied
-// O(log-ish) times, probes stay O(maxParts)).
-const maxParts = 16
 
 // Part is one immutable run of rows.
 type Part struct {
@@ -39,10 +45,11 @@ type Part struct {
 	hashes []uint64   // full-row structural hashes
 
 	// Lazily built caches, shared by every relation holding the part.
-	rows    atomic.Pointer[[]Tuple] // materialized term rows
-	set     atomic.Pointer[partSet] // dedup set, slot = local idx + 1
-	indexes atomic.Pointer[map[uint32]*colIndex]
-	buildMu sync.Mutex
+	rows     atomic.Pointer[[]Tuple] // materialized term rows
+	set      atomic.Pointer[partSet] // dedup set, slot = local idx + 1
+	indexes  atomic.Pointer[map[uint32]*colIndex]
+	distinct atomic.Pointer[[]idSet] // per column, nil until built
+	buildMu  sync.Mutex
 
 	// idxBias maps a stored index slot value to a part-local row:
 	// local = stored - idxBias. Frozen tails adopt their relation's
@@ -245,14 +252,24 @@ func (r *Relation) PartRows() int { return r.partRows }
 func (r *Relation) Parts() int { return len(r.parts) }
 
 // partAt maps a global row index inside the prefix to its part and
-// part-local index. The caller guarantees i < r.partRows.
+// part-local index. The caller guarantees 0 <= i < r.partRows.
 func (r *Relation) partAt(i int) (*Part, int) {
-	for k, off := range r.partOff {
-		if i < off+r.parts[k].n {
-			return r.parts[k], i - off
+	k := r.partIndex(i)
+	return r.parts[k], i - r.partOff[k]
+}
+
+// partIndex binary-searches partOff for the part holding prefix row i.
+func (r *Relation) partIndex(i int) int {
+	lo, hi := 0, len(r.partOff)-1
+	for lo < hi {
+		mid := int(uint(lo+hi+1) >> 1)
+		if r.partOff[mid] <= i {
+			lo = mid
+		} else {
+			hi = mid - 1
 		}
 	}
-	panic(fmt.Sprintf("store: %s: row %d outside part prefix of %d", r.Name, i, r.partRows))
+	return lo
 }
 
 // hashAt returns the full-row hash of global row i.
@@ -355,22 +372,18 @@ func (r *Relation) tupleAt(i int) Tuple {
 
 // Frozen returns a relation with the same rows whose current tail has
 // become one more immutable shared part, adopting the tail's arrays,
-// dedup set, and column indexes wholesale — O(1) in the tail size.
-// The new relation's tail is empty; the receiver remains readable but
-// MUST NOT be written to afterwards (its dedup set is now shared with
-// the part). Epoch publication makes this natural: freeze a relation as
-// it is published, write only to clones. When the part chain reaches
-// maxParts the relation is first compacted into a single flat run —
-// O(n), amortized over the freezes that built the chain.
+// dedup set, and column indexes wholesale, then merged by size tier
+// (see the file comment): the new part and every trailing part that
+// has fewer than twice the rows of the parts after it are concatenated
+// into one. The cost is O(tail + merged rows) — amortized O(log n) per
+// row — and row order is unchanged. The new relation's tail is empty
+// and it carries the receiver's distinct counts. The receiver remains
+// readable but MUST NOT be written to afterwards (its dedup set is now
+// shared with the part). Epoch publication makes this natural: a commit
+// freezes what it wrote as it publishes, and later writes go to clones.
 func (r *Relation) Frozen() *Relation {
 	if len(r.tuples) == 0 {
 		return r
-	}
-	if len(r.parts)+1 > maxParts {
-		r = r.compacted()
-		if len(r.tuples) == 0 {
-			return r
-		}
 	}
 	p := &Part{
 		n:       len(r.tuples),
@@ -378,22 +391,69 @@ func (r *Relation) Frozen() *Relation {
 		hashes:  r.hashes,
 		idxBias: r.partRows,
 	}
-	p.buildPruning()
 	rows := r.tuples
 	p.rows.Store(&rows)
 	p.set.Store(&partSet{slots: r.setSlots, mask: r.setMask})
 	p.indexes.Store(r.indexes.Load())
-	nr := &Relation{Name: r.Name, Arity: r.Arity}
-	nr.parts = append(append([]*Part(nil), r.parts...), p)
-	nr.partOff = append(append([]int(nil), r.partOff...), r.partRows)
-	nr.partRows = r.partRows + p.n
+	parts := append(append(make([]*Part, 0, len(r.parts)+1), r.parts...), p)
+	offs := append(append(make([]int, 0, len(r.parts)+1), r.partOff...), r.partRows)
+	j, tier := len(parts)-1, p.n
+	for j > 0 && parts[j-1].n < 2*tier {
+		j--
+		tier += parts[j].n
+	}
+	if j < len(parts)-1 {
+		parts = append(parts[:j], mergeParts(parts[j:]))
+		offs = offs[:j+1]
+	} else {
+		p.buildPruning()
+	}
+	nr := &Relation{Name: r.Name, Arity: r.Arity, parts: parts, partOff: offs, partRows: r.partRows + p.n}
 	nr.cols = make([]idColumn, r.Arity)
 	size := tableSize(0)
 	nr.setSlots = make([]int32, size)
 	nr.setMask = uint32(size - 1)
 	empty := map[uint32]*colIndex{}
 	nr.indexes.Store(&empty)
+	if d := r.dist.Load(); d != nil {
+		nr.dist.Store(&distinctState{counts: slices.Clone(d.counts), fresh: make([]idSet, r.Arity)})
+	}
 	return nr
+}
+
+// mergeParts concatenates consecutive parts into one new part: columns,
+// hashes, and the materialized rows when every input has them. Its
+// dedup set, indexes and distinct sets build lazily on first use; its
+// blooms and zone maps are rebuilt now. The inputs are not touched —
+// older epochs keep reading them.
+func mergeParts(ps []*Part) *Part {
+	n := 0
+	for _, q := range ps {
+		n += q.n
+	}
+	m := &Part{n: n, cols: make([]idColumn, len(ps[0].cols)), hashes: make([]uint64, 0, n)}
+	for c := range m.cols {
+		m.cols[c] = make(idColumn, 0, n)
+	}
+	rows := make([]Tuple, 0, n)
+	for _, q := range ps {
+		for c := range m.cols {
+			m.cols[c] = append(m.cols[c], q.cols[c]...)
+		}
+		m.hashes = append(m.hashes, q.hashes...)
+		if rows != nil {
+			if rp := q.rows.Load(); rp != nil {
+				rows = append(rows, *rp...)
+			} else {
+				rows = nil
+			}
+		}
+	}
+	if rows != nil {
+		m.rows.Store(&rows)
+	}
+	m.buildPruning()
+	return m
 }
 
 // partBloomBitsPerKey matches the density the segment encoder uses, so
@@ -435,20 +495,6 @@ func (p *Part) buildPruning() {
 		p.colBlooms[c] = bl
 		p.zoneOK[c], p.zoneMin[c], p.zoneMax[c] = allInt, mn, mx
 	}
-}
-
-// compacted rebuilds the relation as a single flat tail (no parts),
-// reusing interned IDs and row hashes.
-func (r *Relation) compacted() *Relation {
-	flat := NewRelationSized(r.Name, r.Arity, r.Len())
-	n := r.Len()
-	for i := 0; i < n; i++ {
-		if _, err := flat.InsertFrom(r, i); err != nil {
-			// Same arity by construction; unreachable.
-			panic(err)
-		}
-	}
-	return flat
 }
 
 // PartData carries a decoded segment's columns and pruning metadata
@@ -522,6 +568,6 @@ func (r *Relation) AttachPart(d PartData) error {
 	r.partRows += n
 	r.allT.Store(nil)
 	r.allC.Store(nil)
-	r.distincts.Store(nil)
+	r.dist.Store(nil)
 	return nil
 }

@@ -7,6 +7,7 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"ldl/internal/term"
@@ -179,23 +180,25 @@ func TestFrozenCloneSharesParts(t *testing.T) {
 	}
 }
 
-// TestFrozenCompacts: more than maxParts freezes must fold the parts
-// down rather than accumulating an unbounded probe chain.
+// TestFrozenCompacts: repeated freezes must merge parts by size tier
+// rather than accumulate an unbounded probe chain — one-row freezes
+// behave as a binary counter, at most ⌊log2 n⌋+1 parts.
 func TestFrozenCompacts(t *testing.T) {
+	const n = 48
 	r := NewRelation("r", 2)
-	for i := 0; i < maxParts*3; i++ {
+	for i := 0; i < n; i++ {
 		r.MustInsert(Tuple{term.Int(i), term.Int(i + 1)})
 		r = r.Frozen()
+		if max := bits.Len(uint(r.Len())); r.Parts() > max {
+			t.Fatalf("%d rows in %d parts, want ≤ %d", r.Len(), r.Parts(), max)
+		}
 	}
-	if r.Parts() > maxParts {
-		t.Fatalf("parts=%d never compacted (max %d)", r.Parts(), maxParts)
+	if r.Len() != n {
+		t.Fatalf("merging lost rows: %d", r.Len())
 	}
-	if r.Len() != maxParts*3 {
-		t.Fatalf("compaction lost rows: %d", r.Len())
-	}
-	for i := 0; i < maxParts*3; i++ {
+	for i := 0; i < n; i++ {
 		if !r.Contains(Tuple{term.Int(i), term.Int(i + 1)}) {
-			t.Fatalf("row %d lost in compaction", i)
+			t.Fatalf("row %d lost in merging", i)
 		}
 	}
 }

@@ -22,7 +22,9 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -218,21 +220,13 @@ type Relation struct {
 	indexes atomic.Pointer[map[uint32]*colIndex]
 	buildMu sync.Mutex
 
-	// distincts caches per-column distinct-value sets, built lazily on
-	// the first Distinct(i) call (the optimizer's stats path hits it per
-	// literal) and kept current incrementally by the insert path.
-	// Published atomically under the same discipline as indexes: readers
-	// may build missing columns concurrently; writers update the sets in
-	// place, which is safe because writers are never concurrent with
-	// readers.
-	distincts atomic.Pointer[[]*distinctSet]
+	// dist holds the exact per-column distinct counts (distinct.go),
+	// built on the first Distinct call and from then on kept current by
+	// the insert path and carried across clone and Frozen as integers.
+	// Published atomically under the same discipline as indexes.
+	dist atomic.Pointer[distinctState]
 
 	scratch []term.ID // per-insert ID buffer, reused
-}
-
-// distinctSet is the cached distinct-value set of one column.
-type distinctSet struct {
-	seen map[term.ID]struct{}
 }
 
 // NewRelation creates an empty relation.
@@ -689,65 +683,6 @@ func (r *Relation) Scan(cols uint32, probe Tuple, yield func(Tuple) bool) {
 // preserves every global index).
 func (r *Relation) TupleAt(i int) Tuple { return r.tupleAt(i) }
 
-// Distinct counts the distinct values in column i — exact, via
-// interned IDs. The count is served from a per-column cache built on
-// first call and maintained incrementally by inserts, so the
-// optimizer's stats path pays O(1) per call instead of a fresh map
-// over all tuples.
-func (r *Relation) Distinct(i int) int {
-	if i < 0 || i >= r.Arity {
-		return 0
-	}
-	if dp := r.distincts.Load(); dp != nil {
-		if ds := (*dp)[i]; ds != nil {
-			return len(ds.seen)
-		}
-	}
-	return len(r.ensureDistinct(i).seen)
-}
-
-// ensureDistinct builds and atomically publishes the distinct cache for
-// column i, under the same copy-on-write discipline as ensureIndex.
-func (r *Relation) ensureDistinct(i int) *distinctSet {
-	r.buildMu.Lock()
-	defer r.buildMu.Unlock()
-	var cur []*distinctSet
-	if dp := r.distincts.Load(); dp != nil {
-		if ds := (*dp)[i]; ds != nil {
-			return ds
-		}
-		cur = append([]*distinctSet(nil), (*dp)...)
-	} else {
-		cur = make([]*distinctSet, r.Arity)
-	}
-	ds := &distinctSet{seen: make(map[term.ID]struct{}, r.Len())}
-	for _, p := range r.parts {
-		for _, id := range p.cols[i] {
-			ds.seen[id] = struct{}{}
-		}
-	}
-	for _, id := range r.cols[i] {
-		ds.seen[id] = struct{}{}
-	}
-	cur[i] = ds
-	r.distincts.Store(&cur)
-	return ds
-}
-
-// noteDistinct folds a just-inserted row's IDs into whichever
-// per-column distinct sets exist. Writer-side (insert) only.
-func (r *Relation) noteDistinct(ids []term.ID) {
-	dp := r.distincts.Load()
-	if dp == nil {
-		return
-	}
-	for c, ds := range *dp {
-		if ds != nil {
-			ds.seen[ids[c]] = struct{}{}
-		}
-	}
-}
-
 // Sorted returns the tuples in canonical order — handy for
 // deterministic test output.
 func (r *Relation) Sorted() []Tuple {
@@ -782,14 +717,16 @@ func (r *Relation) String() string {
 // Epoch discipline: a serving process keeps one immutable Database per
 // epoch. Readers execute against the epoch they captured; the (single)
 // writer never mutates a published epoch — it calls Fork, obtains
-// writable relations through EnsureOwned (which copies a shared
+// writable relations through EnsureOwned (which clones a shared
 // relation the first time the fork writes to it), inserts the batch,
-// and atomically publishes the fork as the next epoch. Untouched
-// relations are shared by pointer across every epoch, so publication
-// costs O(touched relations), not O(database). Concurrent readers of a
-// published epoch are safe — including the lazy index and
-// distinct-count builds, which publish atomically (see the Relation
-// concurrency contract above).
+// freezes every relation it wrote (Freeze), and atomically publishes
+// the fork as the next epoch. A frozen relation's rows all live in
+// immutable shared parts, so the next fork's clone copies no rows, and
+// untouched relations are shared by pointer across every epoch:
+// publication costs O(batch) for the relations written, not O(database)
+// or O(relation). Concurrent readers of a published epoch are safe —
+// including the lazy index and distinct-count builds, which publish
+// atomically (see the Relation concurrency contract above).
 type Database struct {
 	rels map[string]*Relation
 	// shared marks relations borrowed from a parent Fork: they may be
@@ -838,9 +775,10 @@ func (db *Database) Fork() *Database {
 
 // FrozenFork returns a database holding the Frozen() form of every
 // relation in db — tails converted to immutable shared parts, so
-// future epoch forks copy O(delta) instead of O(n) and probes prune
-// through the part blooms and zone maps. Relations that are already
-// fully frozen are shared by pointer. Like Frozen itself, the receiver
+// future epoch forks copy no rows and probes prune through the part
+// blooms and zone maps. Relations that are already fully frozen (every
+// relation a commit wrote) are shared by pointer, so in practice this
+// freezes the boot relations no commit has touched. Like Frozen, the receiver
 // database's relations must not be written afterwards; the storage
 // tier calls this on a published (immutable) epoch right before
 // flushing the frozen parts to segment files.
@@ -873,6 +811,16 @@ func (db *Database) EnsureOwned(tag string, arity int) *Relation {
 	return db.Ensure(tag, arity)
 }
 
+// Freeze replaces tag's relation with its Frozen form, so the epoch
+// this database is about to become publishes it with an empty tail.
+// The relation must be owned (written through EnsureOwned) and must not
+// be written again through any reference taken before the freeze.
+func (db *Database) Freeze(tag string) {
+	if r, ok := db.rels[tag]; ok {
+		db.rels[tag] = r.Frozen()
+	}
+}
+
 // Tags returns the sorted relation tags.
 func (db *Database) Tags() []string {
 	out := make([]string, 0, len(db.rels))
@@ -896,32 +844,18 @@ func (db *Database) LoadFacts(prog *lang.Program) error {
 	return nil
 }
 
-// Clone deep-copies the database's relation contents (not indexes).
-// Because stored tuples are immutable and already interned, the copy is
-// a straight array copy — no re-hashing or re-interning.
-func (db *Database) Clone() *Database {
-	c := NewDatabase()
-	for tag, r := range db.rels {
-		c.rels[tag] = r.clone()
-	}
-	return c
-}
-
-// clone copies the relation's tuple store, dedup set, and published
-// column indexes. Indexes are cheap flat-array copies and stay correct
-// under the clone's future inserts because appendRow maintains every
-// published index incrementally — so an epoch fork that extends a large
-// relation never pays an O(n log n)-ish rebuild-by-rehash on its first
-// probe. The distinct cache is NOT carried over: writers update those
-// sets in place (noteDistinct), so sharing or copying them would let a
-// clone's inserts corrupt counts a concurrent reader of the parent is
-// using. It rebuilds lazily on first use.
+// clone copies the relation's owned tail — tuple store, dedup set,
+// published column indexes — and its distinct counts; the immutable
+// part prefix is shared by pointer. Indexes are cheap flat-array copies
+// and stay correct under the clone's future inserts because appendRow
+// maintains every published index incrementally. The distinct counts
+// are integers plus the tail's part-absent value sets, copied because
+// writers update them in place (noteDistinct): sharing them would let a
+// clone's inserts change counts a concurrent reader of the parent uses.
+// A commit freezes what it wrote, so a published written relation has
+// an empty tail and this copy is O(1) in its size.
 func (r *Relation) clone() *Relation {
 	nr := &Relation{Name: r.Name, Arity: r.Arity}
-	// The immutable prefix is shared by pointer — a clone after Frozen
-	// costs O(tail), which is what makes per-epoch copy-on-write of a
-	// large frozen relation cheap. Parts' lazy sets/indexes are shared
-	// too (built once, used by every epoch).
 	nr.parts = r.parts
 	nr.partOff = r.partOff
 	nr.partRows = r.partRows
@@ -939,6 +873,13 @@ func (r *Relation) clone() *Relation {
 		next[cols] = ci.clone()
 	}
 	nr.indexes.Store(&next)
+	if d := r.dist.Load(); d != nil {
+		nd := &distinctState{counts: slices.Clone(d.counts), fresh: make([]idSet, len(d.fresh))}
+		for c, f := range d.fresh {
+			nd.fresh[c] = maps.Clone(f)
+		}
+		nr.dist.Store(nd)
+	}
 	return nr
 }
 

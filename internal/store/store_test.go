@@ -146,10 +146,10 @@ func TestDatabase(t *testing.T) {
 	if len(tags) != 2 || tags[0] != "e/2" || tags[1] != "n/1" {
 		t.Errorf("Tags = %v", tags)
 	}
-	c := db.Clone()
-	c.Relation("e/2").MustInsert(tup(3, 4))
+	c := db.Fork()
+	c.EnsureOwned("e/2", 2).MustInsert(tup(3, 4))
 	if db.Relation("e/2").Len() != 1 || c.Relation("e/2").Len() != 2 {
-		t.Error("Clone shares tuples")
+		t.Error("Fork shares written tuples")
 	}
 }
 

@@ -458,7 +458,8 @@ func (s *System) applyBatch(db *store.Database, b wal.Batch) (marks map[string]i
 // follower fences stale terms, adopts newer ones, and skips term bumps
 // and duplicates — then the shared steps: fork the head, apply the
 // batch, derive the catalog, append the log record without syncing,
-// maintain the views, and chain the epoch as the new head. The critical
+// maintain the views, freeze the written relations, and chain the epoch
+// as the new head. Every step costs O(batch), not O(relation). The critical
 // section holds no fsync, so concurrent writers pile their records into
 // one segment back to back — the cohort one group commit covers.
 //
@@ -511,6 +512,11 @@ func (s *System) commit(b wal.Batch, leader bool) (added int, epoch uint64, err 
 		// Views continue the previous fixpoint from exactly this batch's
 		// rows, before the epoch is chained, so they publish with it.
 		s.maintainViews(next, ep)
+		// Publish every written relation frozen: its rows move into
+		// immutable parts, so the next commit's fork copies none of them.
+		for tag := range marks {
+			db.Freeze(tag)
+		}
 		s.head = next
 		return nil
 	}(); err != nil || next == nil {
