@@ -248,14 +248,13 @@ func complexTermsChain(n int) string {
 	return b.String()
 }
 
-// BenchmarkFixpointKernels is the acceptance suite for the compiled
-// positional join kernels: the same fixpoint workloads run through the
-// generic substitution-based interpreter (WithCompiledKernels(false))
-// and the compiled block executor (default). The compiled arm is named
-// "batched" because that is the key of the block executor's row in
-// BENCH_PR7.json, whose allocs/op CI gates with cmd/benchdiff
+// BenchmarkFixpointKernels measures the compiled positional join
+// kernels on the block executor over three fixpoint workloads. The arm
+// is named "batched" because that is the key of the block executor's
+// row in BENCH_PR7.json, whose allocs/op CI gates with cmd/benchdiff
 // -max-alloc-regress; that file's "compiled" rows are a different,
-// tuple-at-a-time executor's numbers.
+// tuple-at-a-time executor's numbers, and its "generic" rows are the
+// substitution-map interpreter's, which no longer serves queries.
 func BenchmarkFixpointKernels(b *testing.B) {
 	sgSpec := workload.SameGenSpec{Depth: 8, Fanout: 2}
 	workloads := []struct {
@@ -267,28 +266,19 @@ func BenchmarkFixpointKernels(b *testing.B) {
 		{"samegen/d8f2", workload.SameGen(sgSpec), "sg(X, Y)"},
 		{"complexterms/chain40", complexTermsChain(40), "path(X, Y, P)"},
 	}
-	modes := []struct {
-		name string
-		opts []ldl.Option
-	}{
-		{"generic", []ldl.Option{ldl.WithCompiledKernels(false)}},
-		{"batched", nil},
-	}
 	for _, w := range workloads {
 		sys, err := ldl.Load(w.src)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, m := range modes {
-			b.Run(w.name+"/"+m.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := sys.EvaluateUnoptimized(w.goal, m.opts...); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(w.name+"/batched", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sys.EvaluateUnoptimized(w.goal); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -324,48 +314,40 @@ func tcGrove(chains, n int) string {
 // 100,000-edge transitive-closure base (5000 disjoint chains × 20
 // edges, ≈1.05M derived tc tuples), then per iteration one
 // InsertFacts batch of 10 fresh edges followed by a bound re-query
-// served from the views. The incremental arm seeds the next fixpoint
-// with exactly the delta; the scratch arm (WithMaterializedScratch)
-// recomputes the full fixpoint every epoch — the before/after pair
-// the ≥5x floor is measured over.
+// served from the views. Maintenance seeds the next fixpoint with
+// exactly the delta. BENCH_PR8.json also holds a "scratch" row: the
+// since-deleted mode that recomputed the full fixpoint every epoch,
+// the baseline its ≥5x floor was measured over.
 func BenchmarkIncrementalInsert(b *testing.B) {
 	const chains, n = 5000, 20
 	src := tcGrove(chains, n)
-	for _, mode := range []struct {
-		name string
-		opt  ldl.SystemOption
-	}{
-		{"incremental", ldl.WithMaterialized()},
-		{"scratch", ldl.WithMaterializedScratch()},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			sys, err := ldl.Load(src, mode.opt)
-			if err != nil {
+	b.Run("incremental", func(b *testing.B) {
+		sys, err := ldl.Load(src, ldl.WithMaterialized())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		next := 1_000_000
+		for i := 0; i < b.N; i++ {
+			var batch strings.Builder
+			for j := 0; j < 5; j++ {
+				fmt.Fprintf(&batch, "e(x%d, x%d).\ne(x%d, x%d).\n", next, next+1, next+1, next+2)
+				next += 3
+			}
+			if _, _, err := sys.InsertFacts(batch.String()); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			next := 1_000_000
-			for i := 0; i < b.N; i++ {
-				var batch strings.Builder
-				for j := 0; j < 5; j++ {
-					fmt.Fprintf(&batch, "e(x%d, x%d).\ne(x%d, x%d).\n", next, next+1, next+1, next+2)
-					next += 3
-				}
-				if _, _, err := sys.InsertFacts(batch.String()); err != nil {
-					b.Fatal(err)
-				}
-				rows, ok, err := sys.AnswersFromViews("tc(c0n0, Y)")
-				if err != nil || !ok {
-					b.Fatalf("view query failed: ok=%v err=%v", ok, err)
-				}
-				if len(rows) != n {
-					b.Fatalf("bound re-query returned %d rows, want %d", len(rows), n)
-				}
+			rows, ok, err := sys.AnswersFromViews("tc(c0n0, Y)")
+			if err != nil || !ok {
+				b.Fatalf("view query failed: ok=%v err=%v", ok, err)
 			}
-			if st := sys.IVMStats(); !st.Scratch && st.ScratchFallbacks != 0 {
-				b.Fatalf("incremental arm fell back to scratch %d times", st.ScratchFallbacks)
+			if len(rows) != n {
+				b.Fatalf("bound re-query returned %d rows, want %d", len(rows), n)
 			}
-		})
-	}
+		}
+		if st := sys.IVMStats(); st.ScratchFallbacks != 0 {
+			b.Fatalf("maintenance fell back to scratch %d times", st.ScratchFallbacks)
+		}
+	})
 }

@@ -45,3 +45,83 @@ func TestWorkflowStepNamesParse(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkflowRunPatternsMatch guards the CI workflow's test filters:
+// `go test -run` passes silently when a pattern matches no test, so a
+// renamed or moved test would drop out of its CI step unnoticed. Every
+// alternative of every -run '<a|b|…>' must name at least one Test* or
+// Fuzz* func in the package dirs that command lists.
+func TestWorkflowRunPatternsMatch(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFlag := regexp.MustCompile(`-run[= ]'([^']*)'`)
+	pkgArg := regexp.MustCompile(`^\.(/[\w./-]*)?$`)
+	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	funcsIn := map[string][]string{}
+	funcs := func(dir string) []string {
+		if fs, ok := funcsIn[dir]; ok {
+			return fs
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fs []string
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+				fs = append(fs, m[1])
+			}
+		}
+		funcsIn[dir] = fs
+		return fs
+	}
+	checked := 0
+	for _, line := range strings.Split(strings.ReplaceAll(string(data), "\\\n", " "), "\n") {
+		if !strings.Contains(line, "go test") {
+			continue
+		}
+		m := runFlag.FindStringSubmatch(line)
+		if m == nil || m[1] == "^$" {
+			continue
+		}
+		var dirs []string
+		for _, f := range strings.Fields(line) {
+			if pkgArg.MatchString(f) {
+				dirs = append(dirs, f)
+			}
+		}
+		if len(dirs) == 0 {
+			t.Errorf("ci.yml: %q lists no package dir", strings.TrimSpace(line))
+			continue
+		}
+		for _, alt := range strings.Split(m[1], "|") {
+			alt, _, _ = strings.Cut(alt, "/") // top-level test part
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("ci.yml: -run alternative %q: %v", alt, err)
+				continue
+			}
+			found := false
+			for _, d := range dirs {
+				for _, fn := range funcs(d) {
+					if re.MatchString(fn) {
+						found = true
+					}
+				}
+			}
+			if !found {
+				t.Errorf("ci.yml: -run alternative %q matches no Test/Fuzz func in %v", alt, dirs)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Error("ci.yml: found no -run patterns to check")
+	}
+}

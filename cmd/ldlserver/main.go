@@ -85,6 +85,7 @@ import (
 	"ldl"
 	"ldl/internal/repl"
 	"ldl/internal/service"
+	"ldl/internal/term"
 )
 
 func main() {
@@ -105,7 +106,7 @@ func main() {
 		autoProm  = flag.Duration("auto-promote-after", 0, "follower self-promotes when no leader has answered for this long (0 = never; set on the designated successor only)")
 		rywWait   = flag.Duration("ryw-timeout", 2*time.Second, "max wait for 'QUERY ... wait=<E>' before ERR lagging")
 		advertise = flag.String("advertise", "", "address advertised to followers for write redirects (default -addr)")
-		matMode   = flag.String("materialize", "", "maintain materialized views of the derived predicates: 'incremental' (semi-naive continuation across epochs) or 'scratch' (recompute per epoch; the A/B baseline). Empty disables")
+		matMode   = flag.String("materialize", "", "maintain materialized views of the derived predicates: 'incremental' (semi-naive continuation across epochs; the only mode). Empty disables")
 	)
 	flag.StringVar(storeDir, "data-dir", "", "alias of -storage-dir")
 	flag.Parse()
@@ -131,10 +132,8 @@ func main() {
 	case "":
 	case "incremental":
 		sysOpts = append(sysOpts, ldl.WithMaterialized())
-	case "scratch":
-		sysOpts = append(sysOpts, ldl.WithMaterializedScratch())
 	default:
-		log.Fatalf("ldlserver: -materialize must be 'incremental', 'scratch' or empty, got %q", *matMode)
+		log.Fatalf("ldlserver: -materialize must be 'incremental' or empty, got %q", *matMode)
 	}
 	sys, err := ldl.Load(string(src), sysOpts...)
 	if err != nil {
@@ -631,6 +630,9 @@ func (s *server) statsLines() []string {
 		return 0
 	}
 	add("epoch", st.Epoch)
+	// The intern table is process-global and append-only: every distinct
+	// term a LOAD stores or a query binds or derives stays interned.
+	add("term_interned", term.InternedCount())
 	add("plans", st.PlanCacheSize)
 	add("hits", st.Hits)
 	add("misses", st.Misses)
@@ -696,11 +698,7 @@ func (s *server) statsLines() []string {
 		add("seg_row_bloom_skips", sg.RowBloomSkips)
 	}
 	if ivm := sys.IVMStats(); ivm.Enabled {
-		mode := "incremental"
-		if ivm.Scratch {
-			mode = "scratch"
-		}
-		add("materialized", mode)
+		add("materialized", "incremental")
 		add("ivm_epochs", ivm.Epochs)
 		add("ivm_incremental_rounds", ivm.IncrementalRounds)
 		add("ivm_scratch_fallbacks", ivm.ScratchFallbacks)

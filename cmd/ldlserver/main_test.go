@@ -398,3 +398,43 @@ func TestMaterializedServerStats(t *testing.T) {
 		t.Errorf("ivm_last_delta_rows = %q, want > 0", st["ivm_last_delta_rows"])
 	}
 }
+
+// TestTermInternedGauge: STATS term_interned shows the intern table's
+// growth. A LOAD of N fresh constants raises it by at least N; the
+// same LOAD again adds no fact and interns nothing new.
+func TestTermInternedGauge(t *testing.T) {
+	c := dial(t, startServer(t, service.Config{}))
+	interned := func() int {
+		t.Helper()
+		kv, err := c.stats()
+		if err != nil {
+			t.Fatalf("STATS: %v", err)
+		}
+		n, err := strconv.Atoi(kv["term_interned"])
+		if err != nil {
+			t.Fatalf("term_interned = %q: %v", kv["term_interned"], err)
+		}
+		return n
+	}
+	const n = 20
+	var facts strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&facts, "par(gauge_fresh_%d, a1). ", i)
+	}
+	load := "LOAD " + facts.String()
+
+	before := interned()
+	if got, err := c.roundTrip(load); err != nil || !strings.HasPrefix(got, fmt.Sprintf("OK %d ", n)) {
+		t.Fatalf("LOAD = %q, %v", got, err)
+	}
+	after := interned()
+	if after < before+n {
+		t.Errorf("term_interned %d → %d after loading %d fresh constants, want a rise of at least %d", before, after, n, n)
+	}
+	if got, err := c.roundTrip(load); err != nil || !strings.HasPrefix(got, "OK 0 ") {
+		t.Fatalf("repeated LOAD = %q, %v", got, err)
+	}
+	if again := interned(); again != after {
+		t.Errorf("term_interned %d → %d after a repeated LOAD, want no change", after, again)
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ldl/internal/wal"
 )
 
 // TestCorpusCoversExamples pins the golden corpus to the example
@@ -28,14 +30,10 @@ func TestCorpusCoversExamples(t *testing.T) {
 	}
 }
 
-// TestGoldenEquivalence is the kernel acceptance suite: every corpus
-// program (the examples plus the negation/builtin-deferral/complex-
-// term/non-linear-recursion corpora) runs its embedded queries through
-// the generic interpreter and the compiled join kernels, and both
-// answer sets must be byte-identical.
-// EvaluateUnoptimized sorts answers canonically, so equality here
-// really is byte equality.
-func TestGoldenEquivalence(t *testing.T) {
+// corpusSystems loads every corpus program (the examples plus the
+// negation/builtin-deferral/complex-term/non-linear-recursion corpora)
+// and runs fn on each in a subtest named after the file.
+func corpusSystems(t *testing.T, fn func(t *testing.T, name, src string, sys *System)) {
 	files, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.ldl"))
 	if err != nil {
 		t.Fatal(err)
@@ -43,21 +41,6 @@ func TestGoldenEquivalence(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("no corpus files found")
 	}
-	configs := []struct {
-		name string
-		opts []Option
-	}{
-		{"generic", []Option{WithCompiledKernels(false)}},
-		{"compiled", nil},
-	}
-	render := func(rows [][]string) string {
-		var b strings.Builder
-		for _, r := range rows {
-			b.WriteString(strings.Join(r, ","))
-			b.WriteByte('\n')
-		}
-		return b.String()
-	}
 	for _, f := range files {
 		name := strings.TrimSuffix(filepath.Base(f), ".ldl")
 		t.Run(name, func(t *testing.T) {
@@ -69,100 +52,117 @@ func TestGoldenEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			queries := sys.Queries()
-			if len(queries) == 0 {
+			if len(sys.Queries()) == 0 {
 				t.Fatalf("%s has no embedded queries", f)
 			}
-			for _, goal := range queries {
-				var ref string
-				for i, cfg := range configs {
-					rows, _, err := sys.EvaluateUnoptimized(goal, cfg.opts...)
-					if err != nil {
-						t.Fatalf("%s / %s: %v", goal, cfg.name, err)
-					}
-					got := render(rows)
-					if i == 0 {
-						ref = got
-						if strings.TrimSpace(ref) == "" {
-							// An all-empty answer set would make the
-							// equivalence vacuous for this goal; the
-							// corpus includes one intentionally empty
-							// query (structural fact matching), so only
-							// note it.
-							t.Logf("%s: empty answer set", goal)
-						}
-						continue
-					}
-					if got != ref {
-						t.Errorf("%s / %s: answers diverge from generic\n got:\n%s\nwant:\n%s",
-							goal, cfg.name, got, ref)
-					}
-				}
-			}
+			fn(t, name, string(src), sys)
 		})
 	}
 }
 
-// TestCorpusCounterParity is the kernel executor's work-accounting
-// acceptance: for every corpus query, generic and compiled execution
-// must report identical logical work counters (tuples, iterations,
-// unifications, lookups) — framing is invisible in everything except
-// Blocks and wall clock, including the one-row frames of applications
-// that read the relation they insert into (nonlinear.ldl aliases the
-// head in every delta round). It also pins the structured-term and
-// non-linear programs to the kernel path: their rules must all compile
-// (KernelFallbacks 0) and run there (Blocks > 0).
+// TestGoldenEquivalence is the optimizer's acceptance over the corpus:
+// every embedded query of every corpus program runs on the original
+// program (EvaluateUnoptimized) and through the plan the optimizer
+// chose (Optimize, then Execute on the rewritten program), and the
+// sorted answer sets must be byte-identical. A goal whose termination
+// the optimizer cannot establish has no plan to run; its Explain text
+// is pinned by TestCorpusOptimizedGolden. The block executor's agreement with the reference
+// interpreter, answer for answer and probe for probe, is
+// internal/eval's TestCorpusEquivalence.
+func TestGoldenEquivalence(t *testing.T) {
+	corpusSystems(t, func(t *testing.T, _, _ string, sys *System) {
+		for _, goal := range sys.Queries() {
+			plan, err := sys.Optimize(goal)
+			if err != nil {
+				t.Fatalf("%s: %v", goal, err)
+			}
+			if !plan.Safe() {
+				t.Logf("%s: no safe plan", goal)
+				continue
+			}
+			ref, _, err := sys.EvaluateUnoptimized(goal)
+			if err != nil {
+				t.Fatalf("%s / unoptimized: %v", goal, err)
+			}
+			rows, err := plan.Execute()
+			if err != nil {
+				t.Fatalf("%s / optimized: %v", goal, err)
+			}
+			want := strings.Join(sortedRows(ref), "\n")
+			if want == "" {
+				// An all-empty answer set would make the equivalence
+				// vacuous for this goal; the corpus includes one
+				// intentionally empty query (structural fact
+				// matching), so only note it.
+				t.Logf("%s: empty answer set", goal)
+			}
+			if got := strings.Join(sortedRows(rows), "\n"); got != want {
+				t.Errorf("%s: optimized answers diverge from unoptimized\n got:\n%s\nwant:\n%s", goal, got, want)
+			}
+		}
+	})
+}
+
+// TestCorpusCounterParity is the block executor's work-accounting
+// acceptance across storage layouts: for every corpus query, the
+// logical work counters (tuples, iterations, unifications, lookups) of
+// a bottom-up run over flat in-memory relations must equal those of the
+// same run over checkpointed segments reopened from disk — the layout
+// of a relation is invisible in everything except Blocks and wall
+// clock. It also pins every program to the kernel path: no rule falls
+// back (KernelFallbacks 0) and the structured-term and non-linear
+// programs run in frames (Blocks > 0).
 func TestCorpusCounterParity(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.ldl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	noFallback := map[string]bool{"complexterms": true, "listapp": true, "treefold": true, "nonlinear": true}
-	for _, f := range files {
-		name := strings.TrimSuffix(filepath.Base(f), ".ldl")
-		t.Run(name, func(t *testing.T) {
-			src, err := os.ReadFile(f)
+	framed := map[string]bool{"complexterms": true, "listapp": true, "treefold": true, "nonlinear": true}
+	corpusSystems(t, func(t *testing.T, name, src string, mem *System) {
+		fs := wal.NewMemFS()
+		disk, err := Load(src, withStorageFS(fs)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := disk.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := disk.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := Load(src, withStorageFS(fs.Crash(true))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reopened.Close()
+		for _, goal := range mem.Queries() {
+			_, want, err := mem.EvaluateUnoptimized(goal)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s / memory: %v", goal, err)
 			}
-			sys, err := Load(string(src))
+			_, got, err := reopened.EvaluateUnoptimized(goal)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s / segments: %v", goal, err)
 			}
-			for _, goal := range sys.Queries() {
-				_, generic, err := sys.EvaluateUnoptimized(goal, WithCompiledKernels(false))
-				if err != nil {
-					t.Fatalf("%s: %v", goal, err)
-				}
-				_, compiled, err := sys.EvaluateUnoptimized(goal)
-				if err != nil {
-					t.Fatalf("%s: %v", goal, err)
-				}
-				if noFallback[name] {
-					if compiled.KernelFallbacks != 0 {
-						t.Errorf("%s: KernelFallbacks = %d, want 0 (all rules must compile)", goal, compiled.KernelFallbacks)
-					}
-					if compiled.Blocks == 0 {
-						t.Errorf("%s: Blocks = 0, kernel executor never engaged", goal)
-					}
-				}
-				// Zero the counters that legitimately differ across
-				// executors before the exact-match compare.
-				for _, es := range []*ExecStats{&generic, &compiled} {
-					es.KernelCompiles, es.KernelFallbacks, es.Blocks = 0, 0, 0
-				}
-				if compiled != generic {
-					t.Errorf("%s: compiled counters diverge: %+v vs generic %+v", goal, compiled, generic)
-				}
+			if want.KernelFallbacks != 0 {
+				t.Errorf("%s: KernelFallbacks = %d, want 0 (all rules must compile)", goal, want.KernelFallbacks)
 			}
-		})
-	}
+			if framed[name] && want.Blocks == 0 {
+				t.Errorf("%s: Blocks = 0, kernel executor never engaged", goal)
+			}
+			// Zero what legitimately differs: the frame count follows
+			// the part layout, and the epochs are each System's own.
+			for _, es := range []*ExecStats{&want, &got} {
+				es.Blocks, es.Epoch = 0, 0
+			}
+			if got != want {
+				t.Errorf("%s: counters over segments diverge: %+v vs memory %+v", goal, got, want)
+			}
+		}
+	})
 }
 
-// TestKernelWorkReduction documents why the kernels exist: on the
-// transitive-closure workload the compiled path must report the same
-// logical work (the counters are a cost proxy the experiments rely
-// on) while the wall-clock/allocation win shows up in
+// TestKernelWorkReduction pins the logical work of the transitive-
+// closure workload on the block executor (the counters are a cost
+// proxy the experiments rely on); that it equals the reference
+// interpreter's, probe for probe, is internal/eval's
+// TestCorpusEquivalence. The wall-clock/allocation side shows up in
 // BenchmarkFixpointKernels.
 func TestKernelWorkReduction(t *testing.T) {
 	var b strings.Builder
@@ -174,26 +174,14 @@ func TestKernelWorkReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, esCompiled, err := sys.EvaluateUnoptimized("tc(X, Y)")
+	_, es, err := sys.EvaluateUnoptimized("tc(X, Y)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, esGeneric, err := sys.EvaluateUnoptimized("tc(X, Y)", WithCompiledKernels(false))
-	if err != nil {
-		t.Fatal(err)
+	if es.KernelFallbacks != 0 || es.Blocks == 0 {
+		t.Errorf("KernelFallbacks = %d, Blocks = %d: want every rule on the block executor", es.KernelFallbacks, es.Blocks)
 	}
-	// KernelCompiles and Blocks legitimately differ between the two
-	// paths (they count the compilation work and the vectorized frame
-	// dispatches themselves, not logical query work).
-	esCompiled.KernelCompiles, esGeneric.KernelCompiles = 0, 0
-	esCompiled.Blocks, esGeneric.Blocks = 0, 0
-	if esCompiled.KernelFallbacks != 0 {
-		t.Errorf("KernelFallbacks = %d, want 0 (every tc rule compiles)", esCompiled.KernelFallbacks)
-	}
-	if esCompiled != esGeneric {
-		t.Errorf("work counters diverge: compiled %+v vs generic %+v", esCompiled, esGeneric)
-	}
-	if esCompiled.TuplesDerived != 30*31/2 {
-		t.Errorf("TuplesDerived = %d, want %d", esCompiled.TuplesDerived, 30*31/2)
+	if es.TuplesDerived != 30*31/2 {
+		t.Errorf("TuplesDerived = %d, want %d", es.TuplesDerived, 30*31/2)
 	}
 }

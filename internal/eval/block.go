@@ -10,8 +10,9 @@ package eval
 // are only materialized at the edges — pattern decomposition,
 // arithmetic, and genuinely new head tuples.
 //
-// Equivalence contract. Execution preserves the generic interpreter's
-// answers, error, and work counters exactly:
+// Equivalence contract. Execution preserves the answers, error, and
+// work counters of a tuple-at-a-time substitution-map interpreter (this
+// package's test reference) exactly:
 //
 //   - Emission order is depth-first-identical: a scan appends matches
 //     in candidate order and flushes the output frame downstream
@@ -120,9 +121,9 @@ func newKernelState(cr *compiledRule, size int) *kernelState {
 			ks.rcols[st.scanIdx] = make([][]term.ID, len(st.cols))
 		case kNeg:
 			row := make([]term.ID, len(st.negCols))
-			for i, tm := range st.negCols {
-				if tm.reg < 0 {
-					row[i] = term.Intern(tm.lit)
+			for i, bt := range st.negCols {
+				if bt.reg < 0 && bt.args == nil {
+					row[i] = term.Intern(bt.lit)
 				}
 			}
 			ks.negIDs[st.negIdx] = row
@@ -184,11 +185,15 @@ type kernelRun struct {
 	limit   int // rows a scan gathers before flushing downstream
 }
 
-// applyCompiled executes a rule's join program — the compiled
-// counterpart of applyRule's generic joinBody walk, with identical
-// counter accounting, governor charging, and emit semantics.
-func (cx *evalCtx) applyCompiled(cr *compiledRule, deltaOcc int, deltas map[string]*store.Relation, collect func(string, store.Tuple)) error {
+// applyRule executes one application of a rule's join program: every
+// newly derived head tuple is inserted into the head relation and
+// passed to collect (if non-nil). deltaOcc, when >= 0, makes body
+// literal deltaOcc read from deltas[tag] instead of the full relation.
+func (cx *evalCtx) applyRule(cr *compiledRule, deltaOcc int, deltas map[string]*store.Relation, collect func(string, store.Tuple)) error {
 	e := cx.e
+	if e.opts.reference != nil {
+		return e.opts.reference(cx, cr.rule, deltaOcc, deltas, collect)
+	}
 	ks := cx.kstate(cr)
 	// Resolve each scan's relation: the designated delta occurrence
 	// reads this round's delta, everything else the full relation.
@@ -227,9 +232,10 @@ func (k *kernelRun) run(si int, f *bframe, sel []int32) error {
 	if len(sel) == 0 {
 		return nil
 	}
-	// Same deadline discipline as joinBody — the join can churn without
-	// deriving anything new — amortized: tick once per (step, frame)
-	// instead of once per row.
+	// The join can churn for a long time without deriving anything new
+	// (novelty filtering discards duplicates), so the deadline is
+	// checked here too, not only on derivation — amortized: once per
+	// (step, frame) instead of once per row.
 	if err := k.cx.e.opts.Gov.Tick(); err != nil {
 		return err
 	}
@@ -305,16 +311,23 @@ func (k *kernelRun) run(si int, f *bframe, sel []int32) error {
 		keep := k.ks.sels[si][:0]
 		row := k.ks.negIDs[st.negIdx]
 		for _, r := range sel {
-			// The generic interpreter counts the lookup before the nil
-			// check; a missing relation still passes every row.
+			// The lookup counts before the nil check; a missing
+			// relation still passes every row.
 			k.cx.e.Counters.Lookups++
 			if rel != nil {
-				for i, tm := range st.negCols {
-					if tm.reg >= 0 {
-						row[i] = f.cols[tm.reg][r]
+				known := true
+				for i := range st.negCols {
+					switch bt := &st.negCols[i]; {
+					case bt.args != nil:
+						// A constructed value that was never interned
+						// is stored nowhere: the row passes.
+						id, found := term.TryLookupID(buildTermID(bt, f.cols, r))
+						row[i], known = id, known && found
+					case bt.reg >= 0:
+						row[i] = f.cols[bt.reg][r]
 					}
 				}
-				if rel.ContainsIDs(row) {
+				if known && rel.ContainsIDs(row) {
 					continue
 				}
 			}
@@ -322,6 +335,11 @@ func (k *kernelRun) run(si int, f *bframe, sel []int32) error {
 		}
 		k.ks.sels[si] = keep
 		return k.run(si+1, f, keep)
+	case kFail:
+		// Unsafe rule: the first row in depth-first order aborts the
+		// application with the bindings it carries.
+		r := sel[0]
+		return st.fail(func(reg int) term.Term { return term.InternedTerm(f.cols[reg][r]) })
 	}
 	return nil
 }
@@ -390,8 +408,8 @@ func (k *kernelRun) scan(si int, st *kstep, f *bframe, sel []int32) error {
 				probe[i] = f.cols[c.reg][r]
 			case kcolBuild:
 				// A constructed probe value that was never interned
-				// cannot equal any stored value: count the lookup (the
-				// other executors probe and find nothing) and move on.
+				// cannot equal any stored value: count the lookup (an
+				// interpreter probes and finds nothing) and move on.
 				id, found := term.TryLookupID(buildTermID(c.bld, f.cols, r))
 				if !found {
 					ok = false
@@ -514,17 +532,32 @@ func buildTermID(bld *btmpl, cols [][]term.ID, r int32) term.Term {
 func (k *kernelRun) evalTestRow(st *kstep, f *bframe, r int32) (bool, error) {
 	switch st.test {
 	case testEq, testNe:
-		lid, err := k.resolveNormRowID(st.lhs, f, r)
-		if err != nil {
-			return false, err
+		var eq bool
+		if st.lhs.bld != nil || st.rhs.bld != nil {
+			// A constructed side compares as a term, so a test never
+			// interns the values it builds.
+			lv, err := k.resolveNormRow(st.lhs, f, r)
+			if err != nil {
+				return false, err
+			}
+			rv, err := k.resolveNormRow(st.rhs, f, r)
+			if err != nil {
+				return false, err
+			}
+			eq = term.Equal(lv, rv)
+		} else {
+			lid, err := k.resolveNormRowID(st.lhs, f, r)
+			if err != nil {
+				return false, err
+			}
+			rid, err := k.resolveNormRowID(st.rhs, f, r)
+			if err != nil {
+				return false, err
+			}
+			// Normalized sides are interned, so structural equality is
+			// ID equality.
+			eq = lid == rid
 		}
-		rid, err := k.resolveNormRowID(st.rhs, f, r)
-		if err != nil {
-			return false, err
-		}
-		// Normalized sides are interned, so structural equality is ID
-		// equality.
-		eq := lid == rid
 		if st.test == testEq {
 			return eq, nil
 		}
@@ -553,7 +586,9 @@ func (k *kernelRun) evalTestRow(st *kstep, f *bframe, r int32) (bool, error) {
 
 // resolveNormRowID resolves a template for one row to an interned ID
 // with "=" normalization: arithmetic expressions (static or dynamic)
-// evaluate to their integer value, everything else passes through.
+// evaluate to their integer value, everything else passes through —
+// a construction's top functor is never an arithmetic operator of its
+// arity, so it is built and never evaluated.
 func (k *kernelRun) resolveNormRowID(t tmpl, f *bframe, r int32) (term.ID, error) {
 	if t.args != nil {
 		v, err := k.evalArithRow(t, f, r)
@@ -561,6 +596,9 @@ func (k *kernelRun) resolveNormRowID(t tmpl, f *bframe, r int32) (term.ID, error
 			return 0, err
 		}
 		return term.Intern(v), nil
+	}
+	if t.bld != nil {
+		return term.Intern(buildTermID(t.bld, f.cols, r)), nil
 	}
 	if t.reg >= 0 {
 		id := f.cols[t.reg][r]
@@ -583,7 +621,7 @@ func (k *kernelRun) resolveNormRowID(t tmpl, f *bframe, r int32) (term.ID, error
 
 // resolveNormRow is resolveNormRowID returning the term itself — the
 // value side of a kMatch step, which the pattern walk consumes
-// structurally.
+// structurally, and the sides of a test over a construction.
 func (k *kernelRun) resolveNormRow(t tmpl, f *bframe, r int32) (term.Term, error) {
 	if t.args != nil {
 		v, err := k.evalArithRow(t, f, r)
@@ -591,6 +629,9 @@ func (k *kernelRun) resolveNormRow(t tmpl, f *bframe, r int32) (term.Term, error
 			return nil, err
 		}
 		return v, nil
+	}
+	if t.bld != nil {
+		return buildTermID(t.bld, f.cols, r), nil
 	}
 	if t.reg >= 0 {
 		return lang.NormalizeEqSide(term.InternedTerm(f.cols[t.reg][r]))
@@ -603,6 +644,11 @@ func (k *kernelRun) resolveNormRow(t tmpl, f *bframe, r int32) (term.Term, error
 // bearing expressions the compiler broke into sub-templates.
 func (k *kernelRun) evalArithRow(t tmpl, f *bframe, r int32) (term.Int, error) {
 	if t.args == nil {
+		if t.bld != nil {
+			// Not an arithmetic operator of its arity: EvalArith raises
+			// the interpreter's error for it.
+			return lang.EvalArith(buildTermID(t.bld, f.cols, r))
+		}
 		if t.reg >= 0 {
 			return lang.EvalArith(term.InternedTerm(f.cols[t.reg][r]))
 		}
@@ -637,11 +683,10 @@ func (k *kernelRun) headID(i int, f *bframe, r int32) term.ID {
 	}
 }
 
-// emit inserts the selected rows' head tuples, in row order — the
-// compiled counterpart of applyRule's emit closure, with identical
-// dedup, counter, and abort semantics per row. The compiler guarantees
-// groundness (registers only ever hold ground values), so no per-arg
-// check. The block's head rows are materialized columnar and
+// emit inserts the selected rows' head tuples, in row order, with the
+// dedup, counter, and abort semantics of a per-row emit. The compiler
+// guarantees groundness (registers only ever hold ground values, and
+// an unsafe head ends the program in a kFail), so no per-arg check. The block's head rows are materialized columnar and
 // bulk-inserted; onNew fires per genuinely new row, in row order, so
 // TuplesDerived accounting and delta collection match a per-row emit
 // exactly.

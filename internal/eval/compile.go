@@ -21,14 +21,17 @@ package eval
 // Complex terms compile too: a compound argument with fresh variables
 // becomes a decomposition pattern (kcolPat / kMatch), a compound whose
 // variables are all bound becomes a construction template (kcolBuild)
-// in probes and head positions. Rules the compiler still cannot prove
-// safe for this representation — an "=" needing bidirectional
-// unification, a head variable no body literal binds, goals whose EC
-// point never arrives — return nil and fall back to the generic
-// joinBody interpreter, preserving its answers and its error timing
-// exactly. block.go is the one executor of these programs.
+// in probes, head positions, builtin sides and negated literals. Every
+// rule compiles, the unsafe ones included: their programs end in a
+// kFail step that raises the interpreter's error for the first row
+// reaching it. block.go is the one executor of these programs; the
+// substitution-map interpreter they replaced survives only as this
+// package's test reference (reference_test.go), which every answer,
+// error and work counter of the kernels is checked against.
 
 import (
+	"fmt"
+
 	"ldl/internal/lang"
 	"ldl/internal/term"
 )
@@ -57,7 +60,7 @@ const (
 	kcolPat
 	// kcolBuild: a compound argument (or head position) whose variables
 	// are all bound — construct the term from the registers. In a scan
-	// it joins the probe mask, exactly like the generic interpreter,
+	// it joins the probe mask, exactly like the reference interpreter,
 	// whose per-row resolution makes such a column ground.
 	kcolBuild
 )
@@ -104,8 +107,10 @@ type kpat struct {
 // btmpl is a compiled construction template: a ground term assembled
 // structurally from registers and constants. Construction is purely
 // structural — arithmetic functors are built as compound terms, not
-// evaluated, exactly as the generic interpreter's ResolveAll leaves
-// them in head positions and probe columns.
+// evaluated, exactly as ResolveAll leaves them in head positions,
+// probe columns and negated literals. Exactly one representation
+// applies: args != nil → compound node, else reg >= 0 → register,
+// else lit.
 type btmpl struct {
 	reg     int       // >= 0: copy a register
 	lit     term.Term // ground literal
@@ -122,6 +127,7 @@ const (
 	kAssign                  // "=" binding a fresh variable to a value
 	kNeg                     // negated literal: membership anti-test
 	kMatch                   // "=" decomposing a bound value against a pattern
+	kFail                    // unsafe rule: the first row reaching it aborts
 )
 
 // testOp is the comparison operator of a kTest step.
@@ -137,15 +143,17 @@ const (
 )
 
 // tmpl is a compiled value template: a register reference, a ground
-// literal term, or an arithmetic expression over sub-templates
-// (evaluated over register values without constructing term.Comp
-// nodes). Exactly one representation applies: args != nil → arithmetic
-// node, else reg >= 0 → register, else lit.
+// literal term, an arithmetic expression over sub-templates (evaluated
+// over register values without constructing term.Comp nodes), or any
+// other compound with variables, constructed structurally. Exactly one
+// representation applies: args != nil → arithmetic node, else bld !=
+// nil → construction, else reg >= 0 → register, else lit.
 type tmpl struct {
 	reg     int
 	lit     term.Term
 	functor string
 	args    []tmpl
+	bld     *btmpl
 }
 
 // kstep is one step of a join program. A single struct with per-kind
@@ -168,8 +176,12 @@ type kstep struct {
 
 	// kNeg
 	negTag  string
-	negIdx  int    // index into kernelState.{negRels, negIDs}
-	negCols []tmpl // register-or-literal templates only
+	negIdx  int     // index into kernelState.{negRels, negIDs}
+	negCols []btmpl // structural, as the interpreter probes them
+
+	// kFail: the error for the first row reaching the step, given that
+	// row's register values.
+	fail func(val func(reg int) term.Term) error
 }
 
 // compiledRule is a rule's join program. It is immutable after
@@ -181,7 +193,7 @@ type compiledRule struct {
 	nregs  int
 	nscans int
 	nnegs  int
-	head   []kcol // kcolConst or kcolProbe only
+	head   []kcol // kcolConst, kcolProbe or kcolBuild; nil after a kFail
 	// scanForBody maps a body-literal index to its scan step's scanIdx
 	// (-1 for builtins/negations) — the delta-occurrence remap used by
 	// semi-naive variants, which share this one program.
@@ -191,11 +203,11 @@ type compiledRule struct {
 }
 
 // ProgramKernels is the once-per-program compiled kernel set: one join
-// program (or nil, for generic-interpreter rules) per rule of the
-// program, indexed by global rule index. It is immutable and safely
-// shared across engines and goroutines — the serving layer compiles a
-// prepared query form's program once and every subsequent execution
-// reuses the same kernels, paying zero compilation.
+// program per rule of the program, indexed by global rule index. It is
+// immutable and safely shared across engines and goroutines — the
+// serving layer compiles a prepared query form's program once and every
+// subsequent execution reuses the same kernels, paying zero
+// compilation.
 type ProgramKernels struct {
 	prog  *lang.Program
 	rules []*compiledRule
@@ -210,11 +222,15 @@ func CompileProgram(prog *lang.Program) *ProgramKernels {
 	return pk
 }
 
-// compileRule compiles r to a join program, or returns nil when the
-// rule needs the generic interpreter: a non-ground compound argument
-// anywhere the kernel would have to unify or construct terms, a head
-// variable no body literal binds (the generic path raises the unsafe-
-// rule error), or a deferred goal whose EC point never arrives.
+// compileRule compiles r to its join program. Compilation is total:
+// every rule gets a program, and the shapes that are unsafe to run —
+// a head variable no body literal binds, goals whose EC point never
+// arrives, a negated builtin — end in a kFail step that raises, for
+// the first row reaching it, the error the substitution-map
+// interpreter raises at the same point. A rule whose rows never get
+// there (an empty scan, a test that filters every row) still succeeds.
+// Rules come from lang.NewProgram, which bounds every literal's arity
+// by lang.MaxAdornArity, so every column fits the uint32 probe mask.
 func compileRule(r lang.Rule) *compiledRule {
 	cr := &compiledRule{rule: r, scanForBody: make([]int, len(r.Body))}
 	regOf := map[string]int{}
@@ -223,39 +239,6 @@ func compileRule(r lang.Rule) *compiledRule {
 		cr.nregs++
 		regOf[name] = reg
 		return reg
-	}
-
-	// mkTmpl compiles a fully-instantiated value position. Non-arith
-	// compounds containing variables would require construction per
-	// candidate — generic path territory.
-	var mkTmpl func(t term.Term) (tmpl, bool)
-	mkTmpl = func(t term.Term) (tmpl, bool) {
-		switch x := t.(type) {
-		case term.Var:
-			reg, ok := regOf[x.Name]
-			if !ok {
-				return tmpl{}, false
-			}
-			return tmpl{reg: reg, lit: nil}, true
-		case term.Comp:
-			if term.Ground(t) {
-				return tmpl{reg: -1, lit: t}, true
-			}
-			if n, isOp := lang.ArithArity(x.Functor); isOp && len(x.Args) == n {
-				args := make([]tmpl, len(x.Args))
-				for i, a := range x.Args {
-					at, ok := mkTmpl(a)
-					if !ok {
-						return tmpl{}, false
-					}
-					args[i] = at
-				}
-				return tmpl{reg: -1, functor: x.Functor, args: args}, true
-			}
-			return tmpl{}, false
-		default: // Atom, Int, Str
-			return tmpl{reg: -1, lit: t}, true
-		}
 	}
 
 	// mkBuild compiles a construction template: every variable must be
@@ -284,6 +267,45 @@ func compileRule(r lang.Rule) *compiledRule {
 			return btmpl{reg: -1, functor: x.Functor, args: args}, true
 		default:
 			return btmpl{reg: -1, lit: t}, true
+		}
+	}
+
+	// mkTmpl compiles a fully-instantiated value position; it fails
+	// only when a variable is not bound yet. An arithmetic compound
+	// becomes an expression node; any other compound with variables is
+	// built structurally, as EvalBuiltin leaves it (it evaluates only a
+	// side's top-level arithmetic functor).
+	var mkTmpl func(t term.Term) (tmpl, bool)
+	mkTmpl = func(t term.Term) (tmpl, bool) {
+		switch x := t.(type) {
+		case term.Var:
+			reg, ok := regOf[x.Name]
+			if !ok {
+				return tmpl{}, false
+			}
+			return tmpl{reg: reg}, true
+		case term.Comp:
+			if term.Ground(t) {
+				return tmpl{reg: -1, lit: t}, true
+			}
+			if n, isOp := lang.ArithArity(x.Functor); isOp && len(x.Args) == n {
+				args := make([]tmpl, len(x.Args))
+				for i, a := range x.Args {
+					at, ok := mkTmpl(a)
+					if !ok {
+						return tmpl{}, false
+					}
+					args[i] = at
+				}
+				return tmpl{reg: -1, functor: x.Functor, args: args}, true
+			}
+			bt, ok := mkBuild(t)
+			if !ok {
+				return tmpl{}, false
+			}
+			return tmpl{reg: -1, bld: &bt}, true
+		default: // Atom, Int, Str
+			return tmpl{reg: -1, lit: t}, true
 		}
 	}
 
@@ -325,144 +347,105 @@ func compileRule(r lang.Rule) *compiledRule {
 		return m
 	}
 
-	// compileDeferred compiles a builtin or negated goal at its EC
-	// point. ready=false defers it; ok=false forces generic fallback.
-	compileDeferred := func(l lang.Literal) (ready, ok bool) {
-		if l.Neg {
-			if lang.IsBuiltin(l.Pred) {
-				return false, false // Validate rejects these; be safe
+	// fail appends a kFail step raising err, which receives the failing
+	// row's bindings of the variables bound at this point.
+	fail := func(err func(term.Subst) error) {
+		bound := make(map[string]int, len(regOf))
+		for v, reg := range regOf {
+			bound[v] = reg
+		}
+		cr.steps = append(cr.steps, kstep{kind: kFail, fail: func(val func(reg int) term.Term) error {
+			s := term.NewSubst()
+			for v, reg := range bound {
+				s[v] = val(reg)
 			}
+			return err(s)
+		}})
+	}
+
+	// compileDeferred compiles a builtin or negated goal at its EC
+	// point, reporting false while the goal must stay deferred.
+	compileDeferred := func(l lang.Literal) bool {
+		if l.Neg {
+			// A negation waits until every argument is ground.
 			set := map[string]bool{}
 			l.VarSet(set)
 			for v := range set {
 				if _, have := regOf[v]; !have {
-					return false, true
+					return false
 				}
 			}
-			st := kstep{kind: kNeg, negTag: l.Tag(), negIdx: cr.nnegs, negCols: make([]tmpl, len(l.Args))}
+			if lang.IsBuiltin(l.Pred) {
+				// NewProgram rejects these; the interpreter raises this
+				// once the goal's arguments are ground.
+				neg := l // a copy, so that only this branch heap-allocates it
+				fail(func(term.Subst) error { return fmt.Errorf("eval: negated builtin %s", neg) })
+				return true
+			}
+			// Arguments probe structurally, compounds unevaluated — as
+			// ResolveAll leaves them.
+			st := kstep{kind: kNeg, negTag: l.Tag(), negIdx: cr.nnegs, negCols: make([]btmpl, len(l.Args))}
 			for i, a := range l.Args {
-				tm, tok := mkTmpl(a)
-				if !tok || tm.args != nil {
-					// Compound args (even arithmetic ones: the generic
-					// path probes them structurally, unevaluated) need
-					// term construction — fall back.
-					return false, false
-				}
-				st.negCols[i] = tm
+				st.negCols[i], _ = mkBuild(a)
 			}
 			cr.nnegs++
 			cr.steps = append(cr.steps, st)
-			return true, true
+			return true
 		}
-		// Builtin.
-		if len(l.Args) != 2 {
-			return false, false // generic path raises the arity error
-		}
+		// Builtin. BuiltinEC is false for a builtin of the wrong arity,
+		// which therefore stays pending, as in the interpreter.
 		if !lang.BuiltinEC(l, boundSet()) {
-			return false, true
+			return false
 		}
-		lhs, rhs := l.Args[0], l.Args[1]
-		if l.Pred == lang.OpEq {
-			lt, lok := mkTmpl(lhs)
-			rt, rok := mkTmpl(rhs)
-			if lok && rok {
-				cr.steps = append(cr.steps, kstep{kind: kTest, test: testEq, lhs: lt, rhs: rt})
-				return true, true
-			}
-			// One side failed to template. EC guarantees at least one
-			// side is fully bound; if the other is a single fresh
-			// variable this is an assignment, and a compound with fresh
-			// variables is a decomposition match against the bound
-			// side's value. Both sides failing (a bound compound that
-			// is neither ground nor arithmetic on each side) needs
-			// bidirectional unification — fall back.
-			if !lok && !rok {
-				return false, false
-			}
-			value, pattern := lt, rhs
-			if !lok {
-				value, pattern = rt, lhs
-			}
-			if v, isVar := pattern.(term.Var); isVar {
-				cr.steps = append(cr.steps, kstep{kind: kAssign, dstReg: newReg(v.Name), rhs: value})
-				return true, true
-			}
-			// A pattern with an arithmetic top-level functor must stay
-			// generic: EvalBuiltin normalizes both sides, so the generic
-			// path evaluates it per row (typically to a per-row error,
-			// since it failed to template), where a match would compare
-			// it structurally. Below top level the generic path leaves
-			// arithmetic functors unevaluated, so patterns may contain
-			// them freely.
-			if lang.IsArithExpr(pattern) {
-				return false, false
-			}
-			cr.steps = append(cr.steps, kstep{kind: kMatch, pat: mkPat(pattern, nil), rhs: value})
-			return true, true
+		lt, lok := mkTmpl(l.Args[0])
+		rt, rok := mkTmpl(l.Args[1])
+		if lok && rok {
+			cr.steps = append(cr.steps, kstep{kind: kTest, test: testOps[l.Pred], lhs: lt, rhs: rt})
+			return true
 		}
-		var op testOp
-		switch l.Pred {
-		case lang.OpNe:
-			op = testNe
-		case lang.OpLt:
-			op = testLt
-		case lang.OpLe:
-			op = testLe
-		case lang.OpGt:
-			op = testGt
-		case lang.OpGe:
-			op = testGe
-		default:
-			return false, false
+		// Only "=" is evaluable with an unbound side, and EC makes the
+		// other side fully bound. A single fresh variable is an
+		// assignment; a compound with fresh variables is a decomposition
+		// match against the bound side's value. EC also rules out an
+		// arithmetic functor on the unbound side, so the pattern never
+		// needs evaluating.
+		value, pattern := lt, l.Args[1]
+		if !lok {
+			value, pattern = rt, l.Args[0]
 		}
-		lt, lok := mkTmpl(lhs)
-		rt, rok := mkTmpl(rhs)
-		if !lok || !rok {
-			return false, false
+		if v, isVar := pattern.(term.Var); isVar {
+			cr.steps = append(cr.steps, kstep{kind: kAssign, dstReg: newReg(v.Name), rhs: value})
+			return true
 		}
-		cr.steps = append(cr.steps, kstep{kind: kTest, test: op, lhs: lt, rhs: rt})
-		return true, true
+		cr.steps = append(cr.steps, kstep{kind: kMatch, pat: mkPat(pattern, nil), rhs: value})
+		return true
 	}
 
 	var pending []lang.Literal
 	// flushPending retries deferred goals after a binding step, with a
-	// restart after each success — mirroring joinBody's pi = -1 loop:
-	// an assignment flushed from pending may enable another goal.
-	flushPending := func() bool {
+	// restart after each success — mirroring the interpreter's flush
+	// loop: an assignment flushed from pending may enable another goal.
+	flushPending := func() {
 		for pi := 0; pi < len(pending); pi++ {
-			ready, ok := compileDeferred(pending[pi])
-			if !ok {
-				return false
-			}
-			if !ready {
+			if !compileDeferred(pending[pi]) {
 				continue
 			}
 			pending = append(pending[:pi:pi], pending[pi+1:]...)
 			pi = -1
 		}
-		return true
 	}
 
 	for bi, l := range r.Body {
 		cr.scanForBody[bi] = -1
 		if l.Neg || lang.IsBuiltin(l.Pred) {
-			ready, ok := compileDeferred(l)
-			if !ok {
-				return nil
-			}
-			if !ready {
+			if !compileDeferred(l) {
 				pending = append(pending, l)
 				continue
 			}
-			if !flushPending() {
-				return nil
-			}
+			flushPending()
 			continue
 		}
 		// Positive relational literal → scan step.
-		if len(l.Args) > lang.MaxAdornArity {
-			return nil // Validate rejects these; be safe
-		}
 		st := kstep{kind: kScan, tag: l.Tag(), scanIdx: cr.nscans, cols: make([]kcol, len(l.Args)), nbound: cr.nregs}
 		newHere := map[string]bool{}
 		for ai, a := range l.Args {
@@ -484,8 +467,8 @@ func compileRule(r lang.Rule) *compiledRule {
 				// A compound with variables. All bound (and none bound
 				// first in this literal, whose value only exists per
 				// candidate): construct it per application and probe —
-				// the generic interpreter's per-row resolution makes
-				// such a column ground, so it probes on it too, and the
+				// the interpreter's per-row resolution makes such a
+				// column ground, so it probes on it too, and the
 				// candidate sets (hence the work counters) must agree.
 				// Otherwise: decompose the candidate's column against a
 				// pattern, binding the fresh variables.
@@ -504,38 +487,46 @@ func compileRule(r lang.Rule) *compiledRule {
 		cr.scanStep = append(cr.scanStep, len(cr.steps))
 		cr.nscans++
 		cr.steps = append(cr.steps, st)
-		if !flushPending() {
-			return nil
-		}
+		flushPending()
 	}
 	if len(pending) > 0 {
-		return nil // generic path raises "never became evaluable"
+		fail(func(term.Subst) error {
+			return fmt.Errorf("eval: goals %v never became evaluable (unsafe rule ordering)", pending)
+		})
+		return cr
 	}
 	// Head template: registers, constants, and fully-bound construction
 	// templates (cons(Y, P) assembled from body bindings). A variable no
-	// body literal binds falls back to the generic path, which raises
-	// the unsafe-rule error — including one buried in a compound.
-	cr.head = make([]kcol, len(r.Head.Args))
+	// body literal binds — also one buried in a compound — makes the
+	// rule unsafe: its program ends in the interpreter's error, which
+	// shows the head resolved under the failing row.
+	head := make([]kcol, len(r.Head.Args))
 	for ai, a := range r.Head.Args {
-		if v, isVar := a.(term.Var); isVar {
-			reg, have := regOf[v.Name]
-			if !have {
-				return nil
-			}
-			cr.head[ai] = kcol{op: kcolProbe, reg: reg}
-			continue
+		bt, ok := mkBuild(a)
+		switch {
+		case !ok:
+			fail(func(s term.Subst) error {
+				args := s.ResolveAll(r.Head.Args)
+				return fmt.Errorf("eval: rule %s produced non-ground head %s — unbound head variable (unsafe rule)", r, lang.Literal{Pred: r.Head.Pred, Args: args})
+			})
+			return cr
+		case bt.reg >= 0:
+			head[ai] = kcol{op: kcolProbe, reg: bt.reg}
+		case bt.args != nil:
+			bld := bt
+			head[ai] = kcol{op: kcolBuild, bld: &bld}
+		default:
+			head[ai] = kcol{op: kcolConst, val: a}
 		}
-		if !term.Ground(a) {
-			bt, ok := mkBuild(a)
-			if !ok {
-				return nil
-			}
-			cr.head[ai] = kcol{op: kcolBuild, bld: &bt}
-			continue
-		}
-		cr.head[ai] = kcol{op: kcolConst, val: a}
 	}
+	cr.head = head
 	return cr
+}
+
+// testOps maps the comparison builtins to their kTest operators.
+var testOps = map[string]testOp{
+	lang.OpEq: testEq, lang.OpNe: testNe,
+	lang.OpLt: testLt, lang.OpLe: testLe, lang.OpGt: testGt, lang.OpGe: testGe,
 }
 
 // anyNewHere reports whether t contains a variable first bound inside

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"ldl/internal/lang"
 	"ldl/internal/parser"
+	"ldl/internal/store"
+	"ldl/internal/term"
 )
 
 // parseOneRule parses src and returns its single rule.
@@ -20,40 +23,53 @@ func parseOneRule(t *testing.T, src string) *compiledRule {
 	return compileRule(prog.Rules[0])
 }
 
+// TestCompileRuleCompilability: compilation is total. Every rule gets
+// a join program; the unsafe ones (an unbound head variable, a goal
+// whose EC point never arrives) end in a kFail step that raises the
+// interpreter's error for the first row reaching it.
 func TestCompileRuleCompilability(t *testing.T) {
 	cases := []struct {
-		name    string
-		src     string
-		compile bool
+		name   string
+		src    string
+		unsafe bool
 	}{
-		{"linear recursion", "tc(X, Y) <- e(X, Z), tc(Z, Y).", true},
-		{"constants and repeats", "p(X) <- e(1, X), e(X, X).", true},
-		{"inline builtin after binding", "p(X) <- q(X), X > 3.", true},
-		{"deferred builtin before binding", "p(X) <- X > 3, q(X).", true},
-		{"assignment", "p(Y) <- q(X), Y = X + 1.", true},
-		{"deferred assignment", "p(Y) <- Y = X + 1, q(X).", true},
-		{"negation", "p(X) <- q(X), not r(X).", true},
-		{"deferred negation", "p(X) <- not r(X), q(X).", true},
-		{"eq test both bound", "p(X) <- q(X), r(Y), X = Y.", true},
-		{"ground compound column", "p(X) <- q(f(a), X).", true},
-		{"constant head column", "p(X, 0) <- q(X).", true},
-		{"complex head term", "p(X, f(X)) <- q(X).", true},
-		{"non-ground compound column", "p(X) <- q(f(X)).", true},
-		{"bound compound probe column", "p(X) <- q(X), r(f(X)).", true},
-		{"eq needs unification", "p(X) <- q(Y), f(X) = Y.", true},
-
-		{"unbound head variable", "p(X, Y) <- q(X).", false},
-		{"unbound head compound variable", "p(X, f(Y)) <- q(X).", false},
-		{"never-evaluable builtin", "p(X) <- X > Y, q(X).", false},
-		{"never-ground negation", "p(X) <- q(X), not r(X, Z).", false},
+		{"linear recursion", "tc(X, Y) <- e(X, Z), tc(Z, Y).", false},
+		{"constants and repeats", "p(X) <- e(1, X), e(X, X).", false},
+		{"inline builtin after binding", "p(X) <- q(X), X > 3.", false},
+		{"deferred builtin before binding", "p(X) <- X > 3, q(X).", false},
+		{"assignment", "p(Y) <- q(X), Y = X + 1.", false},
+		{"deferred assignment", "p(Y) <- Y = X + 1, q(X).", false},
+		{"negation", "p(X) <- q(X), not r(X).", false},
+		{"deferred negation", "p(X) <- not r(X), q(X).", false},
+		{"eq test both bound", "p(X) <- q(X), r(Y), X = Y.", false},
+		{"ground compound column", "p(X) <- q(f(a), X).", false},
+		{"constant head column", "p(X, 0) <- q(X).", false},
+		{"complex head term", "p(X, f(X)) <- q(X).", false},
+		{"non-ground compound column", "p(X) <- q(f(X)).", false},
+		{"bound compound probe column", "p(X) <- q(X), r(f(X)).", false},
+		{"eq needs unification", "p(X) <- q(Y), f(X) = Y.", false},
 		{"eq both sides compound", "p(X, Y) <- q(X), r(Y), f(X) = f(Y).", false},
 		{"compound negation arg", "p(X) <- q(X), not r(f(X)).", false},
+
+		{"unbound head variable", "p(X, Y) <- q(X).", true},
+		{"unbound head compound variable", "p(X, f(Y)) <- q(X).", true},
+		{"never-evaluable builtin", "p(X) <- X > Y, q(X).", true},
+		{"never-ground negation", "p(X) <- q(X), not r(X, Z).", true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cr := parseOneRule(t, c.src)
-			if (cr != nil) != c.compile {
-				t.Errorf("compileRule(%q): compiled=%v, want %v", c.src, cr != nil, c.compile)
+			if cr == nil {
+				t.Fatalf("compileRule(%q) = nil", c.src)
+			}
+			last := cr.steps[len(cr.steps)-1].kind
+			if (last == kFail) != c.unsafe {
+				t.Errorf("compileRule(%q): ends in kFail=%v, want %v", c.src, last == kFail, c.unsafe)
+			}
+			for _, st := range cr.steps[:len(cr.steps)-1] {
+				if st.kind == kFail {
+					t.Errorf("compileRule(%q): kFail before the last step", c.src)
+				}
 			}
 		})
 	}
@@ -92,7 +108,8 @@ func TestCompiledProgramShape(t *testing.T) {
 }
 
 // kernelPrograms is the equivalence corpus: every engine-level feature
-// the kernels implement, plus the fallback shapes, in one list.
+// the kernels implement in one list, the shapes that once needed the
+// interpreter as a fallback included.
 var kernelPrograms = []struct {
 	name string
 	src  string
@@ -162,25 +179,52 @@ tc(X, Y) <- e(X, Z), tc(Z, Y).
 q(f(1)). q(f(2)).
 unwrap(X) <- q(Y), f(X) = Y.
 `, "unwrap(X)"},
+	{"eq both sides compound", `
+q(1). q(2). r(2). r(3).
+same(X, Y) <- q(X), r(Y), f(X) = f(Y).
+`, "same(X, Y)"},
+	{"ne over compounds", `
+q(1). q(2). r(2).
+other(X, Y) <- q(X), r(Y), f(X, a) \= f(Y, a).
+`, "other(X, Y)"},
+	{"assign a compound", `
+q(1). q(2).
+wrapped(Y) <- q(X), Y = box(X, X + 1).
+`, "wrapped(Y)"},
+	{"match against a built compound", `
+q(1, 2). q(3, 4).
+swap(B, A) <- q(X, Y), pair(A, B) = pair(X, Y).
+`, "swap(B, A)"},
+	{"compound negation arg", `
+q(1). q(2). q(3). r(f(2)).
+unmarked(X) <- q(X), not r(f(X)).
+`, "unmarked(X)"},
+	{"arithmetic negation arg", `
+q(1). q(2). r(1 + 1). r(2).
+absent(X) <- q(X), not r(X + 1).
+`, "absent(X)"},
+	{"deferred compound negation", `
+q(1). q(2). r(g(1)).
+free(X) <- not r(g(X)), q(X).
+`, "free(X)"},
 }
 
-// TestKernelEquivalence runs every corpus program through
-// {generic, compiled, compiled with 4-row blocks} × {Naive, SemiNaive}
-// and requires identical answers and identical work counters between
-// compiled and generic.
+// TestKernelEquivalence runs every program through {reference,
+// compiled, compiled with 4-row blocks} × {Naive, SemiNaive} and
+// requires identical answers and identical work counters between the
+// kernels and the reference interpreter.
 func TestKernelEquivalence(t *testing.T) {
 	for _, p := range kernelPrograms {
 		t.Run(p.name, func(t *testing.T) {
-			type mode struct {
+			modes := []struct {
 				name string
 				opts Options
-			}
-			modes := []mode{
-				{"generic/seq", Options{DisableKernels: true}},
-				{"compiled/seq", Options{}},
+			}{
+				{"reference", referenceOpts(Options{})},
+				{"compiled", Options{}},
 				// Tiny blocks force the flush-at-capacity path on every
 				// program, not just large workloads.
-				{"compiled4/seq", Options{BatchSize: 4}},
+				{"compiled4", Options{BatchSize: 4}},
 			}
 			for _, m := range []Method{Naive, SemiNaive} {
 				var ref string
@@ -198,13 +242,8 @@ func TestKernelEquivalence(t *testing.T) {
 					if got != ref {
 						t.Errorf("%v/%s: answers diverge\n got %s\nwant %s", m, md.name, got, ref)
 					}
-					// Counter parity: the kernels must do the same logical
-					// work as the generic interpreter at every block size,
-					// probe for probe.
-					cg, cc := refEng.Counters, eng.Counters
-					if cg.Lookups != cc.Lookups || cg.Unifications != cc.Unifications ||
-						cg.BuiltinCalls != cc.BuiltinCalls || cg.TuplesDerived != cc.TuplesDerived {
-						t.Errorf("%v: counters diverge: generic %+v vs compiled %+v", m, cg, cc)
+					if !sameWork(refEng.Counters, eng.Counters) {
+						t.Errorf("%v/%s: counters diverge: reference %+v vs compiled %+v", m, md.name, refEng.Counters, eng.Counters)
 					}
 				}
 			}
@@ -212,9 +251,21 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 }
 
+// sameWork reports whether two runs did the same logical work, probe
+// for probe: the kernels must match the reference interpreter at every
+// block size. KernelCompiles and Blocks count the executor's own
+// machinery, not query work.
+func sameWork(a, b Counters) bool {
+	return a.Lookups == b.Lookups && a.Unifications == b.Unifications &&
+		a.BuiltinCalls == b.BuiltinCalls && a.TuplesDerived == b.TuplesDerived &&
+		a.Iterations == b.Iterations
+}
+
 // TestKernelErrorParity: runtime errors (division by zero reached
-// through a join, unbound head variables, never-evaluable goals) must
-// surface identically with kernels on and off.
+// through a join, the unsafe shapes whose programs end in kFail, a
+// comparison over a compound) must surface with the reference
+// interpreter's exact message, and a rule whose rows never reach the
+// failing point must succeed with the same work counters.
 func TestKernelErrorParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -229,35 +280,95 @@ inv(X, Y) <- n(X), Y = 10 / X.
 n(1).
 p(X, Y) <- n(X).
 `, "unbound head variable"},
+		{"unbound head compound variable", `
+n(1). n(2).
+p(X, f(X, Y)) <- n(X).
+`, "produced non-ground head p(1, f(1, Y))"},
 		{"never evaluable", `
 n(1).
 p(X) <- n(X), X > Z.
 `, "never became evaluable"},
+		{"never-ground negation", `
+n(1). r(1, 2).
+p(X) <- n(X), not r(X, Z).
+`, "goals [not r(X, Z)] never became evaluable"},
+		{"comparison over a compound", `
+n(1).
+p(X) <- n(X), f(X) < 3.
+`, "f/1 is not an arithmetic operator"},
+		{"arithmetic over a compound", `
+n(1). n(2).
+p(X) <- n(X), n(Y), X + f(Y) = 3.
+`, "f/1 is not an arithmetic operator"},
 		{"dead branch hides the error", `
 n(1). n(2).
 p(Y) <- n(X), X > 5, Y = X / 0.
 `, ""},
+		{"empty body relation hides the unsafe head", `
+n(1).
+p(X, Y) <- m(X).
+q(X) <- n(X), m(X), X > Z.
+`, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			modes := []struct {
-				name string
-				opts Options
-			}{
-				{"generic", Options{DisableKernels: true}},
-				{"compiled", Options{}},
+			ref, refErr := tryRun(c.src, SemiNaive, referenceOpts(Options{}))
+			got, err := tryRun(c.src, SemiNaive, Options{})
+			if c.frag == "" {
+				if refErr != nil || err != nil {
+					t.Fatalf("unexpected error: reference %v, compiled %v", refErr, err)
+				}
+				if !sameWork(ref.Counters, got.Counters) {
+					t.Errorf("counters diverge: reference %+v vs compiled %+v", ref.Counters, got.Counters)
+				}
+				return
 			}
-			for _, m := range modes {
-				_, err := tryRun(c.src, SemiNaive, m.opts)
-				if c.frag == "" {
-					if err != nil {
-						t.Errorf("%s: unexpected error %v", m.name, err)
-					}
-					continue
+			if refErr == nil || !strings.Contains(refErr.Error(), c.frag) {
+				t.Fatalf("reference: error %v, want substring %q", refErr, c.frag)
+			}
+			if err == nil || err.Error() != refErr.Error() {
+				t.Errorf("compiled: error %v, want the reference's %q", err, refErr)
+			}
+		})
+	}
+}
+
+// TestUnsafeBuiltinShapes covers the unsafe shapes the parser cannot
+// produce — a builtin of the wrong arity, a negated builtin — by
+// building the rules directly: both compile to a program that fails
+// exactly as the reference interpreter does once a row reaches them.
+func TestUnsafeBuiltinShapes(t *testing.T) {
+	x, y := term.Var{Name: "X"}, term.Var{Name: "Y"}
+	n := lang.Lit("n", x)
+	cases := []struct {
+		name string
+		rule lang.Rule
+	}{
+		{"wrong arity", lang.Rule{Head: lang.Lit("p", x), Body: []lang.Literal{n, lang.Lit(lang.OpLt, x, y, x)}}},
+		{"negated builtin", lang.Rule{Head: lang.Lit("p", x), Body: []lang.Literal{n, lang.NotLit(lang.OpGt, x, term.Int(0))}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if last := compileRule(c.rule).steps; last[len(last)-1].kind != kFail {
+				t.Fatalf("%s: program does not end in kFail", c.rule)
+			}
+			run := func(opts Options) error {
+				db := store.NewDatabase()
+				db.Ensure("n/1", 1).MustInsert(store.Tuple{term.Int(1)})
+				// Built directly: NewProgram rejects a negated builtin.
+				prog := &lang.Program{Rules: []lang.Rule{c.rule}}
+				e, err := New(prog, db, opts)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if err == nil || !strings.Contains(err.Error(), c.frag) {
-					t.Errorf("%s: error %v, want substring %q", m.name, err, c.frag)
-				}
+				return e.Run()
+			}
+			refErr, err := run(referenceOpts(Options{})), run(Options{})
+			if refErr == nil {
+				t.Fatal("reference interpreter accepted the rule")
+			}
+			if err == nil || err.Error() != refErr.Error() {
+				t.Errorf("compiled: error %v, want the reference's %q", err, refErr)
 			}
 		})
 	}

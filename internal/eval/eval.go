@@ -1,9 +1,11 @@
 // Package eval is the execution engine: bottom-up fixpoint evaluation
 // of Horn clause programs against a fact base, clique by clique in the
 // follows order, with naive or semi-naive iteration, builtin deferral,
-// and stratified negation. It is both the runtime that executes
-// optimized plans (after plan-directed program rewriting) and the
-// reference evaluator that correctness tests compare against.
+// and stratified negation. Every rule runs as a compiled join program
+// (compile.go) on the block executor (block.go) — for optimized plans
+// after plan-directed program rewriting, for unoptimized evaluation,
+// and for view maintenance (incremental.go) alike. The tabled top-down
+// evaluator (topdown.go) is a separate, goal-directed mode.
 //
 // An engine evaluates one query on one goroutine: concurrency lives
 // between queries (each over its own engine and a shared, read-only
@@ -60,11 +62,6 @@ type Options struct {
 	// relations and delta sets are pre-sized from them so fixpoint runs
 	// avoid rehash growth. Missing entries cost nothing.
 	SizeHints map[string]int
-	// DisableKernels turns off the compiled join-kernel path
-	// (compile.go), forcing every rule through the generic joinBody
-	// interpreter. The zero value — kernels on — is the default; the
-	// flag exists for A/B verification and as an escape hatch.
-	DisableKernels bool
 	// BatchSize is the block size of the kernel executor (block.go):
 	// compiled rules push columnar frames of up to this many rows
 	// through each join step. 0 or negative selects DefaultBatchSize,
@@ -76,8 +73,7 @@ type Options struct {
 	// program (built once with CompileProgram over the same *Program
 	// this engine evaluates). The engine then performs zero kernel
 	// compilation — the prepared-plan serving fast path. Ignored when
-	// DisableKernels is set or when the kernel set was compiled for a
-	// different program value.
+	// the kernel set was compiled for a different program value.
 	Kernels *ProgramKernels
 	// Graph, when non-nil, supplies the precomputed dependency analysis
 	// of the program (depgraph.Analyze over the same *Program),
@@ -91,6 +87,12 @@ type Options struct {
 	// caller-facing budget; MaxIterations/MaxTuples above remain the
 	// engine's own runaway backstop.
 	Gov *resource.Governor
+
+	// reference, set only by this package's tests, runs every rule
+	// application through the substitution-map reference interpreter
+	// (reference_test.go) instead of its join program: the oracle the
+	// kernels' answers, errors and work counters are checked against.
+	reference func(cx *evalCtx, r lang.Rule, deltaOcc int, deltas map[string]*store.Relation, collect func(string, store.Tuple)) error
 }
 
 func (o *Options) norm() {
@@ -117,16 +119,9 @@ type Counters struct {
 	// engine. Zero when Options.Kernels supplied every clique's
 	// programs — the assertion the prepared-plan cache tests make.
 	KernelCompiles int
-	// KernelFallbacks counts rule resolutions that fell back to the
-	// generic interpreter because the rule has no join kernel, per
-	// clique evaluation (mirroring KernelCompiles). Zero means every
-	// rule ran compiled. Always zero when kernels are disabled — the
-	// generic path is then chosen, not fallen back to.
-	KernelFallbacks int
 	// Blocks counts columnar frames the kernel executor dispatched
 	// between join steps (scan outputs flushed downstream), one-row
-	// frames of head-aliasing applications included. Zero when every
-	// rule ran in the generic interpreter.
+	// frames of head-aliasing applications included.
 	Blocks int64
 }
 
@@ -217,20 +212,14 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// cliqueRules resolves a clique's rule indexes and iteration method.
-func (e *Engine) cliqueRules(c *depgraph.Clique) ([]lang.Rule, Method) {
-	rules := make([]lang.Rule, len(c.Rules))
-	for i, ri := range c.Rules {
-		rules[i] = e.Prog.Rules[ri]
-	}
-	method := e.opts.Method
+// method resolves a clique's iteration method.
+func (e *Engine) method(c *depgraph.Clique) Method {
 	for _, p := range c.Preds {
 		if m, ok := e.opts.MethodFor[p]; ok {
-			method = m
-			break
+			return m
 		}
 	}
-	return rules, method
+	return e.opts.Method
 }
 
 // newDeltas builds one empty delta relation per clique predicate,
@@ -249,40 +238,63 @@ func (e *Engine) newDeltas(c *depgraph.Clique) map[string]*store.Relation {
 	return deltas
 }
 
-// evalClique runs the sequential fixpoint for one clique.
+// collectInto returns a delta collector: it fires immediately after a
+// successful head insert, so the new tuple is the head relation's last
+// row and InsertFrom reuses its interned IDs and hash instead of
+// re-hashing.
+func (e *Engine) collectInto(deltas map[string]*store.Relation) func(string, store.Tuple) {
+	return func(tag string, _ store.Tuple) {
+		head := e.derived[tag]
+		deltas[tag].InsertFrom(head, head.Len()-1)
+	}
+}
+
+// evalClique runs the fixpoint for one clique.
 func (e *Engine) evalClique(c *depgraph.Clique) error {
-	rules, method := e.cliqueRules(c)
-	crs := e.compileRules(c, rules)
+	crs := e.compileRules(c)
 	cx := &evalCtx{e: e}
 	if !c.Recursive {
 		// Single pass suffices: dependencies are already computed.
-		for i, r := range rules {
-			if err := cx.applyRule(r, crs[i], -1, nil, nil); err != nil {
+		for _, cr := range crs {
+			if err := cx.applyRule(cr, -1, nil, nil); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+	// The deltas take their arities from the clique's relations, which
+	// Run pre-creates but a scratch clique of RunIncremental does not.
+	for _, cr := range crs {
+		e.ensureDerived(cr.rule.Head.Tag(), cr.rule.Head.Arity())
+	}
 	// Seed round: naive application of every rule from current state.
 	deltas := e.newDeltas(c)
-	// collect fires immediately after a successful head insert, so the
-	// new tuple is the head relation's last row and InsertFrom reuses
-	// its interned IDs and hash instead of re-hashing.
-	collect := func(tag string, t store.Tuple) {
-		head := e.derived[tag]
-		deltas[tag].InsertFrom(head, head.Len()-1)
-	}
-	for i, r := range rules {
-		if err := cx.applyRule(r, crs[i], -1, nil, collect); err != nil {
+	collect := e.collectInto(deltas)
+	for _, cr := range crs {
+		if err := cx.applyRule(cr, -1, nil, collect); err != nil {
 			return err
 		}
 	}
+	_, err := cx.rounds(c, crs, e.method(c), deltas)
+	return err
+}
+
+// rounds runs a recursive clique's delta rounds from the seeded deltas
+// until a round starts with every delta empty, and returns how many
+// rounds it counted (each one in Counters.Iterations and against the
+// governor, the final empty one included). Naive recomputes every rule
+// from the full relations, and novelty filtering keeps only new
+// tuples; semi-naive applies one variant per recursive body
+// occurrence, sourcing that occurrence from the previous round's
+// delta.
+func (cx *evalCtx) rounds(c *depgraph.Clique, crs []*compiledRule, method Method, deltas map[string]*store.Relation) (int, error) {
+	e := cx.e
 	for iter := 0; ; iter++ {
 		if iter >= e.opts.MaxIterations {
-			return fmt.Errorf("%w: clique %v exceeded %d iterations", ErrRunaway, c.Preds, e.opts.MaxIterations)
+			return iter, fmt.Errorf("%w: clique %v exceeded %d iterations", ErrRunaway, c.Preds, e.opts.MaxIterations)
 		}
 		if err := e.opts.Gov.AddIteration(); err != nil {
-			return err
+			return iter, err
 		}
 		e.Counters.Iterations++
 		empty := true
@@ -292,34 +304,23 @@ func (e *Engine) evalClique(c *depgraph.Clique) error {
 			}
 		}
 		if empty {
-			return nil
+			return iter + 1, nil
 		}
-		next := map[string]*store.Relation{}
-		for p, d := range deltas {
-			next[p] = store.NewRelationSized(p+"Δ", d.Arity, e.opts.SizeHints[p]/2)
-		}
-		collectNext := func(tag string, t store.Tuple) {
-			head := e.derived[tag]
-			next[tag].InsertFrom(head, head.Len()-1)
-		}
-		for i, r := range rules {
-			switch method {
-			case Naive:
-				// Recompute from full relations; novelty filtering in
-				// applyRule keeps only new tuples.
-				if err := cx.applyRule(r, crs[i], -1, nil, collectNext); err != nil {
-					return err
+		next := e.newDeltas(c)
+		collectNext := e.collectInto(next)
+		for _, cr := range crs {
+			if method == Naive {
+				if err := cx.applyRule(cr, -1, nil, collectNext); err != nil {
+					return iter + 1, err
 				}
-			case SemiNaive:
-				// One variant per recursive body occurrence, sourcing
-				// that occurrence from the delta.
-				for bi, l := range r.Body {
-					if l.Neg || lang.IsBuiltin(l.Pred) || !c.Contains(l.Tag()) {
-						continue
-					}
-					if err := cx.applyRule(r, crs[i], bi, deltas, collectNext); err != nil {
-						return err
-					}
+				continue
+			}
+			for bi, l := range cr.rule.Body {
+				if l.Neg || lang.IsBuiltin(l.Pred) || !c.Contains(l.Tag()) {
+					continue
+				}
+				if err := cx.applyRule(cr, bi, deltas, collectNext); err != nil {
+					return iter + 1, err
 				}
 			}
 		}
@@ -356,203 +357,23 @@ func (cx *evalCtx) recordInserted(tag string, t store.Tuple, collect func(string
 	return nil
 }
 
-// applyRule evaluates one rule body left-to-right; every newly derived
-// head tuple is inserted into the head relation and passed to collect
-// (if non-nil).
-// deltaOcc, when >= 0, makes body literal deltaOcc read from
-// deltas[tag] instead of the full relation. A non-nil cr routes the
-// application through the rule's compiled join kernel; nil runs the
-// generic interpreter below.
-func (cx *evalCtx) applyRule(r lang.Rule, cr *compiledRule, deltaOcc int, deltas map[string]*store.Relation, collect func(string, store.Tuple)) error {
-	if cr != nil {
-		return cx.applyCompiled(cr, deltaOcc, deltas, collect)
-	}
-	e := cx.e
-	head := e.ensureDerived(r.Head.Tag(), r.Head.Arity())
-	emit := func(s term.Subst) error {
-		args := s.ResolveAll(r.Head.Args)
-		for _, a := range args {
-			if !term.Ground(a) {
-				return fmt.Errorf("eval: rule %s produced non-ground head %s — unbound head variable (unsafe rule)", r, lang.Literal{Pred: r.Head.Pred, Args: args})
-			}
-		}
-		t := store.Tuple(args)
-		added, err := head.Insert(t)
-		if err != nil {
-			return err
-		}
-		if !added {
-			return nil
-		}
-		return cx.recordInserted(r.Head.Tag(), t, collect)
-	}
-	return cx.joinBody(r.Body, 0, deltaOcc, deltas, term.NewSubst(), nil, emit)
-}
-
-// compileRules resolves each rule of a clique to its join kernel (nil
-// entries fall back to the generic interpreter). With precompiled
-// Options.Kernels for this program the lookup is free; otherwise rules
-// are compiled once per clique evaluation — every fixpoint round and
-// every semi-naive delta variant shares the same program either way.
-func (e *Engine) compileRules(c *depgraph.Clique, rules []lang.Rule) []*compiledRule {
-	crs := make([]*compiledRule, len(rules))
-	if e.opts.DisableKernels {
-		return crs
-	}
-	if pk := e.opts.Kernels; pk != nil && pk.prog == e.Prog {
-		for i, ri := range c.Rules {
+// compileRules resolves each rule of a clique to its join kernel. With
+// precompiled Options.Kernels for this program the lookup is free;
+// otherwise rules are compiled once per clique evaluation — every
+// fixpoint round and every semi-naive delta variant shares the same
+// program either way.
+func (e *Engine) compileRules(c *depgraph.Clique) []*compiledRule {
+	crs := make([]*compiledRule, len(c.Rules))
+	pk := e.opts.Kernels
+	for i, ri := range c.Rules {
+		if pk != nil && pk.prog == e.Prog {
 			crs[i] = pk.rules[ri]
+			continue
 		}
-		e.noteFallbacks(crs, 0)
-		return crs
+		crs[i] = compileRule(e.Prog.Rules[ri])
+		e.Counters.KernelCompiles++
 	}
-	for i, r := range rules {
-		crs[i] = compileRule(r)
-	}
-	e.noteFallbacks(crs, len(rules))
 	return crs
-}
-
-// noteFallbacks adds a clique's kernel-resolution counters: compiled
-// counts compilation work done here (zero on the precompiled fast
-// path), and every nil kernel is a generic-interpreter fallback.
-func (e *Engine) noteFallbacks(crs []*compiledRule, compiled int) {
-	fallbacks := 0
-	for _, cr := range crs {
-		if cr == nil {
-			fallbacks++
-		}
-	}
-	e.Counters.KernelCompiles += compiled
-	e.Counters.KernelFallbacks += fallbacks
-}
-
-// joinBody enumerates the substitutions satisfying body[i:], carrying
-// pending builtins/negations that were not yet effectively computable.
-func (cx *evalCtx) joinBody(body []lang.Literal, i, deltaOcc int, deltas map[string]*store.Relation, s term.Subst, pending []lang.Literal, emit func(term.Subst) error) error {
-	e := cx.e
-	// The join can churn for a long time without deriving anything new
-	// (novelty filtering discards duplicates), so the deadline is
-	// checked here too, not only on derivation.
-	if err := e.opts.Gov.Tick(); err != nil {
-		return err
-	}
-	// Flush any pending goal that has become evaluable.
-	for pi := 0; pi < len(pending); pi++ {
-		l := pending[pi]
-		ok, done, err := cx.tryDeferred(l, s)
-		if err != nil {
-			return err
-		}
-		if !done {
-			continue
-		}
-		if !ok {
-			return nil // goal failed under s: prune this branch
-		}
-		rest := make([]lang.Literal, 0, len(pending)-1)
-		rest = append(rest, pending[:pi]...)
-		rest = append(rest, pending[pi+1:]...)
-		pending = rest
-		pi = -1 // restart: new bindings may enable others
-	}
-	if i >= len(body) {
-		if len(pending) > 0 {
-			return fmt.Errorf("eval: goals %v never became evaluable (unsafe rule ordering)", pending)
-		}
-		return emit(s)
-	}
-	l := body[i]
-	if lang.IsBuiltin(l.Pred) || l.Neg {
-		ok, done, err := cx.tryDeferred(l, s)
-		if err != nil {
-			return err
-		}
-		if done {
-			if !ok {
-				return nil
-			}
-			return cx.joinBody(body, i+1, deltaOcc, deltas, s, pending, emit)
-		}
-		return cx.joinBody(body, i+1, deltaOcc, deltas, s, append(pending, l), emit)
-	}
-	// Positive relational literal.
-	var rel *store.Relation
-	if i == deltaOcc && deltas != nil {
-		rel = deltas[l.Tag()]
-	} else {
-		rel = e.RelationFor(l.Tag())
-	}
-	if rel == nil || rel.Len() == 0 {
-		return nil
-	}
-	resolved := s.ResolveAll(l.Args)
-	var mask uint32
-	probe := make(store.Tuple, len(resolved))
-	for ai, a := range resolved {
-		if term.Ground(a) {
-			mask |= 1 << uint(ai)
-			probe[ai] = a
-		}
-	}
-	e.Counters.Lookups++
-	for _, t := range rel.Lookup(mask, probe) {
-		e.Counters.Unifications++
-		s2 := s.Clone()
-		ok := true
-		for ai, a := range resolved {
-			if mask&(1<<uint(ai)) != 0 {
-				// Lookup already verified the bound columns match.
-				continue
-			}
-			if s2, ok = term.Unify(a, t[ai], s2); !ok {
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		if err := cx.joinBody(body, i+1, deltaOcc, deltas, s2, pending, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// tryDeferred attempts a builtin or negated goal. done=false means the
-// goal is not yet sufficiently instantiated and must be deferred.
-func (cx *evalCtx) tryDeferred(l lang.Literal, s term.Subst) (ok, done bool, err error) {
-	e := cx.e
-	if l.Neg {
-		resolved := s.ResolveAll(l.Args)
-		for _, a := range resolved {
-			if !term.Ground(a) {
-				return false, false, nil
-			}
-		}
-		if lang.IsBuiltin(l.Pred) {
-			return false, false, fmt.Errorf("eval: negated builtin %s", l)
-		}
-		rel := e.RelationFor(l.Tag())
-		e.Counters.Lookups++
-		if rel == nil {
-			return true, true, nil
-		}
-		return !rel.Contains(store.Tuple(resolved)), true, nil
-	}
-	// Builtin: evaluable when the EC condition holds under s.
-	bound := map[string]bool{}
-	for _, v := range l.Vars(nil) {
-		if term.Ground(s.Resolve(v)) {
-			bound[v.Name] = true
-		}
-	}
-	if !lang.BuiltinEC(l, bound) {
-		return false, false, nil
-	}
-	e.Counters.BuiltinCalls++
-	ok, err = lang.EvalBuiltin(l, s)
-	return ok, true, err
 }
 
 // Answers runs the engine (if needed) and returns the ground instances
@@ -568,26 +389,9 @@ func (e *Engine) Answers(q lang.Query) ([]store.Tuple, error) {
 	out := store.NewRelationSized("ans", q.Goal.Arity(), rel.Len())
 	for _, t := range rel.Snapshot() {
 		e.Counters.Unifications++
-		if s, ok := term.UnifyAll(q.Goal.Args, []term.Term(t), term.NewSubst()); ok {
-			_ = s
+		if _, ok := term.UnifyAll(q.Goal.Args, []term.Term(t), term.NewSubst()); ok {
 			out.MustInsert(t)
 		}
 	}
 	return out.Sorted(), nil
-}
-
-// AnswerSubsts returns, for each matching tuple, the substitution of
-// the query's variables.
-func (e *Engine) AnswerSubsts(q lang.Query) ([]term.Subst, error) {
-	tuples, err := e.Answers(q)
-	if err != nil {
-		return nil, err
-	}
-	var out []term.Subst
-	for _, t := range tuples {
-		if s, ok := term.UnifyAll(q.Goal.Args, []term.Term(t), term.NewSubst()); ok {
-			out = append(out, s)
-		}
-	}
-	return out, nil
 }

@@ -93,8 +93,7 @@ func (e *Engine) RunIncremental(prior map[string]*store.Relation, baseDeltas map
 		if len(c.Rules) == 0 {
 			continue // base predicate
 		}
-		rules, _ := e.cliqueRules(c)
-		mode := cliqueChangeMode(c, rules, changed, nonMono)
+		mode := e.cliqueChangeMode(c, changed, nonMono)
 		// A clique head that also received base-fact appends would need
 		// its own rows seeded as a delta of itself; the serving layer
 		// refuses derived-tag inserts, so treat it as scratch if it ever
@@ -131,7 +130,7 @@ func (e *Engine) RunIncremental(prior map[string]*store.Relation, baseDeltas map
 				e.derived[p] = r
 				preLen[p] = r.Len()
 			}
-			rounds, err := e.continueClique(c, rules, changed)
+			rounds, err := e.continueClique(c, changed)
 			if err != nil {
 				return st, err
 			}
@@ -184,10 +183,10 @@ const (
 // no changed input → unchanged; changed inputs read only positively →
 // incremental; a changed (or non-monotone) input read through negation,
 // or any non-monotone input at all → scratch.
-func cliqueChangeMode(c *depgraph.Clique, rules []lang.Rule, changed map[string]*store.Relation, nonMono map[string]bool) cliqueMode {
+func (e *Engine) cliqueChangeMode(c *depgraph.Clique, changed map[string]*store.Relation, nonMono map[string]bool) cliqueMode {
 	mode := cliqueUnchanged
-	for _, r := range rules {
-		for _, l := range r.Body {
+	for _, ri := range c.Rules {
+		for _, l := range e.Prog.Rules[ri].Body {
 			if lang.IsBuiltin(l.Pred) {
 				continue
 			}
@@ -212,25 +211,22 @@ func cliqueChangeMode(c *depgraph.Clique, rules []lang.Rule, changed map[string]
 // variant per changed body occurrence, then (for recursive cliques)
 // the ordinary in-clique rounds from the seeded deltas. Returns the
 // number of in-clique rounds run.
-func (e *Engine) continueClique(c *depgraph.Clique, rules []lang.Rule, changed map[string]*store.Relation) (int, error) {
-	crs := e.compileRules(c, rules)
+func (e *Engine) continueClique(c *depgraph.Clique, changed map[string]*store.Relation) (int, error) {
+	crs := e.compileRules(c)
 	cx := &evalCtx{e: e}
 	deltas := e.newDeltas(c)
-	collect := func(tag string, t store.Tuple) {
-		head := e.derived[tag]
-		deltas[tag].InsertFrom(head, head.Len()-1)
-	}
+	collect := e.collectInto(deltas)
 	// Seed round: for each body occurrence of a changed input, apply the
 	// rule with that occurrence reading the change and the rest reading
 	// full new relations. In-clique occurrences read the prior (cloned)
 	// relations here — their own change is exactly what the rounds below
 	// propagate.
-	for i, r := range rules {
-		for bi, l := range r.Body {
+	for _, cr := range crs {
+		for bi, l := range cr.rule.Body {
 			if l.Neg || lang.IsBuiltin(l.Pred) || changed[l.Tag()] == nil {
 				continue
 			}
-			if err := cx.applyRule(r, crs[i], bi, changed, collect); err != nil {
+			if err := cx.applyRule(cr, bi, changed, collect); err != nil {
 				return 0, err
 			}
 		}
@@ -238,45 +234,7 @@ func (e *Engine) continueClique(c *depgraph.Clique, rules []lang.Rule, changed m
 	if !c.Recursive {
 		return 0, nil
 	}
-	rounds := 0
-	for iter := 0; ; iter++ {
-		if iter >= e.opts.MaxIterations {
-			return rounds, fmt.Errorf("%w: clique %v exceeded %d iterations", ErrRunaway, c.Preds, e.opts.MaxIterations)
-		}
-		if err := e.opts.Gov.AddIteration(); err != nil {
-			return rounds, err
-		}
-		e.Counters.Iterations++
-		rounds++
-		empty := true
-		for _, d := range deltas {
-			if d.Len() > 0 {
-				empty = false
-			}
-		}
-		if empty {
-			return rounds, nil
-		}
-		next := map[string]*store.Relation{}
-		for p, d := range deltas {
-			next[p] = store.NewRelationSized(p+"Δ", d.Arity, e.opts.SizeHints[p]/2)
-		}
-		collectNext := func(tag string, t store.Tuple) {
-			head := e.derived[tag]
-			next[tag].InsertFrom(head, head.Len()-1)
-		}
-		for i, r := range rules {
-			for bi, l := range r.Body {
-				if l.Neg || lang.IsBuiltin(l.Pred) || !c.Contains(l.Tag()) {
-					continue
-				}
-				if err := cx.applyRule(r, crs[i], bi, deltas, collectNext); err != nil {
-					return rounds, err
-				}
-			}
-		}
-		deltas = next
-	}
+	return cx.rounds(c, crs, SemiNaive, deltas)
 }
 
 // diffDelta compares a scratch-recomputed relation against its prior

@@ -78,9 +78,8 @@ func genInsertSchedule(t *testing.T, src string, batches int, seed int64) []stri
 
 // TestIncrementalEquivalenceCorpus is the tentpole acceptance suite:
 // every corpus program runs a random multi-batch insert schedule
-// through a materialized System in both maintenance modes (generic
-// and compiled kernels), and after every batch the view answers
-// must be byte-identical to a scratch recomputation over the
+// through a materialized System, and after every batch the view
+// answers must be byte-identical to a scratch recomputation over the
 // accumulated facts. Programs with negation take the per-stratum
 // fallback path here and must come out identical too.
 func TestIncrementalEquivalenceCorpus(t *testing.T) {
@@ -91,13 +90,6 @@ func TestIncrementalEquivalenceCorpus(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("no corpus files found")
 	}
-	modes := []struct {
-		name string
-		opts []Option
-	}{
-		{"generic", []Option{WithCompiledKernels(false)}},
-		{"compiled", nil},
-	}
 	for _, f := range files {
 		name := strings.TrimSuffix(filepath.Base(f), ".ldl")
 		t.Run(name, func(t *testing.T) {
@@ -107,36 +99,34 @@ func TestIncrementalEquivalenceCorpus(t *testing.T) {
 			}
 			src := string(raw)
 			schedule := genInsertSchedule(t, src, 3, int64(len(src)))
-			for _, m := range modes {
-				inc, err := Load(src, WithMaterialized(m.opts...))
-				if err != nil {
-					t.Fatal(err)
+			inc, err := Load(src, WithMaterialized())
+			if err != nil {
+				t.Fatal(err)
+			}
+			accum := src
+			for bi, batch := range schedule {
+				if strings.TrimSpace(batch) != "" {
+					if _, _, err := inc.InsertFacts(batch); err != nil {
+						t.Fatalf("batch %d: %v", bi, err)
+					}
+					accum += "\n" + batch
 				}
-				accum := src
-				for bi, batch := range schedule {
-					if strings.TrimSpace(batch) != "" {
-						if _, _, err := inc.InsertFacts(batch); err != nil {
-							t.Fatalf("%s batch %d: %v", m.name, bi, err)
-						}
-						accum += "\n" + batch
+				scratch, err := Load(accum)
+				if err != nil {
+					t.Fatalf("batch %d: scratch load: %v", bi, err)
+				}
+				for _, goal := range inc.Queries() {
+					rows, ok, err := inc.AnswersFromViews(goal)
+					if err != nil || !ok {
+						t.Fatalf("batch %d %s: views unavailable (ok=%v err=%v)", bi, goal, ok, err)
 					}
-					scratch, err := Load(accum)
+					want, _, err := scratch.EvaluateUnoptimized(goal)
 					if err != nil {
-						t.Fatalf("%s batch %d: scratch load: %v", m.name, bi, err)
+						t.Fatalf("batch %d %s: scratch: %v", bi, goal, err)
 					}
-					for _, goal := range inc.Queries() {
-						rows, ok, err := inc.AnswersFromViews(goal)
-						if err != nil || !ok {
-							t.Fatalf("%s batch %d %s: views unavailable (ok=%v err=%v)", m.name, bi, goal, ok, err)
-						}
-						want, _, err := scratch.EvaluateUnoptimized(goal)
-						if err != nil {
-							t.Fatalf("%s batch %d %s: scratch: %v", m.name, bi, goal, err)
-						}
-						if got, ref := renderAns(rows), renderAns(want); got != ref {
-							t.Errorf("%s batch %d %s: incremental diverges from scratch\n got:\n%s\nwant:\n%s",
-								m.name, bi, goal, got, ref)
-						}
+					if got, ref := renderAns(rows), renderAns(want); got != ref {
+						t.Errorf("batch %d %s: incremental diverges from scratch\n got:\n%s\nwant:\n%s",
+							bi, goal, got, ref)
 					}
 				}
 			}
@@ -144,10 +134,11 @@ func TestIncrementalEquivalenceCorpus(t *testing.T) {
 	}
 }
 
-// TestIncrementalVsScratchMaintenance cross-checks the two maintenance
-// modes directly: the same insert schedule through WithMaterialized and
-// WithMaterializedScratch must produce byte-identical views, while
-// their IVM telemetry shows they took different paths.
+// TestIncrementalVsScratchMaintenance checks incremental maintenance
+// against the scratch computation of the same views: after every
+// batch, the maintained views must be byte-identical to those a fresh
+// Load of the accumulated facts computes at boot (an empty fixpoint),
+// while the telemetry shows maintenance stayed incremental.
 func TestIncrementalVsScratchMaintenance(t *testing.T) {
 	src := `
 e(1, 2). e(2, 3). e(3, 4).
@@ -159,16 +150,15 @@ tc(X, Y)?
 	if err != nil {
 		t.Fatal(err)
 	}
-	scr, err := Load(src, WithMaterializedScratch())
-	if err != nil {
-		t.Fatal(err)
-	}
+	accum := src
 	for i := 5; i < 9; i++ {
 		batch := fmt.Sprintf("e(%d, %d).", i, i+1)
 		if _, _, err := inc.InsertFacts(batch); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := scr.InsertFacts(batch); err != nil {
+		accum += "\n" + batch
+		scr, err := Load(accum, WithMaterialized())
+		if err != nil {
 			t.Fatal(err)
 		}
 		a, ok, err := inc.AnswersFromViews("tc(X, Y)")
@@ -183,21 +173,18 @@ tc(X, Y)?
 			t.Fatalf("views diverge after batch %d:\n%s\nvs\n%s", i, renderAns(a), renderAns(b))
 		}
 	}
-	ist, sst := inc.IVMStats(), scr.IVMStats()
+	ist := inc.IVMStats()
 	if ist.ScratchFallbacks != 0 {
 		t.Errorf("incremental mode took %d scratch fallbacks on a monotone program, want 0", ist.ScratchFallbacks)
 	}
 	if ist.IncrementalRounds == 0 {
 		t.Error("incremental mode reports no incremental rounds")
 	}
-	if sst.ScratchFallbacks == 0 {
-		t.Error("scratch mode reports no scratch recomputes")
-	}
 	if ist.LastDeltaRows == 0 {
 		t.Error("incremental mode reports no per-epoch delta size")
 	}
-	if ist.Epochs != 5 || sst.Epochs != 5 { // boot + 4 batches
-		t.Errorf("epochs: inc %d scr %d, want 5", ist.Epochs, sst.Epochs)
+	if ist.Epochs != 5 { // boot + 4 batches
+		t.Errorf("epochs: %d, want 5", ist.Epochs)
 	}
 }
 

@@ -669,10 +669,9 @@ func (s *System) SetStats(tag string, card float64, distinct []float64) {
 type Option func(*options)
 
 type options struct {
-	strategy  Strategy
-	seed      int64
-	flatten   bool
-	noKernels bool
+	strategy Strategy
+	seed     int64
+	flatten  bool
 
 	// Resource governor configuration. Zero values mean "no limit";
 	// with everything zero no governor is built and the hot paths pay
@@ -742,22 +741,6 @@ func WithMaxIterations(n int) Option { return func(o *options) { o.maxIterations
 // the ladder), so Optimize still returns a plan unless time runs out.
 func WithOptimizerBudget(n int) Option { return func(o *options) { o.optStates = n } }
 
-// WithCompiledKernels controls the compiled join-kernel execution path
-// (on by default). When on, each rule is compiled once per recursive
-// clique into a join program — constants, bound-variable probes,
-// repeated-variable checks, compound-argument decomposition patterns
-// and constructed-head templates resolved per column at compile time —
-// and executed block-at-a-time over columnar frames of interned IDs,
-// without substitution maps or per-candidate allocation. Only rules
-// the compiler cannot schedule statically (an "=" needing two-sided
-// unification, a compound argument under negation, and the unsafe
-// shapes whose error the interpreter raises) run in the generic
-// interpreter; ExecStats.KernelFallbacks counts them. Answers, errors
-// and work counters are identical either way;
-// WithCompiledKernels(false) runs everything in the interpreter, which
-// the equivalence suites use as their reference.
-func WithCompiledKernels(on bool) Option { return func(o *options) { o.noKernels = !on } }
-
 // WithFlattening enables the §8.3 rescue: when a query form has no
 // safe execution, non-recursive single-rule predicates are unfolded
 // into their callers (the FU transformation applied as rewriting) and
@@ -820,15 +803,14 @@ type ExecStats struct {
 	// run kernels compiled once when the form was optimized, so they
 	// always report 0; only EvaluateUnoptimized compiles here.
 	KernelCompiles int
-	// KernelFallbacks counts rules that could not be compiled to join
-	// kernels and ran on the generic interpreter instead. With kernels
-	// disabled it is 0 (nothing attempted compilation); the counter
-	// exposes exactly which executions paid the generic path.
+	// KernelFallbacks is always 0: every rule compiles to a join
+	// kernel, so no rule falls back to an interpreter. The field stays
+	// because the benchmark's traced run and the corpus goldens
+	// (fallbacks=0) still read it.
 	KernelFallbacks int
 	// Blocks counts columnar frames the kernel executor dispatched
 	// between join steps, including the one-row frames of applications
-	// that read the relation they insert into; 0 means no rule ran
-	// compiled.
+	// that read the relation they insert into.
 	Blocks int64
 	// Epoch identifies the fact-base snapshot the execution ran
 	// against.
@@ -873,14 +855,13 @@ func methodOverrides(fixMethods map[string]cost.RecMethod, prog2 *lang.Program) 
 
 func execStats(e *eval.Engine, epoch uint64) ExecStats {
 	return ExecStats{
-		TuplesDerived:   e.Counters.TuplesDerived,
-		Iterations:      e.Counters.Iterations,
-		Unifications:    e.Counters.Unifications,
-		Lookups:         e.Counters.Lookups,
-		KernelCompiles:  e.Counters.KernelCompiles,
-		KernelFallbacks: e.Counters.KernelFallbacks,
-		Blocks:          e.Counters.Blocks,
-		Epoch:           epoch,
+		TuplesDerived:  e.Counters.TuplesDerived,
+		Iterations:     e.Counters.Iterations,
+		Unifications:   e.Counters.Unifications,
+		Lookups:        e.Counters.Lookups,
+		KernelCompiles: e.Counters.KernelCompiles,
+		Blocks:         e.Counters.Blocks,
+		Epoch:          epoch,
 	}
 }
 
@@ -950,8 +931,8 @@ func (s *System) EvaluateUnoptimized(goal string, opts ...Option) (_ [][]string,
 	ep := s.snapshot()
 	e, err := eval.New(s.prog, ep.db, eval.Options{
 		Method:    eval.SemiNaive,
-		SizeHints: ep.hints, DisableKernels: o.noKernels,
-		Gov: o.governor(), Graph: s.graph,
+		SizeHints: ep.hints,
+		Gov:       o.governor(), Graph: s.graph,
 	})
 	if err != nil {
 		return nil, es, err

@@ -17,9 +17,9 @@ package ldl
 // discipline makes this sound for the monotone fragment; strata that
 // read a changed relation through negation are recomputed from scratch
 // per-stratum (detected via the dependency graph), so answers are never
-// silently stale. WithMaterializedScratch maintains the same views by
-// full recomputation on every epoch — the A/B baseline the incremental
-// path is benchmarked and equivalence-tested against.
+// silently stale. The equivalence suites check the views after every
+// epoch against a fresh Load of the accumulated facts, whose boot
+// computes the same views from an empty fixpoint.
 //
 // Watermarks: because relations only ever append, the state of a base
 // relation at materialization time is just its row count. The epoch's
@@ -42,8 +42,6 @@ import (
 // matConfig is the Load-time materialization configuration.
 type matConfig struct {
 	enabled bool
-	scratch bool    // recompute every epoch instead of continuing (A/B baseline)
-	o       options // evaluation knobs for maintenance (kernels)
 }
 
 // matState is the materialized side of one epoch: the derived
@@ -68,28 +66,10 @@ type ivmCounters struct {
 }
 
 // WithMaterialized makes the System maintain materialized views of
-// every derived predicate, incrementally across epochs. opts configures
-// the maintenance evaluation itself (WithCompiledKernels);
-// answer-affecting options are ignored. Queries
-// can then be served straight from the views with AnswersFromViews.
-func WithMaterialized(opts ...Option) SystemOption {
-	return func(c *sysConfig) {
-		c.mat.enabled = true
-		c.mat.o = c.mat.o.with(opts)
-	}
-}
-
-// WithMaterializedScratch maintains the same views as WithMaterialized
-// but recomputes them from an empty fixpoint on every epoch — the
-// scratch baseline the incremental path is measured against, and the
-// reference arm of the equivalence tests. Production systems want
-// WithMaterialized.
-func WithMaterializedScratch(opts ...Option) SystemOption {
-	return func(c *sysConfig) {
-		c.mat.enabled = true
-		c.mat.scratch = true
-		c.mat.o = c.mat.o.with(opts)
-	}
+// every derived predicate, incrementally across epochs. Queries can
+// then be served straight from the views with AnswersFromViews.
+func WithMaterialized() SystemOption {
+	return func(c *sysConfig) { c.mat.enabled = true }
 }
 
 // matSetup caches the compiled program kernels maintenance reuses every
@@ -102,9 +82,7 @@ func (s *System) matSetup() error {
 	if s.graphErr != nil {
 		return fmt.Errorf("ldl: materialize: %w", s.graphErr)
 	}
-	if !s.matCfg.o.noKernels {
-		s.matKern = eval.CompileProgram(s.prog)
-	}
+	s.matKern = eval.CompileProgram(s.prog)
 	return nil
 }
 
@@ -113,17 +91,16 @@ func (s *System) matSetup() error {
 // program; the graph and kernels are the Load-time cached ones.
 func (s *System) matEngine(ep *epochState) (*eval.Engine, error) {
 	return eval.New(s.prog, ep.db, eval.Options{
-		Method:         eval.SemiNaive,
-		SizeHints:      ep.hints,
-		DisableKernels: s.matCfg.o.noKernels,
-		Graph:          s.graph,
-		Kernels:        s.matKern,
+		Method:    eval.SemiNaive,
+		SizeHints: ep.hints,
+		Graph:     s.graph,
+		Kernels:   s.matKern,
 	})
 }
 
-// buildMat computes the matState for an epoch. With a prior state (and
-// incremental mode) it continues the prior fixpoint from the appended
-// base suffixes; otherwise it runs from scratch. Returns the number of
+// buildMat computes the matState for an epoch. With a prior state it
+// continues the prior fixpoint from the appended base suffixes;
+// otherwise (boot, or a rebuild after a degrade) it runs from scratch. Returns the number of
 // appended base rows that seeded the continuation (0 for scratch).
 func (s *System) buildMat(ep *epochState, prev *matState) (*matState, eval.IncrementalStats, int, error) {
 	var st eval.IncrementalStats
@@ -132,7 +109,7 @@ func (s *System) buildMat(ep *epochState, prev *matState) (*matState, eval.Incre
 		return nil, st, 0, err
 	}
 	base := 0
-	if prev == nil || s.matCfg.scratch {
+	if prev == nil {
 		if err := e.Run(); err != nil {
 			return nil, st, 0, err
 		}
@@ -214,8 +191,8 @@ func (s *System) maintainViews(next, prev *epochState) {
 	}
 	next.mat = mat
 	s.ivm.epochs.Add(1)
-	if pm == nil || s.matCfg.scratch {
-		s.ivm.scratchFB.Add(1) // full recompute: scratch mode, or rebuild after a degrade
+	if pm == nil {
+		s.ivm.scratchFB.Add(1) // full recompute: rebuild after a degrade
 		return
 	}
 	s.ivm.rounds.Add(int64(st.Rounds))
@@ -278,16 +255,13 @@ type IVMStats struct {
 	// Enabled reports whether the System materializes views at all; the
 	// other fields are zero when it does not.
 	Enabled bool
-	// Scratch reports the WithMaterializedScratch baseline mode.
-	Scratch bool
 	// Epochs counts successfully materialized epochs (including boot).
 	Epochs int64
 	// IncrementalRounds counts in-clique fixpoint rounds run by epoch
 	// continuations — the work metric of the incremental path.
 	IncrementalRounds int64
 	// ScratchFallbacks counts per-stratum scratch recomputations:
-	// negation over a changed stratum, maintenance degrades, and (in
-	// scratch mode) every maintenance pass.
+	// negation over a changed stratum, and maintenance degrades.
 	ScratchFallbacks int64
 	// DeltaRows is the cumulative size of all epoch deltas (appended
 	// base rows + newly derived rows); LastDeltaRows is the newest
@@ -302,7 +276,6 @@ type IVMStats struct {
 func (s *System) IVMStats() IVMStats {
 	return IVMStats{
 		Enabled:           s.matCfg.enabled,
-		Scratch:           s.matCfg.scratch,
 		Epochs:            s.ivm.epochs.Load(),
 		IncrementalRounds: s.ivm.rounds.Load(),
 		ScratchFallbacks:  s.ivm.scratchFB.Load(),

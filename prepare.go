@@ -541,10 +541,9 @@ func (p *Prepared) run(ep *epochState, args, consts []term.Term, o options) (_ [
 	e, err := eval.New(p.prog, db2, eval.Options{
 		Method: eval.SemiNaive, MethodFor: p.methodFor,
 		MaxTuples: 5_000_000, MaxIterations: 200_000,
-		SizeHints:      ep.hints,
-		DisableKernels: o.noKernels,
-		Gov:            o.governor(),
-		Kernels:        p.kernels, Graph: p.graph,
+		SizeHints: ep.hints,
+		Gov:       o.governor(),
+		Kernels:   p.kernels, Graph: p.graph,
 	})
 	if err != nil {
 		return nil, es, err

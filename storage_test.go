@@ -214,10 +214,8 @@ func TestStorageSweepsStaleTmp(t *testing.T) {
 // TestStorageGoldenEquivalence runs the golden corpus against a
 // storage-backed System in three phases — before any flush, after an
 // explicit flush (answers now come through segment parts), and after a
-// close/reopen (parts re-attached from disk, dictionary re-interned) —
-// across the same executor grid as TestGoldenEquivalence. Every phase
-// and configuration must match the memory-backed reference byte for
-// byte.
+// close/reopen (parts re-attached from disk, dictionary re-interned).
+// Every phase must match the memory-backed reference byte for byte.
 func TestStorageGoldenEquivalence(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.ldl"))
 	if err != nil {
@@ -225,13 +223,6 @@ func TestStorageGoldenEquivalence(t *testing.T) {
 	}
 	if len(files) == 0 {
 		t.Fatal("no corpus files found")
-	}
-	configs := []struct {
-		name string
-		opts []Option
-	}{
-		{"generic", []Option{WithCompiledKernels(false)}},
-		{"compiled", nil},
 	}
 	render := func(rows [][]string) string {
 		var b strings.Builder
@@ -259,19 +250,17 @@ func TestStorageGoldenEquivalence(t *testing.T) {
 			}
 			check := func(phase string, sys *System) {
 				for _, goal := range mem.Queries() {
-					for _, cfg := range configs {
-						wantRows, _, err := mem.EvaluateUnoptimized(goal, cfg.opts...)
-						if err != nil {
-							t.Fatalf("%s / %s: memory: %v", goal, cfg.name, err)
-						}
-						gotRows, _, err := sys.EvaluateUnoptimized(goal, cfg.opts...)
-						if err != nil {
-							t.Fatalf("%s / %s / %s: storage: %v", phase, goal, cfg.name, err)
-						}
-						if got, want := render(gotRows), render(wantRows); got != want {
-							t.Errorf("%s / %s / %s: storage answers diverge\n got:\n%s\nwant:\n%s",
-								phase, goal, cfg.name, got, want)
-						}
+					wantRows, _, err := mem.EvaluateUnoptimized(goal)
+					if err != nil {
+						t.Fatalf("%s: memory: %v", goal, err)
+					}
+					gotRows, _, err := sys.EvaluateUnoptimized(goal)
+					if err != nil {
+						t.Fatalf("%s / %s: storage: %v", phase, goal, err)
+					}
+					if got, want := render(gotRows), render(wantRows); got != want {
+						t.Errorf("%s / %s: storage answers diverge\n got:\n%s\nwant:\n%s",
+							phase, goal, got, want)
 					}
 				}
 			}
