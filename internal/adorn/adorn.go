@@ -35,18 +35,6 @@ func UniformCPerm(perms [][]int) SIPChooser {
 	}
 }
 
-// PerAdornCPerm chooses by (rule, adornment), falling back to identity.
-func PerAdornCPerm(m map[AdornKey][]int) SIPChooser {
-	return func(ruleIdx int, a lang.Adornment) []int { return m[AdornKey{ruleIdx, a}] }
-}
-
-// AdornKey identifies a replicated rule: original rule index plus head
-// adornment.
-type AdornKey struct {
-	Rule  int
-	Adorn lang.Adornment
-}
-
 // AdornedRule is one replicated, adorned, permuted clique rule.
 type AdornedRule struct {
 	// Rule has head renamed to 'P.a' and in-clique body literals renamed

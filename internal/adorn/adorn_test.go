@@ -76,7 +76,7 @@ func TestAdornSgBbPerAdornSIP(t *testing.T) {
 	bb, _ := lang.ParseAdornment("bb")
 	bf, _ := lang.ParseAdornment("bf")
 	fb, _ := lang.ParseAdornment("fb")
-	chooser := PerAdornCPerm(map[AdornKey][]int{
+	chooser := perAdorn(map[adornKey][]int{
 		{0, bb}: {0, 1, 2},
 		{0, fb}: {2, 1, 0},
 		{0, bf}: {0, 1, 2},
@@ -213,12 +213,25 @@ func TestMagicSeedMustBeGround(t *testing.T) {
 	}
 }
 
+// adornKey identifies a replicated rule: original rule index plus head
+// adornment.
+type adornKey struct {
+	rule  int
+	adorn lang.Adornment
+}
+
+// perAdorn chooses a SIP by (rule, head adornment), falling back to
+// identity.
+func perAdorn(m map[adornKey][]int) SIPChooser {
+	return func(ruleIdx int, a lang.Adornment) []int { return m[adornKey{ruleIdx, a}] }
+}
+
 // sgCountChooser reverses the fb replica's SIP, as the paper's §7.3
 // example does, which is exactly what makes counting applicable.
 func sgCountChooser() SIPChooser {
 	bf, _ := lang.ParseAdornment("bf")
 	fb, _ := lang.ParseAdornment("fb")
-	return PerAdornCPerm(map[AdornKey][]int{
+	return perAdorn(map[adornKey][]int{
 		{0, bf}: {0, 1, 2},
 		{0, fb}: {2, 1, 0},
 	})

@@ -252,34 +252,6 @@ func (g *Graph) Implies(p, q string) bool {
 	return false
 }
 
-// Follows reports whether clique a follows clique b: some predicate of
-// b is used (transitively) to define a. It is the paper's partial order
-// on cliques.
-func (g *Graph) Follows(a, b *Clique) bool {
-	if a == nil || b == nil || a.ID == b.ID {
-		return false
-	}
-	for _, pb := range b.Preds {
-		for _, pa := range a.Preds {
-			if g.Implies(pb, pa) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // TopoCliques returns the cliques with dependencies first; evaluating
 // cliques in this order respects the follows order.
 func (g *Graph) TopoCliques() []*Clique { return g.Cliques }
-
-// MaxStratum returns the highest stratum number in the program.
-func (g *Graph) MaxStratum() int {
-	m := 0
-	for _, s := range g.Strata {
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}

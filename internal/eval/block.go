@@ -181,15 +181,15 @@ type kernelRun struct {
 	ks      *kernelState
 	head    *store.Relation
 	headTag string
-	collect func(string, store.Tuple)
+	collect func(tag string) error
 	limit   int // rows a scan gathers before flushing downstream
 }
 
 // applyRule executes one application of a rule's join program: every
 // newly derived head tuple is inserted into the head relation and
-// passed to collect (if non-nil). deltaOcc, when >= 0, makes body
+// reported to collect (if non-nil) by its head tag. deltaOcc, when >= 0, makes body
 // literal deltaOcc read from deltas[tag] instead of the full relation.
-func (cx *evalCtx) applyRule(cr *compiledRule, deltaOcc int, deltas map[string]*store.Relation, collect func(string, store.Tuple)) error {
+func (cx *evalCtx) applyRule(cr *compiledRule, deltaOcc int, deltas map[string]*store.Relation, collect func(tag string) error) error {
 	e := cx.e
 	if e.opts.reference != nil {
 		return e.opts.reference(cx, cr.rule, deltaOcc, deltas, collect)
@@ -699,8 +699,8 @@ func (k *kernelRun) emit(f *bframe, sel []int32) error {
 		}
 		m++
 	}
-	_, err := k.head.InsertRows(ks.headIDs, m, func(idx int) error {
-		return cx.recordInserted(k.headTag, k.head.TupleAt(idx), k.collect)
+	_, err := k.head.InsertRows(ks.headIDs, m, func(int) error {
+		return cx.recordInserted(k.headTag, k.collect)
 	})
 	return err
 }

@@ -4,8 +4,9 @@
 // and stratified negation. Every rule runs as a compiled join program
 // (compile.go) on the block executor (block.go) — for optimized plans
 // after plan-directed program rewriting, for unoptimized evaluation,
-// and for view maintenance (incremental.go) alike. The tabled top-down
-// evaluator (topdown.go) is a separate, goal-directed mode.
+// and for view maintenance (incremental.go) alike. Goal-directed
+// evaluation comes from the magic and counting rewrites, not from a
+// second engine; the tabled top-down evaluator is a test-only oracle.
 //
 // An engine evaluates one query on one goroutine: concurrency lives
 // between queries (each over its own engine and a shared, read-only
@@ -92,7 +93,7 @@ type Options struct {
 	// application through the substitution-map reference interpreter
 	// (reference_test.go) instead of its join program: the oracle the
 	// kernels' answers, errors and work counters are checked against.
-	reference func(cx *evalCtx, r lang.Rule, deltaOcc int, deltas map[string]*store.Relation, collect func(string, store.Tuple)) error
+	reference func(cx *evalCtx, r lang.Rule, deltaOcc int, deltas map[string]*store.Relation, collect func(tag string) error) error
 }
 
 func (o *Options) norm() {
@@ -241,11 +242,13 @@ func (e *Engine) newDeltas(c *depgraph.Clique) map[string]*store.Relation {
 // collectInto returns a delta collector: it fires immediately after a
 // successful head insert, so the new tuple is the head relation's last
 // row and InsertFrom reuses its interned IDs and hash instead of
-// re-hashing.
-func (e *Engine) collectInto(deltas map[string]*store.Relation) func(string, store.Tuple) {
-	return func(tag string, _ store.Tuple) {
+// re-hashing. A delta that cannot take the row (an arity mismatch) is
+// an error of the run, not a silently shorter fixpoint.
+func (e *Engine) collectInto(deltas map[string]*store.Relation) func(tag string) error {
+	return func(tag string) error {
 		head := e.derived[tag]
-		deltas[tag].InsertFrom(head, head.Len()-1)
+		_, err := deltas[tag].InsertFrom(head, head.Len()-1)
+		return err
 	}
 }
 
@@ -342,7 +345,7 @@ type evalCtx struct {
 // recordInserted does the bookkeeping for a head insert that was
 // genuinely new: counters, the runaway backstop, the governor, and the
 // delta-collect callback.
-func (cx *evalCtx) recordInserted(tag string, t store.Tuple, collect func(string, store.Tuple)) error {
+func (cx *evalCtx) recordInserted(tag string, collect func(tag string) error) error {
 	e := cx.e
 	e.Counters.TuplesDerived++
 	if e.Counters.TuplesDerived > e.opts.MaxTuples {
@@ -352,7 +355,7 @@ func (cx *evalCtx) recordInserted(tag string, t store.Tuple, collect func(string
 		return err
 	}
 	if collect != nil {
-		collect(tag, t)
+		return collect(tag)
 	}
 	return nil
 }

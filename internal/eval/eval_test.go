@@ -453,6 +453,57 @@ func TestQuickTCMatchesFloydWarshall(t *testing.T) {
 
 // chainProgram builds a linear e-chain of n edges plus transitive
 // closure rules, a stratified negation layer, and an arithmetic layer.
+// TestDeltaArityMismatchFailsRun checks that a delta which cannot take
+// a new head row fails the run. Were the collector's error dropped, the
+// delta would stay empty and the fixpoint would end after its seed round
+// with a short answer and no error.
+func TestDeltaArityMismatchFailsRun(t *testing.T) {
+	prog, _, err := parser.ParseProgram(`
+e(1, 2). e(2, 3). e(3, 4).
+tc(X, Y) <- e(X, Y).
+tc(X, Y) <- e(X, Z), tc(Z, Y).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := store.NewDatabase()
+	if err := db.LoadFacts(prog); err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(prog, db, Options{Method: SemiNaive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range e.Graph.TopoCliques() {
+		if !c.Recursive {
+			continue
+		}
+		crs := e.compileRules(c)
+		for _, cr := range crs {
+			e.ensureDerived(cr.rule.Head.Tag(), cr.rule.Head.Arity())
+		}
+		// The fixpoint's own seed round and rounds, over a delta whose
+		// arity disagrees with its head relation.
+		deltas := e.newDeltas(c)
+		deltas["tc/2"] = store.NewRelation("tcΔ", 1)
+		cx := &evalCtx{e: e}
+		collect := e.collectInto(deltas)
+		for _, cr := range crs {
+			if err = cx.applyRule(cr, -1, nil, collect); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			_, err = cx.rounds(c, crs, SemiNaive, deltas)
+		}
+		if err == nil || !strings.Contains(err.Error(), "arity") {
+			t.Fatalf("err = %v, want the delta's arity error", err)
+		}
+		return
+	}
+	t.Fatal("no recursive clique")
+}
+
 func chainProgram(n int) string {
 	var b strings.Builder
 	for i := 1; i <= n; i++ {

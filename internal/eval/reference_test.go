@@ -23,10 +23,10 @@ func referenceOpts(opts Options) Options {
 }
 
 // referenceApply evaluates one rule body left-to-right; every newly
-// derived head tuple is inserted into the head relation and passed to
-// collect (if non-nil). deltaOcc, when >= 0, makes body literal
+// derived head tuple is inserted into the head relation and reported to
+// collect (if non-nil) by its head tag. deltaOcc, when >= 0, makes body literal
 // deltaOcc read from deltas[tag] instead of the full relation.
-func referenceApply(cx *evalCtx, r lang.Rule, deltaOcc int, deltas map[string]*store.Relation, collect func(string, store.Tuple)) error {
+func referenceApply(cx *evalCtx, r lang.Rule, deltaOcc int, deltas map[string]*store.Relation, collect func(tag string) error) error {
 	head := cx.e.ensureDerived(r.Head.Tag(), r.Head.Arity())
 	emit := func(s term.Subst) error {
 		args := s.ResolveAll(r.Head.Args)
@@ -43,7 +43,7 @@ func referenceApply(cx *evalCtx, r lang.Rule, deltaOcc int, deltas map[string]*s
 		if !added {
 			return nil
 		}
-		return cx.recordInserted(r.Head.Tag(), t, collect)
+		return cx.recordInserted(r.Head.Tag(), collect)
 	}
 	return cx.joinBody(r.Body, 0, deltaOcc, deltas, term.NewSubst(), nil, emit)
 }

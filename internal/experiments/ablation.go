@@ -12,6 +12,7 @@ import (
 	"ldl/internal/depgraph"
 	"ldl/internal/lang"
 	"ldl/internal/parser"
+	"ldl/internal/resource"
 	"ldl/internal/stats"
 	"ldl/internal/store"
 	"ldl/internal/term"
@@ -75,13 +76,15 @@ func A1MagicOverhead() *Table {
 }
 
 // A2MemoAblation measures the value of Figure 7-1's binding-indexed
-// memoization by disabling it.
+// memoization by disabling it. The counted columns (optimizer states
+// charged, OR-subtree optimizations done) are deterministic; the time
+// columns are for display.
 func A2MemoAblation() *Table {
 	t := &Table{
 		ID:     "A2",
 		Title:  "Ablation: optimizer with and without binding-indexed memoization",
 		Paper:  "\"each subtree is optimized exactly ONCE for each binding\" (§7.2) — here is what it saves",
-		Header: []string{"shared references", "with memo", "without memo", "speedup"},
+		Header: []string{"shared references", "states with memo", "states without", "optimizations with memo", "optimizations without", "time with memo", "time without", "speedup"},
 	}
 	// The shared subgoal is expensive to optimize (a 6-way join body
 	// explored exhaustively); the top rule references it k times under
@@ -109,9 +112,13 @@ func A2MemoAblation() *Table {
 		goal := lang.Query{Goal: lang.Lit("top", term.Int(1), term.Var{Name: "Z"})}
 		// One optimization takes well under a millisecond, so each arm
 		// reports its fastest of five runs rather than one scheduler-
-		// exposed sample.
-		timeIt := func(disable bool) time.Duration {
-			best := time.Duration(math.MaxInt64)
+		// exposed sample. The counts are the same on every run.
+		type arm struct {
+			best         time.Duration
+			states, done int
+		}
+		measure := func(disable bool) arm {
+			a := arm{best: time.Duration(math.MaxInt64)}
 			for rep := 0; rep < 5; rep++ {
 				start := time.Now()
 				g, err := depgraph.Analyze(prog)
@@ -120,22 +127,29 @@ func A2MemoAblation() *Table {
 				}
 				o := core.New(prog, g, cat, core.Exhaustive{})
 				o.DisableMemo = disable
+				o.Gov = resource.New(nil, resource.Budget{MaxStates: math.MaxInt})
 				if _, err := o.Optimize(goal); err != nil {
 					panic(err)
 				}
-				best = min(best, time.Since(start))
+				a.best = min(a.best, time.Since(start))
+				a.states, a.done = o.Gov.Snapshot().StatesExplored, o.MemoLookups-o.MemoHits
 			}
-			return best
+			return a
 		}
-		with := timeIt(false)
-		without := timeIt(true)
-		speed := float64(without) / float64(with)
+		with, without := measure(false), measure(true)
+		speed := float64(without.best) / float64(with.best)
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(k), with.Round(time.Microsecond).String(),
-			without.Round(time.Microsecond).String(), fmt.Sprintf("%.1fx", speed),
+			fmt.Sprint(k), fmt.Sprint(with.states), fmt.Sprint(without.states),
+			fmt.Sprint(with.done), fmt.Sprint(without.done),
+			with.best.Round(time.Microsecond).String(),
+			without.best.Round(time.Microsecond).String(), fmt.Sprintf("%.1fx", speed),
 		})
 		if k == 6 {
 			t.metric("memo_speedup_k6", speed)
+			t.metric("states_memo_k6", float64(with.states))
+			t.metric("states_nomemo_k6", float64(without.states))
+			t.metric("optimizations_memo_k6", float64(with.done))
+			t.metric("optimizations_nomemo_k6", float64(without.done))
 		}
 	}
 	return t

@@ -2,24 +2,34 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"ldl"
+	"ldl/internal/core"
+	"ldl/internal/depgraph"
+	"ldl/internal/lang"
+	"ldl/internal/parser"
+	"ldl/internal/resource"
+	"ldl/internal/stats"
+	"ldl/internal/store"
 	"ldl/internal/workload"
 )
 
 // E11BottomLine measures the deal the paper's architecture offers the
 // user: pay a compile-time optimization cost once, win it back at
 // execution. For each workload it compares unoptimized evaluation
-// against optimize+compile+execute wall time, including the optimizer's
-// own overhead — the number that justifies a cost-based optimizer at
-// all.
+// against optimization plus optimized execution, including the
+// optimizer's own overhead — the number that justifies a cost-based
+// optimizer at all. The counted columns are deterministic: executed
+// work is tuples derived, and the optimizer's cost is the search states
+// it charged. The time columns are for display.
 func E11BottomLine() *Table {
 	t := &Table{
 		ID:     "E11",
-		Title:  "Bottom line: total wall time (optimize + execute) vs unoptimized evaluation",
+		Title:  "Bottom line: total cost (optimize + execute) vs unoptimized evaluation",
 		Paper:  "\"the user need only supply a correct query, and the system is expected to devise an efficient execution strategy for it\" (§1)",
-		Header: []string{"workload", "query", "unoptimized", "optimize", "execute", "total speedup"},
+		Header: []string{"workload", "query", "unoptimized work", "optimizer states", "optimized work", "work ratio", "unoptimized", "optimize", "execute", "total speedup"},
 	}
 	type w struct {
 		name string
@@ -37,7 +47,8 @@ func E11BottomLine() *Table {
 			panic(err)
 		}
 		start := time.Now()
-		if _, _, err := sys.EvaluateUnoptimized(c.goal); err != nil {
+		_, unoptStats, err := sys.EvaluateUnoptimized(c.goal)
+		if err != nil {
 			panic(err)
 		}
 		unopt := time.Since(start)
@@ -49,14 +60,21 @@ func E11BottomLine() *Table {
 		}
 		optT := time.Since(start)
 		start = time.Now()
-		if _, err := p.Execute(); err != nil {
+		_, optStats, err := p.ExecuteStats()
+		if err != nil {
 			panic(err)
 		}
 		execT := time.Since(start)
 
+		states := optimizerStates(c.src, c.goal)
+		ratio := float64(unoptStats.TuplesDerived) / float64(states+optStats.TuplesDerived)
 		speed := float64(unopt) / float64(optT+execT)
 		t.Rows = append(t.Rows, []string{
 			c.name, c.goal + "?",
+			fmt.Sprintf("%d tuples", unoptStats.TuplesDerived),
+			fmt.Sprint(states),
+			fmt.Sprintf("%d tuples", optStats.TuplesDerived),
+			fmt.Sprintf("%.1fx", ratio),
 			unopt.Round(time.Microsecond).String(),
 			optT.Round(time.Microsecond).String(),
 			execT.Round(time.Microsecond).String(),
@@ -64,8 +82,41 @@ func E11BottomLine() *Table {
 		})
 		if c.name == "sg tree d8" {
 			t.metric("total_speedup_sg", speed)
+			t.metric("work_ratio_sg", ratio)
 		}
 	}
-	t.Notes = append(t.Notes, "optimization cost is amortized further when the compiled query form is reused")
+	t.Notes = append(t.Notes,
+		"work ratio = unoptimized tuples derived / (optimizer states + optimized tuples derived)",
+		"optimization cost is amortized further when the compiled query form is reused")
 	return t
+}
+
+// optimizerStates counts the search states one default (exhaustive)
+// optimization of goal charges over the program and facts of src.
+func optimizerStates(src, goal string) int {
+	prog, _, err := parser.ParseProgram(src)
+	if err != nil {
+		panic(err)
+	}
+	if prog, err = lang.Normalize(prog); err != nil {
+		panic(err)
+	}
+	db := store.NewDatabase()
+	if err := db.LoadFacts(prog); err != nil {
+		panic(err)
+	}
+	g, err := depgraph.Analyze(prog)
+	if err != nil {
+		panic(err)
+	}
+	lit, err := parser.ParseLiteral(goal)
+	if err != nil {
+		panic(err)
+	}
+	o := core.New(prog, g, stats.Gather(db), core.Exhaustive{})
+	o.Gov = resource.New(nil, resource.Budget{MaxStates: math.MaxInt})
+	if _, err := o.Optimize(lang.Query{Goal: lit}); err != nil {
+		panic(err)
+	}
+	return o.Gov.Snapshot().StatesExplored
 }

@@ -59,9 +59,6 @@ func TestAdornment(t *testing.T) {
 	if a.Pattern(3) != "bfb" {
 		t.Errorf("Pattern = %q", a.Pattern(3))
 	}
-	if a.CountBound(3) != 2 {
-		t.Errorf("CountBound = %d", a.CountBound(3))
-	}
 	if AllBound(3) != 0b111 {
 		t.Errorf("AllBound(3) = %b", AllBound(3))
 	}
@@ -126,14 +123,6 @@ func TestRuleBasics(t *testing.T) {
 	fact := Rule{Head: Lit("up", at("a"), at("b"))}
 	if !fact.IsFact() || fact.String() != "up(a, b)." {
 		t.Errorf("fact: %v %q", fact.IsFact(), fact.String())
-	}
-}
-
-func TestRuleHeadOnlyVars(t *testing.T) {
-	r := Rule{Head: Lit("p", v("X"), v("W")), Body: []Literal{Lit("q", v("X"))}}
-	hov := r.HeadOnlyVars()
-	if len(hov) != 1 || hov[0] != "W" {
-		t.Errorf("HeadOnlyVars = %v", hov)
 	}
 }
 

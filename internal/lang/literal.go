@@ -115,17 +115,6 @@ const AllFree Adornment = 0
 // AllBound returns the adornment with the first n arguments bound.
 func AllBound(n int) Adornment { return Adornment(1<<uint(n) - 1) }
 
-// CountBound returns the number of bound arguments among the first n.
-func (a Adornment) CountBound(n int) int {
-	c := 0
-	for i := 0; i < n; i++ {
-		if a.Bound(i) {
-			c++
-		}
-	}
-	return c
-}
-
 // Pattern renders the adornment for an n-argument predicate, e.g. "bf".
 func (a Adornment) Pattern(n int) string {
 	var b strings.Builder

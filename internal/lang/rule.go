@@ -53,23 +53,6 @@ func (r Rule) Vars() []term.Var {
 	return vs
 }
 
-// HeadOnlyVars returns names of variables that occur in the head but in
-// no body literal — such variables make the rule's answer infinite
-// unless bound by the caller (a safety concern).
-func (r Rule) HeadOnlyVars() []string {
-	bodyVars := map[string]bool{}
-	for _, l := range r.Body {
-		l.VarSet(bodyVars)
-	}
-	var out []string
-	for _, v := range r.Head.Vars(nil) {
-		if !bodyVars[v.Name] {
-			out = append(out, v.Name)
-		}
-	}
-	return out
-}
-
 // Validate reports structural problems: negated heads, builtin heads,
 // arity overflow for the adornment encoding.
 func (r Rule) Validate() error {

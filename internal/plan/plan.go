@@ -2,12 +2,10 @@
 // execution model whose leaves are base-relation scans and evaluable
 // predicates, whose interior nodes are joins (AND), unions (OR) and
 // contracted-clique fixpoints (CC), each labeled materialized (square)
-// or pipelined (triangle) and carrying method labels, piggy-backed
-// selections and projections. The package also implements the seven
-// equivalence-preserving transformations of §5 that generate the
-// execution space, an Explain renderer (Figure 4-1 style), and the
-// conversion of a finished plan into an executable program for the eval
-// engine.
+// or pipelined (triangle) and carrying join and recursion method
+// labels. The optimizer (internal/core) builds the tree it chose
+// directly; this package renders it for Explain (Figure 4-1 style) and
+// converts it into an executable program for the eval engine.
 package plan
 
 import (
@@ -78,9 +76,8 @@ type Fix struct {
 	CPerm [][]int
 }
 
-// Node is one processing-tree node. A single struct with a Kind
-// discriminator keeps the closed variant set easy to rewrite — the
-// transformations below pattern-match on Kind.
+// Node is one processing-tree node: a single struct whose Kind
+// discriminates the closed variant set.
 type Node struct {
 	Kind Kind
 	Mode Mode
@@ -95,7 +92,7 @@ type Node struct {
 	Kids []*Node
 
 	// Join bookkeeping: Perm[i] gives the original body position of
-	// Kids[i]; Methods[i] the join method label (EL).
+	// Kids[i]; Methods[i] the join method label.
 	Perm    []int
 	Methods []cost.JoinMethod
 
@@ -103,11 +100,6 @@ type Node struct {
 	// rule body.
 	Rule    *lang.Rule
 	RuleIdx int
-
-	// Filters are selections piggy-backed onto this node (PS); Proj the
-	// variable names retained (PP; nil keeps everything).
-	Filters []lang.Literal
-	Proj    []string
 
 	FixInfo *Fix
 
@@ -147,8 +139,6 @@ func (n *Node) Clone() *Node {
 	}
 	c.Perm = append([]int(nil), n.Perm...)
 	c.Methods = append([]cost.JoinMethod(nil), n.Methods...)
-	c.Filters = append([]lang.Literal(nil), n.Filters...)
-	c.Proj = append([]string(nil), n.Proj...)
 	if n.FixInfo != nil {
 		fi := *n.FixInfo
 		fi.CPerm = make([][]int, len(n.FixInfo.CPerm))
@@ -255,16 +245,6 @@ func (n *Node) describe() string {
 		if n.FixInfo != nil {
 			fmt.Fprintf(&b, " method=%s adorn=%s", n.FixInfo.Method, n.Adorn.Pattern(n.Lit.Arity()))
 		}
-	}
-	if len(n.Filters) > 0 {
-		parts := make([]string, len(n.Filters))
-		for i, f := range n.Filters {
-			parts[i] = f.String()
-		}
-		fmt.Fprintf(&b, " σ(%s)", strings.Join(parts, " ∧ "))
-	}
-	if n.Proj != nil {
-		fmt.Fprintf(&b, " π(%s)", strings.Join(n.Proj, ","))
 	}
 	if n.EstCost != 0 {
 		if n.EstCost.IsInfinite() {

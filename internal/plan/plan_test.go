@@ -1,374 +1,42 @@
 package plan
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"ldl/internal/cost"
 	"ldl/internal/lang"
 	"ldl/internal/parser"
-	"ldl/internal/store"
 	"ldl/internal/term"
 )
 
 func v(n string) term.Term { return term.Var{Name: n} }
 
-func testDB(t *testing.T) *store.Database {
-	t.Helper()
-	prog, _, err := parser.ParseProgram(`
-e(1, 2). e(2, 3). e(3, 4). e(2, 5).
-f(2, 10). f(3, 20). f(5, 30).
-g(10). g(30).
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := store.NewDatabase()
-	if err := db.LoadFacts(prog); err != nil {
-		t.Fatal(err)
-	}
-	return db
-}
-
-func TestScanEval(t *testing.T) {
-	db := testDB(t)
-	r, err := Eval(Scan(lang.Lit("e", term.Int(2), v("Y"))), db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := r.Canonical()
-	if strings.Join(got, ";") != "3;5" {
-		t.Errorf("rows = %v", got)
-	}
-	// Missing relation: empty, not an error.
-	r2, err := Eval(Scan(lang.Lit("zz", v("X"))), db)
-	if err != nil || len(r2.Data) != 0 {
-		t.Errorf("missing relation: %v %v", r2, err)
-	}
-}
-
-func TestJoinEvalWithBuiltinAndFilter(t *testing.T) {
-	db := testDB(t)
-	// e(X,Y), f(Y,Z), Z > 15
-	j := Join(
-		Scan(lang.Lit("e", v("X"), v("Y"))),
-		Scan(lang.Lit("f", v("Y"), v("Z"))),
-		Builtin(lang.Lit(lang.OpGt, v("Z"), term.Int(15))),
-	)
-	r, err := Eval(j, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := r.RelationOf([]string{"X", "Y", "Z"})
-	if rel.Len() != 2 { // (2,3,20), (2,5,30)
-		t.Errorf("rows = %v", r.Canonical())
-	}
-	// Same result with the filter attached to the join node instead.
-	j2 := Join(
-		Scan(lang.Lit("e", v("X"), v("Y"))),
-		Scan(lang.Lit("f", v("Y"), v("Z"))),
-	)
-	j2.Filters = []lang.Literal{lang.Lit(lang.OpGt, v("Z"), term.Int(15))}
-	r2, err := Eval(j2, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(r.Canonical(), ";") != strings.Join(r2.Canonical(), ";") {
-		t.Errorf("filter placement changed semantics: %v vs %v", r.Canonical(), r2.Canonical())
-	}
-}
-
-func TestUnionEvalAndProjection(t *testing.T) {
-	db := testDB(t)
-	u := Union(lang.Lit("q", v("A"), v("B")),
-		Scan(lang.Lit("e", v("A"), v("B"))),
-		Scan(lang.Lit("f", v("A"), v("B"))),
-	)
-	r, err := Eval(u, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(r.Canonical()); got != 7 {
-		t.Errorf("union rows = %d: %v", got, r.Canonical())
-	}
-	u.Proj = []string{"A"}
-	r2, err := Eval(u, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(r2.Canonical()); got != 4 { // 1,2,3,5
-		t.Errorf("projected rows = %d: %v", got, r2.Canonical())
-	}
-}
-
-func TestFixEvalUnsupported(t *testing.T) {
-	n := &Node{Kind: KindFix, Lit: lang.Lit("tc", v("X"), v("Y"))}
-	if _, err := Eval(n, testDB(t)); err == nil {
-		t.Error("CC node evaluated directly")
-	}
-}
-
 func sampleJoin() *Node {
-	j := Join(
+	return Join(
 		Scan(lang.Lit("e", v("X"), v("Y"))),
 		Scan(lang.Lit("f", v("Y"), v("Z"))),
 		Scan(lang.Lit("g", v("Z"))),
 	)
-	j.Filters = []lang.Literal{lang.Lit(lang.OpGt, v("Z"), term.Int(5))}
-	return j
 }
 
 func TestCloneIndependence(t *testing.T) {
 	j := sampleJoin()
 	c := j.Clone()
 	c.Kids[0].Lit = lang.Lit("f", v("A"), v("B"))
-	c.Filters[0] = lang.Lit(lang.OpLt, v("Z"), term.Int(1))
 	c.Methods[1] = cost.HashJoin
-	if j.Kids[0].Lit.Pred != "e" || j.Filters[0].Pred != lang.OpGt || j.Methods[1] != 0 {
+	if j.Kids[0].Lit.Pred != "e" || j.Methods[1] != 0 {
 		t.Error("Clone shares structure")
-	}
-}
-
-func TestMPToggle(t *testing.T) {
-	j := sampleJoin()
-	c, err := MP(j, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Kids[1].Mode != Materialized {
-		t.Error("MP did not toggle to materialized")
-	}
-	c2, err := MP(c, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Kids[1].Mode != Pipelined {
-		t.Error("MP did not toggle back")
-	}
-	if _, err := MP(j, []int{9}); err == nil {
-		t.Error("bad path accepted")
-	}
-	// Modes do not change semantics.
-	db := testDB(t)
-	r1, _ := Eval(j, db)
-	r2, _ := Eval(c, db)
-	if strings.Join(r1.Canonical(), ";") != strings.Join(r2.Canonical(), ";") {
-		t.Error("MP changed results")
-	}
-}
-
-func TestPRPermute(t *testing.T) {
-	j := sampleJoin()
-	db := testDB(t)
-	before, _ := Eval(j, db)
-	c, err := PR(j, nil, []int{2, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Kids[0].Lit.Pred != "g" || c.Perm[0] != 2 {
-		t.Errorf("PR order: %s perm=%v", c.Kids[0].Lit, c.Perm)
-	}
-	after, _ := Eval(c, db)
-	if strings.Join(before.Canonical(), ";") != strings.Join(after.Canonical(), ";") {
-		t.Error("PR changed results")
-	}
-	// inverse permutation restores the original order
-	inv, err := PR(c, nil, []int{1, 2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv.Kids[0].Lit.Pred != "e" || inv.Perm[0] != 0 {
-		t.Errorf("inverse PR: %s perm=%v", inv.Kids[0].Lit, inv.Perm)
-	}
-	for _, bad := range [][]int{{0, 1}, {0, 0, 1}, {0, 1, 5}} {
-		if _, err := PR(j, nil, bad); err == nil {
-			t.Errorf("bad perm %v accepted", bad)
-		}
-	}
-	if _, err := PR(Scan(lang.Lit("e", v("X"), v("Y"))), nil, []int{0}); err == nil {
-		t.Error("PR on scan accepted")
-	}
-}
-
-func TestELExchange(t *testing.T) {
-	j := sampleJoin()
-	c, err := EL(j, nil, 1, cost.HashJoin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Methods[1] != cost.HashJoin {
-		t.Error("EL did not relabel")
-	}
-	if _, err := EL(j, nil, 9, cost.HashJoin); err == nil {
-		t.Error("bad index accepted")
-	}
-	if _, err := EL(Scan(lang.Lit("e")), nil, 0, cost.HashJoin); err == nil {
-		t.Error("EL on scan accepted")
-	}
-}
-
-func TestPushPullSelect(t *testing.T) {
-	j := sampleJoin()
-	f := j.Filters[0]
-	db := testDB(t)
-	before, _ := Eval(j, db)
-	// Z appears in kid 1 (f(Y,Z)) and kid 2 (g(Z)).
-	c, err := PushSelect(j, nil, f, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Filters) != 0 || len(c.Kids[1].Filters) != 1 {
-		t.Error("PS did not move the filter")
-	}
-	after, _ := Eval(c, db)
-	if strings.Join(before.Canonical(), ";") != strings.Join(after.Canonical(), ";") {
-		t.Error("PS changed results")
-	}
-	// Pull it back.
-	back, err := PullSelect(c, nil, f, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Filters) != 1 || len(back.Kids[1].Filters) != 0 {
-		t.Error("PullSelect did not restore")
-	}
-	// kid 0 (e(X,Y)) does not cover Z.
-	if _, err := PushSelect(j, nil, f, 0); err == nil {
-		t.Error("PS into non-covering child accepted")
-	}
-	if _, err := PushSelect(j, nil, lang.Lit(lang.OpLt, v("Q"), term.Int(1)), 1); err == nil {
-		t.Error("PS of absent filter accepted")
-	}
-	fix := Join(&Node{Kind: KindFix, Lit: lang.Lit("tc", v("Z"), v("W"))})
-	fix.Filters = []lang.Literal{lang.Lit(lang.OpGt, v("Z"), term.Int(0))}
-	if _, err := PushSelect(fix, nil, fix.Filters[0], 0); err == nil {
-		t.Error("PS into recursive operator accepted")
-	}
-	if _, err := PullSelect(c, nil, lang.Lit(lang.OpLt, v("Q"), term.Int(1)), 1); err == nil {
-		t.Error("PullSelect of absent filter accepted")
-	}
-}
-
-func TestPushProject(t *testing.T) {
-	j := sampleJoin()
-	c, err := PushProject(j, nil, []string{"X"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Proj) != 1 {
-		t.Error("PP did not set projection")
-	}
-	r, err := Eval(c, testDB(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Vars) != 1 || r.Vars[0] != "X" {
-		t.Errorf("projected vars = %v", r.Vars)
-	}
-	cleared, err := PushProject(c, nil, nil)
-	if err != nil || cleared.Proj != nil {
-		t.Error("PullProject failed")
-	}
-	fixNode := &Node{Kind: KindFix}
-	if _, err := PushProject(fixNode, nil, []string{"X"}); err == nil {
-		t.Error("PP into recursive operator accepted")
-	}
-}
-
-func TestFlattenUnflattenFig42(t *testing.T) {
-	// Figure 4-2: a join over a union flattens to a union of joins.
-	db := testDB(t)
-	u := Union(lang.Lit("q", v("Y"), v("Z")),
-		Scan(lang.Lit("f", v("Y"), v("Z"))),
-		Scan(lang.Lit("e", v("Y"), v("Z"))),
-	)
-	j := Join(Scan(lang.Lit("e", v("X"), v("Y"))), u)
-	before, err := Eval(j, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := Flatten(j, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.Kind != KindUnion || len(flat.Kids) != 2 || flat.Kids[0].Kind != KindJoin {
-		t.Fatalf("flattened shape wrong:\n%s", flat.Render())
-	}
-	after, err := Eval(flat, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(before.Canonical(), ";") != strings.Join(after.Canonical(), ";") {
-		t.Errorf("FU changed results: %v vs %v", before.Canonical(), after.Canonical())
-	}
-	// Unflatten restores a join-over-union.
-	back, err := Unflatten(flat, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Kind != KindJoin || back.Kids[1].Kind != KindUnion {
-		t.Fatalf("unflattened shape wrong:\n%s", back.Render())
-	}
-	r3, err := Eval(back, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(before.Canonical(), ";") != strings.Join(r3.Canonical(), ";") {
-		t.Error("unflatten changed results")
-	}
-	// Errors.
-	if _, err := Flatten(j, nil, 0); err == nil {
-		t.Error("flatten of non-union child accepted")
-	}
-	if _, err := Unflatten(j, nil, 0); err == nil {
-		t.Error("unflatten of non-union accepted")
-	}
-}
-
-func TestPAOnFixNode(t *testing.T) {
-	prog, _, err := parser.ParseProgram(`tc(X, Y) <- e(X, Y). tc(X, Y) <- e(X, Z), tc(Z, Y).`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fx := &Node{
-		Kind: KindFix,
-		Lit:  lang.Lit("tc", term.Int(1), v("Y")),
-		FixInfo: &Fix{
-			CliqueTags: []string{"tc/2"},
-			Rules:      prog.Rules,
-			RuleIdx:    []int{0, 1},
-			Method:     cost.RecSemiNaive,
-			CPerm:      [][]int{{0}, {0, 1}},
-		},
-	}
-	c, err := PA(fx, nil, [][]int{{0}, {1, 0}}, cost.RecMagic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.FixInfo.Method != cost.RecMagic || c.FixInfo.CPerm[1][0] != 1 {
-		t.Error("PA did not relabel")
-	}
-	if _, err := PA(fx, nil, [][]int{{0}}, cost.RecMagic); err == nil {
-		t.Error("short c-perm accepted")
-	}
-	if _, err := PA(fx, nil, [][]int{{0}, {0}}, cost.RecMagic); err == nil {
-		t.Error("ill-fitting perm accepted")
-	}
-	if _, err := PA(Scan(lang.Lit("e")), nil, nil, cost.RecMagic); err == nil {
-		t.Error("PA on scan accepted")
 	}
 }
 
 func TestRender(t *testing.T) {
 	j := sampleJoin()
 	j.Kids[1].Mode = Materialized
-	j.Proj = []string{"X"}
 	j.EstCost = 42
 	j.EstCard = 7
 	s := j.Render()
-	for _, want := range []string{"▷", "□", "σ(Z > 5)", "π(X)", "cost=42.0", "scan e(X, Y)"} {
+	for _, want := range []string{"▷", "□", "cost=42.0", "scan e(X, Y)"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Render missing %q:\n%s", want, s)
 		}
@@ -457,69 +125,4 @@ func TestWalkOrder(t *testing.T) {
 	if len(kinds) != 4 || kinds[0] != KindJoin || kinds[1] != KindScan {
 		t.Errorf("walk = %v", kinds)
 	}
-}
-
-// TestQuickTransformationsPreserveResults applies random applicable
-// transformations to a random non-recursive tree and checks invariance.
-func TestQuickTransformationsPreserveResults(t *testing.T) {
-	db := testDB(t)
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		u := Union(lang.Lit("q", v("Y"), v("Z")),
-			Scan(lang.Lit("f", v("Y"), v("Z"))),
-			Scan(lang.Lit("e", v("Y"), v("Z"))),
-		)
-		tree := Join(
-			Scan(lang.Lit("e", v("X"), v("Y"))),
-			u,
-			Builtin(lang.Lit(lang.OpGt, v("Z"), term.Int(0))),
-		)
-		tree.Filters = []lang.Literal{lang.Lit(lang.OpGt, v("Y"), term.Int(1))}
-		want := must(Eval(tree, db)).Canonical()
-		cur := tree
-		for step := 0; step < 4; step++ {
-			switch r.Intn(4) {
-			case 0:
-				if c, err := MP(cur, []int{r.Intn(len(cur.Kids))}); err == nil {
-					cur = c
-				}
-			case 1:
-				perm := r.Perm(3)
-				if cur.Kind == KindJoin {
-					if c, err := PR(cur, nil, perm); err == nil {
-						cur = c
-					}
-				}
-			case 2:
-				if cur.Kind == KindJoin && len(cur.Filters) > 0 {
-					if c, err := PushSelect(cur, nil, cur.Filters[0], 1); err == nil {
-						cur = c
-					}
-				}
-			case 3:
-				if cur.Kind == KindJoin {
-					for i, k := range cur.Kids {
-						if k.Kind == KindUnion {
-							if c, err := Flatten(cur, nil, i); err == nil {
-								cur = c
-							}
-							break
-						}
-					}
-				}
-			}
-		}
-		got := must(Eval(cur, db)).Canonical()
-		return strings.Join(got, ";") == strings.Join(want, ";")
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
-func must(r *Rows, err error) *Rows {
-	if err != nil {
-		panic(err)
-	}
-	return r
 }

@@ -262,30 +262,6 @@ func acyclic(r *store.Relation) bool {
 	return true
 }
 
-// EqSelectivity is the classic 1/distinct selectivity of an equality
-// restriction on column i of the relation described by s.
-func EqSelectivity(s RelStats, i int) float64 {
-	d := s.DistinctAt(i)
-	if d < 1 {
-		return 1
-	}
-	return 1 / d
-}
-
-// JoinSelectivity estimates the selectivity of equating column i of
-// relation a with column j of relation b: 1/max(d_a, d_b).
-func JoinSelectivity(a RelStats, i int, b RelStats, j int) float64 {
-	da, dbb := a.DistinctAt(i), b.DistinctAt(j)
-	m := da
-	if dbb > m {
-		m = dbb
-	}
-	if m < 1 {
-		return 1
-	}
-	return 1 / m
-}
-
 func (c *Catalog) String() string {
 	var b strings.Builder
 	for _, tag := range c.Tags() {

@@ -103,23 +103,6 @@ wide(1, 2, 3). wide(2, 1, 9).
 	}
 }
 
-func TestSelectivities(t *testing.T) {
-	a := RelStats{Card: 100, Distinct: []float64{10, 50}}
-	b := RelStats{Card: 200, Distinct: []float64{25}}
-	if got := EqSelectivity(a, 0); got != 0.1 {
-		t.Errorf("EqSelectivity = %v", got)
-	}
-	if got := EqSelectivity(RelStats{Card: 0}, 0); got != 1 {
-		t.Errorf("degenerate EqSelectivity = %v", got)
-	}
-	if got := JoinSelectivity(a, 0, b, 0); got != 1.0/25 {
-		t.Errorf("JoinSelectivity = %v", got)
-	}
-	if got := JoinSelectivity(RelStats{Card: 0.1}, 0, RelStats{Card: 0.2}, 0); got != 1 {
-		t.Errorf("degenerate JoinSelectivity = %v", got)
-	}
-}
-
 // TestUpdateIncrementalAcyclicity exercises the watermark-based
 // recheck: Update re-derives statistics for a grown relation from its
 // appended suffix only, so it must flip Acyclic exactly when a new

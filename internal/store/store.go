@@ -6,7 +6,7 @@
 // (hash-consed) by internal/term, tuples are deduplicated through an
 // open-addressed hash set keyed on combined interned-term hashes with
 // ID-row equality on collision, and column indexes are open-addressed
-// multimaps on masked column hashes. Tuple.Key/KeyOn survive for
+// multimaps on masked column hashes. Tuple.Key survives for
 // display and debugging only — no hot-path operation serializes terms.
 //
 // Concurrency contract: a Relation supports any number of concurrent
@@ -45,18 +45,6 @@ func (t Tuple) Key() string {
 	for _, x := range t {
 		term.AppendKey(&b, x)
 		b.WriteByte(',')
-	}
-	return b.String()
-}
-
-// KeyOn encodes only the columns whose bit is set in cols (debug only).
-func (t Tuple) KeyOn(cols uint32) string {
-	var b strings.Builder
-	for i, x := range t {
-		if cols&(1<<uint(i)) != 0 {
-			term.AppendKey(&b, x)
-			b.WriteByte(',')
-		}
 	}
 	return b.String()
 }

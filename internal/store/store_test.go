@@ -31,9 +31,6 @@ func TestTupleKeyAndString(t *testing.T) {
 	if a.String() != "(1, 2)" {
 		t.Errorf("String = %q", a.String())
 	}
-	if a.KeyOn(0b01) == a.KeyOn(0b10) {
-		t.Error("KeyOn ignores column selection")
-	}
 	cl := a.Clone()
 	cl[0] = term.Int(9)
 	if !term.Equal(a[0], term.Int(1)) {

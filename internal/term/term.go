@@ -11,7 +11,6 @@ package term
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -395,16 +394,4 @@ func Rename(t Term, n int) Term {
 	default:
 		return t
 	}
-}
-
-// SortedVarNames returns the sorted variable names occurring in t.
-func SortedVarNames(t Term) []string {
-	set := map[string]bool{}
-	VarSet(t, set)
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -145,10 +145,6 @@ func TestGroundVarsSize(t *testing.T) {
 	if s := Size(Var{"X"}); s != 0 {
 		t.Errorf("Size(X) = %d, want 0", s)
 	}
-	names := SortedVarNames(ng)
-	if len(names) != 2 || names[0] != "X" || names[1] != "Y" {
-		t.Errorf("SortedVarNames = %v", names)
-	}
 }
 
 func TestProperSubterm(t *testing.T) {

@@ -151,23 +151,6 @@ func TCChain(n int) string {
 	return b.String()
 }
 
-// TCRandom produces a TC program over a random graph with n nodes and
-// e edges.
-func TCRandom(r *rand.Rand, n, e int) string {
-	var b strings.Builder
-	b.WriteString("tc(X, Y) <- e(X, Y).\ntc(X, Y) <- e(X, Z), tc(Z, Y).\n")
-	seen := map[[2]int]bool{}
-	for len(seen) < e {
-		a, c := r.Intn(n), r.Intn(n)
-		if a == c || seen[[2]int{a, c}] {
-			continue
-		}
-		seen[[2]int{a, c}] = true
-		fmt.Fprintf(&b, "e(%d, %d).\n", a, c)
-	}
-	return b.String()
-}
-
 // Layered produces a nonrecursive AND/OR rule base of the given depth:
 // level-k predicates join two level-(k-1) predicates, bottoming out at
 // a base edge relation over n nodes with the given out-degree.

@@ -84,14 +84,6 @@ func TestTCGenerators(t *testing.T) {
 	if len(prog.Facts) != 5 || len(prog.Rules) != 2 {
 		t.Errorf("chain: %d facts %d rules", len(prog.Facts), len(prog.Rules))
 	}
-	r := rand.New(rand.NewSource(2))
-	prog2, _, err := parser.ParseProgram(TCRandom(r, 10, 15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prog2.Facts) != 15 {
-		t.Errorf("random: %d facts", len(prog2.Facts))
-	}
 }
 
 func TestLayered(t *testing.T) {

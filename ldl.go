@@ -889,35 +889,6 @@ func (s *System) Query(goal string, opts ...Option) ([][]string, error) {
 	return p.Execute()
 }
 
-// EvaluateTopDown answers the goal with the tabled top-down evaluator:
-// goal-directed resolution with one answer table per call pattern — the
-// literal realization of pipelined execution, and an independent oracle
-// against the bottom-up engine. It can answer bound query forms (e.g. a
-// list-consuming recursion with the list supplied) whose bottom-up
-// fixpoint does not exist.
-func (s *System) EvaluateTopDown(goal string, opts ...Option) (_ [][]string, es ExecStats, err error) {
-	defer guard(&err)
-	o := options{}.with(opts)
-	lit, err := parser.ParseLiteral(goal)
-	if err != nil {
-		return nil, es, err
-	}
-	ep := s.snapshot()
-	td := eval.NewTopDown(s.prog, ep.db, eval.Options{MaxTuples: 5_000_000, MaxIterations: 200_000, Gov: o.governor()})
-	ts, err := td.Query(lang.Query{Goal: lit})
-	if err != nil {
-		return nil, es, err
-	}
-	es = ExecStats{
-		TuplesDerived: td.Counters.TuplesDerived,
-		Iterations:    td.Counters.Iterations,
-		Unifications:  td.Counters.Unifications,
-		Lookups:       td.Counters.Lookups,
-		Epoch:         ep.id,
-	}
-	return renderRows(ts), es, nil
-}
-
 // EvaluateUnoptimized runs the query on the original program with plain
 // semi-naive evaluation and no optimization — the baseline the paper's
 // optimizer improves on, exposed for comparison and testing.

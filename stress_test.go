@@ -31,8 +31,8 @@ sg(X, Y) <- up(X, X1), sg(X1, Y1), dn(Y1, Y).
 
 // TestSharedDatabaseStress hammers one System from many goroutines at
 // once, mixing every public evaluation entry point — optimized Query,
-// the unoptimized bottom-up engine, the tabled top-down evaluator and
-// the materialized views. All paths read the same base relations,
+// one shared Prepared plan, the unoptimized bottom-up engine and the
+// materialized views. All paths read the same base relations,
 // including racing to build the same lazy column indexes; run under
 // -race this is the concurrency contract test for the store layer.
 func TestSharedDatabaseStress(t *testing.T) {
@@ -62,6 +62,11 @@ func TestSharedDatabaseStress(t *testing.T) {
 	if len(wantTC) == 0 || len(wantSG) == 0 {
 		t.Fatalf("empty reference answers: tc=%d sg=%d", len(wantTC), len(wantSG))
 	}
+	// One cached plan shared by every goroutine that takes arm 3.
+	prepTC, err := sys.Prepare("tc(1, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const goroutines = 24
 	const rounds = 8
@@ -76,7 +81,7 @@ func TestSharedDatabaseStress(t *testing.T) {
 				var want [][]string
 				var err error
 				// The arms cover {tc, sg} bottom-up plus the
-				// optimized, top-down and materialized-view paths,
+				// optimized, cached-plan and materialized-view paths,
 				// all racing over shared databases; one arm writes
 				// through the incremental maintenance path while the
 				// view arms read.
@@ -91,7 +96,7 @@ func TestSharedDatabaseStress(t *testing.T) {
 					got, _, err = sys.EvaluateUnoptimized("sg(a, Y)")
 					want = wantSG
 				case 3:
-					got, _, err = sys.EvaluateTopDown("tc(1, Y)")
+					got, err = prepTC.Execute("tc(1, Y)")
 					want = wantTC
 				case 4:
 					got, err = sys.Query("tc(1, Y)")

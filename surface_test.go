@@ -29,6 +29,69 @@ func TestExportedOptionSurface(t *testing.T) {
 		"WithStrategy",
 		"WithTimeout",
 	}
+	got := exportedFuncs(t, func(fn *ast.FuncDecl) bool {
+		return fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "With")
+	})
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("exported With* options:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestExportedSystemMethodSurface pins the exported *System methods.
+// Optimize, Prepare and Query answer a goal through the optimizer,
+// EvaluateUnoptimized is the baseline it is measured against, and
+// AnswersFromViews serves materialized views; a new evaluation entry
+// point means editing this list on purpose.
+func TestExportedSystemMethodSurface(t *testing.T) {
+	want := []string{
+		"AnswersFromViews",
+		"ApplyReplicated",
+		"Changed",
+		"Checkpoint",
+		"Close",
+		"Durability",
+		"EnableStatsFeedback",
+		"Epoch",
+		"EvaluateUnoptimized",
+		"FencedEvents",
+		"IVMStats",
+		"InsertFacts",
+		"Materialized",
+		"ObserveTerm",
+		"Optimize",
+		"Prepare",
+		"Promote",
+		"Queries",
+		"Query",
+		"ReadOnly",
+		"Recovery",
+		"Relations",
+		"SetReadOnly",
+		"SetStats",
+		"StorageStats",
+		"Term",
+		"WALAccess",
+	}
+	got := exportedFuncs(t, func(fn *ast.FuncDecl) bool {
+		if fn.Recv == nil || len(fn.Recv.List) != 1 {
+			return false
+		}
+		star, ok := fn.Recv.List[0].Type.(*ast.StarExpr)
+		if !ok {
+			return false
+		}
+		id, ok := star.X.(*ast.Ident)
+		return ok && id.Name == "System"
+	})
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("exported *System methods:\n got %v\nwant %v", got, want)
+	}
+}
+
+// exportedFuncs returns the sorted names of the package's exported
+// non-test function declarations that keep accepts.
+func exportedFuncs(t *testing.T, keep func(*ast.FuncDecl) bool) []string {
+	t.Helper()
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -40,13 +103,11 @@ func TestExportedOptionSurface(t *testing.T) {
 	for _, f := range pkgs["ldl"].Files {
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
-			if ok && fn.Recv == nil && fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "With") {
+			if ok && fn.Name.IsExported() && keep(fn) {
 				got = append(got, fn.Name.Name)
 			}
 		}
 	}
 	sort.Strings(got)
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Errorf("exported With* options:\n got %v\nwant %v", got, want)
-	}
+	return got
 }
