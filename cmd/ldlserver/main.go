@@ -680,6 +680,8 @@ func (s *server) statsLines() []string {
 		add("wal_segment_bytes", d.SegmentBytes)
 		add("wal_wedged", b2i(d.Wedged))
 		add("wal_last_checkpoint", d.LastCheckpoint)
+		add("wal_checkpoint_failures", d.CheckpointFailures)
+		add("wal_checkpoint_last_error", strings.ReplaceAll(d.CheckpointLastError, "\n", " "))
 	}
 	if rep := sys.Recovery(); rep != nil {
 		add("recovery_epoch", rep.Epoch)

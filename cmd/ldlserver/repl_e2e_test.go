@@ -180,8 +180,8 @@ func TestReplicaServesLeaderWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lkv["role"] != "leader" || lkv["wal_wedged"] != "0" {
-		t.Errorf("leader STATS role=%q wal_wedged=%q", lkv["role"], lkv["wal_wedged"])
+	if lkv["role"] != "leader" || lkv["wal_wedged"] != "0" || lkv["wal_checkpoint_failures"] != "0" {
+		t.Errorf("leader STATS role=%q wal_wedged=%q wal_checkpoint_failures=%q", lkv["role"], lkv["wal_wedged"], lkv["wal_checkpoint_failures"])
 	}
 	if n, _ := strconv.Atoi(lkv["wal_segment_bytes"]); n <= 0 {
 		t.Errorf("leader STATS wal_segment_bytes=%q, want > 0", lkv["wal_segment_bytes"])

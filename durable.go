@@ -120,7 +120,8 @@ func (s *System) Recovery() *RecoveryReport { return s.recovery }
 // maybeCheckpoint fires the background checkpointer when the active log
 // segment has outgrown the configured threshold. At most one checkpoint
 // runs at a time; a failed attempt leaves the log intact (recovery just
-// replays more) and the next batch retries.
+// replays more), is counted with its error in DurabilityStats, and the
+// next batch retries.
 func (s *System) maybeCheckpoint() {
 	if s.wal == nil || s.ckptBytes <= 0 || s.wal.SegmentSize() < s.ckptBytes {
 		return
@@ -130,7 +131,10 @@ func (s *System) maybeCheckpoint() {
 	}
 	go func() {
 		defer s.ckptBusy.Store(false)
-		s.Checkpoint()
+		if err := s.Checkpoint(); err != nil {
+			s.ckptErr.Store(err.Error())
+			s.ckptFailures.Add(1)
+		}
 	}()
 }
 

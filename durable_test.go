@@ -37,7 +37,7 @@ func parTuples(s *System) map[string]bool {
 	if r == nil {
 		return out
 	}
-	for _, t := range r.Tuples() {
+	for _, t := range r.Lookup(0, nil) {
 		out[fmt.Sprintf("%v,%v", t[0], t[1])] = true
 	}
 	return out
@@ -346,5 +346,55 @@ func TestDurableRefusesSnapshotDir(t *testing.T) {
 	f.Close()
 	if _, err := Load(durSrc, WithStorageDir("data"), withWALFS(fs)); err == nil || !strings.Contains(err.Error(), snap) {
 		t.Fatalf("Load over a snapshot checkpoint = %v, want an error naming %s", err, snap)
+	}
+}
+
+// TestBackgroundCheckpointFailureCounted: a background checkpoint that
+// fails is counted and its error kept in DurabilityStats, the log it
+// could not retire stays intact (writes go on, a crash recovers every
+// acknowledged batch), and the next checkpoint succeeds.
+func TestBackgroundCheckpointFailureCounted(t *testing.T) {
+	mem := wal.NewMemFS()
+	sys, err := Load(durSrc, withStorageFS(mem)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sys.InsertFacts(durBatch(0)); err != nil {
+		t.Fatal(err)
+	}
+	background := func() {
+		t.Helper()
+		sys.ckptBytes = 1 // the active segment is past the trigger
+		sys.maybeCheckpoint()
+		for sys.ckptBusy.Load() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// The log rotation takes three filesystem operations (sync the old
+	// segment, open the new one, sync the directory); the fourth is the
+	// first segment file's create, which fails.
+	mem.SetFailAt(4)
+	background()
+	mem.SetFailAt(0)
+	d := sys.Durability()
+	if d.CheckpointFailures != 1 || !strings.Contains(d.CheckpointLastError, wal.ErrInjected.Error()) {
+		t.Fatalf("after a failed background checkpoint: %+v", d)
+	}
+	if d.Wedged || d.LastCheckpoint != 0 {
+		t.Fatalf("failed checkpoint wedged the log or claimed success: %+v", d)
+	}
+	if _, _, err := sys.InsertFacts(durBatch(1)); err != nil {
+		t.Fatalf("insert after a failed checkpoint: %v", err)
+	}
+	crashed, err := Load(durSrc, withStorageFS(mem.Crash(true))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPrefix(t, parTuples(crashed), 2, 2)
+
+	background()
+	d = sys.Durability()
+	if d.CheckpointFailures != 1 || d.LastCheckpoint != sys.Epoch() {
+		t.Fatalf("after a successful background checkpoint: %+v (epoch %d)", d, sys.Epoch())
 	}
 }

@@ -22,19 +22,16 @@ import (
 // Unfold performs one round of flattening over prog: every positive
 // body literal whose predicate is non-recursive, fact-free and defined
 // by exactly one rule is replaced by that rule's body (standardized
-// apart and unified with the call). It returns the new program and
+// apart and unified with the call). It returns the new program — the
+// unfolded rules, carrying prog's fact tags but not its facts — and
 // whether any literal was unfolded.
 func Unfold(prog *lang.Program) (*lang.Program, bool, error) {
 	g, err := depgraph.Analyze(prog)
 	if err != nil {
 		return nil, false, err
 	}
-	hasFacts := map[string]bool{}
-	for _, f := range prog.Facts {
-		hasFacts[f.Head.Tag()] = true
-	}
 	unfoldable := func(tag string) bool {
-		return prog.IsDerived(tag) && !hasFacts[tag] && !g.IsRecursive(tag) &&
+		return prog.IsDerived(tag) && !prog.HasFacts(tag) && !g.IsRecursive(tag) &&
 			len(prog.RulesFor(tag)) == 1
 	}
 	changed := false
@@ -72,13 +69,10 @@ func Unfold(prog *lang.Program) (*lang.Program, bool, error) {
 		}
 		out = append(out, newRule)
 	}
-	for _, f := range prog.Facts {
-		out = append(out, f)
-	}
 	if !changed {
 		return prog, false, nil
 	}
-	np, err := lang.NewProgram(out)
+	np, err := prog.WithRules(out)
 	if err != nil {
 		return nil, false, fmt.Errorf("core: unfolding produced an invalid program: %w", err)
 	}

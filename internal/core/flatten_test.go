@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,6 +31,10 @@ outer(X, Z) <- inner(X, Y), e(Y, Z).
 	if len(outer[0].Body) != 3 || outer[0].Body[0].Pred != "e" || outer[0].Body[1].Pred != lang.OpGt {
 		t.Errorf("unfolded rule = %s", outer[0])
 	}
+	// The flattened program carries the fact tags, not the facts.
+	if np.Facts != nil || !np.HasFacts("e/2") || !slices.Contains(np.PredTags(), "e/2") {
+		t.Errorf("flattened program: %d facts, HasFacts(e/2)=%v, PredTags=%v", len(np.Facts), np.HasFacts("e/2"), np.PredTags())
+	}
 	// A second round has nothing left to unfold (inner's own rule uses
 	// base predicates only, and inner itself stays defined).
 	_, changed2, err := Unfold(np)
@@ -55,6 +60,9 @@ top(X) <- tc(X, Y), multi(X), mixed(X).
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A loaded System's program has dropped its facts: Unfold must see
+	// mixed's facts through the recorded tags.
+	prog.Facts = nil
 	np, changed, err := Unfold(prog)
 	if err != nil {
 		t.Fatal(err)

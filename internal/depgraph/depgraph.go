@@ -224,34 +224,6 @@ func (g *Graph) IsRecursive(tag string) bool {
 	return c != nil && c.Recursive
 }
 
-// Implies reports the transitive P => Q relation: P is used, directly
-// or transitively, to define Q.
-func (g *Graph) Implies(p, q string) bool {
-	seen := map[string]bool{}
-	var dfs func(v string) bool
-	dfs = func(v string) bool {
-		if v == q {
-			return true
-		}
-		if seen[v] {
-			return false
-		}
-		seen[v] = true
-		for _, w := range g.adj[v] {
-			if dfs(w) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, w := range g.adj[p] {
-		if dfs(w) {
-			return true
-		}
-	}
-	return false
-}
-
 // TopoCliques returns the cliques with dependencies first; evaluating
 // cliques in this order respects the follows order.
 func (g *Graph) TopoCliques() []*Clique { return g.Cliques }

@@ -455,7 +455,7 @@ func (k *kernelRun) candidate(st *kstep, f *bframe, r int32, rcols [][]term.ID, 
 				return
 			}
 		case kcolPat:
-			if !matchPatID(c.pat, rel.TupleAt(int(j))[i], out.cols, int32(o)) {
+			if !matchPatID(c.pat, term.InternedTerm(cellID(rcols, rel, i, j)), out.cols, int32(o)) {
 				return
 			}
 			// kcolConst, kcolProbe, kcolBuild: always part of the probe

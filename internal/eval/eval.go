@@ -184,8 +184,10 @@ func (e *Engine) ensureDerived(tag string, arity int) *store.Relation {
 	// A predicate can have both facts and rules; the derived relation
 	// starts from the base facts so they are not shadowed.
 	if base := e.DB.Relation(tag); base != nil {
-		for _, t := range base.Tuples() {
-			r.MustInsert(t)
+		for i := 0; i < base.Len(); i++ {
+			if _, err := r.InsertFrom(base, i); err != nil {
+				panic(err) // same arity: the tag carries it
+			}
 		}
 	}
 	e.derived[tag] = r
@@ -389,12 +391,23 @@ func (e *Engine) Answers(q lang.Query) ([]store.Tuple, error) {
 	if rel == nil {
 		return nil, nil
 	}
-	out := store.NewRelationSized("ans", q.Goal.Arity(), rel.Len())
-	for _, t := range rel.Snapshot() {
-		e.Counters.Unifications++
-		if _, ok := term.UnifyAll(q.Goal.Args, []term.Term(t), term.NewSubst()); ok {
-			out.MustInsert(t)
+	rows := rel.Lookup(0, nil)
+	e.Counters.Unifications += int64(len(rows))
+	return Select(rows, q.Goal.Args), nil
+}
+
+// Select filters rows in place to those that unify with args and sorts
+// them canonically. Rows read from one relation are a set, so the
+// result needs no deduplication.
+func Select(rows []store.Tuple, args []term.Term) []store.Tuple {
+	s := term.NewSubst()
+	keep := rows[:0]
+	for _, t := range rows {
+		clear(s)
+		if _, ok := term.UnifyAll(args, t, s); ok {
+			keep = append(keep, t)
 		}
 	}
-	return out.Sorted(), nil
+	store.SortTuples(keep)
+	return keep
 }

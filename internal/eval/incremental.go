@@ -42,6 +42,7 @@ import (
 	"ldl/internal/depgraph"
 	"ldl/internal/lang"
 	"ldl/internal/store"
+	"ldl/internal/term"
 )
 
 // IncrementalStats reports what an epoch continuation did — the
@@ -256,8 +257,15 @@ func diffDelta(prior, cur *store.Relation) (*store.Relation, bool) {
 	if prior.Len() > cur.Len() {
 		return nil, false
 	}
+	row := make([]term.ID, cur.Arity)
+	rowOf := func(r *store.Relation, i int) []term.ID {
+		for c := range row {
+			row[c] = r.IDAt(c, i)
+		}
+		return row
+	}
 	for i := 0; i < prior.Len(); i++ {
-		if !cur.Contains(prior.TupleAt(i)) {
+		if !cur.ContainsIDs(rowOf(prior, i)) {
 			return nil, false
 		}
 	}
@@ -266,7 +274,7 @@ func diffDelta(prior, cur *store.Relation) (*store.Relation, bool) {
 	}
 	d := store.NewRelationSized(cur.Name+"+", cur.Arity, cur.Len()-prior.Len())
 	for i := 0; i < cur.Len(); i++ {
-		if prior.Contains(cur.TupleAt(i)) {
+		if prior.ContainsIDs(rowOf(cur, i)) {
 			continue
 		}
 		if _, err := d.InsertFrom(cur, i); err != nil {

@@ -112,7 +112,7 @@ func (td *TopDown) Query(q lang.Query) ([]store.Tuple, error) {
 		if rel == nil {
 			return nil, nil
 		}
-		for _, t := range rel.Tuples() {
+		for _, t := range rel.Lookup(0, nil) {
 			if _, ok := term.UnifyAll(q.Goal.Args, []term.Term(t), term.NewSubst()); ok {
 				out.MustInsert(t)
 			}
@@ -144,7 +144,7 @@ func (td *TopDown) Query(q lang.Query) ([]store.Tuple, error) {
 		}
 	}
 	out := store.NewRelation("ans", q.Goal.Arity())
-	for _, t := range seed.answers.Tuples() {
+	for _, t := range seed.answers.Lookup(0, nil) {
 		if _, ok := term.UnifyAll(q.Goal.Args, []term.Term(t), term.NewSubst()); ok {
 			out.MustInsert(t)
 		}
@@ -160,7 +160,7 @@ func (td *TopDown) evalTable(t *tdTable) (bool, error) {
 	// A derived predicate can also carry base facts; match them against
 	// the call pattern directly.
 	if rel := td.DB.Relation(tag); rel != nil {
-		for _, tup := range rel.Tuples() {
+		for _, tup := range rel.Lookup(0, nil) {
 			td.Counters.Unifications++
 			if _, ok := term.UnifyAll(t.pattern, []term.Term(tup), term.NewSubst()); !ok {
 				continue
@@ -261,7 +261,7 @@ func (td *TopDown) solveBody(body []lang.Literal, i int, s term.Subst, pending [
 	var candidates []store.Tuple
 	if td.Prog.IsDerived(l.Tag()) {
 		sub := td.tableFor(l.Pred, l.Arity(), resolved)
-		candidates = sub.answers.Tuples()
+		candidates = sub.answers.Lookup(0, nil)
 	} else {
 		rel := td.DB.Relation(l.Tag())
 		if rel == nil {

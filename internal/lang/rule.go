@@ -86,24 +86,29 @@ func (r Rule) Validate() error {
 // Program is a knowledge base: a set of rules (the rule base) plus the
 // facts for base predicates, which the storage layer materializes. Facts
 // given as body-less rules with ground heads are separated out by
-// NewProgram.
+// NewProgram, which also records their predicate tags: once the facts
+// are stored, a holder may drop Facts and the program still knows which
+// predicates have facts.
 type Program struct {
 	Rules []Rule
 	Facts []Rule
 
-	byHead map[string][]int // head tag -> indexes into Rules
+	byHead   map[string][]int // head tag -> indexes into Rules
+	factTags []string         // tags with facts, by first appearance
+	hasFacts map[string]bool
 }
 
 // NewProgram splits rules from facts, validates each clause and builds
 // the head index.
 func NewProgram(clauses []Rule) (*Program, error) {
-	p := &Program{byHead: map[string][]int{}}
+	p := &Program{byHead: map[string][]int{}, hasFacts: map[string]bool{}}
 	for _, c := range clauses {
 		if err := c.Validate(); err != nil {
 			return nil, err
 		}
 		if c.IsFact() {
 			p.Facts = append(p.Facts, c)
+			p.noteFactTag(c.Head.Tag())
 			continue
 		}
 		p.byHead[c.Head.Tag()] = append(p.byHead[c.Head.Tag()], len(p.Rules))
@@ -122,8 +127,32 @@ func (p *Program) RulesFor(tag string) []Rule {
 	return out
 }
 
+// WithRules returns a program of the given rules that carries p's fact
+// tags but none of its facts: the facts live in the database, and the
+// new program only needs to know which predicates have them.
+func (p *Program) WithRules(rules []Rule) (*Program, error) {
+	np, err := NewProgram(rules)
+	if err != nil {
+		return nil, err
+	}
+	for _, tag := range p.factTags {
+		np.noteFactTag(tag)
+	}
+	return np, nil
+}
+
+func (p *Program) noteFactTag(tag string) {
+	if !p.hasFacts[tag] {
+		p.hasFacts[tag] = true
+		p.factTags = append(p.factTags, tag)
+	}
+}
+
 // IsDerived reports whether tag appears as the head of any rule.
 func (p *Program) IsDerived(tag string) bool { return len(p.byHead[tag]) > 0 }
+
+// HasFacts reports whether the program was built with facts for tag.
+func (p *Program) HasFacts(tag string) bool { return p.hasFacts[tag] }
 
 // PredTags returns every predicate tag appearing anywhere in the
 // program (heads, bodies, facts), deterministically ordered by first
@@ -145,8 +174,8 @@ func (p *Program) PredTags() []string {
 			}
 		}
 	}
-	for _, f := range p.Facts {
-		add(f.Head.Tag())
+	for _, tag := range p.factTags {
+		add(tag)
 	}
 	return tags
 }

@@ -490,14 +490,16 @@ func TestPreparedCacheHitPath(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(30, warm)
+	t.Logf("cache-hit query: %.0f allocs/op", allocs)
 	if got := s.Stats().Misses; got != misses {
 		t.Errorf("Misses moved %d -> %d across the warm loop", misses, got)
 	}
-	// 582 allocs/op when written (BenchmarkPreparedVsCold/prepared; a
-	// cold Optimize+Execute is ~2 100): the ceiling leaves room for
-	// runtime variation, not for a re-prepare or a kernel compile.
-	if allocs > 700 {
-		t.Errorf("cache-hit query: %.0f allocs/op, want <= 700", allocs)
+	// 513 allocs/op since rows are stored only as interned IDs (571
+	// before; a cold Optimize+Execute is ~2 100): the ceiling leaves
+	// ~9% for runtime variation, not for a re-prepare or a kernel
+	// compile.
+	if allocs > 560 {
+		t.Errorf("cache-hit query: %.0f allocs/op, want <= 560", allocs)
 	}
 }
 

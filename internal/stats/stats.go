@@ -173,8 +173,7 @@ func acyclicAfter(r *store.Relation, from int) bool {
 		return true
 	}
 	for i, n := max(from, 0), r.Len(); i < n; i++ {
-		t := r.TupleAt(i)
-		if reaches(r, t[1], term.Key(t[0])) {
+		if reaches(r, r.IDAt(1, i), r.IDAt(0, i)) {
 			return false
 		}
 	}
@@ -183,24 +182,28 @@ func acyclicAfter(r *store.Relation, from int) bool {
 
 // reaches walks the relation's first-two-column digraph depth-first
 // from src, following out-edges via the column-0 index, and reports
-// whether the node keyed target is reachable (src itself included).
-func reaches(r *store.Relation, src term.Term, target string) bool {
-	if term.Key(src) == target {
+// whether target is reachable (src itself included). Nodes are
+// interned term IDs, equal exactly when their terms are.
+func reaches(r *store.Relation, src, target term.ID) bool {
+	if src == target {
 		return true
 	}
-	visited := map[string]bool{}
-	stack := []term.Term{src}
+	visited := map[term.ID]bool{}
+	stack := []term.ID{src}
+	probe := make([]term.ID, r.Arity)
+	var out []int32
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		k := term.Key(n)
-		if visited[k] {
+		if visited[n] {
 			continue
 		}
-		visited[k] = true
-		for _, t := range r.Lookup(1, store.Tuple{n, n}) {
-			w := t[1]
-			if term.Key(w) == target {
+		visited[n] = true
+		probe[0] = n
+		out = r.AppendMatchesID(1, probe, out[:0])
+		for _, j := range out {
+			w := r.IDAt(1, int(j))
+			if w == target {
 				return true
 			}
 			stack = append(stack, w)
@@ -227,19 +230,19 @@ func acyclic(r *store.Relation) bool {
 	if r.Arity < 2 {
 		return true
 	}
-	adj := map[string][]string{}
-	for _, t := range r.Tuples() {
-		a, b := term.Key(t[0]), term.Key(t[1])
-		adj[a] = append(adj[a], b)
+	adj := map[term.ID][]term.ID{}
+	for i := 0; i < r.Len(); i++ {
+		a := r.IDAt(0, i)
+		adj[a] = append(adj[a], r.IDAt(1, i))
 	}
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := map[string]int{}
-	var dfs func(v string) bool // true when a cycle is found
-	dfs = func(v string) bool {
+	color := map[term.ID]int{}
+	var dfs func(v term.ID) bool // true when a cycle is found
+	dfs = func(v term.ID) bool {
 		color[v] = gray
 		for _, w := range adj[v] {
 			switch color[w] {

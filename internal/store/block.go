@@ -1,14 +1,13 @@
 package store
 
-// Block (vectorized) access paths. The relation already stores its
-// interned term IDs column-major (one dense []term.ID per column), so
-// a block-at-a-time executor can read whole columns, gather candidate
+// Block (vectorized) access paths. The relation stores its interned
+// term IDs column-major (one dense []term.ID per column), so a
+// block-at-a-time executor can read whole columns, gather candidate
 // rows, probe indexes, and insert deduplicated rows while staying in
-// ID space — terms are only materialized when a genuinely new tuple
-// enters the relation. Everything here obeys the package concurrency
-// contract: the read-side accessors (ColumnAt, IDAt, AppendRows,
-// AppendMatchesID, ContainsIDs) are safe under concurrent readers,
-// the insert-side one (InsertRows) is a writer API.
+// ID space — no term is built on this path. Everything here obeys the
+// package concurrency contract: the read-side accessors (ColumnAt,
+// IDAt, AppendRows, AppendMatchesID, ContainsIDs) are safe under
+// concurrent readers, the insert-side one (InsertRows) is a writer API.
 
 import "ldl/internal/term"
 
@@ -25,12 +24,14 @@ func (r *Relation) ColumnAt(c int) []term.ID { return debugBorrowIDs(r.allColVie
 // the dense combined view ColumnAt serves from: O(1) on the owned
 // tail, O(parts) on the shared prefix. It is the access path for
 // callers that touch a few rows of a large parts-backed relation.
-func (r *Relation) IDAt(c, i int) term.ID { return r.idAt(c, i) }
+func (r *Relation) IDAt(c, i int) term.ID {
+	rows, local := r.rowAt(i)
+	return rows.cols[c][local]
+}
 
 // AppendRows gathers column c of the given row indexes into dst and
 // returns the extended slice — the block executor's candidate-gather
-// primitive, pairing with AppendMatchesID the way TupleAt pairs with
-// AppendMatches but without per-row Tuple copies.
+// primitive, pairing with AppendMatchesID.
 func (r *Relation) AppendRows(rows []int32, c int, dst []term.ID) []term.ID {
 	col := r.allColView(c)
 	for _, j := range rows {
@@ -55,8 +56,8 @@ func idRowHash(ids []term.ID) uint64 {
 // values insert would have produced.
 func IDRowHash(ids []term.ID) uint64 { return idRowHash(ids) }
 
-// maskedIDHash hashes the projection of an ID row onto cols — the
-// ID-space twin of maskedHash.
+// maskedIDHash hashes the projection of an ID row onto cols: the key
+// of the column indexes.
 func maskedIDHash(ids []term.ID, cols uint32) uint64 {
 	h := hashSeed
 	for i, id := range ids {
@@ -67,9 +68,8 @@ func maskedIDHash(ids []term.ID, cols uint32) uint64 {
 	return h
 }
 
-// AppendMatchesID is AppendMatches with an interned-ID probe row:
-// candidate verification is a per-column integer compare instead of a
-// structural term.Equal, and the probe needs no term materialization.
+// AppendMatchesID is AppendMatches with an interned-ID probe row, so
+// the probe needs no intern-table lookup.
 // cols must be non-zero and every masked probe position must hold a
 // non-zero ID. The returned slice aliases dst and carries row indexes
 // that stay valid forever (see AppendMatches for the borrow contract).
@@ -109,13 +109,9 @@ func (r *Relation) InsertRows(cols [][]term.ID, n int, onNew func(idx int) error
 		if r.findByIDs(h, row) >= 0 {
 			continue
 		}
-		t := make(Tuple, len(row))
-		for c, id := range row {
-			t[c] = term.InternedTerm(id)
-		}
 		// appendRow reuses r.scratch's backing array only through row,
 		// which appendRow copies column-wise before returning.
-		r.appendRow(t, row, h)
+		r.appendRow(row, h)
 		added++
 		if onNew != nil {
 			if err := onNew(r.Len() - 1); err != nil {

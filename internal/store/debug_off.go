@@ -8,11 +8,8 @@ import "ldl/internal/term"
 // release insert path pays nothing for the invariant checks.
 func debugCheckInsert(r *Relation, t Tuple, ids []term.ID) {}
 
-// debugBorrow is the identity in release builds; under ldldebug it
-// cap-clamps borrowed views so append-past-snapshot misuse panics.
-func debugBorrow(ts []Tuple) []Tuple { return ts }
-
-// debugBorrowIDs is the identity in release builds.
+// debugBorrowIDs is the identity in release builds; under ldldebug it
+// cap-clamps borrowed ID columns so append-past-snapshot misuse panics.
 func debugBorrowIDs(ids []term.ID) []term.ID { return ids }
 
 // debugCheckProbe is compiled away outside ldldebug.

@@ -5,8 +5,9 @@ package store
 // Build with -tags ldldebug to verify, on every insert, the invariant
 // the engine's sharing discipline rests on: only ground, interned terms
 // enter a relation, and interning is stable (re-interning an admitted
-// term yields the same ID). Tuple.Clone copies only slice headers and
-// relations hand out borrowed views precisely because stored terms are
+// term yields the same ID). Relations store only IDs and hand out
+// borrowed ID columns, and the terms they build on read are the
+// canonical interned ones, precisely because interned terms are
 // immutable; this mode catches any violation at the door instead of as
 // a corrupted set far downstream.
 
@@ -16,16 +17,11 @@ import (
 	"ldl/internal/term"
 )
 
-// debugBorrow clamps a borrowed slice's capacity to its length, so a
-// caller of the cols==0 Lookup borrow that appends through the live
+// debugBorrowIDs clamps a borrowed ID column's capacity to its length
+// (ColumnAt, ColumnSince), so a caller that appends through the live
 // backing array — or indexes past its snapshot length after inserting
 // into the same relation mid-iteration — panics here instead of
 // silently corrupting the relation.
-func debugBorrow(ts []Tuple) []Tuple {
-	return ts[:len(ts):len(ts)]
-}
-
-// debugBorrowIDs is debugBorrow for borrowed ID columns (ColumnAt).
 func debugBorrowIDs(ids []term.ID) []term.ID {
 	return ids[:len(ids):len(ids)]
 }

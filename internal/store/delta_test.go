@@ -14,7 +14,7 @@ func mkTuple(ss ...string) Tuple {
 	return t
 }
 
-func TestRowsSinceAndDelta(t *testing.T) {
+func TestColumnSinceAndDelta(t *testing.T) {
 	r := NewRelation("e", 2)
 	r.MustInsert(mkTuple("a", "b"))
 	r.MustInsert(mkTuple("b", "c"))
@@ -22,12 +22,8 @@ func TestRowsSinceAndDelta(t *testing.T) {
 	r.MustInsert(mkTuple("c", "d"))
 	r.MustInsert(mkTuple("d", "e"))
 
-	rows := r.RowsSince(mark)
-	if len(rows) != 2 || rows[0].Key() != mkTuple("c", "d").Key() {
-		t.Fatalf("RowsSince: got %v", rows)
-	}
-	if got := r.RowsSince(r.Len()); got != nil {
-		t.Fatalf("RowsSince(Len) = %v, want nil", got)
+	if got := r.ColumnSince(0, r.Len()); got != nil {
+		t.Fatalf("ColumnSince(0, Len) = %v, want nil", got)
 	}
 	col := r.ColumnSince(0, mark)
 	if len(col) != 2 {
@@ -38,7 +34,7 @@ func TestRowsSinceAndDelta(t *testing.T) {
 	}
 
 	d := r.DeltaSince(mark)
-	if d.Len() != 2 || !d.Contains(mkTuple("c", "d")) || !d.Contains(mkTuple("d", "e")) {
+	if d.Len() != 2 || d.TupleAt(0).Key() != mkTuple("c", "d").Key() || !d.Contains(mkTuple("d", "e")) {
 		t.Fatalf("DeltaSince: %v", d)
 	}
 	if d.Contains(mkTuple("a", "b")) {

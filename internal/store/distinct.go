@@ -120,7 +120,7 @@ func (p *Part) distinctSet(c int) idSet {
 		}
 		copy(cur, *m)
 	}
-	s := make(idSet, p.n)
+	s := make(idSet, p.len())
 	for _, id := range p.cols[c] {
 		s[id] = struct{}{}
 	}

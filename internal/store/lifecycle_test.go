@@ -163,8 +163,8 @@ func TestFrozenLifecycleProperty(t *testing.T) {
 		fork.Freeze(tag)
 		db = fork
 		r = db.Relation(tag)
-		if r.Len() > 0 && len(r.tuples) != 0 {
-			t.Fatalf("epoch %d: published with a %d-row tail", e, len(r.tuples))
+		if tail := r.Len() - r.PartRows(); tail != 0 {
+			t.Fatalf("epoch %d: published with a %d-row tail", e, tail)
 		}
 		if max := bits.Len(uint(r.Len())) + 1; r.Parts() > max {
 			t.Fatalf("epoch %d: %d rows in %d parts, want ≤ %d", e, r.Len(), r.Parts(), max)
@@ -204,7 +204,7 @@ func tenParts(t *testing.T) *Relation {
 	return r
 }
 
-// TestPartSuffixReadsAreOSuffix: ColumnSince, RowsSince and DeltaSince
+// TestPartSuffixReadsAreOSuffix: ColumnSince and DeltaSince
 // on a parts-backed relation gather only the suffix they return — from
 // the part holding the watermark onward — instead of building the
 // whole-relation view.
@@ -213,13 +213,13 @@ func TestPartSuffixReadsAreOSuffix(t *testing.T) {
 	n := r.Len()
 	// Correctness, from every part boundary and from inside parts.
 	for _, from := range []int{0, 1, r.partOff[5], r.partOff[5] + 3, r.partOff[9] - 1, n - 2, n - 1, n} {
-		col, rows, d := r.ColumnSince(1, from), r.RowsSince(from), r.DeltaSince(from)
-		if len(col) != n-from || len(rows) != n-from || d.Len() != n-from {
-			t.Fatalf("from %d: %d ids, %d rows, %d-row delta; want %d", from, len(col), len(rows), d.Len(), n-from)
+		col, d := r.ColumnSince(1, from), r.DeltaSince(from)
+		if len(col) != n-from || d.Len() != n-from {
+			t.Fatalf("from %d: %d ids, %d-row delta; want %d", from, len(col), d.Len(), n-from)
 		}
 		for j := range col {
 			want := r.TupleAt(from + j)
-			if col[j] != r.IDAt(1, from+j) || rows[j].Key() != want.Key() || d.TupleAt(j).Key() != want.Key() || !d.Contains(want) {
+			if col[j] != r.IDAt(1, from+j) || d.TupleAt(j).Key() != want.Key() || !d.Contains(want) {
 				t.Fatalf("from %d: suffix row %d differs from TupleAt(%d) = %v", from, j, from+j, want)
 			}
 		}
@@ -235,7 +235,6 @@ func TestPartSuffixReadsAreOSuffix(t *testing.T) {
 		f             func(*Relation)
 	}{
 		{"ColumnSince", 1, 256, func(r *Relation) { r.ColumnSince(0, from) }},
-		{"RowsSince", 1, 512, func(r *Relation) { r.RowsSince(from) }},
 		{"DeltaSince", 16, 2 << 10, func(r *Relation) { r.DeltaSince(from) }},
 	} {
 		fresh := make([]*Relation, 200)

@@ -24,7 +24,7 @@ package store
 // epochs keep reading exactly the parts they captured.
 //
 // Concurrency: a Part is immutable after construction except for its
-// lazily built caches (rows, set, indexes, distinct), which publish
+// lazily built caches (set, indexes, distinct), which publish
 // atomically under buildMu — the same discipline as the Relation's own
 // lazy builds, and safe under concurrent readers from many epochs at
 // once.
@@ -38,15 +38,13 @@ import (
 	"ldl/internal/term"
 )
 
-// Part is one immutable run of rows.
+// Part is one immutable run of rows, stored in the same form as a
+// relation's tail (row indexes are part-local).
 type Part struct {
-	n      int
-	cols   []idColumn // part-local, row-indexed
-	hashes []uint64   // full-row structural hashes
+	idRows
 
 	// Lazily built caches, shared by every relation holding the part.
-	rows     atomic.Pointer[[]Tuple] // materialized term rows
-	set      atomic.Pointer[partSet] // dedup set, slot = local idx + 1
+	set      atomic.Pointer[rowSet]
 	indexes  atomic.Pointer[map[uint32]*colIndex]
 	distinct atomic.Pointer[[]idSet] // per column, nil until built
 	buildMu  sync.Mutex
@@ -66,12 +64,6 @@ type Part struct {
 	zoneMax   []int64
 }
 
-// partSet is a part's open-addressed dedup set (local idx + 1 slots).
-type partSet struct {
-	slots []int32
-	mask  uint32
-}
-
 // Process-wide pruning counters: how many per-part probes the bloom
 // filters and zone maps short-circuited. Served via PruneStats for the
 // server's seg_* STATS keys.
@@ -88,15 +80,6 @@ func PruneStats() (bloom, zone, row int64) {
 	return bloomPrunes.Load(), zonePrunes.Load(), rowBloomSkips.Load()
 }
 
-func (p *Part) rowEqual(local int, ids []term.ID) bool {
-	for c := range p.cols {
-		if p.cols[c][local] != ids[c] {
-			return false
-		}
-	}
-	return true
-}
-
 // find probes the part's dedup set for an ID row, returning the
 // part-local row index or -1. The row bloom short-circuits misses
 // without building (or touching) the set.
@@ -105,22 +88,10 @@ func (p *Part) find(h uint64, ids []term.ID) int {
 		rowBloomSkips.Add(1)
 		return -1
 	}
-	s := p.ensureSet()
-	i := uint32(h) & s.mask
-	for {
-		v := s.slots[i]
-		if v == 0 {
-			return -1
-		}
-		local := int(v - 1)
-		if p.hashes[local] == h && p.rowEqual(local, ids) {
-			return local
-		}
-		i = (i + 1) & s.mask
-	}
+	return p.ensureSet().find(&p.idRows, h, ids)
 }
 
-func (p *Part) ensureSet() *partSet {
+func (p *Part) ensureSet() *rowSet {
 	if s := p.set.Load(); s != nil {
 		return s
 	}
@@ -129,17 +100,9 @@ func (p *Part) ensureSet() *partSet {
 	if s := p.set.Load(); s != nil {
 		return s
 	}
-	size := tableSize(p.n)
-	s := &partSet{slots: make([]int32, size), mask: uint32(size - 1)}
-	for idx := 0; idx < p.n; idx++ {
-		i := uint32(p.hashes[idx]) & s.mask
-		for s.slots[i] != 0 {
-			i = (i + 1) & s.mask
-		}
-		s.slots[i] = int32(idx) + 1
-	}
-	p.set.Store(s)
-	return s
+	s := newRowSet(tableSize(p.len()), p.hashes)
+	p.set.Store(&s)
+	return &s
 }
 
 // mayMatch consults the part's zone maps and column blooms for a masked
@@ -163,30 +126,6 @@ func (p *Part) mayMatch(cols uint32, probe []term.ID) bool {
 	return true
 }
 
-// appendMatches probes the part's index on cols, verifies candidates
-// column-wise, and appends *global* row indexes (base + local) to dst.
-func (p *Part) appendMatches(cols uint32, probe []term.ID, h uint64, base int, dst []int32) []int32 {
-	ci := p.ensureIndex(cols)
-	start := len(dst)
-	dst = ci.lookup(h, dst)
-	keep := start
-	for _, j := range dst[start:] {
-		local := int(j) - p.idxBias
-		ok := true
-		for c := range p.cols {
-			if cols&(1<<uint(c)) != 0 && p.cols[c][local] != probe[c] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			dst[keep] = int32(base + local)
-			keep++
-		}
-	}
-	return dst[:keep]
-}
-
 func (p *Part) ensureIndex(cols uint32) *colIndex {
 	if m := p.indexes.Load(); m != nil {
 		if ci, ok := (*m)[cols]; ok {
@@ -202,43 +141,9 @@ func (p *Part) ensureIndex(cols uint32) *colIndex {
 		}
 		old = *m
 	}
-	ci := newColIndex(cols, p.n)
-	row := make([]term.ID, len(p.cols))
-	for i := 0; i < p.n; i++ {
-		for c := range p.cols {
-			row[c] = p.cols[c][i]
-		}
-		ci.insert(maskedIDHash(row, cols), i+p.idxBias)
-	}
-	next := make(map[uint32]*colIndex, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[cols] = ci
-	p.indexes.Store(&next)
+	ci := p.buildIndex(cols, p.idxBias)
+	p.indexes.Store(withIndex(old, cols, ci))
 	return ci
-}
-
-// tupleRows materializes (once) and returns the part's rows as terms.
-func (p *Part) tupleRows() []Tuple {
-	if rp := p.rows.Load(); rp != nil {
-		return *rp
-	}
-	p.buildMu.Lock()
-	defer p.buildMu.Unlock()
-	if rp := p.rows.Load(); rp != nil {
-		return *rp
-	}
-	rows := make([]Tuple, p.n)
-	for i := 0; i < p.n; i++ {
-		t := make(Tuple, len(p.cols))
-		for c := range p.cols {
-			t[c] = term.InternedTerm(p.cols[c][i])
-		}
-		rows[i] = t
-	}
-	p.rows.Store(&rows)
-	return rows
 }
 
 // ---- Relation plumbing ---------------------------------------------
@@ -251,11 +156,14 @@ func (r *Relation) PartRows() int { return r.partRows }
 // Parts reports the number of immutable parts in the shared prefix.
 func (r *Relation) Parts() int { return len(r.parts) }
 
-// partAt maps a global row index inside the prefix to its part and
-// part-local index. The caller guarantees 0 <= i < r.partRows.
-func (r *Relation) partAt(i int) (*Part, int) {
+// rowAt maps global row i to the run holding it — the owned tail or a
+// part — and the row's index within that run.
+func (r *Relation) rowAt(i int) (*idRows, int) {
+	if ti := i - r.partRows; ti >= 0 {
+		return &r.idRows, ti
+	}
 	k := r.partIndex(i)
-	return r.parts[k], i - r.partOff[k]
+	return &r.parts[k].idRows, i - r.partOff[k]
 }
 
 // partIndex binary-searches partOff for the part holding prefix row i.
@@ -272,62 +180,13 @@ func (r *Relation) partIndex(i int) int {
 	return lo
 }
 
-// hashAt returns the full-row hash of global row i.
-func (r *Relation) hashAt(i int) uint64 {
-	if ti := i - r.partRows; ti >= 0 {
-		return r.hashes[ti]
-	}
-	p, local := r.partAt(i)
-	return p.hashes[local]
-}
-
-// idAt returns column c's interned ID of global row i.
-func (r *Relation) idAt(c, i int) term.ID {
-	if ti := i - r.partRows; ti >= 0 {
-		return r.cols[c][ti]
-	}
-	p, local := r.partAt(i)
-	return p.cols[c][local]
-}
-
-// tupleViewCache / colViewCache hold the lazily built combined views a
-// parts-backed relation serves from Tuples/ColumnAt: one dense slice
-// covering prefix + tail, built once under buildMu and thereafter
-// extended in place by appendRow (writers are never concurrent with
-// readers, per the package contract, so the in-place extension is safe
-// exactly like the tail slices themselves).
-type tupleViewCache struct{ rows []Tuple }
+// colViewCache holds the lazily built combined column view a
+// parts-backed relation serves ColumnAt from: one dense slice per
+// column covering prefix + tail, built once under buildMu and
+// thereafter extended in place by appendRow (writers are never
+// concurrent with readers, per the package contract, so the in-place
+// extension is safe exactly like the tail slices themselves).
 type colViewCache struct{ cols []idColumn }
-
-// allTuplesView returns the relation's rows as one dense borrowed
-// slice: the tail itself when there is no prefix, otherwise the
-// combined view (built on first use; O(n) term materialization for
-// segment-loaded parts, header copies for frozen ones).
-func (r *Relation) allTuplesView() []Tuple {
-	if len(r.parts) == 0 {
-		return r.tuples
-	}
-	if v := r.allT.Load(); v != nil {
-		return v.rows
-	}
-	return r.buildTupleView().rows
-}
-
-func (r *Relation) buildTupleView() *tupleViewCache {
-	r.buildMu.Lock()
-	defer r.buildMu.Unlock()
-	if v := r.allT.Load(); v != nil {
-		return v
-	}
-	rows := make([]Tuple, 0, r.partRows+len(r.tuples))
-	for _, p := range r.parts {
-		rows = append(rows, p.tupleRows()...)
-	}
-	rows = append(rows, r.tuples...)
-	v := &tupleViewCache{rows: rows}
-	r.allT.Store(v)
-	return v
-}
 
 // allColView returns column c as one dense borrowed ID slice covering
 // prefix + tail.
@@ -349,7 +208,7 @@ func (r *Relation) buildColView() *colViewCache {
 	}
 	cols := make([]idColumn, r.Arity)
 	for c := range cols {
-		col := make(idColumn, 0, r.partRows+len(r.tuples))
+		col := make(idColumn, 0, r.Len())
 		for _, p := range r.parts {
 			col = append(col, p.cols[c]...)
 		}
@@ -360,18 +219,8 @@ func (r *Relation) buildColView() *colViewCache {
 	return v
 }
 
-// tupleAt is TupleAt without the borrow annotation: global row i,
-// materializing part rows through the part's row cache.
-func (r *Relation) tupleAt(i int) Tuple {
-	if ti := i - r.partRows; ti >= 0 {
-		return r.tuples[ti]
-	}
-	p, local := r.partAt(i)
-	return p.tupleRows()[local]
-}
-
 // Frozen returns a relation with the same rows whose current tail has
-// become one more immutable shared part, adopting the tail's arrays,
+// become one more immutable shared part, adopting the tail's ID rows,
 // dedup set, and column indexes wholesale, then merged by size tier
 // (see the file comment): the new part and every trailing part that
 // has fewer than twice the rows of the parts after it are concatenated
@@ -382,25 +231,19 @@ func (r *Relation) tupleAt(i int) Tuple {
 // shared with the part). Epoch publication makes this natural: a commit
 // freezes what it wrote as it publishes, and later writes go to clones.
 func (r *Relation) Frozen() *Relation {
-	if len(r.tuples) == 0 {
+	if r.idRows.len() == 0 {
 		return r
 	}
-	p := &Part{
-		n:       len(r.tuples),
-		cols:    r.cols,
-		hashes:  r.hashes,
-		idxBias: r.partRows,
-	}
-	rows := r.tuples
-	p.rows.Store(&rows)
-	p.set.Store(&partSet{slots: r.setSlots, mask: r.setMask})
+	p := &Part{idRows: r.idRows, idxBias: r.partRows}
+	set := r.set
+	p.set.Store(&set)
 	p.indexes.Store(r.indexes.Load())
 	parts := append(append(make([]*Part, 0, len(r.parts)+1), r.parts...), p)
 	offs := append(append(make([]int, 0, len(r.parts)+1), r.partOff...), r.partRows)
-	j, tier := len(parts)-1, p.n
-	for j > 0 && parts[j-1].n < 2*tier {
+	j, tier := len(parts)-1, p.len()
+	for j > 0 && parts[j-1].len() < 2*tier {
 		j--
-		tier += parts[j].n
+		tier += parts[j].len()
 	}
 	if j < len(parts)-1 {
 		parts = append(parts[:j], mergeParts(parts[j:]))
@@ -408,11 +251,9 @@ func (r *Relation) Frozen() *Relation {
 	} else {
 		p.buildPruning()
 	}
-	nr := &Relation{Name: r.Name, Arity: r.Arity, parts: parts, partOff: offs, partRows: r.partRows + p.n}
+	nr := &Relation{Name: r.Name, Arity: r.Arity, parts: parts, partOff: offs, partRows: r.partRows + p.len()}
 	nr.cols = make([]idColumn, r.Arity)
-	size := tableSize(0)
-	nr.setSlots = make([]int32, size)
-	nr.setMask = uint32(size - 1)
+	nr.set = newRowSet(tableSize(0), nil)
 	empty := map[uint32]*colIndex{}
 	nr.indexes.Store(&empty)
 	if d := r.dist.Load(); d != nil {
@@ -421,36 +262,24 @@ func (r *Relation) Frozen() *Relation {
 	return nr
 }
 
-// mergeParts concatenates consecutive parts into one new part: columns,
-// hashes, and the materialized rows when every input has them. Its
-// dedup set, indexes and distinct sets build lazily on first use; its
-// blooms and zone maps are rebuilt now. The inputs are not touched —
-// older epochs keep reading them.
+// mergeParts concatenates consecutive parts into one new part: columns
+// and hashes. Its dedup set, indexes and distinct sets build lazily on
+// first use; its blooms and zone maps are rebuilt now. The inputs are
+// not touched — older epochs keep reading them.
 func mergeParts(ps []*Part) *Part {
 	n := 0
 	for _, q := range ps {
-		n += q.n
+		n += q.len()
 	}
-	m := &Part{n: n, cols: make([]idColumn, len(ps[0].cols)), hashes: make([]uint64, 0, n)}
+	m := &Part{idRows: idRows{cols: make([]idColumn, len(ps[0].cols)), hashes: make([]uint64, 0, n)}}
 	for c := range m.cols {
 		m.cols[c] = make(idColumn, 0, n)
 	}
-	rows := make([]Tuple, 0, n)
 	for _, q := range ps {
 		for c := range m.cols {
 			m.cols[c] = append(m.cols[c], q.cols[c]...)
 		}
 		m.hashes = append(m.hashes, q.hashes...)
-		if rows != nil {
-			if rp := q.rows.Load(); rp != nil {
-				rows = append(rows, *rp...)
-			} else {
-				rows = nil
-			}
-		}
-	}
-	if rows != nil {
-		m.rows.Store(&rows)
 	}
 	m.buildPruning()
 	return m
@@ -465,7 +294,8 @@ const partBloomBitsPerKey = 10
 // freeze already implies. Segment-attached parts skip this: their
 // pruning metadata was persisted with the file.
 func (p *Part) buildPruning() {
-	p.rowBloom = NewBloom(p.n, partBloomBitsPerKey)
+	n := p.len()
+	p.rowBloom = NewBloom(n, partBloomBitsPerKey)
 	for _, h := range p.hashes {
 		p.rowBloom.Add(h)
 	}
@@ -474,8 +304,8 @@ func (p *Part) buildPruning() {
 	p.zoneMin = make([]int64, len(p.cols))
 	p.zoneMax = make([]int64, len(p.cols))
 	for c, col := range p.cols {
-		bl := NewBloom(p.n, partBloomBitsPerKey)
-		allInt := p.n > 0
+		bl := NewBloom(n, partBloomBitsPerKey)
+		allInt := n > 0
 		var mn, mx int64
 		for i, id := range col {
 			bl.Add(term.IDHash(id))
@@ -518,7 +348,7 @@ type PartData struct {
 // which the segment tier guarantees by construction (each segment is a
 // flushed suffix of a deduplicated relation).
 func (r *Relation) AttachPart(d PartData) error {
-	if len(r.tuples) != 0 {
+	if r.idRows.len() != 0 {
 		return fmt.Errorf("store: %s: AttachPart on a relation with a non-empty tail", r.Name)
 	}
 	if len(d.Cols) != r.Arity {
@@ -554,9 +384,7 @@ func (r *Relation) AttachPart(d PartData) error {
 		cols[c] = d.Cols[c]
 	}
 	p := &Part{
-		n:         n,
-		cols:      cols,
-		hashes:    hashes,
+		idRows:    idRows{cols: cols, hashes: hashes},
 		rowBloom:  d.RowBloom,
 		colBlooms: d.ColBlooms,
 		zoneOK:    d.ZoneOK,
@@ -566,7 +394,6 @@ func (r *Relation) AttachPart(d PartData) error {
 	r.parts = append(r.parts, p)
 	r.partOff = append(r.partOff, r.partRows)
 	r.partRows += n
-	r.allT.Store(nil)
 	r.allC.Store(nil)
 	r.dist.Store(nil)
 	return nil

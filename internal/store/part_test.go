@@ -58,7 +58,7 @@ func TestFrozenMatchesFlat(t *testing.T) {
 		t.Fatalf("Len: %d vs %d", frozen.Len(), flat.Len())
 	}
 	// Full scans and row order.
-	sameRows(t, "Tuples", frozen.Tuples(), flat.Tuples())
+	sameRows(t, "Lookup(0)", frozen.Lookup(0, nil), flat.Lookup(0, nil))
 	sameRows(t, "Sorted", frozen.Sorted(), flat.Sorted())
 	for i := 0; i < n; i += 13 {
 		sameRows(t, "TupleAt", []Tuple{frozen.TupleAt(i)}, []Tuple{flat.TupleAt(i)})
@@ -77,7 +77,7 @@ func TestFrozenMatchesFlat(t *testing.T) {
 	}
 	// Deltas straddling the part boundary.
 	for _, from := range []int{0, 49, 50, 123, n - 1, n} {
-		sameRows(t, fmt.Sprintf("RowsSince(%d)", from), frozen.RowsSince(from), flat.RowsSince(from))
+		sameRows(t, fmt.Sprintf("DeltaSince(%d)", from), frozen.DeltaSince(from).Lookup(0, nil), flat.DeltaSince(from).Lookup(0, nil))
 	}
 	// Term-space probes: every column combination on hits and misses.
 	for _, probe := range []struct {
@@ -170,8 +170,8 @@ func TestFrozenCloneSharesParts(t *testing.T) {
 	if c.parts[0] != frozen.parts[0] {
 		t.Fatal("clone does not share the part pointer")
 	}
-	if len(c.tuples) != 5 || cap(c.cols[0]) >= 1000 {
-		t.Fatalf("clone tail: %d rows, col cap %d — tail not O(delta)", len(c.tuples), cap(c.cols[0]))
+	if tail := c.Len() - c.PartRows(); tail != 5 || cap(c.cols[0]) >= 1000 {
+		t.Fatalf("clone tail: %d rows, col cap %d — tail not O(delta)", tail, cap(c.cols[0]))
 	}
 	// Writes to the clone must not leak into the original.
 	c.MustInsert(Tuple{term.Atom("clone_only"), term.Int(1), term.Atom("c")})
@@ -225,7 +225,7 @@ func TestAttachPartRoundtrip(t *testing.T) {
 	if err := fresh.AttachPart(PartData{Cols: cols}); err != nil {
 		t.Fatal(err)
 	}
-	sameRows(t, "attached Tuples", fresh.Tuples(), flat.Tuples())
+	sameRows(t, "attached rows", fresh.Lookup(0, nil), flat.Lookup(0, nil))
 	for i := 0; i < 120; i += 9 {
 		if !fresh.Contains(flat.TupleAt(i)) {
 			t.Fatalf("attached part lost row %d", i)

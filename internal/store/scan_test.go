@@ -34,104 +34,6 @@ func TestAppendMatches(t *testing.T) {
 	}
 }
 
-func TestScanMatchesLookup(t *testing.T) {
-	r := NewRelation("e", 2)
-	for i := int64(0); i < 20; i++ {
-		r.MustInsert(tup(i%4, i%7))
-	}
-	for _, probe := range []struct {
-		cols uint32
-		t    Tuple
-	}{
-		{0, tup(0, 0)},
-		{1, tup(2, 0)},
-		{2, tup(0, 3)},
-		{3, tup(1, 5)},
-	} {
-		want := map[string]bool{}
-		for _, x := range r.Lookup(probe.cols, probe.t) {
-			want[x.Key()] = true
-		}
-		got := map[string]bool{}
-		r.Scan(probe.cols, probe.t, func(x Tuple) bool {
-			got[x.Key()] = true
-			return true
-		})
-		if len(got) != len(want) {
-			t.Errorf("cols=%b: Scan %d rows, Lookup %d", probe.cols, len(got), len(want))
-		}
-		for k := range want {
-			if !got[k] {
-				t.Errorf("cols=%b: Scan missing %s", probe.cols, k)
-			}
-		}
-	}
-	// Early stop.
-	n := 0
-	r.Scan(0, nil, func(Tuple) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Errorf("early-stopped scan visited %d, want 3", n)
-	}
-}
-
-// TestScanInsertDuringYield is the direct-mode engine pattern: deriving
-// into the relation being scanned. The scan must cover exactly the
-// rows present when it started.
-func TestScanInsertDuringYield(t *testing.T) {
-	r := NewRelation("n", 1)
-	for i := int64(0); i < 5; i++ {
-		r.MustInsert(tup(i))
-	}
-	seen := 0
-	r.Scan(0, nil, func(x Tuple) bool {
-		seen++
-		r.MustInsert(tup(int64(x[0].(term.Int)) + 100))
-		return true
-	})
-	if seen != 5 {
-		t.Errorf("full scan with inserts visited %d, want 5", seen)
-	}
-	if r.Len() != 10 {
-		t.Errorf("relation grew to %d, want 10", r.Len())
-	}
-	// Indexed variant: all rows share column 0 after masking.
-	r2 := NewRelation("e", 2)
-	for i := int64(0); i < 5; i++ {
-		r2.MustInsert(tup(7, i))
-	}
-	seen = 0
-	r2.Scan(1, tup(7, 0), func(x Tuple) bool {
-		seen++
-		r2.MustInsert(tup(7, int64(x[1].(term.Int))+100))
-		return true
-	})
-	if seen != 5 {
-		t.Errorf("indexed scan with inserts visited %d, want 5", seen)
-	}
-}
-
-func TestInsertCopyDoesNotAlias(t *testing.T) {
-	r := NewRelation("n", 2)
-	buf := make(Tuple, 2)
-	buf[0], buf[1] = term.Int(1), term.Int(2)
-	if added, err := r.InsertCopy(buf); err != nil || !added {
-		t.Fatalf("InsertCopy: added=%v err=%v", added, err)
-	}
-	// Mutating the caller's buffer must not corrupt the stored tuple.
-	buf[0], buf[1] = term.Int(9), term.Int(9)
-	if !r.Contains(tup(1, 2)) {
-		t.Error("stored tuple aliased the caller's buffer")
-	}
-	if r.Contains(tup(9, 9)) {
-		t.Error("mutated buffer visible in relation")
-	}
-	// Duplicate insert through the same buffer: no copy, not added.
-	buf[0], buf[1] = term.Int(1), term.Int(2)
-	if added, _ := r.InsertCopy(buf); added {
-		t.Error("duplicate InsertCopy reported added")
-	}
-}
-
 // TestDistinctCache checks the cached counts stay exact across the
 // build → insert → recount sequence, for Insert and InsertFrom.
 func TestDistinctCache(t *testing.T) {

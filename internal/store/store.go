@@ -2,18 +2,22 @@
 // with set semantics, hash indexes on column subsets, and the database
 // mapping predicate tags to relations.
 //
-// The data plane is string-free: every inserted term is interned
-// (hash-consed) by internal/term, tuples are deduplicated through an
-// open-addressed hash set keyed on combined interned-term hashes with
-// ID-row equality on collision, and column indexes are open-addressed
-// multimaps on masked column hashes. Tuple.Key survives for
-// display and debugging only — no hot-path operation serializes terms.
+// A row is stored in exactly one form: the interned term IDs of its
+// columns (internal/term hash-conses every inserted term), held
+// column-major, plus one full-row hash. Deduplication is an
+// open-addressed hash set keyed on those row hashes with ID-row
+// equality on collision, and column indexes are open-addressed
+// multimaps on masked column hashes. Terms exist only at the API edge:
+// Insert interns the caller's terms and keeps no reference to the
+// tuple, and TupleAt, Lookup and Sorted build the rows they return from
+// IDs when called. Tuple.Key survives for display and debugging only —
+// no hot-path operation serializes terms.
 //
 // Concurrency contract: a Relation supports any number of concurrent
-// readers (Contains, Lookup, Scan, AppendMatches, Tuples, TupleAt,
-// Snapshot, Sorted, Distinct) — including the lazy index and
-// distinct-count builds inside Lookup/Scan/Distinct, which publish
-// atomically — but writers (Insert, InsertCopy, InsertFrom,
+// readers (Contains, Lookup, AppendMatches, TupleAt, Sorted, Distinct
+// and the ID accessors of block.go and delta.go) — including the lazy
+// index and distinct-count builds inside them, which publish
+// atomically — but writers (Insert, InsertFrom, InsertRows,
 // BuildIndex) must be externally serialized and must not run
 // concurrently with readers of the same relation. Concurrent queries
 // rely on exactly this: they read the relations of a published epoch,
@@ -34,7 +38,7 @@ import (
 	"ldl/internal/term"
 )
 
-// Tuple is a row of ground terms.
+// Tuple is a row of ground terms: the form rows take at the API edge.
 type Tuple []term.Term
 
 // Key returns the canonical string encoding of the tuple. It is for
@@ -57,14 +61,29 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Clone returns an independent copy of the tuple slice header. The
-// terms themselves are immutable and shared — an invariant Insert
-// enforces by admitting only ground, interned terms (see the ldldebug
-// build tag for the paranoid verification mode).
-func (t Tuple) Clone() Tuple {
-	c := make(Tuple, len(t))
-	copy(c, t)
-	return c
+// compareTuples orders same-arity tuples column by column in
+// term.Compare order.
+func compareTuples(a, b Tuple) int {
+	for k := range a {
+		if c := term.Compare(a[k], b[k]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// SortTuples sorts rows in canonical order, the order Sorted returns.
+func SortTuples(ts []Tuple) { slices.SortFunc(ts, compareTuples) }
+
+// newTuples returns n tuples of the given arity carved from one flat
+// term slab: two allocations however many rows are built.
+func newTuples(n, arity int) []Tuple {
+	slab := make([]term.Term, n*arity)
+	out := make([]Tuple, n)
+	for i := range out {
+		out[i] = slab[i*arity : (i+1)*arity : (i+1)*arity]
+	}
+	return out
 }
 
 // hashSeed is the initial row-hash value (golden-ratio constant).
@@ -77,18 +96,6 @@ func combineHash(h, col uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 29
-	return h
-}
-
-// maskedHash hashes the projection of t onto cols without interning —
-// the probe-side path used by Contains and Lookup.
-func maskedHash(t Tuple, cols uint32) uint64 {
-	h := hashSeed
-	for i, x := range t {
-		if cols&(1<<uint(i)) != 0 {
-			h = combineHash(h, term.HashTerm(x))
-		}
-	}
 	return h
 }
 
@@ -170,6 +177,112 @@ func (ci *colIndex) lookup(h uint64, dst []int32) []int32 {
 	return dst
 }
 
+// idColumn is one column of interned term IDs, row-indexed.
+type idColumn = []term.ID
+
+// idRows is the one stored form of a run of rows, shared by a
+// relation's owned tail and every immutable part: interned term IDs
+// column-major (cols[c][i] is column c of row i) and the full-row hash
+// of each row. len(hashes) is the row count, also at arity 0.
+type idRows struct {
+	cols   []idColumn
+	hashes []uint64
+}
+
+func (s *idRows) len() int { return len(s.hashes) }
+
+// rowEqual reports whether row i equals the ID row ids.
+func (s *idRows) rowEqual(i int, ids []term.ID) bool {
+	for c := range s.cols {
+		if s.cols[c][i] != ids[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// fill builds row i's terms into dst.
+func (s *idRows) fill(i int, dst Tuple) {
+	for c := range s.cols {
+		dst[c] = term.InternedTerm(s.cols[c][i])
+	}
+}
+
+// verify compacts the index candidates dst[start:] in place to the
+// rows that agree with probe on every column of mask — hash collisions
+// between distinct probe values share a slot cluster. A candidate j
+// names row j-bias of s and is kept as base+(j-bias).
+func (s *idRows) verify(dst []int32, start, bias, base int, mask uint32, probe []term.ID) []int32 {
+	keep := start
+	for _, j := range dst[start:] {
+		local := int(j) - bias
+		ok := true
+		for c := range s.cols {
+			if mask&(1<<uint(c)) != 0 && s.cols[c][local] != probe[c] {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			dst[keep] = int32(base + local)
+			keep++
+		}
+	}
+	return dst[:keep]
+}
+
+// buildIndex indexes every row on the column set, storing row i as
+// i+bias.
+func (s *idRows) buildIndex(mask uint32, bias int) *colIndex {
+	ci := newColIndex(mask, s.len())
+	row := make([]term.ID, len(s.cols))
+	for i := range s.hashes {
+		for c := range s.cols {
+			row[c] = s.cols[c][i]
+		}
+		ci.insert(maskedIDHash(row, mask), i+bias)
+	}
+	return ci
+}
+
+// rowSet is an open-addressed dedup set over an idRows run: slot = row
+// index + 1, keyed on the row hash with ID-row equality on collision.
+type rowSet struct {
+	slots []int32
+	mask  uint32
+}
+
+// newRowSet builds a set of the given power-of-two size holding rows
+// 0..len(hashes)-1.
+func newRowSet(size int, hashes []uint64) rowSet {
+	s := rowSet{slots: make([]int32, size), mask: uint32(size - 1)}
+	for idx, h := range hashes {
+		s.add(h, idx)
+	}
+	return s
+}
+
+func (s *rowSet) add(h uint64, idx int) {
+	i := uint32(h) & s.mask
+	for s.slots[i] != 0 {
+		i = (i + 1) & s.mask
+	}
+	s.slots[i] = int32(idx) + 1
+}
+
+// find returns the index of the row of rows equal to ids, or -1.
+func (s *rowSet) find(rows *idRows, h uint64, ids []term.ID) int {
+	for i := uint32(h) & s.mask; ; i = (i + 1) & s.mask {
+		v := s.slots[i]
+		if v == 0 {
+			return -1
+		}
+		if idx := int(v - 1); rows.hashes[idx] == h && rows.rowEqual(idx, ids) {
+			return idx
+		}
+	}
+}
+
 // Relation is a set of same-arity ground tuples with optional hash
 // indexes on column subsets.
 //
@@ -177,7 +290,7 @@ func (ci *colIndex) lookup(h uint64, dst []int32) []int32 {
 // segment files or frozen by Frozen — see part.go) followed by an owned
 // in-memory tail. A relation with no parts is exactly the old flat
 // layout and pays nothing for the split. Global row index i < partRows
-// addresses the prefix; i - partRows addresses the tail arrays below.
+// addresses the prefix; i - partRows addresses the tail.
 type Relation struct {
 	Name  string
 	Arity int
@@ -188,19 +301,13 @@ type Relation struct {
 	partOff  []int // partOff[k] = global index of parts[k]'s first row
 	partRows int
 
-	tuples []Tuple
-	cols   []idColumn // interned IDs, column-major, one slice per column
-	hashes []uint64   // full-row hash per tuple
+	// The owned tail and its dedup set.
+	idRows
+	set rowSet
 
-	// Combined prefix+tail views, built lazily for parts-backed
-	// relations (see part.go).
-	allT atomic.Pointer[tupleViewCache]
+	// The combined prefix+tail column view, built lazily for
+	// parts-backed relations (see part.go).
 	allC atomic.Pointer[colViewCache]
-
-	// The dedup set: open-addressed, slot = tuple index + 1, keyed on
-	// hashes[idx] with ID-row equality on collision.
-	setSlots []int32
-	setMask  uint32
 
 	// indexes holds the column indexes behind an atomically published
 	// immutable map so concurrent readers can lazily build missing
@@ -227,12 +334,9 @@ func NewRelation(name string, arity int) *Relation {
 // evaluator feeds it the optimizer's cardinality estimates.
 func NewRelationSized(name string, arity, capacity int) *Relation {
 	r := &Relation{Name: name, Arity: arity}
-	size := tableSize(capacity)
-	r.setSlots = make([]int32, size)
-	r.setMask = uint32(size - 1)
+	r.set = newRowSet(tableSize(capacity), nil)
 	r.cols = make([]idColumn, arity)
 	if capacity > 0 {
-		r.tuples = make([]Tuple, 0, capacity)
 		for c := range r.cols {
 			r.cols[c] = make(idColumn, 0, capacity)
 		}
@@ -244,40 +348,7 @@ func NewRelationSized(name string, arity, capacity int) *Relation {
 }
 
 // Len is the cardinality of the relation.
-func (r *Relation) Len() int { return r.partRows + len(r.tuples) }
-
-// Tuples exposes the stored tuples as a borrowed read-only view: the
-// returned slice shares its backing array with the live relation.
-// Callers must not mutate it, and must not hold it across an Insert if
-// they need a stable length (append may extend in place — existing
-// elements never move or change, so iterating a previously taken view
-// is always safe). Use Snapshot for an independent copy. On a
-// parts-backed relation the first call materializes the combined view
-// (O(n)); block-executor paths that stay in ID space never trigger it.
-func (r *Relation) Tuples() []Tuple { return r.allTuplesView() }
-
-// Snapshot returns an independent copy of the tuple slice, decoupled
-// from subsequent Inserts.
-func (r *Relation) Snapshot() []Tuple {
-	all := r.allTuplesView()
-	out := make([]Tuple, len(all))
-	copy(out, all)
-	return out
-}
-
-// idColumn is one column of interned term IDs, row-indexed.
-type idColumn = []term.ID
-
-// rowEqual reports whether the interned-ID row of *tail-local* index
-// idx equals ids.
-func (r *Relation) rowEqual(idx int, ids []term.ID) bool {
-	for c := range r.cols {
-		if r.cols[c][idx] != ids[c] {
-			return false
-		}
-	}
-	return true
-}
+func (r *Relation) Len() int { return r.partRows + r.idRows.len() }
 
 // findByIDs probes for an interned ID row — every part's dedup set
 // (row blooms short-circuit cold parts), then the tail's — returning
@@ -288,63 +359,16 @@ func (r *Relation) findByIDs(h uint64, ids []term.ID) int {
 			return r.partOff[k] + local
 		}
 	}
-	i := uint32(h) & r.setMask
-	for {
-		v := r.setSlots[i]
-		if v == 0 {
-			return -1
-		}
-		idx := int(v - 1)
-		if r.hashes[idx] == h && r.rowEqual(idx, ids) {
-			return r.partRows + idx
-		}
-		i = (i + 1) & r.setMask
+	if idx := r.set.find(&r.idRows, h, ids); idx >= 0 {
+		return r.partRows + idx
 	}
-}
-
-func (r *Relation) setInsert(h uint64, idx int) {
-	if (len(r.tuples))*3 >= len(r.setSlots)*2 {
-		r.growSet()
-	}
-	i := uint32(h) & r.setMask
-	for r.setSlots[i] != 0 {
-		i = (i + 1) & r.setMask
-	}
-	r.setSlots[i] = int32(idx) + 1
-}
-
-func (r *Relation) growSet() {
-	size := len(r.setSlots) * 2
-	r.setSlots = make([]int32, size)
-	r.setMask = uint32(size - 1)
-	for idx := range r.tuples {
-		h := r.hashes[idx]
-		i := uint32(h) & r.setMask
-		for r.setSlots[i] != 0 {
-			i = (i + 1) & r.setMask
-		}
-		r.setSlots[i] = int32(idx) + 1
-	}
+	return -1
 }
 
 // Insert adds a tuple, returning true if it was new. It rejects tuples
-// of the wrong arity or containing variables. Every admitted term is
-// interned, so stored tuples carry canonical, immutable ground terms.
-// The relation retains t's backing array; callers must not mutate it
-// afterwards.
+// of the wrong arity or containing variables. Every term is interned
+// and only its ID is stored: the relation keeps no reference to t.
 func (r *Relation) Insert(t Tuple) (bool, error) {
-	return r.insert(t, false)
-}
-
-// InsertCopy is Insert for callers that reuse t's backing array (the
-// compiled kernels' head buffer): the relation stores an independent
-// copy, and only pays for it when the tuple is actually new —
-// duplicate derivations stay allocation-free.
-func (r *Relation) InsertCopy(t Tuple) (bool, error) {
-	return r.insert(t, true)
-}
-
-func (r *Relation) insert(t Tuple, copyOnAdd bool) (bool, error) {
 	if len(t) != r.Arity {
 		return false, fmt.Errorf("store: %s: inserting arity %d tuple into arity %d relation", r.Name, len(t), r.Arity)
 	}
@@ -362,30 +386,26 @@ func (r *Relation) insert(t Tuple, copyOnAdd bool) (bool, error) {
 	if r.findByIDs(h, r.scratch) >= 0 {
 		return false, nil
 	}
-	if copyOnAdd {
-		t = t.Clone()
-	}
-	r.appendRow(t, r.scratch, h)
+	r.appendRow(r.scratch, h)
 	return true, nil
 }
 
 // appendRow is the shared tail of every insert path: the row is known
-// to be new, its IDs and full-row hash already computed. It appends the
-// tuple and its column IDs, updates the dedup set, every published
-// column index, and the distinct caches.
-func (r *Relation) appendRow(t Tuple, ids []term.ID, h uint64) {
-	idx := len(r.tuples)
-	r.tuples = append(r.tuples, t)
+// to be new, its IDs and full-row hash already computed. It appends
+// the column IDs and hash, and updates the dedup set, every published
+// column index, the combined column view and the distinct counts.
+func (r *Relation) appendRow(ids []term.ID, h uint64) {
+	idx := r.idRows.len()
 	for c := range r.cols {
 		r.cols[c] = append(r.cols[c], ids[c])
 	}
 	r.hashes = append(r.hashes, h)
-	r.setInsert(h, idx)
+	if (idx+1)*3 >= len(r.set.slots)*2 {
+		r.set = newRowSet(2*len(r.set.slots), r.hashes[:idx])
+	}
+	r.set.add(h, idx)
 	for cols, ci := range *r.indexes.Load() {
 		ci.insert(maskedIDHash(ids, cols), r.partRows+idx)
-	}
-	if v := r.allT.Load(); v != nil {
-		v.rows = append(v.rows, t)
 	}
 	if v := r.allC.Load(); v != nil {
 		for c := range v.cols {
@@ -402,22 +422,16 @@ func (r *Relation) InsertFrom(src *Relation, i int) (bool, error) {
 	if src.Arity != r.Arity {
 		return false, fmt.Errorf("store: %s: merging arity %d relation into arity %d relation", r.Name, src.Arity, r.Arity)
 	}
-	h := src.hashAt(i)
+	rows, local := src.rowAt(i)
 	r.scratch = r.scratch[:0]
-	if ti := i - src.partRows; ti >= 0 {
-		for c := range src.cols {
-			r.scratch = append(r.scratch, src.cols[c][ti])
-		}
-	} else {
-		p, local := src.partAt(i)
-		for c := range p.cols {
-			r.scratch = append(r.scratch, p.cols[c][local])
-		}
+	for c := range rows.cols {
+		r.scratch = append(r.scratch, rows.cols[c][local])
 	}
+	h := rows.hashes[local]
 	if r.findByIDs(h, r.scratch) >= 0 {
 		return false, nil
 	}
-	r.appendRow(src.tupleAt(i), r.scratch, h)
+	r.appendRow(r.scratch, h)
 	return true, nil
 }
 
@@ -441,47 +455,31 @@ func (r *Relation) Contains(t Tuple) bool {
 	}
 	var idbuf [16]term.ID
 	ids := idbuf[:0]
-	if len(t) > len(idbuf) {
-		ids = make([]term.ID, 0, len(t))
-	}
-	h := hashSeed
 	for _, x := range t {
 		id, ok := term.TryLookupID(x)
 		if !ok {
 			return false
 		}
 		ids = append(ids, id)
-		h = combineHash(h, term.IDHash(id))
 	}
-	return r.findByIDs(h, ids) >= 0
+	return r.ContainsIDs(ids)
 }
 
 // BuildIndex creates (or refreshes) a hash index on the column set.
 // Writer-side API: callers must hold the same external serialization
 // they hold for Insert.
 func (r *Relation) BuildIndex(cols uint32) {
-	ci := r.buildColIndex(cols)
-	old := *r.indexes.Load()
-	next := make(map[uint32]*colIndex, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[cols] = ci
-	r.indexes.Store(&next)
+	r.indexes.Store(withIndex(*r.indexes.Load(), cols, r.idRows.buildIndex(cols, r.partRows)))
 }
 
-// buildColIndex indexes the owned tail (parts carry their own shared
-// indexes); slot values are global row indexes.
-func (r *Relation) buildColIndex(cols uint32) *colIndex {
-	ci := newColIndex(cols, len(r.tuples))
-	row := make([]term.ID, r.Arity)
-	for i := range r.tuples {
-		for c := range r.cols {
-			row[c] = r.cols[c][i]
-		}
-		ci.insert(maskedIDHash(row, cols), r.partRows+i)
-	}
-	return ci
+// withIndex returns a copy of the index map m with ci on cols: index
+// maps are replaced copy-on-write, never mutated, so readers may load
+// one without a lock.
+func withIndex(m map[uint32]*colIndex, cols uint32, ci *colIndex) *map[uint32]*colIndex {
+	next := make(map[uint32]*colIndex, len(m)+1)
+	maps.Copy(next, m)
+	next[cols] = ci
+	return &next
 }
 
 // HasIndex reports whether an index exists on the column set.
@@ -490,10 +488,11 @@ func (r *Relation) HasIndex(cols uint32) bool {
 	return ok
 }
 
-// ensureIndex returns the index on cols, building and atomically
-// publishing it on first use. Safe under concurrent readers: the build
-// is serialized by buildMu and the map is replaced copy-on-write, so
-// readers only ever observe fully built indexes.
+// ensureIndex returns the tail's index on cols (parts carry their own
+// shared indexes; slot values are global row indexes), building and
+// atomically publishing it on first use. Safe under concurrent
+// readers: the build is serialized by buildMu and the map is replaced
+// copy-on-write, so readers only ever observe fully built indexes.
 func (r *Relation) ensureIndex(cols uint32) *colIndex {
 	if ci, ok := (*r.indexes.Load())[cols]; ok {
 		return ci
@@ -503,39 +502,35 @@ func (r *Relation) ensureIndex(cols uint32) *colIndex {
 	if ci, ok := (*r.indexes.Load())[cols]; ok {
 		return ci
 	}
-	ci := r.buildColIndex(cols)
-	old := *r.indexes.Load()
-	next := make(map[uint32]*colIndex, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[cols] = ci
-	r.indexes.Store(&next)
+	ci := r.idRows.buildIndex(cols, r.partRows)
+	r.indexes.Store(withIndex(*r.indexes.Load(), cols, ci))
 	return ci
 }
 
 // Lookup returns the tuples whose projection on cols matches the
 // corresponding values of probe (only probe positions with the bit set
-// are consulted). It uses an index when available, building one on
-// first use otherwise — modelling a database that adapts access paths.
-//
-// BORROW WARNING for cols == 0: the returned slice is the relation's
-// live internal tuple slice, not a copy — that is what makes the
-// full-scan path allocation-free. Callers that insert into the same
-// relation while iterating (the sequential engine's direct mode does)
-// must capture len() before the loop and never index past it: append
-// may extend the backing array in place, but existing elements never
-// move or change, so iterating the pre-insert prefix is always safe.
-// The ldldebug build tag clamps the returned slice's capacity so any
-// append-through or past-snapshot access panics at the point of
-// violation. Use Snapshot for an independent copy, or Scan, which
-// collects match indexes up front and is insert-during-yield safe.
+// are consulted; cols == 0 returns every row). It uses an index when
+// available, building one on first use otherwise — modelling a
+// database that adapts access paths. The rows are built from their
+// interned IDs into one flat term slab owned by the caller.
 func (r *Relation) Lookup(cols uint32, probe Tuple) []Tuple {
-	if cols == 0 {
-		return debugBorrow(r.allTuplesView())
-	}
 	if r.Len() == 0 {
 		return nil
+	}
+	if cols == 0 {
+		out := newTuples(r.Len(), r.Arity)
+		k := 0
+		fill := func(rows *idRows) {
+			for i := range rows.hashes {
+				rows.fill(i, out[k])
+				k++
+			}
+		}
+		for _, p := range r.parts {
+			fill(&p.idRows)
+		}
+		fill(&r.idRows)
+		return out
 	}
 	var idbuf [16]term.ID
 	ids, ok := probeIDs(probe, cols, idbuf[:0])
@@ -547,9 +542,10 @@ func (r *Relation) Lookup(cols uint32, probe Tuple) []Tuple {
 	if len(idxs) == 0 {
 		return nil
 	}
-	out := make([]Tuple, 0, len(idxs))
-	for _, j := range idxs {
-		out = append(out, r.tupleAt(int(j)))
+	out := newTuples(len(idxs), r.Arity)
+	for k, j := range idxs {
+		rows, local := r.rowAt(int(j))
+		rows.fill(local, out[k])
 	}
 	return out
 }
@@ -578,8 +574,7 @@ func probeIDs(probe Tuple, cols uint32, dst []term.ID) ([]term.ID, bool) {
 // returns the extended slice. cols must be non-zero and every masked
 // probe position must hold a ground term (the ldldebug build tag
 // asserts both at the call site). Passing a reused buffer as dst keeps
-// steady-state probes allocation-free — this is the compiled join
-// kernels' probe primitive.
+// steady-state probes allocation-free.
 //
 // Borrow lifetime: the returned slice aliases dst's backing array (the
 // caller owns it; the relation keeps no reference), and the row
@@ -605,85 +600,40 @@ func (r *Relation) AppendMatches(cols uint32, probe Tuple, dst []int32) []int32 
 }
 
 // appendMatchesIDs is the shared probe core: every part's index (zone
-// maps and blooms pruning cold parts first), then the tail's, with
-// per-column ID verification compacting candidates in place. Appended
-// indexes are global.
+// maps and blooms pruning cold parts first), then the tail's, each
+// verified column-wise. Appended indexes are global.
 func (r *Relation) appendMatchesIDs(cols uint32, probe []term.ID, dst []int32) []int32 {
 	h := maskedIDHash(probe, cols)
 	for k, p := range r.parts {
 		if p.mayMatch(cols, probe) {
-			dst = p.appendMatches(cols, probe, h, r.partOff[k], dst)
+			start := len(dst)
+			dst = p.ensureIndex(cols).lookup(h, dst)
+			dst = p.verify(dst, start, p.idxBias, r.partOff[k], cols, probe)
 		}
 	}
-	if len(r.tuples) == 0 {
+	if r.idRows.len() == 0 {
 		return dst
 	}
-	ci := r.ensureIndex(cols)
-	base := len(dst)
-	dst = ci.lookup(h, dst)
-	// Verify candidates column-wise, compacting in place: hash collisions
-	// between distinct probe values share a slot cluster.
-	keep := base
-	for _, j := range dst[base:] {
-		local := int(j) - r.partRows
-		ok := true
-		for c := range r.cols {
-			if cols&(1<<uint(c)) != 0 && r.cols[c][local] != probe[c] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			dst[keep] = j
-			keep++
-		}
-	}
-	return dst[:keep]
+	start := len(dst)
+	dst = r.ensureIndex(cols).lookup(h, dst)
+	return r.idRows.verify(dst, start, r.partRows, r.partRows, cols, probe)
 }
 
-// Scan calls yield for every tuple whose projection on cols matches
-// probe, stopping early if yield returns false. Unlike Lookup it never
-// materializes a []Tuple result, and unlike the cols==0 Lookup borrow
-// it is safe to insert into the relation from inside yield: the
-// full-scan path captures the length up front and the indexed path
-// collects match indexes before yielding.
-func (r *Relation) Scan(cols uint32, probe Tuple, yield func(Tuple) bool) {
-	if cols == 0 {
-		all := r.allTuplesView()
-		n := len(all)
-		for i := 0; i < n; i++ {
-			if !yield(all[i]) {
-				return
-			}
-		}
-		return
-	}
-	var stack [16]int32
-	for _, j := range r.AppendMatches(cols, probe, stack[:0]) {
-		if !yield(r.tupleAt(int(j))) {
-			return
-		}
-	}
+// TupleAt builds the tuple at row index i from its interned IDs. Row
+// indexes are stable: relations only grow and rows never move
+// (freezing a tail into a part preserves every global index).
+func (r *Relation) TupleAt(i int) Tuple {
+	rows, local := r.rowAt(i)
+	t := make(Tuple, r.Arity)
+	rows.fill(local, t)
+	return t
 }
-
-// TupleAt returns the tuple at row index i. Row indexes are stable:
-// relations only grow and rows never move (freezing a tail into a part
-// preserves every global index).
-func (r *Relation) TupleAt(i int) Tuple { return r.tupleAt(i) }
 
 // Sorted returns the tuples in canonical order — handy for
 // deterministic test output.
 func (r *Relation) Sorted() []Tuple {
-	out := r.Snapshot()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := range a {
-			if c := term.Compare(a[k], b[k]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
+	out := r.Lookup(0, nil)
+	SortTuples(out)
 	return out
 }
 
@@ -832,7 +782,7 @@ func (db *Database) LoadFacts(prog *lang.Program) error {
 	return nil
 }
 
-// clone copies the relation's owned tail — tuple store, dedup set,
+// clone copies the relation's owned tail — ID columns, dedup set,
 // published column indexes — and its distinct counts; the immutable
 // part prefix is shared by pointer. Indexes are cheap flat-array copies
 // and stay correct under the clone's future inserts because appendRow
@@ -847,14 +797,12 @@ func (r *Relation) clone() *Relation {
 	nr.parts = r.parts
 	nr.partOff = r.partOff
 	nr.partRows = r.partRows
-	nr.tuples = append([]Tuple(nil), r.tuples...)
 	nr.cols = make([]idColumn, r.Arity)
 	for c := range r.cols {
-		nr.cols[c] = append(idColumn(nil), r.cols[c]...)
+		nr.cols[c] = slices.Clone(r.cols[c])
 	}
-	nr.hashes = append([]uint64(nil), r.hashes...)
-	nr.setSlots = append([]int32(nil), r.setSlots...)
-	nr.setMask = r.setMask
+	nr.hashes = slices.Clone(r.hashes)
+	nr.set = rowSet{slots: slices.Clone(r.set.slots), mask: r.set.mask}
 	old := *r.indexes.Load()
 	next := make(map[uint32]*colIndex, len(old))
 	for cols, ci := range old {

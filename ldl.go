@@ -175,16 +175,20 @@ type System struct {
 	// every committed batch hits before its epoch publishes; recovery
 	// is what boot found in the storage directory; ckptBytes triggers
 	// the background checkpointer, ckptBusy dedupes triggers and ckptMu
-	// serializes the checkpoints themselves. seg is the segment
-	// directory state behind segCheckpoint and StorageStats (seg.man is
-	// guarded by ckptMu); segFlushes is the lifetime flush counter.
-	wal        *wal.Log
-	recovery   *wal.RecoveryReport
-	ckptBytes  int64
-	ckptBusy   atomic.Bool
-	ckptMu     sync.Mutex
-	seg        *segState
-	segFlushes atomic.Int64
+	// serializes the checkpoints themselves; ckptFailures and ckptErr
+	// (a string) record the background checkpoints that failed. seg is
+	// the segment directory state behind segCheckpoint and StorageStats
+	// (seg.man is guarded by ckptMu); segFlushes is the lifetime flush
+	// counter.
+	wal          *wal.Log
+	recovery     *wal.RecoveryReport
+	ckptBytes    int64
+	ckptBusy     atomic.Bool
+	ckptMu       sync.Mutex
+	ckptFailures atomic.Int64
+	ckptErr      atomic.Value
+	seg          *segState
+	segFlushes   atomic.Int64
 
 	// graph is the program's dependency analysis, made once at Load and
 	// read-only after: every Prepare's optimizer and every epoch's view
@@ -336,6 +340,8 @@ func Load(src string, opts ...SystemOption) (_ *System, err error) {
 	if err := db.LoadFacts(prog); err != nil {
 		return nil, err
 	}
+	// The store holds the facts now; the program keeps only their tags.
+	prog.Facts = nil
 	id := max(1, man.Epoch)
 	if cfg.segDir != "" {
 		if err := s.openLog(db, cfg, man.Epoch); err != nil {

@@ -238,14 +238,9 @@ func (s *System) AnswersFromViews(goal string) (rows [][]string, ok bool, err er
 			probe[i] = a
 		}
 	}
-	out := store.NewRelation("ans", lit.Arity())
-	for _, t := range rel.Lookup(mask, probe) {
-		if _, ok := term.UnifyAll(lit.Args, []term.Term(t), term.NewSubst()); ok {
-			out.MustInsert(t)
-		}
-	}
+	rows = renderRows(eval.Select(rel.Lookup(mask, probe), lit.Args))
 	s.ivm.viewQueries.Add(1)
-	return renderRows(out.Sorted()), true, nil
+	return rows, true, nil
 }
 
 // IVMStats is the incremental-view-maintenance telemetry STATS exposes:

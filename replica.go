@@ -175,6 +175,12 @@ type DurabilityStats struct {
 	// LastCheckpoint is the epoch of the newest checkpoint: the manifest
 	// boot attached, or the latest flush since (0 = none).
 	LastCheckpoint uint64
+	// CheckpointFailures counts background checkpoints that failed, and
+	// CheckpointLastError is the newest one's error ("" = none). A
+	// failure leaves the log intact; it only keeps growing until a
+	// checkpoint succeeds.
+	CheckpointFailures  int64
+	CheckpointLastError string
 }
 
 // Durability reports the WAL health counters.
@@ -182,11 +188,14 @@ func (s *System) Durability() DurabilityStats {
 	if s.wal == nil {
 		return DurabilityStats{}
 	}
+	lastErr, _ := s.ckptErr.Load().(string)
 	return DurabilityStats{
-		Durable:        true,
-		SegmentBytes:   s.wal.SegmentSize(),
-		Wedged:         s.wal.Wedged() != nil,
-		LastCheckpoint: s.wal.LastCheckpoint(),
+		Durable:             true,
+		SegmentBytes:        s.wal.SegmentSize(),
+		Wedged:              s.wal.Wedged() != nil,
+		LastCheckpoint:      s.wal.LastCheckpoint(),
+		CheckpointFailures:  s.ckptFailures.Load(),
+		CheckpointLastError: lastErr,
 	}
 }
 

@@ -91,7 +91,7 @@ func epochFingerprint(t *testing.T, sys *System) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "epoch %d\n", ep.id)
 	for _, tag := range ep.db.Tags() {
-		fmt.Fprintf(&b, "%s %v\n", tag, ep.db.Relation(tag).Tuples())
+		fmt.Fprintf(&b, "%s %v\n", tag, ep.db.Relation(tag).Lookup(0, nil))
 	}
 	if got, want := catalogString(ep.cat), catalogString(stats.Gather(ep.db)); got != want {
 		t.Errorf("epoch %d catalog differs from a fresh gather\n got: %s\nwant: %s", ep.id, got, want)
