@@ -57,9 +57,12 @@ type bframe struct {
 
 // kernelState is the mutable, reusable execution state for one
 // compiled rule in one evaluation context: the frames plus every
-// buffer the join program needs, pooled per clique evaluation, so
-// steady-state rule application allocates nothing. Constant cells of
-// the probe, negation, and head rows are prefilled here, once.
+// buffer the join program needs, so steady-state rule application
+// allocates nothing. A context returns its states to the rule's pool
+// when its clique is done, and later evaluations of the same compiled
+// rule — every execution of a cached query form — take them back
+// instead of building new ones. Constant cells of the probe, negation,
+// and head rows are prefilled here, once: interned IDs never change.
 type kernelState struct {
 	size    int               // rows per scan-output frame
 	rels    []*store.Relation // per scanIdx, resolved per application
@@ -77,33 +80,66 @@ type kernelState struct {
 	headConst []term.ID   // per head column: const ID, 0 otherwise
 }
 
+// idxBufCap is the starting capacity of a scan's match-index buffer:
+// fixpoint rounds reuse the state, and starting at a useful capacity
+// avoids the regrow churn of the first rounds.
+const idxBufCap = 64
+
+// newKernelState builds a rule's execution state for frames of size
+// rows. Every ID column it needs is carved from one slab and every
+// slice header from a few more, so a state costs a fixed handful of
+// allocations however many steps its rule has.
 func newKernelState(cr *compiledRule, size int) *kernelState {
-	newFrame := func(rows int) *bframe {
-		f := &bframe{cols: make([][]term.ID, cr.nregs)}
+	probeCells, negCells := 0, 0
+	for _, st := range cr.steps {
+		switch st.kind {
+		case kScan:
+			probeCells += len(st.cols)
+		case kNeg:
+			negCells += len(st.negCols)
+		}
+	}
+	nhead := len(cr.head)
+	ids := make([]term.ID, cr.nregs*(1+cr.nscans*size)+probeCells+negCells+nhead*(size+1))
+	take := func(n int) []term.ID {
+		s := ids[:n:n]
+		ids = ids[n:]
+		return s
+	}
+	hdrs := make([][]term.ID, cr.nregs*(1+cr.nscans)+cr.nscans+probeCells+cr.nnegs+nhead)
+	headers := func(n int) [][]term.ID {
+		s := hdrs[:n:n]
+		hdrs = hdrs[n:]
+		return s
+	}
+	frames := make([]bframe, 1+cr.nscans)
+	newFrame := func(f *bframe, rows int) *bframe {
+		f.cols = headers(cr.nregs)
 		for i := range f.cols {
-			f.cols[i] = make([]term.ID, rows)
+			f.cols[i] = take(rows)
 		}
 		return f
 	}
+	rels := make([]*store.Relation, cr.nscans+cr.nnegs)
+	bufs := make([][]int32, cr.nscans+len(cr.steps))
+	i32 := make([]int32, size+cr.nscans*idxBufCap)
 	ks := &kernelState{
 		size:    size,
-		rels:    make([]*store.Relation, cr.nscans),
-		negRels: make([]*store.Relation, cr.nnegs),
-		idxs:    make([][]int32, cr.nscans),
-		root:    newFrame(1),
+		rels:    rels[:cr.nscans:cr.nscans],
+		negRels: rels[cr.nscans:],
+		idxs:    bufs[:cr.nscans:cr.nscans],
+		root:    newFrame(&frames[0], 1),
 		frames:  make([]*bframe, cr.nscans),
-		sels:    make([][]int32, len(cr.steps)),
-		ident:   make([]int32, size),
-		probes:  make([][]term.ID, cr.nscans),
+		sels:    bufs[cr.nscans:],
+		ident:   i32[:size:size],
+		probes:  headers(cr.nscans),
 		rcols:   make([][][]term.ID, cr.nscans),
-		negIDs:  make([][]term.ID, cr.nnegs),
+		negIDs:  headers(cr.nnegs),
 	}
 	for i := range ks.frames {
-		ks.frames[i] = newFrame(size)
-		// Pre-size the match-index buffers: fixpoint rounds reuse this
-		// state, and starting at a useful capacity avoids the regrow
-		// churn of the first rounds after every reset.
-		ks.idxs[i] = make([]int32, 0, 64)
+		ks.frames[i] = newFrame(&frames[1+i], size)
+		off := size + i*idxBufCap
+		ks.idxs[i] = i32[off : off : off+idxBufCap]
 	}
 	for i := range ks.ident {
 		ks.ident[i] = int32(i)
@@ -111,16 +147,16 @@ func newKernelState(cr *compiledRule, size int) *kernelState {
 	for _, st := range cr.steps {
 		switch st.kind {
 		case kScan:
-			p := make([]term.ID, len(st.cols))
+			p := take(len(st.cols))
 			for i, c := range st.cols {
 				if c.op == kcolConst {
 					p[i] = term.Intern(c.val)
 				}
 			}
 			ks.probes[st.scanIdx] = p
-			ks.rcols[st.scanIdx] = make([][]term.ID, len(st.cols))
+			ks.rcols[st.scanIdx] = headers(len(st.cols))
 		case kNeg:
-			row := make([]term.ID, len(st.negCols))
+			row := take(len(st.negCols))
 			for i, bt := range st.negCols {
 				if bt.reg < 0 && bt.args == nil {
 					row[i] = term.Intern(bt.lit)
@@ -129,11 +165,11 @@ func newKernelState(cr *compiledRule, size int) *kernelState {
 			ks.negIDs[st.negIdx] = row
 		}
 	}
-	ks.headIDs = make([][]term.ID, len(cr.head))
+	ks.headIDs = headers(nhead)
 	for i := range ks.headIDs {
-		ks.headIDs[i] = make([]term.ID, size)
+		ks.headIDs[i] = take(size)
 	}
-	ks.headConst = make([]term.ID, len(cr.head))
+	ks.headConst = take(nhead)
 	for i, c := range cr.head {
 		if c.op == kcolConst {
 			ks.headConst[i] = term.Intern(c.val)
@@ -142,18 +178,38 @@ func newKernelState(cr *compiledRule, size int) *kernelState {
 	return ks
 }
 
-// kstate returns the context's cached kernel state for cr, creating it
-// on first use. Contexts are goroutine-local, so no locking.
+// kstate returns the context's kernel state for cr: the one it already
+// holds, else a released state from the rule's pool, else a new one. A
+// pooled state built for another BatchSize is dropped, not reused.
+// Contexts are goroutine-local, so no locking.
 func (cx *evalCtx) kstate(cr *compiledRule) *kernelState {
-	if ks, ok := cx.kstates[cr]; ok {
-		return ks
+	for _, h := range cx.kstates {
+		if h.cr == cr {
+			return h.ks
+		}
 	}
-	if cx.kstates == nil {
-		cx.kstates = map[*compiledRule]*kernelState{}
+	size := cx.e.opts.BatchSize
+	ks, _ := cr.pool.Get().(*kernelState)
+	if ks == nil || ks.size != size {
+		ks = newKernelState(cr, size)
 	}
-	ks := newKernelState(cr, cx.e.opts.BatchSize)
-	cx.kstates[cr] = ks
+	cx.kstates = append(cx.kstates, heldState{cr, ks})
 	return ks
+}
+
+// release returns every kernel state the context holds to its rule's
+// pool, first dropping the relations and borrowed columns it points
+// at, so a pooled state pins no epoch and no derived relation.
+func (cx *evalCtx) release() {
+	for _, h := range cx.kstates {
+		clear(h.ks.rels)
+		clear(h.ks.negRels)
+		for _, rc := range h.ks.rcols {
+			clear(rc)
+		}
+		h.cr.pool.Put(h.ks)
+	}
+	cx.kstates = cx.kstates[:0]
 }
 
 // aliasesHead reports whether any resolved scan or negation relation
@@ -214,8 +270,8 @@ func (cx *evalCtx) applyRule(cr *compiledRule, deltaOcc int, deltas map[string]*
 		cx:      cx,
 		cr:      cr,
 		ks:      ks,
-		head:    e.ensureDerived(cr.rule.Head.Tag(), cr.rule.Head.Arity()),
-		headTag: cr.rule.Head.Tag(),
+		head:    e.ensureDerived(cr.headTag, cr.rule.Head.Arity()),
+		headTag: cr.headTag,
 		collect: collect,
 		limit:   ks.size,
 	}

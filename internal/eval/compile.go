@@ -31,6 +31,7 @@ package eval
 
 import (
 	"fmt"
+	"sync"
 
 	"ldl/internal/lang"
 	"ldl/internal/term"
@@ -186,20 +187,32 @@ type kstep struct {
 
 // compiledRule is a rule's join program. It is immutable after
 // compilation and safely shared across goroutines; all mutable
-// execution state lives in kernelState.
+// execution state lives in kernelState, which evaluation contexts take
+// from and return to the rule's pool.
 type compiledRule struct {
-	rule   lang.Rule
-	steps  []kstep
-	nregs  int
-	nscans int
-	nnegs  int
-	head   []kcol // kcolConst, kcolProbe or kcolBuild; nil after a kFail
+	rule lang.Rule
+	// headTag is the head literal's tag; bodyTags[bi] is body literal
+	// bi's tag when it is a positive relational literal (the occurrences
+	// a delta can stand in for), "" for builtins and negations. Both are
+	// resolved here so rule applications and fixpoint rounds build no
+	// tag strings.
+	headTag  string
+	bodyTags []string
+	steps    []kstep
+	nregs    int
+	nscans   int
+	nnegs    int
+	head     []kcol // kcolConst, kcolProbe or kcolBuild; nil after a kFail
 	// scanForBody maps a body-literal index to its scan step's scanIdx
 	// (-1 for builtins/negations) — the delta-occurrence remap used by
 	// semi-naive variants, which share this one program.
 	scanForBody []int
 	// scanStep maps a scanIdx back to its index in steps.
 	scanStep []int
+	// pool holds released kernel states of this rule (see evalCtx): a
+	// cached query form's executions reuse them instead of rebuilding
+	// frames and buffers per clique evaluation.
+	pool sync.Pool
 }
 
 // ProgramKernels is the once-per-program compiled kernel set: one join
@@ -232,7 +245,7 @@ func CompileProgram(prog *lang.Program) *ProgramKernels {
 // Rules come from lang.NewProgram, which bounds every literal's arity
 // by lang.MaxAdornArity, so every column fits the uint32 probe mask.
 func compileRule(r lang.Rule) *compiledRule {
-	cr := &compiledRule{rule: r, scanForBody: make([]int, len(r.Body))}
+	cr := &compiledRule{rule: r, headTag: r.Head.Tag(), bodyTags: make([]string, len(r.Body)), scanForBody: make([]int, len(r.Body))}
 	regOf := map[string]int{}
 	newReg := func(name string) int {
 		reg := cr.nregs
@@ -446,7 +459,8 @@ func compileRule(r lang.Rule) *compiledRule {
 			continue
 		}
 		// Positive relational literal → scan step.
-		st := kstep{kind: kScan, tag: l.Tag(), scanIdx: cr.nscans, cols: make([]kcol, len(l.Args)), nbound: cr.nregs}
+		cr.bodyTags[bi] = l.Tag()
+		st := kstep{kind: kScan, tag: cr.bodyTags[bi], scanIdx: cr.nscans, cols: make([]kcol, len(l.Args)), nbound: cr.nregs}
 		newHere := map[string]bool{}
 		for ai, a := range l.Args {
 			if v, isVar := a.(term.Var); isVar {

@@ -354,7 +354,7 @@ func TestUnsafeBuiltinShapes(t *testing.T) {
 			}
 			run := func(opts Options) error {
 				db := store.NewDatabase()
-				db.Ensure("n/1", 1).MustInsert(store.Tuple{term.Int(1)})
+				mustInsert(db.Ensure("n/1", 1), store.Tuple{term.Int(1)})
 				// Built directly: NewProgram rejects a negated builtin.
 				prog := &lang.Program{Rules: []lang.Rule{c.rule}}
 				e, err := New(prog, db, opts)
@@ -372,4 +372,71 @@ func TestUnsafeBuiltinShapes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestKernelStateRelease: a kernel state an evaluation context returns
+// to its rule's pool holds no relation and no borrowed column — a
+// pooled state must not pin an epoch or a derived relation — and a
+// pooled state built for another BatchSize is not reused.
+func TestKernelStateRelease(t *testing.T) {
+	prog, _, err := parser.ParseProgram(`
+e(1, 2). e(2, 3). e(3, 4). bad(3).
+tc(X, Y) <- e(X, Y), not bad(X).
+tc(X, Y) <- e(X, Z), tc(Z, Y).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := store.NewDatabase()
+	if err := db.LoadFacts(prog); err != nil {
+		t.Fatal(err)
+	}
+	pk := CompileProgram(prog)
+	e, err := New(prog, db, Options{Kernels: pk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Apply every rule once more in a fresh context, then release it.
+	cx := &evalCtx{e: e}
+	held := make([]*kernelState, len(pk.rules))
+	for i, cr := range pk.rules {
+		if err := cx.applyRule(cr, -1, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		held[i] = cx.kstate(cr)
+	}
+	if held[0].rels[0] == nil || held[0].negRels[0] == nil || held[0].rcols[0][0] == nil {
+		t.Fatal("applied state resolved no relation or borrowed no column")
+	}
+	cx.release()
+	for i, ks := range held {
+		for _, r := range append(append([]*store.Relation(nil), ks.rels...), ks.negRels...) {
+			if r != nil {
+				t.Errorf("rule %d: released state holds relation %s", i, r.Name)
+			}
+		}
+		for si, cols := range ks.rcols {
+			for c, col := range cols {
+				if col != nil {
+					t.Errorf("rule %d: released state holds borrowed column %d of scan %d", i, c, si)
+				}
+			}
+		}
+	}
+
+	cr := pk.rules[0]
+	small := newKernelState(cr, 4)
+	cr.pool.Put(small)
+	e8, err := New(prog, db, Options{Kernels: pk, BatchSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cx8 := &evalCtx{e: e8}
+	if ks := cx8.kstate(cr); ks == small || ks.size != 8 {
+		t.Errorf("BatchSize 8 took a state of size %d (the size-4 one: %v)", ks.size, ks == small)
+	}
+	cx8.release()
 }

@@ -16,6 +16,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ldl/internal/depgraph"
@@ -199,10 +200,7 @@ func (e *Engine) Run() error {
 	if e.ran {
 		return nil
 	}
-	// Pre-create derived relations so empty predicates exist.
-	for _, r := range e.Prog.Rules {
-		e.ensureDerived(r.Head.Tag(), r.Head.Arity())
-	}
+	e.ensureHeads()
 	for _, c := range e.Graph.TopoCliques() {
 		if len(c.Rules) == 0 {
 			continue // base predicate
@@ -213,6 +211,21 @@ func (e *Engine) Run() error {
 	}
 	e.ran = true
 	return nil
+}
+
+// ensureHeads pre-creates the derived relation of every rule head, so
+// empty predicates exist — from the precompiled kernels' head tags when
+// the engine has them.
+func (e *Engine) ensureHeads() {
+	if pk := e.opts.Kernels; pk != nil && pk.prog == e.Prog {
+		for _, cr := range pk.rules {
+			e.ensureDerived(cr.headTag, cr.rule.Head.Arity())
+		}
+		return
+	}
+	for _, r := range e.Prog.Rules {
+		e.ensureDerived(r.Head.Tag(), r.Head.Arity())
+	}
 }
 
 // method resolves a clique's iteration method.
@@ -241,15 +254,16 @@ func (e *Engine) newDeltas(c *depgraph.Clique) map[string]*store.Relation {
 	return deltas
 }
 
-// collectInto returns a delta collector: it fires immediately after a
-// successful head insert, so the new tuple is the head relation's last
-// row and InsertFrom reuses its interned IDs and hash instead of
-// re-hashing. A delta that cannot take the row (an arity mismatch) is
-// an error of the run, not a silently shorter fixpoint.
-func (e *Engine) collectInto(deltas map[string]*store.Relation) func(tag string) error {
+// collectInto returns a delta collector into the map *deltas holds
+// when it fires: it fires immediately after a successful head insert,
+// so the new tuple is the head relation's last row and InsertFrom
+// reuses its interned IDs and hash instead of re-hashing. A delta that
+// cannot take the row (an arity mismatch) is an error of the run, not a
+// silently shorter fixpoint.
+func (e *Engine) collectInto(deltas *map[string]*store.Relation) func(tag string) error {
 	return func(tag string) error {
 		head := e.derived[tag]
-		_, err := deltas[tag].InsertFrom(head, head.Len()-1)
+		_, err := (*deltas)[tag].InsertFrom(head, head.Len()-1)
 		return err
 	}
 }
@@ -257,7 +271,8 @@ func (e *Engine) collectInto(deltas map[string]*store.Relation) func(tag string)
 // evalClique runs the fixpoint for one clique.
 func (e *Engine) evalClique(c *depgraph.Clique) error {
 	crs := e.compileRules(c)
-	cx := &evalCtx{e: e}
+	cx := newEvalCtx(e, crs)
+	defer cx.release()
 	if !c.Recursive {
 		// Single pass suffices: dependencies are already computed.
 		for _, cr := range crs {
@@ -270,11 +285,11 @@ func (e *Engine) evalClique(c *depgraph.Clique) error {
 	// The deltas take their arities from the clique's relations, which
 	// Run pre-creates but a scratch clique of RunIncremental does not.
 	for _, cr := range crs {
-		e.ensureDerived(cr.rule.Head.Tag(), cr.rule.Head.Arity())
+		e.ensureDerived(cr.headTag, cr.rule.Head.Arity())
 	}
 	// Seed round: naive application of every rule from current state.
 	deltas := e.newDeltas(c)
-	collect := e.collectInto(deltas)
+	collect := e.collectInto(&deltas)
 	for _, cr := range crs {
 		if err := cx.applyRule(cr, -1, nil, collect); err != nil {
 			return err
@@ -291,9 +306,14 @@ func (e *Engine) evalClique(c *depgraph.Clique) error {
 // from the full relations, and novelty filtering keeps only new
 // tuples; semi-naive applies one variant per recursive body
 // occurrence, sourcing that occurrence from the previous round's
-// delta.
+// delta. Two delta maps alternate: the map a round has finished
+// reading is reset and refilled by the round after it, so a fixpoint of
+// any length allocates at most one map of delta relations beyond the
+// seed's.
 func (cx *evalCtx) rounds(c *depgraph.Clique, crs []*compiledRule, method Method, deltas map[string]*store.Relation) (int, error) {
 	e := cx.e
+	var next, spare map[string]*store.Relation
+	collectNext := e.collectInto(&next)
 	for iter := 0; ; iter++ {
 		if iter >= e.opts.MaxIterations {
 			return iter, fmt.Errorf("%w: clique %v exceeded %d iterations", ErrRunaway, c.Preds, e.opts.MaxIterations)
@@ -311,8 +331,13 @@ func (cx *evalCtx) rounds(c *depgraph.Clique, crs []*compiledRule, method Method
 		if empty {
 			return iter + 1, nil
 		}
-		next := e.newDeltas(c)
-		collectNext := e.collectInto(next)
+		if next = spare; next == nil {
+			next = e.newDeltas(c)
+		} else {
+			for _, d := range next {
+				d.Reset()
+			}
+		}
 		for _, cr := range crs {
 			if method == Naive {
 				if err := cx.applyRule(cr, -1, nil, collectNext); err != nil {
@@ -320,8 +345,8 @@ func (cx *evalCtx) rounds(c *depgraph.Clique, crs []*compiledRule, method Method
 				}
 				continue
 			}
-			for bi, l := range cr.rule.Body {
-				if l.Neg || lang.IsBuiltin(l.Pred) || !c.Contains(l.Tag()) {
+			for bi, tag := range cr.bodyTags {
+				if tag == "" || !c.Contains(tag) {
 					continue
 				}
 				if err := cx.applyRule(cr, bi, deltas, collectNext); err != nil {
@@ -329,19 +354,32 @@ func (cx *evalCtx) rounds(c *depgraph.Clique, crs []*compiledRule, method Method
 				}
 			}
 		}
-		deltas = next
+		deltas, spare = next, deltas
 	}
 }
 
 // evalCtx is the context of one clique evaluation: the engine it
 // writes (derived relations, Engine.Counters) and the kernel states its
-// rule applications reuse across rounds.
+// rule applications reuse across rounds. Whoever creates a context
+// calls release when the clique is done.
 type evalCtx struct {
 	e *Engine
-	// kstates caches one reusable kernel execution state per compiled
-	// rule this context has run (register frame, probe and match
-	// buffers), created lazily by kstate.
-	kstates map[*compiledRule]*kernelState
+	// kstates holds one kernel execution state per compiled rule this
+	// context has run (register frames, probe and match buffers), taken
+	// lazily by kstate.
+	kstates []heldState
+}
+
+// newEvalCtx returns a context for one evaluation of the rules crs.
+func newEvalCtx(e *Engine, crs []*compiledRule) *evalCtx {
+	return &evalCtx{e: e, kstates: make([]heldState, 0, len(crs))}
+}
+
+// heldState is a kernel state an evaluation context holds, with the
+// rule whose pool it returns to.
+type heldState struct {
+	cr *compiledRule
+	ks *kernelState
 }
 
 // recordInserted does the bookkeeping for a head insert that was
@@ -398,7 +436,9 @@ func (e *Engine) Answers(q lang.Query) ([]store.Tuple, error) {
 
 // Select filters rows in place to those that unify with args and sorts
 // them canonically. Rows read from one relation are a set, so the
-// result needs no deduplication.
+// result needs no deduplication. Every kept row equals a ground
+// argument in its column, so the sort compares only the other columns:
+// the comparator answers exactly as the full canonical one does.
 func Select(rows []store.Tuple, args []term.Term) []store.Tuple {
 	s := term.NewSubst()
 	keep := rows[:0]
@@ -408,6 +448,19 @@ func Select(rows []store.Tuple, args []term.Term) []store.Tuple {
 			keep = append(keep, t)
 		}
 	}
-	store.SortTuples(keep)
+	var vary []int
+	for k, a := range args {
+		if !term.Ground(a) {
+			vary = append(vary, k)
+		}
+	}
+	slices.SortFunc(keep, func(a, b store.Tuple) int {
+		for _, k := range vary {
+			if c := term.Compare(a[k], b[k]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
 	return keep
 }

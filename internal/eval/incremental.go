@@ -164,9 +164,7 @@ func (e *Engine) RunIncremental(prior map[string]*store.Relation, baseDeltas map
 	// Predicates with rules but outside every walked clique cannot exist
 	// (Analyze puts every head in a clique); still, mirror Run's
 	// pre-create so empty heads resolve.
-	for _, r := range e.Prog.Rules {
-		e.ensureDerived(r.Head.Tag(), r.Head.Arity())
-	}
+	e.ensureHeads()
 	e.ran = true
 	return st, nil
 }
@@ -214,17 +212,18 @@ func (e *Engine) cliqueChangeMode(c *depgraph.Clique, changed map[string]*store.
 // number of in-clique rounds run.
 func (e *Engine) continueClique(c *depgraph.Clique, changed map[string]*store.Relation) (int, error) {
 	crs := e.compileRules(c)
-	cx := &evalCtx{e: e}
+	cx := newEvalCtx(e, crs)
+	defer cx.release()
 	deltas := e.newDeltas(c)
-	collect := e.collectInto(deltas)
+	collect := e.collectInto(&deltas)
 	// Seed round: for each body occurrence of a changed input, apply the
 	// rule with that occurrence reading the change and the rest reading
 	// full new relations. In-clique occurrences read the prior (cloned)
 	// relations here — their own change is exactly what the rounds below
 	// propagate.
 	for _, cr := range crs {
-		for bi, l := range cr.rule.Body {
-			if l.Neg || lang.IsBuiltin(l.Pred) || changed[l.Tag()] == nil {
+		for bi, tag := range cr.bodyTags {
+			if tag == "" || changed[tag] == nil {
 				continue
 			}
 			if err := cx.applyRule(cr, bi, changed, collect); err != nil {

@@ -156,7 +156,7 @@ func (cx *evalCtx) tryDeferred(l lang.Literal, s term.Subst) (ok, done bool, err
 		if rel == nil {
 			return true, true, nil
 		}
-		return !rel.Contains(store.Tuple(resolved)), true, nil
+		return !containsTuple(rel, store.Tuple(resolved)), true, nil
 	}
 	// Builtin: evaluable when the EC condition holds under s.
 	bound := map[string]bool{}

@@ -114,7 +114,7 @@ func (td *TopDown) Query(q lang.Query) ([]store.Tuple, error) {
 		}
 		for _, t := range rel.Lookup(0, nil) {
 			if _, ok := term.UnifyAll(q.Goal.Args, []term.Term(t), term.NewSubst()); ok {
-				out.MustInsert(t)
+				mustInsert(out, t)
 			}
 		}
 		return out.Sorted(), nil
@@ -146,7 +146,7 @@ func (td *TopDown) Query(q lang.Query) ([]store.Tuple, error) {
 	out := store.NewRelation("ans", q.Goal.Arity())
 	for _, t := range seed.answers.Lookup(0, nil) {
 		if _, ok := term.UnifyAll(q.Goal.Args, []term.Term(t), term.NewSubst()); ok {
-			out.MustInsert(t)
+			mustInsert(out, t)
 		}
 	}
 	return out.Sorted(), nil
@@ -330,7 +330,7 @@ func (td *TopDown) tryDeferred(l lang.Literal, s term.Subst) (ok, done bool, err
 		if rel == nil {
 			return true, true, nil
 		}
-		return !rel.Contains(store.Tuple(resolved)), true, nil
+		return !containsTuple(rel, store.Tuple(resolved)), true, nil
 	}
 	bound := map[string]bool{}
 	for _, v := range l.Vars(nil) {

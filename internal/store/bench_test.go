@@ -13,6 +13,13 @@ import (
 	"ldl/internal/term"
 )
 
+// mustInsert inserts t, panicking on a structural error.
+func mustInsert(r *store.Relation, t store.Tuple) {
+	if _, err := r.Insert(t); err != nil {
+		panic(err)
+	}
+}
+
 // tcTuples builds n distinct edge tuples (atom, atom).
 func tcTuples(n int) []store.Tuple {
 	out := make([]store.Tuple, n)
@@ -51,11 +58,11 @@ func BenchmarkTupleInsertDedup(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r := store.NewRelation("bench", 2)
 				for _, t := range tc.tuples {
-					r.MustInsert(t)
+					mustInsert(r, t)
 				}
 				// Re-insert everything: pure dedup-probe load.
 				for _, t := range tc.tuples {
-					r.MustInsert(t)
+					mustInsert(r, t)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*len(tc.tuples)), "ns/tuple")
@@ -68,13 +75,15 @@ func BenchmarkTupleInsertDedup(b *testing.B) {
 func BenchmarkContains(b *testing.B) {
 	tuples := tcTuples(4096)
 	r := store.NewRelation("bench", 2)
-	for _, t := range tuples {
-		r.MustInsert(t)
+	rows := make([][]term.ID, len(tuples))
+	for i, t := range tuples {
+		mustInsert(r, t)
+		rows[i] = []term.ID{term.Intern(t[0]), term.Intern(t[1])}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !r.Contains(tuples[i%len(tuples)]) {
+		if !r.ContainsIDs(rows[i%len(rows)]) {
 			b.Fatal("missing tuple")
 		}
 	}
@@ -87,10 +96,10 @@ func BenchmarkJoinLookup(b *testing.B) {
 	tuples := tcTuples(4096)
 	r := store.NewRelation("bench", 2)
 	for _, t := range tuples {
-		r.MustInsert(t)
+		mustInsert(r, t)
 	}
-	r.BuildIndex(1) // index on column 0
 	probe := store.Tuple{nil, nil}
+	r.Lookup(1, tuples[0]) // builds the index on column 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

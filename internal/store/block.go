@@ -6,7 +6,7 @@ package store
 // rows, probe indexes, and insert deduplicated rows while staying in
 // ID space — no term is built on this path. Everything here obeys the
 // package concurrency contract: the read-side accessors (ColumnAt,
-// IDAt, AppendRows, AppendMatchesID, ContainsIDs) are safe under
+// IDAt, AppendMatchesID, ContainsIDs) are safe under
 // concurrent readers, the insert-side one (InsertRows) is a writer API.
 
 import "ldl/internal/term"
@@ -27,17 +27,6 @@ func (r *Relation) ColumnAt(c int) []term.ID { return debugBorrowIDs(r.allColVie
 func (r *Relation) IDAt(c, i int) term.ID {
 	rows, local := r.rowAt(i)
 	return rows.cols[c][local]
-}
-
-// AppendRows gathers column c of the given row indexes into dst and
-// returns the extended slice — the block executor's candidate-gather
-// primitive, pairing with AppendMatchesID.
-func (r *Relation) AppendRows(rows []int32, c int, dst []term.ID) []term.ID {
-	col := r.allColView(c)
-	for _, j := range rows {
-		dst = append(dst, col[j])
-	}
-	return dst
 }
 
 // idRowHash folds a full ID row into the same row hash insert computes
@@ -68,11 +57,22 @@ func maskedIDHash(ids []term.ID, cols uint32) uint64 {
 	return h
 }
 
-// AppendMatchesID is AppendMatches with an interned-ID probe row, so
-// the probe needs no intern-table lookup.
-// cols must be non-zero and every masked probe position must hold a
-// non-zero ID. The returned slice aliases dst and carries row indexes
-// that stay valid forever (see AppendMatches for the borrow contract).
+// AppendMatchesID appends to dst the row indexes whose projection on
+// cols matches the interned-ID probe row, fully verified (not just
+// hash-matched), and returns the extended slice. cols must be non-zero
+// and every masked probe position must hold a non-zero ID. Passing a
+// reused buffer as dst keeps steady-state probes allocation-free.
+//
+// Borrow lifetime: the returned slice aliases dst's backing array (the
+// caller owns it; the relation keeps no reference), and the row
+// indexes it holds are stable forever — relations only grow and rows
+// never move — so a match set may be consumed across later inserts,
+// including inserts into this same relation. The matches are collected
+// before the caller sees any of them, so insert-while-consuming never
+// observes a partially built result. What a reused buffer must NOT do
+// is survive into a second AppendMatchesID call while the first result
+// is still being read: the second call overwrites the shared backing
+// array.
 func (r *Relation) AppendMatchesID(cols uint32, probe []term.ID, dst []int32) []int32 {
 	if r.Len() == 0 {
 		return dst

@@ -15,12 +15,12 @@ func ids(vals ...int64) []term.ID {
 }
 
 // TestBlockColumnAccessors: ColumnAt exposes the live ID columns and
-// AppendRows gathers selected rows, both consistent with the
-// tuple-level view of the same relation.
+// IDAt reads single cells, both consistent with the tuple-level view of
+// the same relation.
 func TestBlockColumnAccessors(t *testing.T) {
 	r := NewRelation("e", 2)
 	for i := int64(0); i < 5; i++ {
-		r.MustInsert(tup(i, i*10))
+		mustInsert(r, tup(i, i*10))
 	}
 	col0, col1 := r.ColumnAt(0), r.ColumnAt(1)
 	if len(col0) != 5 || len(col1) != 5 {
@@ -31,17 +31,10 @@ func TestBlockColumnAccessors(t *testing.T) {
 			t.Fatalf("row %d: columns disagree with TupleAt", i)
 		}
 	}
-	got := r.AppendRows([]int32{4, 0, 2}, 1, nil)
-	want := ids(40, 0, 20)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendRows = %v, want %v", got, want)
+	for i, want := range ids(0, 10, 20, 30, 40) {
+		if got := r.IDAt(1, i); got != want || got != col1[i] {
+			t.Fatalf("IDAt(1, %d) = %d, want %d", i, got, want)
 		}
-	}
-	// Appends to the destination rather than replacing it.
-	got = r.AppendRows([]int32{1}, 0, got)
-	if len(got) != 4 || got[3] != ids(1)[0] {
-		t.Fatalf("AppendRows did not append: %v", got)
 	}
 }
 
@@ -62,7 +55,7 @@ func insertIDRow(r *Relation, row []term.ID) (bool, error) {
 // lookups agree.
 func TestBlockIDInsertAndLookup(t *testing.T) {
 	r := NewRelation("e", 2)
-	r.MustInsert(tup(1, 2))
+	mustInsert(r, tup(1, 2))
 	if added, err := insertIDRow(r, ids(1, 2)); err != nil || added {
 		t.Fatalf("ID insert of term-inserted row = (%v, %v), want duplicate", added, err)
 	}
@@ -75,8 +68,8 @@ func TestBlockIDInsertAndLookup(t *testing.T) {
 	if !r.ContainsIDs(ids(3, 4)) || r.ContainsIDs(ids(3, 5)) {
 		t.Error("ContainsIDs disagrees with contents")
 	}
-	if !r.Contains(tup(3, 4)) {
-		t.Error("term Contains misses ID-inserted row")
+	if !contains(r, tup(3, 4)) {
+		t.Error("a term probe misses the ID-inserted row")
 	}
 	// The materialized tuple of an ID-inserted row is the canonical
 	// interned term, usable like any other.
@@ -86,25 +79,30 @@ func TestBlockIDInsertAndLookup(t *testing.T) {
 }
 
 // TestBlockAppendMatchesID: ID-probe lookups return exactly the rows
-// the term-level index returns, across inserts from both paths.
+// the term-level Lookup returns, across inserts from both paths.
 func TestBlockAppendMatchesID(t *testing.T) {
 	r := NewRelation("e", 2)
-	r.MustInsert(tup(1, 2))
-	r.MustInsert(tup(1, 3))
+	mustInsert(r, tup(1, 2))
+	mustInsert(r, tup(1, 3))
 	if _, err := insertIDRow(r, ids(1, 4)); err != nil {
 		t.Fatal(err)
 	}
-	r.MustInsert(tup(2, 2))
+	mustInsert(r, tup(2, 2))
 
 	probe := []term.ID{ids(1)[0], 0}
 	got := r.AppendMatchesID(0b01, probe, nil)
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("matches on col0=1: %v, want [0 1 2]", got)
 	}
-	// Agreement with the term-level index on the same probe.
-	tm := r.AppendMatches(0b01, Tuple{term.Int(1), nil}, nil)
+	// Agreement with the term-level Lookup on the same probe.
+	tm := r.Lookup(0b01, Tuple{term.Int(1), nil})
 	if len(tm) != len(got) {
-		t.Fatalf("term index found %v, ID index %v", tm, got)
+		t.Fatalf("Lookup found %v, ID probe %v", tm, got)
+	}
+	for k, j := range got {
+		if tm[k].Key() != r.TupleAt(int(j)).Key() {
+			t.Fatalf("Lookup row %d = %s, ID probe row %s", k, tm[k], r.TupleAt(int(j)))
+		}
 	}
 	// Both columns masked: exact-row probe.
 	got = r.AppendMatchesID(0b11, ids(1, 3), nil)
@@ -122,7 +120,7 @@ func TestBlockAppendMatchesID(t *testing.T) {
 // onNew error stops the batch.
 func TestBlockInsertRows(t *testing.T) {
 	r := NewRelation("p", 2)
-	r.MustInsert(tup(5, 5))
+	mustInsert(r, tup(5, 5))
 	cols := [][]term.ID{
 		{ids(1)[0], ids(5)[0], ids(1)[0], ids(2)[0]},
 		{ids(1)[0], ids(5)[0], ids(1)[0], ids(2)[0]},
@@ -140,7 +138,7 @@ func TestBlockInsertRows(t *testing.T) {
 	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
 		t.Fatalf("onNew indexes = %v, want [1 2]", seen)
 	}
-	if r.Len() != 3 || !r.Contains(tup(2, 2)) {
+	if r.Len() != 3 || !contains(r, tup(2, 2)) {
 		t.Fatalf("relation contents wrong: len=%d", r.Len())
 	}
 }

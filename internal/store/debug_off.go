@@ -12,8 +12,5 @@ func debugCheckInsert(r *Relation, t Tuple, ids []term.ID) {}
 // cap-clamps borrowed ID columns so append-past-snapshot misuse panics.
 func debugBorrowIDs(ids []term.ID) []term.ID { return ids }
 
-// debugCheckProbe is compiled away outside ldldebug.
-func debugCheckProbe(r *Relation, cols uint32, probe Tuple) {}
-
 // debugCheckIDRow is compiled away outside ldldebug.
 func debugCheckIDRow(r *Relation, ids []term.ID) {}

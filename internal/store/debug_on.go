@@ -26,22 +26,6 @@ func debugBorrowIDs(ids []term.ID) []term.ID {
 	return ids[:len(ids):len(ids)]
 }
 
-// debugCheckProbe enforces the AppendMatches contract: a non-zero
-// column mask, and a ground term in every masked probe position.
-func debugCheckProbe(r *Relation, cols uint32, probe Tuple) {
-	if cols == 0 {
-		panic(fmt.Sprintf("store[ldldebug]: %s: AppendMatches with empty column mask", r.Name))
-	}
-	for i, x := range probe {
-		if cols&(1<<uint(i)) == 0 {
-			continue
-		}
-		if x == nil || !term.Ground(x) {
-			panic(fmt.Sprintf("store[ldldebug]: %s: non-ground probe at masked column %d", r.Name, i))
-		}
-	}
-}
-
 // debugCheckIDRow verifies an ID-row insert: the row has one non-zero
 // ID per column and every ID round-trips through the intern table.
 func debugCheckIDRow(r *Relation, ids []term.ID) {

@@ -16,11 +16,11 @@ func mkTuple(ss ...string) Tuple {
 
 func TestColumnSinceAndDelta(t *testing.T) {
 	r := NewRelation("e", 2)
-	r.MustInsert(mkTuple("a", "b"))
-	r.MustInsert(mkTuple("b", "c"))
+	mustInsert(r, mkTuple("a", "b"))
+	mustInsert(r, mkTuple("b", "c"))
 	mark := r.Len()
-	r.MustInsert(mkTuple("c", "d"))
-	r.MustInsert(mkTuple("d", "e"))
+	mustInsert(r, mkTuple("c", "d"))
+	mustInsert(r, mkTuple("d", "e"))
 
 	if got := r.ColumnSince(0, r.Len()); got != nil {
 		t.Fatalf("ColumnSince(0, Len) = %v, want nil", got)
@@ -34,10 +34,10 @@ func TestColumnSinceAndDelta(t *testing.T) {
 	}
 
 	d := r.DeltaSince(mark)
-	if d.Len() != 2 || d.TupleAt(0).Key() != mkTuple("c", "d").Key() || !d.Contains(mkTuple("d", "e")) {
+	if d.Len() != 2 || d.TupleAt(0).Key() != mkTuple("c", "d").Key() || !contains(d, mkTuple("d", "e")) {
 		t.Fatalf("DeltaSince: %v", d)
 	}
-	if d.Contains(mkTuple("a", "b")) {
+	if contains(d, mkTuple("a", "b")) {
 		t.Fatal("DeltaSince leaked prefix row")
 	}
 	if d := r.DeltaSince(r.Len() + 5); d.Len() != 0 {
@@ -47,16 +47,16 @@ func TestColumnSinceAndDelta(t *testing.T) {
 
 func TestClonePreservesIndexes(t *testing.T) {
 	r := NewRelation("e", 2)
-	r.MustInsert(mkTuple("a", "b"))
-	r.MustInsert(mkTuple("a", "c"))
-	r.BuildIndex(0b01)
+	mustInsert(r, mkTuple("a", "b"))
+	mustInsert(r, mkTuple("a", "c"))
+	r.ensureIndex(0b01)
 	c := r.CloneOwned()
-	if !c.HasIndex(0b01) {
+	if !hasIndex(c, 0b01) {
 		t.Fatal("clone dropped index")
 	}
 	// The cloned index must be maintained by inserts and independent of
 	// the parent's.
-	c.MustInsert(mkTuple("a", "d"))
+	mustInsert(c, mkTuple("a", "d"))
 	got := c.Lookup(0b01, mkTuple("a", ""))
 	if len(got) != 3 {
 		t.Fatalf("clone lookup after insert: %d rows, want 3", len(got))

@@ -113,7 +113,7 @@ func TestFrozenLifecycleProperty(t *testing.T) {
 					continue
 				}
 				want := ep.rows[rr.Intn(len(ep.rows))]
-				if !ep.r.Contains(want) {
+				if !contains(ep.r, want) {
 					errs <- fmt.Sprintf("reader: lost row %v", want)
 					return
 				}
@@ -148,7 +148,7 @@ func TestFrozenLifecycleProperty(t *testing.T) {
 			if rng.Intn(4) == 0 && len(model) > 0 {
 				tup = model[rng.Intn(len(model))] // a duplicate of an earlier epoch's row
 			}
-			added := r.MustInsert(tup)
+			added := mustInsert(r, tup)
 			if want := !keys[tup.Key()]; added != want {
 				t.Fatalf("epoch %d: Insert(%v) added=%v, want %v", e, tup, added, want)
 			}
@@ -193,7 +193,7 @@ func tenParts(t *testing.T) *Relation {
 	i := 0
 	for k := 12; k >= 3; k-- {
 		for j := 0; j < 1<<k; j++ {
-			r.MustInsert(Tuple{term.Int(int64(i)), term.Atom(fmt.Sprintf("v%d", i%97))})
+			mustInsert(r, Tuple{term.Int(int64(i)), term.Atom(fmt.Sprintf("v%d", i%97))})
 			i++
 		}
 		r = r.Frozen()
@@ -219,7 +219,7 @@ func TestPartSuffixReadsAreOSuffix(t *testing.T) {
 		}
 		for j := range col {
 			want := r.TupleAt(from + j)
-			if col[j] != r.IDAt(1, from+j) || d.TupleAt(j).Key() != want.Key() || !d.Contains(want) {
+			if col[j] != r.IDAt(1, from+j) || d.TupleAt(j).Key() != want.Key() || !contains(d, want) {
 				t.Fatalf("from %d: suffix row %d differs from TupleAt(%d) = %v", from, j, from+j, want)
 			}
 		}
@@ -261,14 +261,14 @@ func TestPartSuffixReadsAreOSuffix(t *testing.T) {
 func TestCloneCarriesDistinctCounts(t *testing.T) {
 	r := NewRelation("r", 2)
 	for i := 0; i < 10; i++ {
-		r.MustInsert(Tuple{term.Int(int64(i)), term.Int(int64(i % 3))})
+		mustInsert(r, Tuple{term.Int(int64(i)), term.Int(int64(i % 3))})
 	}
 	if r.Distinct(0) != 10 || r.Distinct(1) != 3 {
 		t.Fatalf("parent counts %d, %d", r.Distinct(0), r.Distinct(1))
 	}
 	dropped, retry := r.CloneOwned(), r.CloneOwned()
-	dropped.MustInsert(Tuple{term.Int(100), term.Int(7)})
-	retry.MustInsert(Tuple{term.Int(100), term.Int(7)})
+	mustInsert(dropped, Tuple{term.Int(100), term.Int(7)})
+	mustInsert(retry, Tuple{term.Int(100), term.Int(7)})
 	for _, c := range []*Relation{dropped, retry} {
 		if c.Distinct(0) != 11 || c.Distinct(1) != 4 {
 			t.Fatalf("clone counts %d, %d, want 11, 4", c.Distinct(0), c.Distinct(1))

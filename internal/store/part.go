@@ -254,8 +254,7 @@ func (r *Relation) Frozen() *Relation {
 	nr := &Relation{Name: r.Name, Arity: r.Arity, parts: parts, partOff: offs, partRows: r.partRows + p.len()}
 	nr.cols = make([]idColumn, r.Arity)
 	nr.set = newRowSet(tableSize(0), nil)
-	empty := map[uint32]*colIndex{}
-	nr.indexes.Store(&empty)
+	nr.indexes.Store(&noIndexes)
 	if d := r.dist.Load(); d != nil {
 		nr.dist.Store(&distinctState{counts: slices.Clone(d.counts), fresh: make([]idSet, r.Arity)})
 	}

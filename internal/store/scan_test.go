@@ -9,10 +9,10 @@ import (
 func TestAppendMatches(t *testing.T) {
 	r := NewRelation("e", 2)
 	for i := int64(0); i < 10; i++ {
-		r.MustInsert(tup(i%3, i))
+		mustInsert(r, tup(i%3, i))
 	}
 	var buf []int32
-	buf = r.AppendMatches(1, tup(1, 0), buf[:0])
+	buf = r.AppendMatchesID(1, ids(1, 0), buf[:0])
 	if len(buf) != 3 { // (1,1) (1,4) (1,7)
 		t.Fatalf("matches = %d, want 3", len(buf))
 	}
@@ -22,13 +22,13 @@ func TestAppendMatches(t *testing.T) {
 		}
 	}
 	// No matches: probe value absent.
-	if got := r.AppendMatches(1, tup(9, 0), buf[:0]); len(got) != 0 {
+	if got := r.AppendMatchesID(1, ids(9, 0), buf[:0]); len(got) != 0 {
 		t.Errorf("matches for absent value = %d, want 0", len(got))
 	}
 	// Reuse keeps contents appended after base.
 	buf = buf[:0]
-	buf = r.AppendMatches(1, tup(0, 0), buf)
-	buf = r.AppendMatches(1, tup(2, 0), buf)
+	buf = r.AppendMatchesID(1, ids(0, 0), buf)
+	buf = r.AppendMatchesID(1, ids(2, 0), buf)
 	if len(buf) != 4+3 {
 		t.Errorf("accumulated matches = %d, want 7", len(buf))
 	}
@@ -39,7 +39,7 @@ func TestAppendMatches(t *testing.T) {
 func TestDistinctCache(t *testing.T) {
 	r := NewRelation("e", 2)
 	for i := int64(0); i < 6; i++ {
-		r.MustInsert(tup(i%2, i))
+		mustInsert(r, tup(i%2, i))
 	}
 	if got := r.Distinct(0); got != 2 {
 		t.Fatalf("Distinct(0) = %d, want 2", got)
@@ -48,7 +48,7 @@ func TestDistinctCache(t *testing.T) {
 		t.Fatalf("Distinct(1) = %d, want 6", got)
 	}
 	// Inserts after the cache is built must keep counts exact.
-	r.MustInsert(tup(5, 5)) // new col0 value, duplicate col1 value
+	mustInsert(r, tup(5, 5)) // new col0 value, duplicate col1 value
 	if got := r.Distinct(0); got != 3 {
 		t.Errorf("Distinct(0) after insert = %d, want 3", got)
 	}
@@ -57,7 +57,7 @@ func TestDistinctCache(t *testing.T) {
 	}
 	// InsertFrom path (delta collection) updates the cache too.
 	src := NewRelation("buf", 2)
-	src.MustInsert(tup(42, 42))
+	mustInsert(src, tup(42, 42))
 	if ok, err := r.InsertFrom(src, 0); err != nil || !ok {
 		t.Fatalf("InsertFrom: %v %v", ok, err)
 	}

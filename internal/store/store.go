@@ -6,22 +6,22 @@
 // columns (internal/term hash-conses every inserted term), held
 // column-major, plus one full-row hash. Deduplication is an
 // open-addressed hash set keyed on those row hashes with ID-row
-// equality on collision, and column indexes are open-addressed
-// multimaps on masked column hashes. Terms exist only at the API edge:
-// Insert interns the caller's terms and keeps no reference to the
-// tuple, and TupleAt, Lookup and Sorted build the rows they return from
-// IDs when called. Tuple.Key survives for display and debugging only —
-// no hot-path operation serializes terms.
+// equality on collision, and column indexes are open-addressed tables
+// over distinct masked column hashes, each heading a chain of its rows
+// in insertion order. Terms exist only at the API edge: Insert interns
+// the caller's terms and keeps no reference to the tuple, and TupleAt,
+// Lookup and Sorted build the rows they return from IDs when called.
+// Tuple.Key survives for display and debugging only — no hot-path
+// operation serializes terms.
 //
 // Concurrency contract: a Relation supports any number of concurrent
-// readers (Contains, Lookup, AppendMatches, TupleAt, Sorted, Distinct
-// and the ID accessors of block.go and delta.go) — including the lazy
-// index and distinct-count builds inside them, which publish
-// atomically — but writers (Insert, InsertFrom, InsertRows,
-// BuildIndex) must be externally serialized and must not run
-// concurrently with readers of the same relation. Concurrent queries
-// rely on exactly this: they read the relations of a published epoch,
-// which no writer mutates.
+// readers (Lookup, TupleAt, Sorted, Distinct and the ID accessors of
+// block.go and delta.go) — including the lazy index and distinct-count
+// builds inside them, which publish atomically — but writers (Insert,
+// InsertFrom, InsertRows, Reset) must be externally serialized and
+// must not run concurrently with readers of the same relation.
+// Concurrent queries rely on exactly this: they read the relations of
+// a published epoch, which no writer mutates.
 package store
 
 import (
@@ -99,25 +99,40 @@ func combineHash(h, col uint64) uint64 {
 	return h
 }
 
-// colIndex is an open-addressed multimap from the masked-column hash of
-// a tuple to its index. Duplicate keys are stored as separate slots;
-// lookups probe the cluster until an empty slot. Entries are never
-// deleted (relations only grow).
+// colIndex is a multimap from the masked-column hash of a row to its
+// row indexes: an open-addressed table over the *distinct* key hashes,
+// each slot heading a chain of entries in insertion order. Inserting a
+// key costs O(1) however many rows already share it, and a lookup costs
+// O(matches) — a column with few distinct values (a magic set's bound
+// column) stays linear to build. Entries are never deleted (relations
+// only grow).
 type colIndex struct {
-	cols   uint32
-	slots  []int32  // tuple index + 1; 0 = empty
-	hashes []uint64 // masked hash per occupied slot
-	mask   uint32
-	n      int
+	cols  uint32
+	slots []ciSlot
+	mask  uint32
+	nkeys int
+	ent   []int32 // per entry: the stored row index
+	next  []int32 // per entry: the next entry of its chain + 1; 0 ends it
 }
 
+// ciSlot is one key of a colIndex: its hash and the first and last
+// entries of its chain.
+type ciSlot struct {
+	key  uint64
+	head int32 // first entry + 1; 0 = empty slot
+	tail int32 // last entry
+}
+
+// newColIndex sizes the key table for capacity rows — an upper bound on
+// the distinct keys, so building over that many rows never rehashes.
 func newColIndex(cols uint32, capacity int) *colIndex {
 	size := tableSize(capacity)
 	return &colIndex{
-		cols:   cols,
-		slots:  make([]int32, size),
-		hashes: make([]uint64, size),
-		mask:   uint32(size - 1),
+		cols:  cols,
+		slots: make([]ciSlot, size),
+		mask:  uint32(size - 1),
+		ent:   make([]int32, 0, capacity),
+		next:  make([]int32, 0, capacity),
 	}
 }
 
@@ -130,49 +145,55 @@ func tableSize(n int) int {
 	return 1 << bits.Len(uint(n+n/2))
 }
 
+// slot returns the slot holding key h, or the empty slot where h goes.
+func (ci *colIndex) slot(h uint64) *ciSlot {
+	i := uint32(h) & ci.mask
+	for {
+		s := &ci.slots[i]
+		if s.head == 0 || s.key == h {
+			return s
+		}
+		i = (i + 1) & ci.mask
+	}
+}
+
 func (ci *colIndex) insert(h uint64, idx int) {
-	if ci.n*3 >= len(ci.slots)*2 {
+	e := int32(len(ci.ent))
+	ci.ent = append(ci.ent, int32(idx))
+	ci.next = append(ci.next, 0)
+	s := ci.slot(h)
+	if s.head != 0 {
+		ci.next[s.tail] = e + 1
+		s.tail = e
+		return
+	}
+	s.key, s.head, s.tail = h, e+1, e
+	ci.nkeys++
+	if ci.nkeys*3 >= len(ci.slots)*2 {
 		ci.grow()
 	}
-	i := uint32(h) & ci.mask
-	for ci.slots[i] != 0 {
-		i = (i + 1) & ci.mask
-	}
-	ci.slots[i] = int32(idx) + 1
-	ci.hashes[i] = h
-	ci.n++
 }
 
+// grow doubles the key table; chains are entry-indexed, so they move
+// with their slot unchanged.
 func (ci *colIndex) grow() {
-	old, oldh := ci.slots, ci.hashes
-	size := len(ci.slots) * 2
-	ci.slots = make([]int32, size)
-	ci.hashes = make([]uint64, size)
-	ci.mask = uint32(size - 1)
-	for i, v := range old {
-		if v == 0 {
-			continue
+	old := ci.slots
+	ci.slots = make([]ciSlot, 2*len(old))
+	ci.mask = uint32(len(ci.slots) - 1)
+	for _, s := range old {
+		if s.head != 0 {
+			*ci.slot(s.key) = s
 		}
-		h := oldh[i]
-		j := uint32(h) & ci.mask
-		for ci.slots[j] != 0 {
-			j = (j + 1) & ci.mask
-		}
-		ci.slots[j] = v
-		ci.hashes[j] = h
 	}
 }
 
-// lookup appends the indexes of every slot whose hash matches to dst.
-// Candidates still need column-wise verification by the caller (hash
-// collisions between distinct values share a slot cluster).
+// lookup appends the row indexes of key h's chain to dst, in insertion
+// order. Candidates still need column-wise verification by the caller:
+// distinct values whose masked hashes collide share a chain.
 func (ci *colIndex) lookup(h uint64, dst []int32) []int32 {
-	i := uint32(h) & ci.mask
-	for ci.slots[i] != 0 {
-		if ci.hashes[i] == h {
-			dst = append(dst, ci.slots[i]-1)
-		}
-		i = (i + 1) & ci.mask
+	s := ci.slot(h)
+	for e := s.head; e != 0; e = ci.next[e-1] {
+		dst = append(dst, ci.ent[e-1])
 	}
 	return dst
 }
@@ -342,9 +363,33 @@ func NewRelationSized(name string, arity, capacity int) *Relation {
 		}
 		r.hashes = make([]uint64, 0, capacity)
 	}
-	empty := map[uint32]*colIndex{}
-	r.indexes.Store(&empty)
+	r.indexes.Store(&noIndexes)
 	return r
+}
+
+// noIndexes is the index map of a relation that has built none. Index
+// maps are replaced copy-on-write, never mutated, so every such
+// relation shares this one.
+var noIndexes = map[uint32]*colIndex{}
+
+// Reset empties a relation that has no parts, keeping the capacity of
+// its columns, row hashes and dedup set: it drops every index, the
+// distinct counts and the combined column view, so the relation reads
+// exactly like a fresh one. The evaluator recycles a fixpoint round's
+// spent delta relations through it. Writer-side API; no column borrowed
+// from the relation may be read afterwards.
+func (r *Relation) Reset() {
+	if len(r.parts) != 0 {
+		panic(fmt.Sprintf("store: %s: Reset on a relation with parts", r.Name))
+	}
+	for c := range r.cols {
+		r.cols[c] = r.cols[c][:0]
+	}
+	r.hashes = r.hashes[:0]
+	clear(r.set.slots)
+	r.indexes.Store(&noIndexes)
+	r.dist.Store(nil)
+	r.allC.Store(nil)
 }
 
 // Len is the cardinality of the relation.
@@ -435,43 +480,6 @@ func (r *Relation) InsertFrom(src *Relation, i int) (bool, error) {
 	return true, nil
 }
 
-// MustInsert inserts and panics on structural errors; for loaders over
-// validated facts.
-func (r *Relation) MustInsert(t Tuple) bool {
-	ok, err := r.Insert(t)
-	if err != nil {
-		panic(err)
-	}
-	return ok
-}
-
-// Contains reports whether the relation holds the tuple. The probe is
-// resolved to interned IDs without interning (TryLookupID): a term the
-// intern table has never seen cannot equal any stored value, so such
-// probes answer false without touching the relation at all.
-func (r *Relation) Contains(t Tuple) bool {
-	if len(t) != r.Arity || r.Len() == 0 {
-		return false
-	}
-	var idbuf [16]term.ID
-	ids := idbuf[:0]
-	for _, x := range t {
-		id, ok := term.TryLookupID(x)
-		if !ok {
-			return false
-		}
-		ids = append(ids, id)
-	}
-	return r.ContainsIDs(ids)
-}
-
-// BuildIndex creates (or refreshes) a hash index on the column set.
-// Writer-side API: callers must hold the same external serialization
-// they hold for Insert.
-func (r *Relation) BuildIndex(cols uint32) {
-	r.indexes.Store(withIndex(*r.indexes.Load(), cols, r.idRows.buildIndex(cols, r.partRows)))
-}
-
 // withIndex returns a copy of the index map m with ci on cols: index
 // maps are replaced copy-on-write, never mutated, so readers may load
 // one without a lock.
@@ -480,12 +488,6 @@ func withIndex(m map[uint32]*colIndex, cols uint32, ci *colIndex) *map[uint32]*c
 	maps.Copy(next, m)
 	next[cols] = ci
 	return &next
-}
-
-// HasIndex reports whether an index exists on the column set.
-func (r *Relation) HasIndex(cols uint32) bool {
-	_, ok := (*r.indexes.Load())[cols]
-	return ok
 }
 
 // ensureIndex returns the tail's index on cols (parts carry their own
@@ -567,36 +569,6 @@ func probeIDs(probe Tuple, cols uint32, dst []term.ID) ([]term.ID, bool) {
 		dst = append(dst, id)
 	}
 	return dst, true
-}
-
-// AppendMatches appends to dst the row indexes whose projection on
-// cols matches probe, fully verified (not just hash-matched), and
-// returns the extended slice. cols must be non-zero and every masked
-// probe position must hold a ground term (the ldldebug build tag
-// asserts both at the call site). Passing a reused buffer as dst keeps
-// steady-state probes allocation-free.
-//
-// Borrow lifetime: the returned slice aliases dst's backing array (the
-// caller owns it; the relation keeps no reference), and the row
-// indexes it holds are stable forever — relations only grow and rows
-// never move — so a match set may be consumed across later inserts,
-// including inserts into this same relation. The matches are collected
-// before the caller sees any of them, so insert-while-consuming never
-// observes a partially built result. What a reused buffer must NOT do
-// is survive into a second AppendMatches call while the first result
-// is still being read: the second call overwrites the shared backing
-// array.
-func (r *Relation) AppendMatches(cols uint32, probe Tuple, dst []int32) []int32 {
-	debugCheckProbe(r, cols, probe)
-	if r.Len() == 0 {
-		return dst
-	}
-	var idbuf [16]term.ID
-	ids, ok := probeIDs(probe, cols, idbuf[:0])
-	if !ok {
-		return dst
-	}
-	return r.appendMatchesIDs(cols, ids, dst)
 }
 
 // appendMatchesIDs is the shared probe core: every part's index (zone
@@ -822,10 +794,11 @@ func (r *Relation) clone() *Relation {
 // clone copies a column index: flat array copies, no rehash.
 func (ci *colIndex) clone() *colIndex {
 	return &colIndex{
-		cols:   ci.cols,
-		slots:  append([]int32(nil), ci.slots...),
-		hashes: append([]uint64(nil), ci.hashes...),
-		mask:   ci.mask,
-		n:      ci.n,
+		cols:  ci.cols,
+		slots: slices.Clone(ci.slots),
+		mask:  ci.mask,
+		nkeys: ci.nkeys,
+		ent:   slices.Clone(ci.ent),
+		next:  slices.Clone(ci.next),
 	}
 }
