@@ -16,10 +16,9 @@ package ldl
 // Scope: the log persists the *fact base updates*. The program text
 // (rules and its initial facts) is not logged — it is reloaded from
 // source on every boot, exactly like the LDL++ system reloaded its rule
-// base while the EDB lived in the fact store. The manifest persists
-// gathered statistics, never overrides, so SetStats overrides and the
-// execution→cost feedback overlay are process-local tuning state and
-// are deliberately not durable.
+// base while the EDB lived in the fact store. Statistics need no log of
+// their own: every epoch's catalog is gathered from its facts, and the
+// manifest persists that catalog so a clean boot gathers nothing.
 //
 // A System without WithStorageDir skips the log: the commit path's
 // only durability cost is a nil check.

@@ -155,19 +155,10 @@ func (o *Optimizer) statsFn(l lang.Literal) stats.RelStats {
 	return o.Model.Cat.Stats(l.Tag())
 }
 
-// statsOf estimates the full extension of a derived predicate. When the
-// catalog carries explicit statistics for the tag — the serving layer
-// records observed extensions (exact cardinality and live per-column
-// distinct counts) after each materializing execution — those replace
-// the static analytic estimate below, closing the feedback loop between
-// execution and the cost model.
+// statsOf estimates the full extension of a derived predicate from
+// the statistics of the predicates its rules read.
 func (o *Optimizer) statsOf(tag string) stats.RelStats {
 	if s, ok := o.statsMemo[tag]; ok {
-		return s
-	}
-	if o.Model.Cat.Has(tag) {
-		s := o.Model.Cat.Stats(tag)
-		o.statsMemo[tag] = s
 		return s
 	}
 	if o.statsBusy[tag] {

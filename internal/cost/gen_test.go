@@ -27,7 +27,7 @@ func (b RandomBody) String() string {
 }
 
 // NewRandomBody generates a body of n goals. With badStats the catalog
-// carries a negative cardinality (as SetStats may inject) and a NaN one,
+// carries a negative cardinality (as a hand-built catalog may) and a NaN one,
 // which turn prefix pruning off.
 func NewRandomBody(r *rand.Rand, n int, badStats bool) RandomBody {
 	shapes := []string{"chain", "star", "cycle"}

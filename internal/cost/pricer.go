@@ -114,8 +114,9 @@ func (p *Pricer) init(m *Model, body []lang.Literal, boundVars map[string]bool, 
 	names := nameBuf[:0]
 	var list []int32
 	// The bound on a prefix's completions is exact only while every
-	// step cost is non-negative; a negative or NaN cardinality (SetStats
-	// can inject one) or model constant turns pruning off.
+	// step cost is non-negative; a negative or NaN cardinality (a
+	// hand-built catalog can carry one) or model constant turns pruning
+	// off.
 	p.exact = m.TupleCPU >= 0 && m.ProbeIO >= 0 && m.ScanIO >= 0 && m.BuildCPU >= 0
 	for gi, l := range body {
 		g := &p.goals[gi]

@@ -155,9 +155,8 @@ func New(prog *lang.Program, db *store.Database, opts Options) (*Engine, error) 
 }
 
 // DerivedTags returns the tags of every derived relation this engine
-// materialized, in sorted order — the serving layer walks them after a
-// run to record observed extensions (live cardinality and distinct
-// counts) back into the statistics catalog.
+// materialized, in sorted order — view maintenance walks them after a
+// run to freeze each view into the epoch it publishes with.
 func (e *Engine) DerivedTags() []string {
 	out := make([]string, 0, len(e.derived))
 	for t := range e.derived {

@@ -141,12 +141,11 @@ type entry struct {
 	p   *ldl.Prepared
 }
 
-// New builds a service around sys. The execution→cost-model feedback
-// loop is enabled: observed derived-extension statistics sharpen the
-// cardinality estimates of later plans.
+// New builds a service around sys. Its plans read only the statistics
+// gathered from each epoch's facts, so a leader, its followers and a
+// restarted leader plan every epoch alike.
 func New(sys *ldl.System, cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	sys.EnableStatsFeedback(true)
 	s := &Service{
 		cfg:     cfg,
 		adm:     resource.NewAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
@@ -395,7 +394,6 @@ func (s *Service) Reload(src string) error {
 		s.errs.Add(1)
 		return err
 	}
-	sys.EnableStatsFeedback(true)
 	s.mu.Lock()
 	s.sys.Store(sys)
 	n := int64(s.lru.Len())

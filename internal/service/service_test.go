@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -494,15 +496,60 @@ func TestPreparedCacheHitPath(t *testing.T) {
 	if got := s.Stats().Misses; got != misses {
 		t.Errorf("Misses moved %d -> %d across the warm loop", misses, got)
 	}
-	// 260 allocs/op since kernel states are pooled per compiled rule,
-	// delta relations are recycled across rounds and column indexes
-	// chain duplicate keys (513 before; a cold Optimize+Execute is
-	// ~2 100). The race detector drops a quarter of sync.Pool puts and
-	// reads ~274. The ceiling leaves ~10% for that and for runtime
-	// variation, not for a re-prepare, a kernel compile or unpooled
-	// kernel state.
-	if allocs > 286 {
-		t.Errorf("cache-hit query: %.0f allocs/op, want <= 286", allocs)
+	// 248 allocs/op with pooled kernel state and no per-execute
+	// statistics work (a cold Optimize+Execute is ~2 100). The race
+	// detector drops a quarter of sync.Pool puts and reads 259–263. The
+	// ceiling leaves ~10% for that and for runtime variation, not for a
+	// re-prepare, a kernel compile or unpooled kernel state.
+	if allocs > 272 {
+		t.Errorf("cache-hit query: %.0f allocs/op, want <= 272", allocs)
+	}
+}
+
+// TestServingLeavesPlansUnchanged: serving queries must not change the
+// plans a System chooses. Every query of every corpus program is served
+// twice through Query; then each goal's Explain must equal, byte for
+// byte, the Explain of a fresh Load of the same program. A plan is a
+// function of the program and the epoch's facts, not of the executions
+// that came before it.
+func TestServingLeavesPlansUnchanged(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "corpus", "*.ldl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no corpus files found")
+	}
+	explain := func(sys *ldl.System, goal string) string {
+		t.Helper()
+		p, err := sys.Optimize(goal)
+		if err != nil {
+			t.Fatalf("%s: %v", goal, err)
+		}
+		return p.Explain()
+	}
+	for _, f := range files {
+		t.Run(strings.TrimSuffix(filepath.Base(f), ".ldl"), func(t *testing.T) {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := mustLoad(t, string(src))
+			s := New(served, Config{MaxConcurrent: -1})
+			ctx := context.Background()
+			for round := 0; round < 2; round++ {
+				for _, goal := range served.Queries() {
+					// Unsafe forms are refused; serving them is part of the history.
+					_, _ = s.Query(ctx, goal)
+				}
+			}
+			fresh := mustLoad(t, string(src))
+			for _, goal := range served.Queries() {
+				if got, want := explain(served, goal), explain(fresh, goal); got != want {
+					t.Errorf("%s: plan after serving differs from a fresh load\n got:\n%s\nwant:\n%s", goal, got, want)
+				}
+			}
+		})
 	}
 }
 

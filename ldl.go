@@ -116,8 +116,9 @@ func (s Strategy) impl(seed int64) (core.Strategy, error) {
 }
 
 // System is a loaded knowledge base: rule base, fact base and gathered
-// statistics. The fact base is versioned into epochs: every update
-// (InsertFacts, SetStats) builds a new immutable epoch and publishes it
+// statistics. The fact base is versioned into epochs: every committed
+// batch (InsertFacts, ApplyReplicated) builds a new immutable epoch,
+// whose catalog is gathered from its facts, and publishes it
 // atomically, so any number of concurrent readers (Execute, Prepared
 // executions) run against a consistent snapshot while exactly one
 // writer at a time advances the state. An epoch is never mutated after
@@ -158,17 +159,6 @@ type System struct {
 	// events (stale streams refused, demotions latched) for STATS.
 	term   uint64
 	fenced atomic.Int64
-
-	// observed holds derived-extension statistics recorded after
-	// materializing executions (exact cardinality and live per-column
-	// distinct counts of fully computed derived predicates). When
-	// feedback is enabled they overlay the catalog at Optimize/Prepare
-	// time, replacing the optimizer's static analytic estimates. Kept
-	// outside the epoch so recording an observation does not advance the
-	// epoch (which would invalidate prepared-plan caches keyed on it).
-	obsMu    sync.Mutex
-	observed map[string]stats.RelStats
-	feedback atomic.Bool
 
 	// Durability (nil / zero unless Load saw WithStorageDir — the
 	// in-memory path pays only a nil check). wal is the write-ahead log
@@ -320,7 +310,7 @@ func Load(src string, opts ...SystemOption) (_ *System, err error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{prog: prog, queries: queries, observed: map[string]stats.RelStats{}}
+	s := &System{prog: prog, queries: queries}
 	s.graph, s.graphErr = depgraph.Analyze(prog)
 	s.term = 1 // terms start at 1; durable boots raise it from recovery
 	s.matCfg = cfg.mat
@@ -538,91 +528,12 @@ func (s *System) commit(b wal.Batch, leader bool) (added int, epoch uint64, err 
 	return added, next.id, nil
 }
 
-// EnableStatsFeedback turns on the execution→cost-model feedback loop:
-// after each materializing execution the exact cardinality and live
-// per-column distinct counts of every fully computed derived predicate
-// are recorded, and later Optimize/Prepare calls use them in place of
-// the static analytic estimates. Off by default so that plan choice is
-// a pure function of the loaded facts (the reproducibility property the
-// optimizer tests rely on); the serving layer turns it on.
-func (s *System) EnableStatsFeedback(on bool) { s.feedback.Store(on) }
-
-// effectiveCat returns the epoch catalog, overlaid with the observed
-// derived-extension statistics when feedback is enabled.
-func (s *System) effectiveCat(ep *epochState) *stats.Catalog {
-	if !s.feedback.Load() {
-		return ep.cat
-	}
-	s.obsMu.Lock()
-	defer s.obsMu.Unlock()
-	if len(s.observed) == 0 {
-		return ep.cat
-	}
-	cat := ep.cat.Clone()
-	for tag, st := range s.observed {
-		cat.Set(tag, st)
-	}
-	return cat
-}
-
-// recordObserved walks the engine's derived relations after a run and
-// records them into the feedback overlay. A derived tag carrying the
-// all-free adornment (pred.ff…f) is, by construction of the rewrites,
-// the complete extension of pred — its exact cardinality and distinct
-// counts are ground truth for the cost model, recorded under the plain
-// tag and overwritten freely. A partially bound adornment (pred.bf…)
-// is the extension restricted by this execution's constants; it is
-// recorded under the adorned tag itself — which is exactly what
-// statsOf looks up when costing the rewritten program of a later query
-// of the same form — aggregated as the max over the constants seen, the
-// safe estimate for an arbitrary future binding.
-func (s *System) recordObserved(e *eval.Engine) {
-	if !s.feedback.Load() {
-		return
-	}
-	for _, tag := range e.DerivedTags() {
-		slash := strings.LastIndexByte(tag, '/')
-		if slash < 0 {
-			continue
-		}
-		name := tag[:slash]
-		// The magic rewrite materializes the restricted extension of an
-		// adorned predicate as a$pred.adorn — strip the prefix so it is
-		// recorded under the adorned tag itself (the tag statsOf costs).
-		// The other rewrite auxiliaries (m$ seeds, c$ supplementaries,
-		// q$ answer projections) are not predicate extensions: skip.
-		if rest, ok := strings.CutPrefix(name, "a$"); ok {
-			name = rest
-		} else if strings.ContainsRune(name, '$') {
-			continue
-		}
-		dot := strings.LastIndexByte(name, '.')
-		if dot < 0 {
-			continue
-		}
-		pat := name[dot+1:]
-		if len(pat) == 0 || strings.Count(pat, "f")+strings.Count(pat, "b") != len(pat) {
-			continue // not an adornment pattern
-		}
-		r := e.RelationFor(tag)
-		if r == nil || r.Len() == 0 {
-			continue
-		}
-		st := stats.GatherOne(r)
-		s.obsMu.Lock()
-		if strings.Count(pat, "f") == len(pat) {
-			// Full extension: ground truth, latest run wins.
-			s.observed[name[:dot]+tag[slash:]] = st
-		} else {
-			// Bound form: max over constants.
-			key := name + tag[slash:]
-			if old, ok := s.observed[key]; !ok || st.Card > old.Card {
-				s.observed[key] = st
-			}
-		}
-		s.obsMu.Unlock()
-	}
-}
+// EnableStatsFeedback does nothing: plans read only the statistics
+// gathered from the epoch's facts, so every node plans an epoch alike.
+//
+// Deprecated: there is no execution feedback to enable; the method is
+// kept only for existing callers.
+func (s *System) EnableStatsFeedback(bool) {}
 
 // Queries returns the query forms embedded in the source ("goal?").
 func (s *System) Queries() []string {
@@ -642,33 +553,6 @@ func (s *System) Relations() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SetStats overrides the statistics of one relation — the hook
-// experiments use to explore synthetic "states of the database". Like
-// every statistics change it publishes a new epoch (same facts, new
-// catalog), so prepared plans keyed on the epoch re-optimize.
-func (s *System) SetStats(tag string, card float64, distinct []float64) {
-	s.writeMu.Lock()
-	ep := s.headState() // chain off head: an in-flight commit's facts must stay in the chain
-	cat := ep.cat.Clone()
-	cat.Set(tag, stats.RelStats{Card: card, Distinct: distinct})
-	if s.seg != nil {
-		s.seg.overridden[tag] = true
-	}
-	next := newEpoch(ep.id+1, ep.db, cat)
-	next.mat = ep.mat // same facts, same views
-	s.head = next
-	lsn := s.headLSN
-	s.writeMu.Unlock()
-	if s.wal != nil && lsn > 0 {
-		// The chained epoch carries facts whose commit may still be in
-		// flight; wait for their durability before publishing over them.
-		if s.wal.Commit(lsn) != nil {
-			return // log wedged: the stats tweak dies with the write path
-		}
-	}
-	s.publish(next)
 }
 
 // Option configures one Optimize call.

@@ -168,8 +168,8 @@ type Prepared struct {
 // Prepare optimizes and compiles a query form for repeated execution.
 // The goal's constants act as placeholders: any goal with the same
 // canonical form (same QueryForm key) can be executed against the
-// result. Options carry over to every Execute, where they can be
-// overridden per call.
+// result. Options carry over to every Execute, where a call may
+// replace them.
 func (s *System) Prepare(goal string, opts ...Option) (_ *Prepared, err error) {
 	defer guard(&err)
 	o := options{}.with(opts)
@@ -200,8 +200,7 @@ func (s *System) prepare(ep *epochState, key string, shape lang.Literal, nparams
 	if s.graphErr != nil {
 		return nil, nil, s.graphErr
 	}
-	cat := s.effectiveCat(ep)
-	opt := core.New(s.prog, s.graph, cat, strat)
+	opt := core.New(s.prog, s.graph, ep.cat, strat)
 	opt.Gov = o.governor()
 	var res *core.Result
 	if o.flatten {
@@ -218,7 +217,7 @@ func (s *System) prepare(ep *epochState, key string, shape lang.Literal, nparams
 		// statistical: the empty-fingerprint entry stays fresh across
 		// every epoch, so the serving layer never re-prepares a form
 		// that can never become safe.
-		p.statsFP = statsFingerprint(cat, nil)
+		p.statsFP = statsFingerprint(ep.cat, nil)
 		return p, opt, nil
 	}
 	compiled, err := res.Compile()
@@ -251,7 +250,7 @@ func (s *System) prepare(ep *epochState, key string, shape lang.Literal, nparams
 	p.methodFor = methodOverrides(compiled.FixMethods, prog2)
 	p.ansPred = compiled.AnswerTag[:strings.LastIndexByte(compiled.AnswerTag, '/')]
 	p.baseTags = progBaseTags(prog2)
-	p.statsFP = statsFingerprint(cat, p.baseTags)
+	p.statsFP = statsFingerprint(ep.cat, p.baseTags)
 	return p, opt, nil
 }
 
@@ -327,7 +326,7 @@ func (p *Prepared) Fresh() (fresh, revalidated bool) {
 	if ep.id == p.epochID || ep.id == p.validEpoch.Load() {
 		return true, false
 	}
-	if statsFingerprint(p.sys.effectiveCat(ep), p.baseTags) != p.statsFP {
+	if statsFingerprint(ep.cat, p.baseTags) != p.statsFP {
 		return false, false
 	}
 	p.validEpoch.Store(ep.id)
@@ -555,7 +554,6 @@ func (p *Prepared) run(ep *epochState, args, consts []term.Term, o options) (_ [
 	if err != nil {
 		return nil, es, err
 	}
-	p.sys.recordObserved(e)
 	return renderRows(ts), execStats(e, ep.id), nil
 }
 

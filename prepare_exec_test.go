@@ -24,8 +24,8 @@ func ancTree(fanout, depth int) (src string, leaves int) {
 	return b.String(), width
 }
 
-// preparedAnc loads the fanout-4, depth-7 tree with statistics feedback
-// on (as the server runs) and prepares the bound anc form.
+// preparedAnc loads the fanout-4, depth-7 tree and prepares the bound
+// anc form.
 func preparedAnc(tb testing.TB) (*Prepared, int) {
 	tb.Helper()
 	src, leaves := ancTree(4, 7)
@@ -33,7 +33,6 @@ func preparedAnc(tb testing.TB) (*Prepared, int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sys.EnableStatsFeedback(true)
 	p, err := sys.Prepare("anc(n7_0, Y)")
 	if err != nil {
 		tb.Fatal(err)
@@ -61,11 +60,14 @@ func TestPreparedPointExecuteAllocs(t *testing.T) {
 			t.Fatalf("%s: %d rows, %d kernel compiles; want 7, 0", goal, len(rows), es.KernelCompiles)
 		}
 	}
-	run() // warm the pools and the statistics overlay
+	run() // warm the pools
 	allocs := testing.AllocsPerRun(50, run)
 	t.Logf("cached point execute: %.0f allocs/op", allocs)
-	if allocs > 300 {
-		t.Errorf("cached point execute: %.0f allocs/op, want <= 300", allocs)
+	// 209 allocs/op measured. The race detector drops some sync.Pool
+	// puts and reads 219–223. The ceiling leaves ~10% for that, not for
+	// a re-prepare, per-execute statistics work or unpooled state.
+	if allocs > 229 {
+		t.Errorf("cached point execute: %.0f allocs/op, want <= 229", allocs)
 	}
 }
 

@@ -272,83 +272,3 @@ func TestInsertFactsRejectsRulesAndDerived(t *testing.T) {
 		t.Errorf("failed inserts advanced the epoch to %d", sys.Epoch())
 	}
 }
-
-// TestObservedStatsFeedback: with feedback enabled, an all-free
-// execution records the derived predicate's true extension statistics,
-// which subsequent Optimize calls consume in place of the analytic
-// estimate.
-func TestObservedStatsFeedback(t *testing.T) {
-	sys, err := Load(sgSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.EnableStatsFeedback(true)
-	if _, err := sys.Query("sg(X, Y)"); err != nil {
-		t.Fatal(err)
-	}
-	sys.obsMu.Lock()
-	st, ok := sys.observed["sg/2"]
-	sys.obsMu.Unlock()
-	if !ok {
-		t.Fatal("no observed stats recorded for sg/2")
-	}
-	want, err := sys.Query("sg(X, Y)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(st.Card) != len(want) {
-		t.Errorf("observed Card = %v, true extension %d", st.Card, len(want))
-	}
-	// The overlay feeds Optimize: a plan for the bound form still works.
-	rows, err := sys.Query("sg(a1, Y)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Error("no answers under observed stats")
-	}
-}
-
-// TestObservedBoundFormFeedback: bound-form executions record observed
-// cardinalities under the adorned tag (sg.bf/2 here), aggregated as the
-// max over the constants seen — exactly the key statsOf consults when
-// costing the rewritten program of a later query of the same form.
-func TestObservedBoundFormFeedback(t *testing.T) {
-	sys, err := Load(sgSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.EnableStatsFeedback(true)
-	small, err := sys.Query("sg(d1, Y)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.obsMu.Lock()
-	first, ok := sys.observed["sg.bf/2"]
-	sys.obsMu.Unlock()
-	if !ok {
-		t.Fatal("no observed stats recorded for the adorned form sg.bf/2")
-	}
-	if int(first.Card) < len(small) {
-		t.Errorf("observed Card %v below the %d answers served", first.Card, len(small))
-	}
-	// A broader constant may observe a larger restricted extension; a
-	// narrower one must never shrink the recorded max.
-	if _, err := sys.Query("sg(a1, Y)"); err != nil {
-		t.Fatal(err)
-	}
-	sys.obsMu.Lock()
-	agg := sys.observed["sg.bf/2"]
-	sys.obsMu.Unlock()
-	if agg.Card < first.Card {
-		t.Errorf("aggregate Card %v shrank below earlier observation %v (want max over constants)", agg.Card, first.Card)
-	}
-	// The overlay must not break later bound-form plans.
-	rows, err := sys.Query("sg(a1, Y)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Error("no answers under observed adorned stats")
-	}
-}

@@ -28,10 +28,8 @@ package ldl
 
 import (
 	"fmt"
-	"maps"
 
 	"ldl/internal/segment"
-	"ldl/internal/stats"
 	"ldl/internal/store"
 	"ldl/internal/term"
 	"ldl/internal/wal"
@@ -52,14 +50,12 @@ func WithStorageDir(dir string) SystemOption {
 
 // segState is the storage tier's runtime state. man is the manifest
 // the directory currently commits to; it is read at boot and advanced
-// only by segCheckpoint (under ckptMu). overridden (guarded by writeMu)
-// names the tags SetStats overrode: overrides are process-local, so a
-// flush persists freshly gathered statistics for them.
+// only by segCheckpoint (under ckptMu). The statistics a manifest
+// persists are its epoch's catalog, which is gathered from the facts.
 type segState struct {
-	dir        string
-	fs         wal.FS
-	man        *segment.Manifest
-	overridden map[string]bool
+	dir string
+	fs  wal.FS
+	man *segment.Manifest
 }
 
 // attachSegments mounts the storage directory's committed prefix into
@@ -94,7 +90,7 @@ func (s *System) attachSegments(db *store.Database, cfg sysConfig) (*segment.Man
 			}
 		}
 	}
-	s.seg = &segState{dir: dir, fs: fs, man: man, overridden: map[string]bool{}}
+	s.seg = &segState{dir: dir, fs: fs, man: man}
 	return man, nil
 }
 
@@ -133,7 +129,6 @@ func (s *System) segCheckpoint() error {
 		s.writeMu.Unlock()
 		return err
 	}
-	overridden := maps.Clone(s.seg.overridden)
 	frozen := &epochState{id: ep.id, db: ep.db.FrozenFork(), cat: ep.cat, hints: ep.hints, mat: ep.mat}
 	s.head = frozen
 	// Same epoch id, same facts: publish() refuses id <= current, so
@@ -171,11 +166,7 @@ func (s *System) segCheckpoint() error {
 			}
 			segs = append(segs[:len(segs):len(segs)], name)
 		}
-		st := ep.cat.Stats(tag)
-		if overridden[tag] {
-			st = stats.GatherOne(r)
-		}
-		next.Rels = append(next.Rels, segment.RelEntry{Tag: tag, Arity: r.Arity, Rows: n, Segments: segs, Stats: st})
+		next.Rels = append(next.Rels, segment.RelEntry{Tag: tag, Arity: r.Arity, Rows: n, Segments: segs, Stats: ep.cat.Stats(tag)})
 	}
 	if err := segment.WriteManifest(s.seg.fs, s.seg.dir, next); err != nil {
 		return err

@@ -67,7 +67,6 @@ func TestExportedSystemMethodSurface(t *testing.T) {
 		"Recovery",
 		"Relations",
 		"SetReadOnly",
-		"SetStats",
 		"StorageStats",
 		"Term",
 		"WALAccess",

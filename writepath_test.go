@@ -217,37 +217,3 @@ func TestWritePathParity(t *testing.T) {
 		}
 	}
 }
-
-// TestSetStatsIsProcessLocal: a SetStats override is experiment state
-// for one process. It must not survive a restart of the durable tier,
-// and it must not poison the statistics a restarted process gathers or
-// maintains (a stuck Acyclic=false would disable counting).
-func TestSetStatsIsProcessLocal(t *testing.T) {
-	t.Run("storage", func(t *testing.T) {
-		fs := wal.NewMemFS()
-		reopen := func() *System {
-			t.Helper()
-			sys, err := Load(durSrc, withStorageFS(fs)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ep := sys.snapshot()
-			if got, want := catalogString(ep.cat), catalogString(stats.Gather(ep.db)); got != want {
-				t.Fatalf("catalog after reopen differs from a fresh gather\n got: %s\nwant: %s", got, want)
-			}
-			return sys
-		}
-		sys := reopen()
-		sys.SetStats("par/2", 123456, []float64{1, 1})
-		for i := 0; i < 2; i++ {
-			if _, _, err := sys.InsertFacts(durBatch(i)); err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.Close(); err != nil {
-				t.Fatal(err)
-			}
-			sys = reopen()
-		}
-		sys.Close()
-	})
-}
