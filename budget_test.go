@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -171,6 +172,37 @@ func TestOptimizerBudgetFallsBackToKBZ(t *testing.T) {
 	}
 	if len(rows) == 0 || len(rows) != len(want) {
 		t.Errorf("degraded plan: %d rows, unoptimized: %d", len(rows), len(want))
+	}
+}
+
+// TestPlanStatesCounted checks Plan.States: an ungoverned Optimize
+// reports 0, an unreachable optimizer budget counts without limiting,
+// and a budget that trips reports the states charged past it.
+func TestPlanStatesCounted(t *testing.T) {
+	sys, err := Load(chainJoin(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal := "chain(X0, X1, X2, X3, X4, X5, X6, X7)"
+	states := func(opts ...Option) int {
+		plan, err := sys.Optimize(goal, append(opts, WithStrategy(StrategyExhaustive))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.States
+	}
+	if n := states(); n != 0 {
+		t.Errorf("ungoverned States = %d, want 0", n)
+	}
+	full := states(WithOptimizerBudget(math.MaxInt))
+	if full <= 20 {
+		t.Errorf("unlimited States = %d, want > 20 (7 relations, exhaustive)", full)
+	}
+	if n := states(WithOptimizerBudget(math.MaxInt)); n != full {
+		t.Errorf("States not deterministic: %d then %d", full, n)
+	}
+	if n := states(WithOptimizerBudget(20)); n <= 20 || n >= full {
+		t.Errorf("budget-20 States = %d, want in (20, %d)", n, full)
 	}
 }
 

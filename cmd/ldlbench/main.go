@@ -1,6 +1,5 @@
 // Command ldlbench regenerates the paper's experiment tables (see
-// DESIGN.md §4 and EXPERIMENTS.md), and doubles as a protocol-aware
-// load-generating client for a running ldlserver.
+// DESIGN.md §4 and EXPERIMENTS.md).
 //
 // Usage:
 //
@@ -8,27 +7,8 @@
 //	ldlbench -e 1       # run experiment E1 only (also: -e A1 ablations)
 //	ldlbench -list      # list experiments
 //
-//	ldlbench -addr :7654 -n 100 -query "sg(b1, Y)"   # query load
-//	ldlbench -addr :7654 -n 100 -load "par(x%d, y)." # write load
-//
-//	ldlbench -addr :7654 -n 100 -mix-every 10 \
-//	    -query "sg(b1, Y)" -load "par(x%d, y)."      # mixed append→query load
-//
-//	ldlbench -addr :7655 -n 100 -mix-every 10 -ryw \
-//	    -query "sg(b1, Y)" -load "par(x%d, y)."      # read-your-writes check
-//
-// The client honors the server's failure vocabulary: overload
-// ("ERR overloaded retry: ...") and an unsatisfied read-your-writes
-// wait ("ERR lagging behind=<n>") are retried with bounded jittered
-// backoff, and a replica's write refusal ("ERR read-only
-// leader=<addr>") redirects the connection to the advertised leader —
-// following redirect chains hop by hop during a failover, bounded by a
-// hop limit and loop detection.
-//
-// -ryw turns a mixed run into a session-consistency assertion: each
-// LOAD acknowledgement's epoch=<E> becomes the wait=<E> of every
-// following QUERY, so a replica may be stale but must never answer a
-// session's read from before that session's last write.
+// Load generation against a running ldlserver lives in bench/ (bash
+// bench/run.sh --workload <name>).
 package main
 
 import (
@@ -37,7 +17,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"time"
 
 	"ldl/internal/experiments"
 )
@@ -50,27 +29,18 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("ldlbench", flag.ContinueOnError)
-	var (
-		exp  = fs.String("e", "", "experiment id (1..10, A1..A3); empty runs all")
-		list = fs.Bool("list", false, "list experiment ids and titles")
+// flags declares the command line: -e and -list.
+func flags() (fs *flag.FlagSet, exp *string, list *bool) {
+	fs = flag.NewFlagSet("ldlbench", flag.ContinueOnError)
+	exp = fs.String("e", "", "experiment id (1..10, A1..A3); empty runs all")
+	list = fs.Bool("list", false, "list experiment ids and titles")
+	return fs, exp, list
+}
 
-		addr     = fs.String("addr", "", "ldlserver address: run as a benchmark client instead of the experiments")
-		query    = fs.String("query", "sg(b1, Y)", "client mode: goal each request queries")
-		load     = fs.String("load", "", "client mode: fact template each request loads (%d = request index); overrides -query")
-		n        = fs.Int("n", 100, "client mode: number of requests")
-		mixEvery = fs.Int("mix-every", 0, "client mode: interleave appends into the query stream — every Nth request LOADs the -load template, the rest QUERY the -query goal (the incremental-maintenance workload)")
-		retries  = fs.Int("retries", 5, "client mode: max retries per request on overload, lagging wait, or transport failure")
-		backoff  = fs.Duration("backoff", 10*time.Millisecond, "client mode: initial retry backoff (doubles, jittered)")
-		ryw      = fs.Bool("ryw", false, "client mode: read-your-writes — each QUERY carries wait=<E> of the last acknowledged LOAD, asserting session consistency (needs -mix-every)")
-	)
+func run(args []string, stdout io.Writer) error {
+	fs, exp, list := flags()
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *addr != "" {
-		return runClient(*addr, *query, *load, *n, *mixEvery, *retries, *backoff, *ryw, stdout)
 	}
 	if *list {
 		for _, t := range experiments.Index() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 )
@@ -35,5 +36,16 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-badflag"}, &out); err == nil {
 		t.Error("bad flag accepted")
+	}
+}
+
+// TestFlagSet pins the command line to the experiment-table flags:
+// load generation is bench/'s job, not a second client here.
+func TestFlagSet(t *testing.T) {
+	fs, _, _ := flags()
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if got := strings.Join(names, " "); got != "e list" {
+		t.Errorf("flags = %q, want \"e list\"", got)
 	}
 }

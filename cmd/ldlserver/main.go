@@ -147,7 +147,6 @@ func main() {
 		MaxConcurrent:  *workers,
 		MaxQueue:       *queue,
 		DefaultTimeout: *timeout,
-		SystemOptions:  sysOpts,
 	})
 	srv.idleTimeout = *idle
 	srv.rywTimeout = *rywWait

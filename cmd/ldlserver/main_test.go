@@ -345,7 +345,7 @@ func TestMaterializedServerStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	srv := newServer(sys, service.Config{SystemOptions: []ldl.SystemOption{ldl.WithMaterialized()}})
+	srv := newServer(sys, service.Config{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)

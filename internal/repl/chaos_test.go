@@ -37,6 +37,15 @@ func mkBatch(e uint64) wal.Batch {
 		}}}}
 }
 
+// appendSync appends b and commits it under the log's fsync policy.
+func appendSync(l *wal.Log, b wal.Batch) error {
+	lsn, err := l.AppendCommit(b)
+	if err != nil {
+		return err
+	}
+	return l.Commit(lsn)
+}
+
 // tupleKeys renders a batch's tuples as set keys.
 func tupleKeys(b wal.Batch) []string {
 	var out []string
@@ -138,7 +147,7 @@ func (ld *chaosLeader) publish(e uint64) {
 // append logs one batch and publishes its epoch — the leader
 // acknowledging a write.
 func (ld *chaosLeader) append(e uint64) {
-	if err := ld.log.Append(mkBatch(e)); err != nil {
+	if err := appendSync(ld.log, mkBatch(e)); err != nil {
 		ld.t.Fatal(err)
 	}
 	ld.publish(e)
@@ -150,7 +159,7 @@ func (ld *chaosLeader) append(e uint64) {
 func (ld *chaosLeader) appendT(e uint64) {
 	b := mkBatch(e)
 	b.Term = ld.term.Load()
-	if err := ld.log.Append(b); err != nil {
+	if err := appendSync(ld.log, b); err != nil {
 		ld.t.Fatal(err)
 	}
 	ld.publish(e)

@@ -40,7 +40,11 @@ func shipLeader(t *testing.T, fs wal.FS, upTo uint64) *wal.Log {
 func appendEpochs(t *testing.T, l *wal.Log, from, to uint64) {
 	t.Helper()
 	for e := from; e <= to; e++ {
-		if err := l.Append(shipBatch(e)); err != nil {
+		lsn, err := l.AppendCommit(shipBatch(e))
+		if err == nil {
+			err = l.Commit(lsn)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,5 +1,5 @@
 // Package service is the concurrent query service: the layer that
-// turns the library's Systems and Plans into something a server can
+// turns one library System and its Plans into something a server can
 // expose. It owns three mechanisms:
 //
 //   - A prepared-plan cache. Incoming goals are canonicalized to their
@@ -7,9 +7,9 @@
 //     ldl.QueryForm); the Optimize→rewrite→compile-kernels pipeline runs
 //     once per form, and subsequent queries of the same form bind their
 //     constants into the cached register-frame programs. The cache is a
-//     size-capped LRU with hit/miss/eviction counters; entries are
-//     invalidated when the fact base advances past the epoch they were
-//     optimized under, or when the program is reloaded.
+//     size-capped LRU with hit/miss/eviction counters; an entry is
+//     invalidated when the fact base advances past the epoch it was
+//     optimized under and the statistics its plan read have changed.
 //
 //   - Snapshot-isolated serving. Readers execute against immutable
 //     epoch snapshots of the store while the single writer applies fact
@@ -55,13 +55,8 @@ type Config struct {
 	// DefaultTimeout bounds each request's wall clock via the resource
 	// governor (default 0 = no per-request deadline).
 	DefaultTimeout time.Duration
-	// Options are applied to every Prepare/Optimize and Execute.
+	// Options are applied to every Prepare and Execute.
 	Options []ldl.Option
-	// SystemOptions are applied when Reload builds a replacement System,
-	// so Load-time configuration (e.g. ldl.WithMaterialized) survives a
-	// program reload. The initial System is built by the caller; keep
-	// the two in sync.
-	SystemOptions []ldl.SystemOption
 }
 
 func (c Config) withDefaults() Config {
@@ -114,16 +109,13 @@ type Response struct {
 	FromViews bool
 }
 
-// Service serves queries against one System. All methods are safe for
-// concurrent use; Load and Reload serialize internally (single-writer
-// epoch discipline).
+// Service serves queries against one System for its whole life. All
+// methods are safe for concurrent use; Load serializes inside the
+// System (single-writer epoch discipline).
 type Service struct {
 	cfg Config
 	adm *resource.Admission
-
-	// sys is swapped atomically by Reload; everything else observes it
-	// through it.
-	sys atomic.Pointer[ldl.System]
+	sys *ldl.System
 
 	mu      sync.Mutex
 	entries map[string]*list.Element // key -> element whose Value is *entry
@@ -146,18 +138,17 @@ type entry struct {
 // restarted leader plan every epoch alike.
 func New(sys *ldl.System, cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	s := &Service{
+	return &Service{
 		cfg:     cfg,
 		adm:     resource.NewAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
+		sys:     sys,
 		entries: map[string]*list.Element{},
 		lru:     list.New(),
 	}
-	s.sys.Store(sys)
-	return s
 }
 
-// System returns the currently served System.
-func (s *Service) System() *ldl.System { return s.sys.Load() }
+// System returns the served System.
+func (s *Service) System() *ldl.System { return s.sys }
 
 // AdmissionGate exposes the service's admission controller. Servers use
 // it to drain on shutdown (wait for Active and Queued to reach zero)
@@ -165,11 +156,10 @@ func (s *Service) System() *ldl.System { return s.sys.Load() }
 func (s *Service) AdmissionGate() *resource.Admission { return s.adm }
 
 // Query answers one goal. The plan comes from the prepared-plan cache
-// when the goal's canonical form is cached and fresh; otherwise the
-// form is prepared (optimized + compiled) and cached. Goals the
-// parameterized path cannot canonicalize (compound arguments) fall
-// back to one-shot Optimize+Execute. Under overload Query returns
-// ErrOverloaded without doing any work.
+// when the goal's canonical form (ldl.QueryForm; constants nested in
+// compound arguments are parameters too) is cached and fresh;
+// otherwise the form is prepared (optimized + compiled) and cached.
+// Under overload Query returns ErrOverloaded without doing any work.
 func (s *Service) Query(ctx context.Context, goal string) (*Response, error) {
 	release, err := s.adm.Acquire(ctx)
 	if err != nil {
@@ -185,60 +175,38 @@ func (s *Service) Query(ctx context.Context, goal string) (*Response, error) {
 }
 
 func (s *Service) query(ctx context.Context, goal string) (*Response, error) {
-	sys := s.sys.Load()
 	// A materialized System serves straight from its views: the answers
 	// are the same epoch-consistent fixpoint the optimize path would
 	// compute, already maintained incrementally by the write path. Goals
 	// the views cannot serve (parse errors surface below; predicates the
 	// program does not define) fall through to the planner.
-	if sys.Materialized() {
-		if rows, ok, err := sys.AnswersFromViews(goal); err == nil && ok {
+	if s.sys.Materialized() {
+		if rows, ok, err := s.sys.AnswersFromViews(goal); err == nil && ok {
 			s.viewHits.Add(1)
-			return &Response{Rows: rows, Stats: ldl.ExecStats{Epoch: sys.Epoch()}, FromViews: true}, nil
+			return &Response{Rows: rows, Stats: ldl.ExecStats{Epoch: s.sys.Epoch()}, FromViews: true}, nil
 		}
 	}
-	opts := s.execOptions(ctx)
 	key, err := ldl.QueryForm(goal)
-	if errors.Is(err, ldl.ErrNotPreparable) {
-		return s.queryOneShot(sys, goal, opts)
-	}
 	if err != nil {
 		return nil, err
 	}
-	p, hit := s.lookup(sys, key)
+	p, hit := s.lookup(key)
 	if !hit {
 		// Prepare outside the cache lock: optimization can be slow and
 		// must not serialize unrelated queries. Two racing misses on
 		// the same form both prepare; the second insert wins — wasted
 		// work once, never wrong answers.
-		p, err = sys.Prepare(goal, s.cfg.Options...)
+		p, err = s.sys.Prepare(goal, s.cfg.Options...)
 		if err != nil {
 			return nil, err
 		}
 		s.insert(key, p)
 	}
-	rows, es, err := p.ExecuteStats(goal, opts...)
+	rows, es, err := p.ExecuteStats(goal, s.execOptions(ctx)...)
 	if err != nil {
 		return nil, err
 	}
 	return &Response{Rows: rows, Stats: es, CacheHit: hit}, nil
-}
-
-// queryOneShot is the uncacheable path: full Optimize+Execute.
-func (s *Service) queryOneShot(sys *ldl.System, goal string, opts []ldl.Option) (*Response, error) {
-	s.misses.Add(1)
-	plan, err := sys.Optimize(goal, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if !plan.Safe() {
-		return nil, errors.New("unsafe query: " + plan.Reason())
-	}
-	rows, es, err := plan.ExecuteStats()
-	if err != nil {
-		return nil, err
-	}
-	return &Response{Rows: rows, Stats: es}, nil
 }
 
 func (s *Service) execOptions(ctx context.Context) []ldl.Option {
@@ -258,7 +226,7 @@ func (s *Service) execOptions(ctx context.Context) []ldl.Option {
 // and kept when the statistics its plan was optimized over are
 // unchanged — only an entry whose inputs actually moved is dropped,
 // counting as an invalidation plus a miss.
-func (s *Service) lookup(sys *ldl.System, key string) (*ldl.Prepared, bool) {
+func (s *Service) lookup(key string) (*ldl.Prepared, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.entries[key]
@@ -313,7 +281,7 @@ func (s *Service) Load(ctx context.Context, facts string) (added int, epoch uint
 	}
 	defer release()
 	s.loads.Add(1)
-	added, epoch, err = s.sys.Load().InsertFacts(facts)
+	added, epoch, err = s.sys.InsertFacts(facts)
 	if err != nil {
 		s.errs.Add(1)
 	}
@@ -355,11 +323,9 @@ func (e *LaggingError) Is(target error) bool { return target == ErrLagging }
 // replica read, and the read either observes the write or fails with a
 // *LaggingError saying how far behind the replica is. The wait sleeps
 // until the System publishes (ldl.System.Changed), so it returns the
-// moment the epoch lands. It watches the System served when it began: a
-// concurrent Reload ends it at its deadline.
+// moment the epoch lands.
 func (s *Service) WaitEpoch(ctx context.Context, want uint64, timeout time.Duration) error {
-	sys := s.sys.Load()
-	at := sys.Epoch()
+	at := s.sys.Epoch()
 	if at >= want {
 		return nil
 	}
@@ -369,8 +335,8 @@ func (s *Service) WaitEpoch(ctx context.Context, want uint64, timeout time.Durat
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
-		changed := sys.Changed()
-		if sys.Epoch() >= want {
+		changed := s.sys.Changed()
+		if s.sys.Epoch() >= want {
 			return nil
 		}
 		select {
@@ -378,30 +344,12 @@ func (s *Service) WaitEpoch(ctx context.Context, want uint64, timeout time.Durat
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-deadline.C:
-			if at = sys.Epoch(); at >= want {
+			if at = s.sys.Epoch(); at >= want {
 				return nil
 			}
 			return &LaggingError{Want: want, At: at}
 		}
 	}
-}
-
-// Reload replaces the entire program (rules and facts) and purges the
-// plan cache.
-func (s *Service) Reload(src string) error {
-	sys, err := ldl.Load(src, s.cfg.SystemOptions...)
-	if err != nil {
-		s.errs.Add(1)
-		return err
-	}
-	s.mu.Lock()
-	s.sys.Store(sys)
-	n := int64(s.lru.Len())
-	s.entries = map[string]*list.Element{}
-	s.lru = list.New()
-	s.invalidations.Add(n)
-	s.mu.Unlock()
-	return nil
 }
 
 // Stats snapshots the service counters.
@@ -410,7 +358,7 @@ func (s *Service) Stats() Stats {
 	size := s.lru.Len()
 	s.mu.Unlock()
 	return Stats{
-		Epoch:         s.sys.Load().Epoch(),
+		Epoch:         s.sys.Epoch(),
 		PlanCacheSize: size,
 		Hits:          s.hits.Load(),
 		Misses:        s.misses.Load(),

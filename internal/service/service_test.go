@@ -218,46 +218,40 @@ func TestEpochDeltaRevalidation(t *testing.T) {
 	}
 }
 
-func TestReloadPurgesCache(t *testing.T) {
-	s := New(mustLoad(t, sgSrc), Config{})
-	ctx := context.Background()
-	if _, err := s.Query(ctx, "sg(a1, Y)"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Reload("par(x, y).\nsg(X, Y) <- par(X, Y).\n"); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.PlanCacheSize != 0 {
-		t.Errorf("cache size = %d after reload", st.PlanCacheSize)
-	}
-	r, err := s.Query(ctx, "sg(x, Y)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.CacheHit {
-		t.Error("cache hit against reloaded program")
-	}
-	if rowsKey(r.Rows) != "x,y" {
-		t.Errorf("rows = %v", r.Rows)
-	}
-}
-
-func TestNotPreparableFallsBack(t *testing.T) {
-	src := "p(f(a), 1).\np(f(b), 2).\nq(X, N) <- p(X, N).\n"
-	s := New(mustLoad(t, src), Config{})
-	r, err := s.Query(context.Background(), "q(f(a), N)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.CacheHit {
-		t.Error("compound-arg goal reported a cache hit")
-	}
-	if rowsKey(r.Rows) != "f(a),1" {
-		t.Errorf("rows = %v", r.Rows)
-	}
-	if s.Stats().PlanCacheSize != 0 {
-		t.Error("uncacheable form was cached")
+// TestCompoundFormHitsCache serves a goal with a compound argument
+// through the plan cache: the first form misses and is prepared, a
+// goal of the same form with other constants nested in the compound
+// hits, and both answer exactly what unoptimized evaluation does.
+func TestCompoundFormHitsCache(t *testing.T) {
+	src := "p(f(a), 1).\np(f(b), 2).\np(g(a), 3).\nq(X, N) <- p(X, N).\n"
+	sys := mustLoad(t, src)
+	s := New(sys, Config{})
+	for i, c := range []struct {
+		goal string
+		hit  bool
+		rows string
+	}{
+		{"q(f(a), N)", false, "f(a),1"},
+		{"q(f(b), N)", true, "f(b),2"},
+		{"q(f(c), N)", true, ""},
+	} {
+		r, err := s.Query(context.Background(), c.goal)
+		if err != nil {
+			t.Fatalf("%s: %v", c.goal, err)
+		}
+		if r.CacheHit != c.hit {
+			t.Errorf("%s: CacheHit = %v, want %v", c.goal, r.CacheHit, c.hit)
+		}
+		want, _, err := sys.EvaluateUnoptimized(c.goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowsKey(r.Rows); got != rowsKey(want) || got != c.rows {
+			t.Errorf("%s: rows %q, unoptimized %q, want %q", c.goal, got, rowsKey(want), c.rows)
+		}
+		if st := s.Stats(); st.PlanCacheSize != 1 || st.Misses != 1 || st.Hits != int64(i) {
+			t.Errorf("%s: stats %+v, want one cached form, 1 miss, %d hits", c.goal, st, i)
+		}
 	}
 }
 
@@ -393,7 +387,7 @@ tc(X, Y) <- edge(X, Z), tc(Z, Y).
 }
 
 // TestConcurrentMixedWorkload stresses the full service surface from
-// many goroutines: cached queries, uncacheable queries, fact loads and
+// many goroutines: cached queries of several forms, fact loads and
 // malformed input, all interleaved. It asserts only invariants (no
 // panic, no wedge, counters balance) — the correctness of each answer
 // is TestSnapshotIsolation's job. Run under -race in CI.
@@ -496,7 +490,7 @@ func TestPreparedCacheHitPath(t *testing.T) {
 	if got := s.Stats().Misses; got != misses {
 		t.Errorf("Misses moved %d -> %d across the warm loop", misses, got)
 	}
-	// 248 allocs/op with pooled kernel state and no per-execute
+	// 245 allocs/op with pooled kernel state and no per-execute
 	// statistics work (a cold Optimize+Execute is ~2 100). The race
 	// detector drops a quarter of sync.Pool puts and reads 259–263. The
 	// ceiling leaves ~10% for that and for runtime variation, not for a

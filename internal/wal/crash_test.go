@@ -60,7 +60,7 @@ const (
 )
 
 // runSchedule drives the fixed schedule against fs until a fault stops
-// it, returning the epochs whose Append was acknowledged (returned
+// it, returning the epochs whose append was acknowledged (returned
 // nil). cumulative[i] is the fact state after batches [0..i).
 func runSchedule(t *testing.T, fs *MemFS, policy SyncPolicy) (acked []uint64) {
 	t.Helper()
@@ -76,7 +76,7 @@ func runSchedule(t *testing.T, fs *MemFS, policy SyncPolicy) (acked []uint64) {
 	for i := 0; i < scheduleBatches; i++ {
 		e := uint64(firstEpoch + i)
 		b := mkBatch(e)
-		if err := l.Append(b); err != nil {
+		if err := appendSync(l, b); err != nil {
 			return acked
 		}
 		acked = append(acked, e)

@@ -15,7 +15,7 @@ import (
 func TestSnapshotFileRefused(t *testing.T) {
 	fs := NewMemFS()
 	l, _, _ := mustOpen(t, fs, Options{})
-	if err := l.Append(mkBatch(2)); err != nil {
+	if err := appendSync(l, mkBatch(2)); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -69,7 +69,7 @@ func TestRecoverPartiallyCreatedDir(t *testing.T) {
 		}
 		// The dir is still usable: reopen, append, recover.
 		l, _, _ := mustOpen(t, fs, Options{})
-		if err := l.Append(mkBatch(2)); err != nil {
+		if err := appendSync(l, mkBatch(2)); err != nil {
 			t.Fatal(err)
 		}
 		l.Close()
@@ -106,7 +106,7 @@ func TestRecoverPartiallyCreatedDir(t *testing.T) {
 			t.Errorf("rep=%+v, want 0 epochs and %d dropped", rep, len(buf)-3)
 		}
 		l, _, _ := mustOpen(t, fs, Options{})
-		if err := l.Append(mkBatch(2)); err != nil {
+		if err := appendSync(l, mkBatch(2)); err != nil {
 			t.Fatal(err)
 		}
 		l.Close()

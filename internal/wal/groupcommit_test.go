@@ -130,8 +130,8 @@ func TestGroupCommitSyncFailureWedges(t *testing.T) {
 }
 
 func TestGroupCommitRelaxedPolicies(t *testing.T) {
-	// Under SyncNever/SyncInterval, Commit applies the same relaxed rules
-	// as Append: it returns without forcing an fsync.
+	// Under SyncNever/SyncInterval, Commit applies the relaxed rules: it
+	// returns without forcing an fsync.
 	mem := NewMemFS()
 	fs := &syncCountFS{FS: mem}
 	l, _, _ := mustOpen(t, fs, Options{Sync: SyncNever})

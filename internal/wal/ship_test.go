@@ -33,7 +33,7 @@ func TestShipResumeFromSegments(t *testing.T) {
 	fs := NewMemFS()
 	l, _, _ := mustOpen(t, fs, Options{})
 	for e := uint64(2); e <= 6; e++ {
-		if err := l.Append(mkBatch(e)); err != nil {
+		if err := appendSync(l, mkBatch(e)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,7 +61,7 @@ func TestShipPublishedEpochCap(t *testing.T) {
 	fs := NewMemFS()
 	l, _, _ := mustOpen(t, fs, Options{})
 	for e := uint64(2); e <= 5; e++ {
-		if err := l.Append(mkBatch(e)); err != nil {
+		if err := appendSync(l, mkBatch(e)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestShipRetiredUnderCursor(t *testing.T) {
 	fs := NewMemFS()
 	l, _, _ := mustOpen(t, fs, Options{})
 	for e := uint64(2); e <= 4; e++ {
-		if err := l.Append(mkBatch(e)); err != nil {
+		if err := appendSync(l, mkBatch(e)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestShipRetiredUnderCursor(t *testing.T) {
 func TestShipWaitsAtTornTail(t *testing.T) {
 	fs := NewMemFS()
 	l, _, _ := mustOpen(t, fs, Options{})
-	if err := l.Append(mkBatch(2)); err != nil {
+	if err := appendSync(l, mkBatch(2)); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a frame caught mid-write: append half a record's bytes

@@ -13,7 +13,7 @@ func TestTermRecordRecovered(t *testing.T) {
 	if rep.Term != 0 {
 		t.Fatalf("fresh dir term = %d, want 0", rep.Term)
 	}
-	if err := l.Append(mkBatch(2)); err != nil {
+	if err := appendSync(l, mkBatch(2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendTerm(2, 2); err != nil {
@@ -21,7 +21,7 @@ func TestTermRecordRecovered(t *testing.T) {
 	}
 	b3 := mkBatch(3)
 	b3.Term = 2
-	if err := l.Append(b3); err != nil {
+	if err := appendSync(l, b3); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -50,7 +50,7 @@ func TestTermSurvivesCheckpointRetirement(t *testing.T) {
 	fs := NewMemFS()
 	l, _, _ := mustOpen(t, fs, Options{})
 	for e := uint64(2); e <= 4; e++ {
-		if err := l.Append(mkBatch(e)); err != nil {
+		if err := appendSync(l, mkBatch(e)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -33,12 +33,12 @@ import (
 	"time"
 )
 
-// SyncPolicy says when Append makes records durable.
+// SyncPolicy says when Commit makes appended records durable.
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: an acknowledged batch
-	// survives any crash. The default.
+	// SyncAlways fsyncs before every Commit returns: an acknowledged
+	// batch survives any crash. The default.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs at most once per Options.Interval (plus on
 	// rotation, checkpoint and close): a crash may lose the last
@@ -105,8 +105,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Log is the append side of the write-ahead log. Append, Rotate,
-// Retire and Close are safe for concurrent use; the single-writer
+// Log is the append side of the write-ahead log. AppendCommit, Commit,
+// Rotate, Retire and Close are safe for concurrent use; the single-writer
 // discipline above it means contention is rare.
 type Log struct {
 	dir  string
@@ -156,39 +156,13 @@ func parseSeq(name, prefix string) (uint64, bool) {
 	return v, true
 }
 
-// Append encodes b as one record, writes it to the active segment and
-// applies the fsync policy. When it returns nil under SyncAlways, the
-// batch is durable. On any write or sync failure the log wedges: the
-// error is returned now and by every subsequent Append.
-func (l *Log) Append(b Batch) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.wedged != nil {
-		return l.wedged
-	}
-	buf, err := AppendRecord(l.buf[:0], b)
-	if err != nil {
-		return err // encoding error: nothing reached the disk, not wedged
-	}
-	l.buf = buf
-	if _, err := l.f.Write(buf); err != nil {
-		l.wedged = fmt.Errorf("wal: append: %w", err)
-		return l.wedged
-	}
-	l.size += int64(len(buf))
-	l.appended += int64(len(buf))
-	if err := l.maybeSync(); err != nil {
-		l.wedged = err
-		return l.wedged
-	}
-	return nil
-}
-
-// AppendCommit is the group-commit append: it writes the record like
-// Append but never fsyncs, returning the record's LSN (the monotonic
-// appended-byte watermark). The batch is durable only after a Commit
-// call covering the LSN returns nil; callers must not acknowledge (or
-// publish) the batch before then.
+// AppendCommit is the group-commit append: it encodes b as one record
+// and writes it to the active segment but never fsyncs, returning the
+// record's LSN (the monotonic appended-byte watermark). The batch is
+// durable only after a Commit call covering the LSN returns nil;
+// callers must not acknowledge (or publish) the batch before then. On
+// a write failure the log wedges: the error is returned now and by
+// every later call.
 func (l *Log) AppendCommit(b Batch) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -215,8 +189,9 @@ func (l *Log) AppendCommit(b Batch) (int64, error) {
 // the caller waits for it (and leaves satisfied if it covered lsn);
 // otherwise the caller becomes the next cohort's leader and its single
 // fsync covers every record appended so far — N concurrent writers pay
-// ~2 fsyncs, not N. Under SyncInterval/SyncNever it applies the same
-// relaxed rules as Append. A sync failure wedges the log.
+// ~2 fsyncs, not N. Under SyncInterval it fsyncs when the interval has
+// elapsed since the last sync; under SyncNever it never does. A sync
+// failure wedges the log.
 func (l *Log) Commit(lsn int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -224,11 +199,19 @@ func (l *Log) Commit(lsn int64) error {
 		if l.wedged != nil {
 			return l.wedged
 		}
-		if err := l.maybeSync(); err != nil {
-			l.wedged = err
-			l.syncCond.Broadcast()
+		if l.opts.Sync == SyncNever {
+			return nil
 		}
-		return l.wedged
+		if now := l.opts.Now(); now.Sub(l.lastSync) >= l.opts.Interval {
+			if err := l.f.Sync(); err != nil {
+				l.wedged = fmt.Errorf("wal: fsync: %w", err)
+				l.syncCond.Broadcast()
+				return l.wedged
+			}
+			l.lastSync = now
+			l.syncedTo = l.appended
+		}
+		return nil
 	}
 	for {
 		if l.wedged != nil {
@@ -259,34 +242,17 @@ func (l *Log) Commit(lsn int64) error {
 	return l.wedged
 }
 
-// maybeSync applies the fsync policy after a write. Caller holds mu.
-func (l *Log) maybeSync() error {
-	switch l.opts.Sync {
-	case SyncAlways:
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
-		}
-		l.syncedTo = l.appended
-	case SyncInterval:
-		now := l.opts.Now()
-		if now.Sub(l.lastSync) >= l.opts.Interval {
-			if err := l.f.Sync(); err != nil {
-				return fmt.Errorf("wal: fsync: %w", err)
-			}
-			l.lastSync = now
-			l.syncedTo = l.appended
-		}
-	}
-	return nil
-}
-
 // AppendTerm persists a leader-term bump: a RecTerm record stamped with
-// t at the given head epoch, synced per the fsync policy. Recovery
-// restores the term high-water mark from these records, so a caller
-// that retires the segments holding them must re-append the mark first
-// (the storage tier's checkpoint does).
+// t at the given head epoch, committed per the fsync policy before it
+// returns. Recovery restores the term high-water mark from these
+// records, so a caller that retires the segments holding them must
+// re-append the mark first (the storage tier's checkpoint does).
 func (l *Log) AppendTerm(t, epoch uint64) error {
-	return l.Append(Batch{Kind: RecTerm, Term: t, Epoch: epoch})
+	lsn, err := l.AppendCommit(Batch{Kind: RecTerm, Term: t, Epoch: epoch})
+	if err != nil {
+		return err
+	}
+	return l.Commit(lsn)
 }
 
 // SegmentSize reports the byte size of the active segment — the

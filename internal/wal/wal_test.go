@@ -24,6 +24,15 @@ func mkBatch(e uint64) Batch {
 	return Batch{Epoch: e, Rels: []RelFacts{{Tag: "par/2", Arity: 2, Tuples: tuples}}}
 }
 
+// appendSync appends b and commits it under the log's fsync policy.
+func appendSync(l *Log, b Batch) error {
+	lsn, err := l.AppendCommit(b)
+	if err != nil {
+		return err
+	}
+	return l.Commit(lsn)
+}
+
 // collect returns an apply func appending into dst.
 func collect(dst *[]Batch) func(Batch) error {
 	return func(b Batch) error {
@@ -52,8 +61,8 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	var want []Batch
 	for e := uint64(2); e <= 6; e++ {
 		b := mkBatch(e)
-		if err := l.Append(b); err != nil {
-			t.Fatalf("Append(%d): %v", e, err)
+		if err := appendSync(l, b); err != nil {
+			t.Fatalf("appendSync(%d): %v", e, err)
 		}
 		want = append(want, b)
 	}
@@ -83,8 +92,8 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if rep3.Epoch != 6 || len(replayed) != 5 {
 		t.Fatalf("reopen report = %+v (%d batches)", rep3, len(replayed))
 	}
-	if err := l2.Append(mkBatch(7)); err != nil {
-		t.Fatalf("Append after reopen: %v", err)
+	if err := appendSync(l2, mkBatch(7)); err != nil {
+		t.Fatalf("appendSync after reopen: %v", err)
 	}
 	l2.Close()
 	got = nil
@@ -98,7 +107,7 @@ func TestCheckpointRetiresLogPrefix(t *testing.T) {
 	fs := NewMemFS()
 	l, _, _ := mustOpen(t, fs, Options{})
 	for e := uint64(2); e <= 4; e++ {
-		if err := l.Append(mkBatch(e)); err != nil {
+		if err := appendSync(l, mkBatch(e)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +130,7 @@ func TestCheckpointRetiresLogPrefix(t *testing.T) {
 	}
 	// Two more batches after the checkpoint.
 	for e := uint64(5); e <= 6; e++ {
-		if err := l.Append(mkBatch(e)); err != nil {
+		if err := appendSync(l, mkBatch(e)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,13 +156,13 @@ func TestTornTailTolerated(t *testing.T) {
 	// record and report the dropped bytes.
 	base := NewMemFS()
 	l, _, _ := mustOpen(t, base, Options{})
-	if err := l.Append(mkBatch(2)); err != nil {
+	if err := appendSync(l, mkBatch(2)); err != nil {
 		t.Fatal(err)
 	}
 	seg := join(dir, segmentName(0))
 	clean, _ := base.ReadFile(seg)
 	first := len(clean)
-	if err := l.Append(mkBatch(3)); err != nil {
+	if err := appendSync(l, mkBatch(3)); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -182,7 +191,7 @@ func TestTornTailTolerated(t *testing.T) {
 
 		// Open must truncate the tail and resume appending cleanly.
 		l2, _, _ := mustOpen(t, fs, Options{})
-		if err := l2.Append(mkBatch(3)); err != nil {
+		if err := appendSync(l2, mkBatch(3)); err != nil {
 			t.Fatalf("cut %d: append after torn recovery: %v", cut, err)
 		}
 		l2.Close()
@@ -196,13 +205,13 @@ func TestTornTailTolerated(t *testing.T) {
 func TestMidLogCorruptionIsHardError(t *testing.T) {
 	fs := NewMemFS()
 	l, _, _ := mustOpen(t, fs, Options{})
-	if err := l.Append(mkBatch(2)); err != nil {
+	if err := appendSync(l, mkBatch(2)); err != nil {
 		t.Fatal(err)
 	}
 	seg := join(dir, segmentName(0))
 	firstLen := func() int { b, _ := fs.ReadFile(seg); return len(b) }()
 	for e := uint64(3); e <= 5; e++ {
-		if err := l.Append(mkBatch(e)); err != nil {
+		if err := appendSync(l, mkBatch(e)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +248,7 @@ func TestSyncPolicies(t *testing.T) {
 		fs := NewMemFS()
 		l, _, _ := mustOpen(t, fs, Options{Sync: SyncNever})
 		for e := uint64(2); e <= 4; e++ {
-			if err := l.Append(mkBatch(e)); err != nil {
+			if err := appendSync(l, mkBatch(e)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -262,7 +271,7 @@ func TestSyncPolicies(t *testing.T) {
 		fs := NewMemFS()
 		l, _, _ := mustOpen(t, fs, Options{Sync: SyncAlways})
 		for e := uint64(2); e <= 4; e++ {
-			if err := l.Append(mkBatch(e)); err != nil {
+			if err := appendSync(l, mkBatch(e)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -277,7 +286,7 @@ func TestSyncPolicies(t *testing.T) {
 		clock := func() time.Time { return now }
 		fs := NewMemFS()
 		l, _, _ := mustOpen(t, fs, Options{Sync: SyncInterval, Interval: time.Second, Now: clock})
-		if err := l.Append(mkBatch(2)); err != nil { // within interval: not synced
+		if err := appendSync(l, mkBatch(2)); err != nil { // within interval: not synced
 			t.Fatal(err)
 		}
 		var got []Batch
@@ -285,7 +294,7 @@ func TestSyncPolicies(t *testing.T) {
 			t.Errorf("within interval: err=%v batches=%d, want 0", err, len(got))
 		}
 		now = now.Add(2 * time.Second)
-		if err := l.Append(mkBatch(3)); err != nil { // interval elapsed: syncs
+		if err := appendSync(l, mkBatch(3)); err != nil { // interval elapsed: syncs
 			t.Fatal(err)
 		}
 		got = nil
@@ -298,17 +307,17 @@ func TestSyncPolicies(t *testing.T) {
 func TestAppendFailureWedgesLog(t *testing.T) {
 	fs := NewMemFS()
 	l, _, _ := mustOpen(t, fs, Options{})
-	if err := l.Append(mkBatch(2)); err != nil {
+	if err := appendSync(l, mkBatch(2)); err != nil {
 		t.Fatal(err)
 	}
 	fs.SetFailAt(1)
-	err := l.Append(mkBatch(3))
+	err := appendSync(l, mkBatch(3))
 	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("Append with injected fault = %v", err)
+		t.Fatalf("appendSync with injected fault = %v", err)
 	}
 	fs.SetFailAt(0) // fault cleared, but the log must stay wedged
-	if err2 := l.Append(mkBatch(4)); !errors.Is(err2, ErrInjected) {
-		t.Fatalf("Append after wedge = %v, want the latched error", err2)
+	if err2 := appendSync(l, mkBatch(4)); !errors.Is(err2, ErrInjected) {
+		t.Fatalf("appendSync after wedge = %v, want the latched error", err2)
 	}
 	if l.Wedged() == nil {
 		t.Error("Wedged() = nil after failure")

@@ -649,6 +649,11 @@ type Plan struct {
 	// Optimizer diagnostics.
 	MemoLookups int
 	MemoHits    int
+	// States counts the search states the optimization charged to its
+	// governor. It is 0 unless the call was governed (an optimizer,
+	// tuple or iteration budget, a timeout or a context);
+	// WithOptimizerBudget(math.MaxInt) counts without limiting.
+	States int
 }
 
 // Optimize compiles and optimizes one query form, e.g. "sg(john, Y)".
@@ -666,7 +671,8 @@ func (s *System) Optimize(goal string, opts ...Option) (_ *Plan, err error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{prep: p, epoch: ep, MemoLookups: opt.MemoLookups, MemoHits: opt.MemoHits}, nil
+	return &Plan{prep: p, epoch: ep, MemoLookups: opt.MemoLookups, MemoHits: opt.MemoHits,
+		States: opt.Gov.Snapshot().StatesExplored}, nil
 }
 
 // Safe reports whether a safe (terminating) execution was found.

@@ -6,10 +6,11 @@ package ldl
 // The paper's optimizer is query-form-specific but value-independent:
 // the chosen plan depends on the goal's binding pattern (which argument
 // positions are bound) and the database statistics, never on *which*
-// constants occupy the bound positions — the cost model reads only
-// cardinalities and distinct counts. sg(john, Y) and sg(mary, Y)
-// therefore compile to structurally identical programs that differ only
-// in the constant embedded in the magic/counting seed facts and in the
+// constants occupy the bound positions, at top level or nested inside
+// a compound argument — the cost model reads only cardinalities and
+// distinct counts. sg(john, Y) and sg(mary, Y) therefore compile to
+// structurally identical programs that differ only in the constant
+// embedded in the magic/counting seed facts and in the
 // answer-collection rule. Prepare exploits this: it optimizes the goal
 // with opaque placeholder constants, rewrites the compiled program so
 // no placeholder remains in any rule (each becomes a variable bound by
@@ -19,12 +20,11 @@ package ldl
 // substituted seed facts — into a copy-on-write fork of the current
 // epoch: zero optimizer search, zero rewriting, zero kernel
 // compilation per call. Optimize runs the same prepare and run steps in
-// literal mode: the constants stay inline, so compound arguments are
-// fine, and the result is pinned to the epoch it was optimized on.
+// literal mode: the constants stay inline and the result is pinned to
+// the epoch it was optimized on.
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -42,12 +42,6 @@ import (
 	"ldl/internal/stats"
 	"ldl/internal/term"
 )
-
-// ErrNotPreparable marks query forms the parameterized path cannot
-// canonicalize: goals with compound (structured) arguments. Such goals
-// still run fine through Optimize/Execute; the serving layer falls back
-// to that one-shot path.
-var ErrNotPreparable = errors.New("ldl: query form not preparable")
 
 // paramMark prefixes placeholder atoms. The NUL byte cannot appear in
 // any atom the lexer produces, so placeholders can never collide with
@@ -79,58 +73,67 @@ func paramIndex(a term.Atom) (int, bool) {
 // QueryForm canonicalizes a goal into its adorned-form key: predicate,
 // arity, constant positions (c0, c1, ... in order of appearance) and
 // variable repetition structure (v0, v1, ... numbered by first
-// occurrence, so sg(X, X) and sg(X, Y) are distinct forms). Two goals
-// with equal keys are answered by the same prepared plan with different
-// parameter bindings. Goals with compound arguments return
-// ErrNotPreparable.
+// occurrence, so sg(X, X) and sg(X, Y) are distinct forms). A compound
+// argument keeps its functor and arity in the key and canonicalizes its
+// own arguments the same way, so p(f(a), Y) and p(f(b), Z) share the
+// key p/2(f/1(c0),v0). Two goals with equal keys are answered by the
+// same prepared plan with different parameter bindings.
 func QueryForm(goal string) (_ string, err error) {
 	defer guard(&err)
 	lit, err := parser.ParseLiteral(goal)
 	if err != nil {
 		return "", err
 	}
-	key, _, _, err := canonicalForm(lit)
-	return key, err
+	key, _, _ := canonicalForm(lit)
+	return key, nil
 }
 
-// canonicalForm computes the cache key, the shape literal (constants
-// replaced by placeholder atoms) and the parameter positions.
-func canonicalForm(lit lang.Literal) (string, lang.Literal, []int, error) {
+// canonicalForm computes the cache key, the shape literal (every
+// constant, top-level or nested in a compound, replaced by a
+// placeholder atom) and the constants in placeholder order.
+func canonicalForm(lit lang.Literal) (string, lang.Literal, []term.Term) {
 	var b strings.Builder
+	var consts []term.Term
+	vars := map[string]int{}
 	b.WriteString(lit.Pred)
+	shape := lang.Literal{Pred: lit.Pred, Args: canonicalArgs(&b, vars, &consts, lit.Args)}
+	return b.String(), shape, consts
+}
+
+// canonicalArgs writes "/arity(k0,k1,...)" to b, numbering variables
+// by first occurrence in vars and appending constants to consts, and
+// returns the shape arguments.
+func canonicalArgs(b *strings.Builder, vars map[string]int, consts *[]term.Term, args []term.Term) []term.Term {
 	b.WriteByte('/')
-	b.WriteString(strconv.Itoa(lit.Arity()))
+	b.WriteString(strconv.Itoa(len(args)))
 	b.WriteByte('(')
-	shapeArgs := make([]term.Term, len(lit.Args))
-	var params []int
-	varIdx := map[string]int{}
-	for i, a := range lit.Args {
+	shape := make([]term.Term, len(args))
+	for i, t := range args {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		switch t := a.(type) {
+		switch x := t.(type) {
 		case term.Var:
-			n, ok := varIdx[t.Name]
+			n, ok := vars[x.Name]
 			if !ok {
-				n = len(varIdx)
-				varIdx[t.Name] = n
+				n = len(vars)
+				vars[x.Name] = n
 			}
 			b.WriteByte('v')
 			b.WriteString(strconv.Itoa(n))
-			shapeArgs[i] = t
-		case term.Atom, term.Int, term.Str:
+			shape[i] = t
+		case term.Comp:
+			b.WriteString(x.Functor)
+			shape[i] = term.Comp{Functor: x.Functor, Args: canonicalArgs(b, vars, consts, x.Args)}
+		default: // Atom, Int, Str
 			b.WriteByte('c')
-			b.WriteString(strconv.Itoa(len(params)))
-			shapeArgs[i] = paramAtom(len(params))
-			params = append(params, i)
-		default:
-			return "", lang.Literal{}, nil,
-				fmt.Errorf("%w: argument %d of %s is a compound term", ErrNotPreparable, i+1, lit.Pred)
+			b.WriteString(strconv.Itoa(len(*consts)))
+			shape[i] = paramAtom(len(*consts))
+			*consts = append(*consts, t)
 		}
 	}
 	b.WriteByte(')')
-	shape := lang.Literal{Pred: lit.Pred, Args: shapeArgs}
-	return b.String(), shape, params, nil
+	return shape
 }
 
 // Prepared is a query form optimized and compiled once, executable many
@@ -177,11 +180,8 @@ func (s *System) Prepare(goal string, opts ...Option) (_ *Prepared, err error) {
 	if err != nil {
 		return nil, err
 	}
-	key, shape, params, err := canonicalForm(lit)
-	if err != nil {
-		return nil, err
-	}
-	p, _, err := s.prepare(s.snapshot(), key, shape, len(params), o)
+	key, shape, consts := canonicalForm(lit)
+	p, _, err := s.prepare(s.snapshot(), key, shape, len(consts), o)
 	return p, err
 }
 
@@ -496,16 +496,9 @@ func (p *Prepared) ExecuteStats(goal string, opts ...Option) (_ [][]string, es E
 	if err != nil {
 		return nil, es, err
 	}
-	key, _, params, err := canonicalForm(lit)
-	if err != nil {
-		return nil, es, err
-	}
+	key, _, consts := canonicalForm(lit)
 	if key != p.key {
 		return nil, es, fmt.Errorf("ldl: goal %s has form %s, prepared form is %s", goal, key, p.key)
-	}
-	consts := make([]term.Term, len(params))
-	for i, pos := range params {
-		consts[i] = lit.Args[pos]
 	}
 	return p.run(p.sys.snapshot(), lit.Args, consts, o)
 }

@@ -2,6 +2,7 @@ package ldl
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -63,7 +64,7 @@ func TestPreparedPointExecuteAllocs(t *testing.T) {
 	run() // warm the pools
 	allocs := testing.AllocsPerRun(50, run)
 	t.Logf("cached point execute: %.0f allocs/op", allocs)
-	// 209 allocs/op measured. The race detector drops some sync.Pool
+	// 207 allocs/op measured. The race detector drops some sync.Pool
 	// puts and reads 219–223. The ceiling leaves ~10% for that, not for
 	// a re-prepare, per-execute statistics work or unpooled state.
 	if allocs > 229 {
@@ -74,48 +75,69 @@ func TestPreparedPointExecuteAllocs(t *testing.T) {
 // TestPreparedConcurrentExecute runs one Prepared from 8 goroutines
 // with distinct constants: pooled kernel states and shared compiled
 // kernels must not leak rows between executions, so every answer
-// equals the serial run of the same goal.
+// equals the serial run of the same goal. The second input names the
+// tree's nodes by compound terms n(Level, Index), so the bound
+// constants sit inside a compound argument.
 func TestPreparedConcurrentExecute(t *testing.T) {
-	p, leaves := preparedAnc(t)
-	const workers, perWorker = 8, 12
-	goal := func(w, k int) string {
-		return fmt.Sprintf("anc(n7_%d, Y)", (w*perWorker+k)*131%leaves)
-	}
-	want := map[string]string{}
-	for w := 0; w < workers; w++ {
-		for k := 0; k < perWorker; k++ {
-			g := goal(w, k)
-			rows, _, err := p.ExecuteStats(g)
+	src, leaves := ancTree(4, 7)
+	compound := regexp.MustCompile(`n(\d+)_(\d+)`).ReplaceAllString(src, "n($1, $2)")
+	for _, in := range []struct{ name, src, leaf string }{
+		{"atoms", src, "n7_%d"},
+		{"compound", compound, "n(7, %d)"},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			const workers, perWorker = 8, 12
+			goal := func(w, k int) string {
+				return fmt.Sprintf("anc("+in.leaf+", Y)", (w*perWorker+k)*131%leaves)
+			}
+			sys, err := Load(in.src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[g] = strings.Join(sortedRows(rows), ";")
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := 0; k < perWorker; k++ {
-				g := goal(w, k)
-				rows, _, err := p.ExecuteStats(g)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if got := strings.Join(sortedRows(rows), ";"); got != want[g] {
-					errs <- fmt.Errorf("%s: concurrent %s, serial %s", g, got, want[g])
-					return
+			p, err := sys.Prepare(goal(0, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]string{}
+			for w := 0; w < workers; w++ {
+				for k := 0; k < perWorker; k++ {
+					g := goal(w, k)
+					rows, _, err := p.ExecuteStats(g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(rows) != 7 {
+						t.Fatalf("%s: %d rows, want 7", g, len(rows))
+					}
+					want[g] = strings.Join(sortedRows(rows), ";")
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+			var wg sync.WaitGroup
+			errs := make(chan error, workers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for k := 0; k < perWorker; k++ {
+						g := goal(w, k)
+						rows, _, err := p.ExecuteStats(g)
+						if err != nil {
+							errs <- err
+							return
+						}
+						if got := strings.Join(sortedRows(rows), ";"); got != want[g] {
+							errs <- fmt.Errorf("%s: concurrent %s, serial %s", g, got, want[g])
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package ldl
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -46,6 +45,16 @@ func TestQueryFormKeys(t *testing.T) {
 		{"sg(X, X)", "sg/2(v0,v0)"},
 		{"sg(X, 3)", "sg/2(v0,c0)"},
 		{`p("s", 7)`, "p/2(c0,c1)"},
+		// Compound arguments keep functor and arity; their leaves
+		// canonicalize like top-level arguments.
+		{"p(f(a), Y)", "p/2(f/1(c0),v0)"},
+		{"p(f(b), Z)", "p/2(f/1(c0),v0)"},
+		{"p(g(a), Y)", "p/2(g/1(c0),v0)"},
+		{"p(f(X), X)", "p/2(f/1(v0),v0)"},
+		{"p(f(X), Y)", "p/2(f/1(v0),v1)"},
+		{"p(f(a, b), Y)", "p/2(f/2(c0,c1),v0)"},
+		{"p(cons(1, cons(X, nil)), 2)", "p/2(cons/2(c0,cons/2(v0,c1)),c2)"},
+		{"p(X - 1, Y)", "p/2(-/2(v0,c0),v1)"},
 	}
 	for _, c := range cases {
 		key, err := QueryForm(c.goal)
@@ -55,12 +64,6 @@ func TestQueryFormKeys(t *testing.T) {
 		if key != c.key {
 			t.Errorf("QueryForm(%s) = %s, want %s", c.goal, key, c.key)
 		}
-	}
-	if _, err := QueryForm("p(f(X), Y)"); !errors.Is(err, ErrNotPreparable) {
-		t.Errorf("compound arg: err = %v, want ErrNotPreparable", err)
-	}
-	if key, err := QueryForm("p(f(a), Y)"); !errors.Is(err, ErrNotPreparable) {
-		t.Errorf("ground compound arg: key=%q err = %v, want ErrNotPreparable", key, err)
 	}
 }
 
