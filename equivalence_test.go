@@ -241,7 +241,7 @@ func TestCompoundFormEquivalence(t *testing.T) {
 					if !p.Safe() {
 						continue
 					}
-					got, err := p.Execute(goal)
+					got, _, err := p.ExecuteStats(goal)
 					if err != nil {
 						t.Fatalf("%s: prepared %s: %v", name, goal, err)
 					}

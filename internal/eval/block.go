@@ -78,6 +78,8 @@ type kernelState struct {
 
 	headIDs   [][]term.ID // columnar head materialization
 	headConst []term.ID   // per head column: const ID, 0 otherwise
+
+	run kernelRun // the current application's parameters
 }
 
 // idxBufCap is the starting capacity of a scan's match-index buffer:
@@ -207,8 +209,10 @@ func (cx *evalCtx) release() {
 		for _, rc := range h.ks.rcols {
 			clear(rc)
 		}
+		h.ks.run.cx, h.ks.run.head, h.ks.run.sink = nil, nil, nil
 		h.cr.pool.Put(h.ks)
 	}
+	clear(cx.kstates)
 	cx.kstates = cx.kstates[:0]
 }
 
@@ -230,50 +234,50 @@ func (ks *kernelState) aliasesHead(head *store.Relation) bool {
 }
 
 // kernelRun bundles the per-application parameters of a join-program
-// execution so the recursive step walk passes a single receiver.
+// execution so the recursive step walk passes a single receiver. It
+// lives in the rule's kernel state, so an application allocates none.
 type kernelRun struct {
-	cx      *evalCtx
-	cr      *compiledRule
-	ks      *kernelState
-	head    *store.Relation
-	headTag string
-	collect func(tag string) error
-	limit   int // rows a scan gathers before flushing downstream
+	cx    *evalCtx
+	cr    *compiledRule
+	ks    *kernelState
+	head  *store.Relation
+	sink  *store.Relation // collects each new head row; nil for none
+	limit int             // rows a scan gathers before flushing downstream
+	onNew func(int) error // InsertRows' callback, bound once per state
 }
 
 // applyRule executes one application of a rule's join program: every
 // newly derived head tuple is inserted into the head relation and
-// reported to collect (if non-nil) by its head tag. deltaOcc, when >= 0, makes body
-// literal deltaOcc read from deltas[tag] instead of the full relation.
-func (cx *evalCtx) applyRule(cr *compiledRule, deltaOcc int, deltas map[string]*store.Relation, collect func(tag string) error) error {
+// collected into sink (if non-nil). deltaOcc, when >= 0, makes body
+// literal deltaOcc read from delta instead of the full relation.
+func (cx *evalCtx) applyRule(cr *compiledRule, deltaOcc int, delta, sink *store.Relation) error {
 	e := cx.e
 	if e.opts.reference != nil {
-		return e.opts.reference(cx, cr.rule, deltaOcc, deltas, collect)
+		return e.opts.reference(cx, cr, deltaOcc, delta, sink)
 	}
 	ks := cx.kstate(cr)
 	// Resolve each scan's relation: the designated delta occurrence
 	// reads this round's delta, everything else the full relation.
-	for _, st := range cr.steps {
-		switch st.kind {
+	for i := range cr.steps {
+		switch st := &cr.steps[i]; st.kind {
 		case kScan:
-			ks.rels[st.scanIdx] = e.RelationFor(st.tag)
+			ks.rels[st.scanIdx] = e.rel(st.slot)
 		case kNeg:
-			ks.negRels[st.negIdx] = e.RelationFor(st.negTag)
+			ks.negRels[st.negIdx] = e.rel(st.slot)
 		}
 	}
-	if deltas != nil && deltaOcc >= 0 && deltaOcc < len(cr.scanForBody) {
+	if delta != nil && deltaOcc >= 0 && deltaOcc < len(cr.scanForBody) {
 		if si := cr.scanForBody[deltaOcc]; si >= 0 {
-			ks.rels[si] = deltas[cr.steps[cr.scanStep[si]].tag]
+			ks.rels[si] = delta
 		}
 	}
-	k := &kernelRun{
-		cx:      cx,
-		cr:      cr,
-		ks:      ks,
-		head:    e.ensureDerived(cr.headTag, cr.rule.Head.Arity()),
-		headTag: cr.headTag,
-		collect: collect,
-		limit:   ks.size,
+	k := &ks.run
+	k.cx, k.cr, k.ks = cx, cr, ks
+	k.head = e.ensureDerived(cr.headSlot)
+	k.sink = sink
+	k.limit = ks.size
+	if k.onNew == nil {
+		k.onNew = func(int) error { return k.cx.recordInserted(k.head, k.sink) }
 	}
 	if ks.aliasesHead(k.head) {
 		k.limit = 1
@@ -747,7 +751,7 @@ func (k *kernelRun) headID(i int, f *bframe, r int32) term.ID {
 // TuplesDerived accounting and delta collection match a per-row emit
 // exactly.
 func (k *kernelRun) emit(f *bframe, sel []int32) error {
-	cx, ks := k.cx, k.ks
+	ks := k.ks
 	m := 0
 	for _, r := range sel {
 		for i := range ks.headIDs {
@@ -755,8 +759,6 @@ func (k *kernelRun) emit(f *bframe, sel []int32) error {
 		}
 		m++
 	}
-	_, err := k.head.InsertRows(ks.headIDs, m, func(int) error {
-		return cx.recordInserted(k.headTag, k.collect)
-	})
+	_, err := k.head.InsertRows(ks.headIDs, m, k.onNew)
 	return err
 }

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"sync"
 
+	"ldl/internal/depgraph"
 	"ldl/internal/lang"
 	"ldl/internal/term"
 )
@@ -162,8 +163,11 @@ type tmpl struct {
 type kstep struct {
 	kind kstepKind
 
+	// kScan and kNeg: the layout slot of the relation read
+	slot int
+
 	// kScan
-	tag     string // predicate tag, resolved to a relation per application
+	tag     string // predicate tag
 	scanIdx int    // index into kernelState.{rels, probes, idxs, frames}
 	mask    uint32 // probe columns (kcolConst + kcolProbe + kcolBuild)
 	cols    []kcol // per-column behavior, len == literal arity
@@ -191,18 +195,22 @@ type kstep struct {
 // from and return to the rule's pool.
 type compiledRule struct {
 	rule lang.Rule
-	// headTag is the head literal's tag; bodyTags[bi] is body literal
-	// bi's tag when it is a positive relational literal (the occurrences
-	// a delta can stand in for), "" for builtins and negations. Both are
-	// resolved here so rule applications and fixpoint rounds build no
-	// tag strings.
-	headTag  string
-	bodyTags []string
-	steps    []kstep
-	nregs    int
-	nscans   int
-	nnegs    int
-	head     []kcol // kcolConst, kcolProbe or kcolBuild; nil after a kFail
+	// headTag is the head literal's tag, resolved here so that no rule
+	// application builds a tag string.
+	headTag string
+	steps   []kstep
+	nregs   int
+	nscans  int
+	nnegs   int
+	head    []kcol // kcolConst, kcolProbe or kcolBuild; nil after a kFail
+	// Slots (layout.go), set by layout.annotate before the rule first
+	// runs: the head's layout slot and clique-local index, and per body
+	// literal the clique-local index of an in-clique positive
+	// relational literal (-1 otherwise) — the occurrences a semi-naive
+	// round sources from a delta.
+	headSlot  int
+	headLocal int
+	bodyLocal []int
 	// scanForBody maps a body-literal index to its scan step's scanIdx
 	// (-1 for builtins/negations) — the delta-occurrence remap used by
 	// semi-naive variants, which share this one program.
@@ -223,16 +231,52 @@ type compiledRule struct {
 // compilation.
 type ProgramKernels struct {
 	prog  *lang.Program
+	graph *depgraph.Graph
 	rules []*compiledRule
+
+	// The slot layout and the rules' slot annotations are built on the
+	// first run, not at compile time, so a form that is prepared and
+	// never executed pays nothing for them.
+	layOnce sync.Once
+	lay     *layout
 }
 
-// CompileProgram compiles every rule of prog to its join kernel.
-func CompileProgram(prog *lang.Program) *ProgramKernels {
-	pk := &ProgramKernels{prog: prog, rules: make([]*compiledRule, len(prog.Rules))}
+// CompileProgram compiles every rule of prog to its join kernel. g is
+// prog's dependency graph, which the kernels' slot layout numbers
+// cliques by.
+func CompileProgram(prog *lang.Program, g *depgraph.Graph) *ProgramKernels {
+	pk := &ProgramKernels{prog: prog, graph: g, rules: make([]*compiledRule, len(prog.Rules))}
 	for i, r := range prog.Rules {
 		pk.rules[i] = compileRule(r)
 	}
 	return pk
+}
+
+// layout returns the kernels' slot layout, building it and annotating
+// every rule on first use.
+func (pk *ProgramKernels) layout() *layout {
+	pk.layOnce.Do(func() {
+		l := newLayout(pk.graph)
+		for _, cr := range pk.rules {
+			l.annotate(cr)
+		}
+		for ci, c := range pk.graph.Cliques {
+			rules := make([]*compiledRule, len(c.Rules))
+			for i, ri := range c.Rules {
+				rules[i] = pk.rules[ri]
+			}
+			l.cliques[ci].rules = rules
+		}
+		pk.lay = l
+	})
+	return pk.lay
+}
+
+// Slot returns the layout slot of tag — the address Engine.Input takes
+// — and whether tag is a predicate of the program at all.
+func (pk *ProgramKernels) Slot(tag string) (int, bool) {
+	s, ok := pk.layout().slotOf[tag]
+	return s, ok
 }
 
 // compileRule compiles r to its join program. Compilation is total:
@@ -245,7 +289,7 @@ func CompileProgram(prog *lang.Program) *ProgramKernels {
 // Rules come from lang.NewProgram, which bounds every literal's arity
 // by lang.MaxAdornArity, so every column fits the uint32 probe mask.
 func compileRule(r lang.Rule) *compiledRule {
-	cr := &compiledRule{rule: r, headTag: r.Head.Tag(), bodyTags: make([]string, len(r.Body)), scanForBody: make([]int, len(r.Body))}
+	cr := &compiledRule{rule: r, headTag: r.Head.Tag(), scanForBody: make([]int, len(r.Body))}
 	regOf := map[string]int{}
 	newReg := func(name string) int {
 		reg := cr.nregs
@@ -459,8 +503,7 @@ func compileRule(r lang.Rule) *compiledRule {
 			continue
 		}
 		// Positive relational literal → scan step.
-		cr.bodyTags[bi] = l.Tag()
-		st := kstep{kind: kScan, tag: cr.bodyTags[bi], scanIdx: cr.nscans, cols: make([]kcol, len(l.Args)), nbound: cr.nregs}
+		st := kstep{kind: kScan, tag: l.Tag(), scanIdx: cr.nscans, cols: make([]kcol, len(l.Args)), nbound: cr.nregs}
 		newHere := map[string]bool{}
 		for ai, a := range l.Args {
 			if v, isVar := a.(term.Var); isVar {

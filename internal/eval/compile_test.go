@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ldl/internal/depgraph"
 	"ldl/internal/lang"
 	"ldl/internal/parser"
 	"ldl/internal/store"
@@ -391,7 +392,11 @@ tc(X, Y) <- e(X, Z), tc(Z, Y).
 	if err := db.LoadFacts(prog); err != nil {
 		t.Fatal(err)
 	}
-	pk := CompileProgram(prog)
+	g, err := depgraph.Analyze(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := CompileProgram(prog, g)
 	e, err := New(prog, db, Options{Kernels: pk})
 	if err != nil {
 		t.Fatal(err)

@@ -94,7 +94,7 @@ type Options struct {
 	// application through the substitution-map reference interpreter
 	// (reference_test.go) instead of its join program: the oracle the
 	// kernels' answers, errors and work counters are checked against.
-	reference func(cx *evalCtx, r lang.Rule, deltaOcc int, deltas map[string]*store.Relation, collect func(tag string) error) error
+	reference func(cx *evalCtx, cr *compiledRule, deltaOcc int, delta, sink *store.Relation) error
 }
 
 func (o *Options) norm() {
@@ -134,63 +134,130 @@ type Engine struct {
 	Graph    *depgraph.Graph
 	Counters Counters
 
-	opts    Options
-	derived map[string]*store.Relation
-	ran     bool
+	opts Options
+	// kern is Options.Kernels when it was compiled for Prog, else nil.
+	kern *ProgramKernels
+	lay  *layout
+	// rels holds, per layout slot, the relation this run reads and
+	// writes: a derived relation once created, a bound input, or the
+	// database's base relation once resolved. own holds the relations
+	// the engine itself created, per slot, which a pooled engine keeps
+	// (emptied) across runs; deltas holds each recursive clique's two
+	// alternating delta sets by clique-local index, likewise kept.
+	rels   []*store.Relation
+	own    []*store.Relation
+	deltas [][2][]*store.Relation
+	cx     evalCtx
+	ran    bool
 }
 
 // New analyzes prog and prepares an engine. The database is not
 // modified; derived relations live in the engine.
 func New(prog *lang.Program, db *store.Database, opts Options) (*Engine, error) {
 	opts.norm()
-	g := opts.Graph
-	if g == nil {
-		var err error
-		g, err = depgraph.Analyze(prog)
-		if err != nil {
-			return nil, err
+	e := &Engine{Prog: prog, DB: db, opts: opts}
+	if pk := opts.Kernels; pk != nil && pk.prog == prog {
+		e.kern = pk
+		e.lay = pk.layout()
+		e.Graph = pk.graph
+	} else {
+		g := opts.Graph
+		if g == nil {
+			var err error
+			if g, err = depgraph.Analyze(prog); err != nil {
+				return nil, err
+			}
 		}
+		e.Graph = g
+		e.lay = newLayout(g)
 	}
-	return &Engine{Prog: prog, DB: db, Graph: g, opts: opts, derived: map[string]*store.Relation{}}, nil
+	e.rels = make([]*store.Relation, len(e.lay.tags))
+	e.own = make([]*store.Relation, len(e.lay.tags))
+	e.deltas = make([][2][]*store.Relation, len(e.lay.cliques))
+	e.cx.e = e
+	return e, nil
 }
 
 // DerivedTags returns the tags of every derived relation this engine
 // materialized, in sorted order — view maintenance walks them after a
 // run to freeze each view into the epoch it publishes with.
 func (e *Engine) DerivedTags() []string {
-	out := make([]string, 0, len(e.derived))
-	for t := range e.derived {
-		out = append(out, t)
+	var out []string
+	for s := 0; s < e.lay.nderived; s++ {
+		if e.rels[s] != nil {
+			out = append(out, e.lay.tags[s])
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
 // RelationFor returns the relation holding tag's tuples: the derived
-// relation if tag is derived, otherwise the base relation (nil if the
-// database has none).
+// relation if tag is derived, a bound input relation (see Input), and
+// otherwise the base relation (nil if the database has none).
 func (e *Engine) RelationFor(tag string) *store.Relation {
-	if r, ok := e.derived[tag]; ok {
-		return r
+	if s, ok := e.lay.slotOf[tag]; ok && e.rels[s] != nil {
+		return e.rels[s]
 	}
 	return e.DB.Relation(tag)
 }
 
-func (e *Engine) ensureDerived(tag string, arity int) *store.Relation {
-	if r, ok := e.derived[tag]; ok {
+// rel resolves slot s for a rule application: what RelationFor returns
+// for its tag. A base relation is resolved once per run.
+func (e *Engine) rel(s int) *store.Relation {
+	if r := e.rels[s]; r != nil {
 		return r
 	}
-	r := store.NewRelationSized(tag, arity, e.opts.SizeHints[tag])
-	// A predicate can have both facts and rules; the derived relation
-	// starts from the base facts so they are not shadowed.
+	r := e.DB.Relation(e.lay.tags[s])
+	if s >= e.lay.nderived {
+		e.rels[s] = r
+	}
+	return r
+}
+
+// ensureDerived returns derived slot s's relation, creating it on
+// first use.
+func (e *Engine) ensureDerived(s int) *store.Relation {
+	if r := e.rels[s]; r != nil {
+		return r
+	}
+	return e.takeOwn(s)
+}
+
+// Input returns the relation a caller binds slot's rows into before
+// Run: for a derived predicate its derived relation (holding the
+// database's facts of the tag, as Run would start it), otherwise a
+// run-owned relation that shadows the database's for this run only,
+// starting from the database's rows of the tag. The database itself
+// is never written. The slot comes from ProgramKernels.Slot.
+func (e *Engine) Input(slot int) *store.Relation {
+	if r := e.rels[slot]; r != nil && (slot < e.lay.nderived || r == e.own[slot]) {
+		return r
+	}
+	return e.takeOwn(slot)
+}
+
+// takeOwn makes the engine's own relation of slot s the one this run
+// resolves s to — a new one, or in a pooled engine the emptied one of
+// an earlier run — starting from the database's facts of the tag: a
+// predicate can have both facts and rules, and bound rows add to its
+// facts, so neither shadows them. r is empty and the base a set, so no
+// row can already be present.
+func (e *Engine) takeOwn(s int) *store.Relation {
+	tag := e.lay.tags[s]
+	r := e.own[s]
+	if r == nil {
+		r = store.NewRelationSized(tag, e.lay.arity[s], e.opts.SizeHints[tag])
+		e.own[s] = r
+	}
 	if base := e.DB.Relation(tag); base != nil {
 		for i := 0; i < base.Len(); i++ {
-			if _, err := r.InsertFrom(base, i); err != nil {
+			if err := r.AppendFrom(base, i); err != nil {
 				panic(err) // same arity: the tag carries it
 			}
 		}
 	}
-	e.derived[tag] = r
+	e.rels[s] = r
 	return r
 }
 
@@ -200,11 +267,11 @@ func (e *Engine) Run() error {
 		return nil
 	}
 	e.ensureHeads()
-	for _, c := range e.Graph.TopoCliques() {
+	for ci, c := range e.Graph.TopoCliques() {
 		if len(c.Rules) == 0 {
 			continue // base predicate
 		}
-		if err := e.evalClique(c); err != nil {
+		if err := e.evalClique(ci, c); err != nil {
 			return err
 		}
 	}
@@ -213,17 +280,10 @@ func (e *Engine) Run() error {
 }
 
 // ensureHeads pre-creates the derived relation of every rule head, so
-// empty predicates exist — from the precompiled kernels' head tags when
-// the engine has them.
+// empty predicates exist.
 func (e *Engine) ensureHeads() {
-	if pk := e.opts.Kernels; pk != nil && pk.prog == e.Prog {
-		for _, cr := range pk.rules {
-			e.ensureDerived(cr.headTag, cr.rule.Head.Arity())
-		}
-		return
-	}
-	for _, r := range e.Prog.Rules {
-		e.ensureDerived(r.Head.Tag(), r.Head.Arity())
+	for s := 0; s < e.lay.nderived; s++ {
+		e.ensureDerived(s)
 	}
 }
 
@@ -237,40 +297,35 @@ func (e *Engine) method(c *depgraph.Clique) Method {
 	return e.opts.Method
 }
 
-// newDeltas builds one empty delta relation per clique predicate,
+// deltaSets returns clique ci's two delta sets, empty and indexed by
+// clique-local slot, creating them on the clique's first evaluation —
 // pre-sized from the cardinality hints (deltas peak well below the
 // full relation, so they get half the hint).
-func (e *Engine) newDeltas(c *depgraph.Clique) map[string]*store.Relation {
-	deltas := make(map[string]*store.Relation, len(c.Preds))
-	for _, p := range c.Preds {
-		rel := e.RelationFor(p)
-		arity := 0
-		if rel != nil {
-			arity = rel.Arity
+func (e *Engine) deltaSets(ci int) (cur, next []*store.Relation) {
+	d := &e.deltas[ci]
+	if d[0] == nil {
+		slots := e.lay.cliques[ci].slots
+		for k := range d {
+			d[k] = make([]*store.Relation, len(slots))
+			for j, s := range slots {
+				tag := e.lay.tags[s]
+				d[k][j] = store.NewRelationSized(tag+"Δ", e.lay.arity[s], e.opts.SizeHints[tag]/2)
+			}
 		}
-		deltas[p] = store.NewRelationSized(p+"Δ", arity, e.opts.SizeHints[p]/2)
+		return d[0], d[1]
 	}
-	return deltas
+	for _, set := range d {
+		for _, r := range set {
+			r.Reset()
+		}
+	}
+	return d[0], d[1]
 }
 
-// collectInto returns a delta collector into the map *deltas holds
-// when it fires: it fires immediately after a successful head insert,
-// so the new tuple is the head relation's last row and InsertFrom
-// reuses its interned IDs and hash instead of re-hashing. A delta that
-// cannot take the row (an arity mismatch) is an error of the run, not a
-// silently shorter fixpoint.
-func (e *Engine) collectInto(deltas *map[string]*store.Relation) func(tag string) error {
-	return func(tag string) error {
-		head := e.derived[tag]
-		_, err := (*deltas)[tag].InsertFrom(head, head.Len()-1)
-		return err
-	}
-}
-
-// evalClique runs the fixpoint for one clique.
-func (e *Engine) evalClique(c *depgraph.Clique) error {
-	crs := e.compileRules(c)
-	cx := newEvalCtx(e, crs)
+// evalClique runs the fixpoint for clique ci.
+func (e *Engine) evalClique(ci int, c *depgraph.Clique) error {
+	crs := e.compileRules(ci, c)
+	cx := e.newEvalCtx()
 	defer cx.release()
 	if !c.Recursive {
 		// Single pass suffices: dependencies are already computed.
@@ -284,17 +339,16 @@ func (e *Engine) evalClique(c *depgraph.Clique) error {
 	// The deltas take their arities from the clique's relations, which
 	// Run pre-creates but a scratch clique of RunIncremental does not.
 	for _, cr := range crs {
-		e.ensureDerived(cr.headTag, cr.rule.Head.Arity())
+		e.ensureDerived(cr.headSlot)
 	}
 	// Seed round: naive application of every rule from current state.
-	deltas := e.newDeltas(c)
-	collect := e.collectInto(&deltas)
+	deltas, next := e.deltaSets(ci)
 	for _, cr := range crs {
-		if err := cx.applyRule(cr, -1, nil, collect); err != nil {
+		if err := cx.applyRule(cr, -1, nil, deltas[cr.headLocal]); err != nil {
 			return err
 		}
 	}
-	_, err := cx.rounds(c, crs, e.method(c), deltas)
+	_, err := cx.rounds(c, crs, e.method(c), deltas, next)
 	return err
 }
 
@@ -305,14 +359,11 @@ func (e *Engine) evalClique(c *depgraph.Clique) error {
 // from the full relations, and novelty filtering keeps only new
 // tuples; semi-naive applies one variant per recursive body
 // occurrence, sourcing that occurrence from the previous round's
-// delta. Two delta maps alternate: the map a round has finished
-// reading is reset and refilled by the round after it, so a fixpoint of
-// any length allocates at most one map of delta relations beyond the
-// seed's.
-func (cx *evalCtx) rounds(c *depgraph.Clique, crs []*compiledRule, method Method, deltas map[string]*store.Relation) (int, error) {
+// delta. The two delta sets alternate by clique-local slot: the set a
+// round has finished reading is reset and refilled by the round after
+// it, and each new head row is collected into next[cr.headLocal].
+func (cx *evalCtx) rounds(c *depgraph.Clique, crs []*compiledRule, method Method, deltas, next []*store.Relation) (int, error) {
 	e := cx.e
-	var next, spare map[string]*store.Relation
-	collectNext := e.collectInto(&next)
 	for iter := 0; ; iter++ {
 		if iter >= e.opts.MaxIterations {
 			return iter, fmt.Errorf("%w: clique %v exceeded %d iterations", ErrRunaway, c.Preds, e.opts.MaxIterations)
@@ -330,37 +381,34 @@ func (cx *evalCtx) rounds(c *depgraph.Clique, crs []*compiledRule, method Method
 		if empty {
 			return iter + 1, nil
 		}
-		if next = spare; next == nil {
-			next = e.newDeltas(c)
-		} else {
-			for _, d := range next {
-				d.Reset()
-			}
+		for _, d := range next {
+			d.Reset()
 		}
 		for _, cr := range crs {
+			sink := next[cr.headLocal]
 			if method == Naive {
-				if err := cx.applyRule(cr, -1, nil, collectNext); err != nil {
+				if err := cx.applyRule(cr, -1, nil, sink); err != nil {
 					return iter + 1, err
 				}
 				continue
 			}
-			for bi, tag := range cr.bodyTags {
-				if tag == "" || !c.Contains(tag) {
+			for bi, k := range cr.bodyLocal {
+				if k < 0 {
 					continue
 				}
-				if err := cx.applyRule(cr, bi, deltas, collectNext); err != nil {
+				if err := cx.applyRule(cr, bi, deltas[k], sink); err != nil {
 					return iter + 1, err
 				}
 			}
 		}
-		deltas, spare = next, deltas
+		deltas, next = next, deltas
 	}
 }
 
 // evalCtx is the context of one clique evaluation: the engine it
 // writes (derived relations, Engine.Counters) and the kernel states its
-// rule applications reuse across rounds. Whoever creates a context
-// calls release when the clique is done.
+// rule applications reuse across rounds. Whoever takes a context calls
+// release when the clique is done.
 type evalCtx struct {
 	e *Engine
 	// kstates holds one kernel execution state per compiled rule this
@@ -369,9 +417,12 @@ type evalCtx struct {
 	kstates []heldState
 }
 
-// newEvalCtx returns a context for one evaluation of the rules crs.
-func newEvalCtx(e *Engine, crs []*compiledRule) *evalCtx {
-	return &evalCtx{e: e, kstates: make([]heldState, 0, len(crs))}
+// newEvalCtx returns the engine's context, emptied, for one clique
+// evaluation: cliques run one after another, so one context serves
+// them all.
+func (e *Engine) newEvalCtx() *evalCtx {
+	e.cx.kstates = e.cx.kstates[:0]
+	return &e.cx
 }
 
 // heldState is a kernel state an evaluation context holds, with the
@@ -382,9 +433,11 @@ type heldState struct {
 }
 
 // recordInserted does the bookkeeping for a head insert that was
-// genuinely new: counters, the runaway backstop, the governor, and the
-// delta-collect callback.
-func (cx *evalCtx) recordInserted(tag string, collect func(tag string) error) error {
+// genuinely new — counters, the runaway backstop, the governor — and
+// collects the row, the head's last, into sink when there is one. The
+// row was just proven new to the head and sink only ever holds rows of
+// that head, so it is appended without a dedup probe.
+func (cx *evalCtx) recordInserted(head, sink *store.Relation) error {
 	e := cx.e
 	e.Counters.TuplesDerived++
 	if e.Counters.TuplesDerived > e.opts.MaxTuples {
@@ -393,26 +446,25 @@ func (cx *evalCtx) recordInserted(tag string, collect func(tag string) error) er
 	if err := e.opts.Gov.AddTuples(1); err != nil {
 		return err
 	}
-	if collect != nil {
-		return collect(tag)
+	if sink != nil {
+		return sink.AppendFrom(head, head.Len()-1)
 	}
 	return nil
 }
 
-// compileRules resolves each rule of a clique to its join kernel. With
-// precompiled Options.Kernels for this program the lookup is free;
-// otherwise rules are compiled once per clique evaluation — every
-// fixpoint round and every semi-naive delta variant shares the same
-// program either way.
-func (e *Engine) compileRules(c *depgraph.Clique) []*compiledRule {
+// compileRules resolves each rule of clique ci to its join kernel.
+// With precompiled Options.Kernels for this program the lookup is
+// free; otherwise rules are compiled once per clique evaluation —
+// every fixpoint round and every semi-naive delta variant shares the
+// same program either way.
+func (e *Engine) compileRules(ci int, c *depgraph.Clique) []*compiledRule {
+	if e.kern != nil {
+		return e.lay.cliques[ci].rules
+	}
 	crs := make([]*compiledRule, len(c.Rules))
-	pk := e.opts.Kernels
 	for i, ri := range c.Rules {
-		if pk != nil && pk.prog == e.Prog {
-			crs[i] = pk.rules[ri]
-			continue
-		}
 		crs[i] = compileRule(e.Prog.Rules[ri])
+		e.lay.annotate(crs[i])
 		e.Counters.KernelCompiles++
 	}
 	return crs
@@ -421,16 +473,23 @@ func (e *Engine) compileRules(c *depgraph.Clique) []*compiledRule {
 // Answers runs the engine (if needed) and returns the ground instances
 // of the query goal, deduplicated, in canonical order.
 func (e *Engine) Answers(q lang.Query) ([]store.Tuple, error) {
+	return e.AnswersFor(q.Goal.Tag(), q.Goal.Args)
+}
+
+// AnswersFor is Answers for a goal given as its predicate tag and
+// arguments, which a caller holding the tag already builds no string
+// for.
+func (e *Engine) AnswersFor(tag string, args []term.Term) ([]store.Tuple, error) {
 	if err := e.Run(); err != nil {
 		return nil, err
 	}
-	rel := e.RelationFor(q.Goal.Tag())
+	rel := e.RelationFor(tag)
 	if rel == nil {
 		return nil, nil
 	}
 	rows := rel.Lookup(0, nil)
 	e.Counters.Unifications += int64(len(rows))
-	return Select(rows, q.Goal.Args), nil
+	return Select(rows, args), nil
 }
 
 // Select filters rows in place to those that unify with args and sorts

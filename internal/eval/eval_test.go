@@ -495,27 +495,26 @@ tc(X, Y) <- e(X, Z), tc(Z, Y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range e.Graph.TopoCliques() {
+	for ci, c := range e.Graph.TopoCliques() {
 		if !c.Recursive {
 			continue
 		}
-		crs := e.compileRules(c)
+		crs := e.compileRules(ci, c)
 		for _, cr := range crs {
-			e.ensureDerived(cr.rule.Head.Tag(), cr.rule.Head.Arity())
+			e.ensureDerived(cr.headSlot)
 		}
 		// The fixpoint's own seed round and rounds, over a delta whose
 		// arity disagrees with its head relation.
-		deltas := e.newDeltas(c)
-		deltas["tc/2"] = store.NewRelation("tcΔ", 1)
+		deltas, next := e.deltaSets(ci)
+		deltas[0] = store.NewRelation("tcΔ", 1)
 		cx := &evalCtx{e: e}
-		collect := e.collectInto(&deltas)
 		for _, cr := range crs {
-			if err = cx.applyRule(cr, -1, nil, collect); err != nil {
+			if err = cx.applyRule(cr, -1, nil, deltas[cr.headLocal]); err != nil {
 				break
 			}
 		}
 		if err == nil {
-			_, err = cx.rounds(c, crs, SemiNaive, deltas)
+			_, err = cx.rounds(c, crs, SemiNaive, deltas, next)
 		}
 		if err == nil || !strings.Contains(err.Error(), "arity") {
 			t.Fatalf("err = %v, want the delta's arity error", err)

@@ -90,7 +90,7 @@ func (e *Engine) RunIncremental(prior map[string]*store.Relation, baseDeltas map
 	}
 	nonMono := map[string]bool{}
 
-	for _, c := range e.Graph.TopoCliques() {
+	for ci, c := range e.Graph.TopoCliques() {
 		if len(c.Rules) == 0 {
 			continue // base predicate
 		}
@@ -119,37 +119,38 @@ func (e *Engine) RunIncremental(prior map[string]*store.Relation, baseDeltas map
 		switch mode {
 		case cliqueUnchanged:
 			st.CliquesShared++
-			for _, p := range c.Preds {
-				e.derived[p] = prior[p]
+			for k, p := range c.Preds {
+				e.rels[e.lay.cliques[ci].slots[k]] = prior[p]
 			}
 
 		case cliqueIncremental:
 			st.CliquesIncremental++
-			preLen := make(map[string]int, len(c.Preds))
-			for _, p := range c.Preds {
+			preLen := make([]int, len(c.Preds))
+			for k, p := range c.Preds {
 				r := prior[p].CloneOwned()
-				e.derived[p] = r
-				preLen[p] = r.Len()
+				e.rels[e.lay.cliques[ci].slots[k]] = r
+				preLen[k] = r.Len()
 			}
-			rounds, err := e.continueClique(c, changed)
+			rounds, err := e.continueClique(ci, c, changed)
 			if err != nil {
 				return st, err
 			}
 			st.Rounds += rounds
-			for _, p := range c.Preds {
-				if n := e.derived[p].Len() - preLen[p]; n > 0 {
-					changed[p] = e.derived[p].DeltaSince(preLen[p])
+			for k, p := range c.Preds {
+				r := e.rels[e.lay.cliques[ci].slots[k]]
+				if n := r.Len() - preLen[k]; n > 0 {
+					changed[p] = r.DeltaSince(preLen[k])
 					st.DeltaDerived += n
 				}
 			}
 
 		case cliqueScratch:
 			st.CliquesScratch++
-			if err := e.evalClique(c); err != nil {
+			if err := e.evalClique(ci, c); err != nil {
 				return st, err
 			}
-			for _, p := range c.Preds {
-				delta, grew := diffDelta(prior[p], e.derived[p])
+			for k, p := range c.Preds {
+				delta, grew := diffDelta(prior[p], e.rels[e.lay.cliques[ci].slots[k]])
 				if !grew {
 					nonMono[p] = true
 					continue
@@ -210,23 +211,27 @@ func (e *Engine) cliqueChangeMode(c *depgraph.Clique, changed map[string]*store.
 // variant per changed body occurrence, then (for recursive cliques)
 // the ordinary in-clique rounds from the seeded deltas. Returns the
 // number of in-clique rounds run.
-func (e *Engine) continueClique(c *depgraph.Clique, changed map[string]*store.Relation) (int, error) {
-	crs := e.compileRules(c)
-	cx := newEvalCtx(e, crs)
+func (e *Engine) continueClique(ci int, c *depgraph.Clique, changed map[string]*store.Relation) (int, error) {
+	crs := e.compileRules(ci, c)
+	cx := e.newEvalCtx()
 	defer cx.release()
-	deltas := e.newDeltas(c)
-	collect := e.collectInto(&deltas)
+	deltas, next := e.deltaSets(ci)
 	// Seed round: for each body occurrence of a changed input, apply the
 	// rule with that occurrence reading the change and the rest reading
 	// full new relations. In-clique occurrences read the prior (cloned)
 	// relations here — their own change is exactly what the rounds below
-	// propagate.
+	// propagate. New head rows are collected into the clique's deltas
+	// without a dedup probe, as in a fresh run.
 	for _, cr := range crs {
-		for bi, tag := range cr.bodyTags {
-			if tag == "" || changed[tag] == nil {
+		for bi, si := range cr.scanForBody {
+			if si < 0 {
 				continue
 			}
-			if err := cx.applyRule(cr, bi, changed, collect); err != nil {
+			d := changed[cr.steps[cr.scanStep[si]].tag]
+			if d == nil {
+				continue
+			}
+			if err := cx.applyRule(cr, bi, d, deltas[cr.headLocal]); err != nil {
 				return 0, err
 			}
 		}
@@ -234,7 +239,7 @@ func (e *Engine) continueClique(c *depgraph.Clique, changed map[string]*store.Re
 	if !c.Recursive {
 		return 0, nil
 	}
-	return cx.rounds(c, crs, SemiNaive, deltas)
+	return cx.rounds(c, crs, SemiNaive, deltas, next)
 }
 
 // diffDelta compares a scratch-recomputed relation against its prior

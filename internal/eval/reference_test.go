@@ -23,11 +23,12 @@ func referenceOpts(opts Options) Options {
 }
 
 // referenceApply evaluates one rule body left-to-right; every newly
-// derived head tuple is inserted into the head relation and reported to
-// collect (if non-nil) by its head tag. deltaOcc, when >= 0, makes body literal
-// deltaOcc read from deltas[tag] instead of the full relation.
-func referenceApply(cx *evalCtx, r lang.Rule, deltaOcc int, deltas map[string]*store.Relation, collect func(tag string) error) error {
-	head := cx.e.ensureDerived(r.Head.Tag(), r.Head.Arity())
+// derived head tuple is inserted into the head relation and collected
+// into sink (if non-nil). deltaOcc, when >= 0, makes body literal
+// deltaOcc read from delta instead of the full relation.
+func referenceApply(cx *evalCtx, cr *compiledRule, deltaOcc int, delta, sink *store.Relation) error {
+	r := cr.rule
+	head := cx.e.ensureDerived(cr.headSlot)
 	emit := func(s term.Subst) error {
 		args := s.ResolveAll(r.Head.Args)
 		for _, a := range args {
@@ -43,14 +44,14 @@ func referenceApply(cx *evalCtx, r lang.Rule, deltaOcc int, deltas map[string]*s
 		if !added {
 			return nil
 		}
-		return cx.recordInserted(r.Head.Tag(), collect)
+		return cx.recordInserted(head, sink)
 	}
-	return cx.joinBody(r.Body, 0, deltaOcc, deltas, term.NewSubst(), nil, emit)
+	return cx.joinBody(r.Body, 0, deltaOcc, delta, term.NewSubst(), nil, emit)
 }
 
 // joinBody enumerates the substitutions satisfying body[i:], carrying
 // pending builtins/negations that were not yet effectively computable.
-func (cx *evalCtx) joinBody(body []lang.Literal, i, deltaOcc int, deltas map[string]*store.Relation, s term.Subst, pending []lang.Literal, emit func(term.Subst) error) error {
+func (cx *evalCtx) joinBody(body []lang.Literal, i, deltaOcc int, delta *store.Relation, s term.Subst, pending []lang.Literal, emit func(term.Subst) error) error {
 	e := cx.e
 	if err := e.opts.Gov.Tick(); err != nil {
 		return err
@@ -90,14 +91,14 @@ func (cx *evalCtx) joinBody(body []lang.Literal, i, deltaOcc int, deltas map[str
 			if !ok {
 				return nil
 			}
-			return cx.joinBody(body, i+1, deltaOcc, deltas, s, pending, emit)
+			return cx.joinBody(body, i+1, deltaOcc, delta, s, pending, emit)
 		}
-		return cx.joinBody(body, i+1, deltaOcc, deltas, s, append(pending, l), emit)
+		return cx.joinBody(body, i+1, deltaOcc, delta, s, append(pending, l), emit)
 	}
 	// Positive relational literal.
 	var rel *store.Relation
-	if i == deltaOcc && deltas != nil {
-		rel = deltas[l.Tag()]
+	if i == deltaOcc && delta != nil {
+		rel = delta
 	} else {
 		rel = e.RelationFor(l.Tag())
 	}
@@ -130,7 +131,7 @@ func (cx *evalCtx) joinBody(body []lang.Literal, i, deltaOcc int, deltas map[str
 		if !ok {
 			continue
 		}
-		if err := cx.joinBody(body, i+1, deltaOcc, deltas, s2, pending, emit); err != nil {
+		if err := cx.joinBody(body, i+1, deltaOcc, delta, s2, pending, emit); err != nil {
 			return err
 		}
 	}

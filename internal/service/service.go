@@ -2,11 +2,14 @@
 // turns one library System and its Plans into something a server can
 // expose. It owns three mechanisms:
 //
-//   - A prepared-plan cache. Incoming goals are canonicalized to their
-//     adorned form (predicate + binding pattern + constant positions,
-//     ldl.QueryForm); the Optimize→rewrite→compile-kernels pipeline runs
-//     once per form, and subsequent queries of the same form bind their
-//     constants into the cached register-frame programs. The cache is a
+//   - A prepared-plan cache. Each incoming goal is parsed once
+//     (ldl.ParseGoal) into its adorned form key (predicate + binding
+//     pattern + constant positions, as ldl.QueryForm) and its
+//     constants; the Optimize→rewrite→compile-kernels pipeline runs
+//     once per form, and subsequent queries of the same form hand the
+//     parsed goal to the cached Prepared, which binds the constants'
+//     interned IDs into relations of a pooled engine and runs the
+//     cached register-frame programs. The cache is a
 //     size-capped LRU with hit/miss/eviction counters; an entry is
 //     invalidated when the fact base advances past the epoch it was
 //     optimized under and the statistics its plan read have changed.
@@ -155,11 +158,14 @@ func (s *Service) System() *ldl.System { return s.sys }
 // and tests use it to occupy slots deterministically.
 func (s *Service) AdmissionGate() *resource.Admission { return s.adm }
 
-// Query answers one goal. The plan comes from the prepared-plan cache
-// when the goal's canonical form (ldl.QueryForm; constants nested in
-// compound arguments are parameters too) is cached and fresh;
-// otherwise the form is prepared (optimized + compiled) and cached.
-// Under overload Query returns ErrOverloaded without doing any work.
+// Query answers one goal. The goal is parsed once; the plan comes from
+// the prepared-plan cache when its canonical form (ldl.QueryForm;
+// constants nested in compound arguments are parameters too) is cached
+// and fresh, otherwise the form is prepared (optimized + compiled) and
+// cached. The parsed goal is then executed without being read again: a
+// cache hit pays for binding its constants as interned IDs, the
+// fixpoint and the answer. Under overload Query returns ErrOverloaded
+// without doing any work.
 func (s *Service) Query(ctx context.Context, goal string) (*Response, error) {
 	release, err := s.adm.Acquire(ctx)
 	if err != nil {
@@ -186,10 +192,11 @@ func (s *Service) query(ctx context.Context, goal string) (*Response, error) {
 			return &Response{Rows: rows, Stats: ldl.ExecStats{Epoch: s.sys.Epoch()}, FromViews: true}, nil
 		}
 	}
-	key, err := ldl.QueryForm(goal)
+	g, err := ldl.ParseGoal(goal)
 	if err != nil {
 		return nil, err
 	}
+	key := g.Key()
 	p, hit := s.lookup(key)
 	if !hit {
 		// Prepare outside the cache lock: optimization can be slow and
@@ -202,7 +209,7 @@ func (s *Service) query(ctx context.Context, goal string) (*Response, error) {
 		}
 		s.insert(key, p)
 	}
-	rows, es, err := p.ExecuteStats(goal, s.execOptions(ctx)...)
+	rows, es, err := p.ExecuteGoal(g, s.execOptions(ctx)...)
 	if err != nil {
 		return nil, err
 	}

@@ -14,3 +14,6 @@ func debugBorrowIDs(ids []term.ID) []term.ID { return ids }
 
 // debugCheckIDRow is compiled away outside ldldebug.
 func debugCheckIDRow(r *Relation, ids []term.ID) {}
+
+// debugCheckAbsent is compiled away outside ldldebug.
+func debugCheckAbsent(r *Relation, h uint64, ids []term.ID) {}

@@ -57,3 +57,11 @@ func debugCheckInsert(r *Relation, t Tuple, ids []term.ID) {
 		}
 	}
 }
+
+// debugCheckAbsent verifies AppendFrom's precondition: the row it
+// appends without a dedup probe is not already in the relation.
+func debugCheckAbsent(r *Relation, h uint64, ids []term.ID) {
+	if r.findByIDs(h, ids) >= 0 {
+		panic(fmt.Sprintf("store[ldldebug]: %s: probe-free append of a row already present", r.Name))
+	}
+}

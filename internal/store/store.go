@@ -480,6 +480,51 @@ func (r *Relation) InsertFrom(src *Relation, i int) (bool, error) {
 	return true, nil
 }
 
+// AppendFrom appends row i of src, reusing its interned IDs and row
+// hash, without the dedup probe: the caller guarantees the row is not
+// in r. The fixpoint's delta collector is that caller — a row it
+// collects was just proven new to the head relation, and a delta only
+// ever holds rows of its head, so the probe could never hit. Under the
+// ldldebug build tag the absence is asserted. Both relations must
+// share the arity.
+func (r *Relation) AppendFrom(src *Relation, i int) error {
+	if src.Arity != r.Arity {
+		return fmt.Errorf("store: %s: merging arity %d relation into arity %d relation", r.Name, src.Arity, r.Arity)
+	}
+	rows, local := src.rowAt(i)
+	r.scratch = r.scratch[:0]
+	for c := range rows.cols {
+		r.scratch = append(r.scratch, rows.cols[c][local])
+	}
+	h := rows.hashes[local]
+	debugCheckAbsent(r, h, r.scratch)
+	r.appendRow(r.scratch, h)
+	return nil
+}
+
+// InsertIDs adds a row given as interned term IDs, one per column,
+// returning true if it was new. It is the ID-space counterpart of
+// Insert: binding a prepared form's constants inserts rows this way,
+// with no term built or re-interned. Writer-side API.
+func (r *Relation) InsertIDs(ids []term.ID) bool {
+	debugCheckIDRow(r, ids)
+	h := idRowHash(ids)
+	if r.findByIDs(h, ids) >= 0 {
+		return false
+	}
+	r.appendRow(ids, h)
+	return true
+}
+
+// Indexes is the number of column indexes built on the relation's
+// tail.
+func (r *Relation) Indexes() int { return len(*r.indexes.Load()) }
+
+// Capacity is the number of rows the relation's owned tail holds room
+// for. Pools of reusable relations read it to drop the ones a large run
+// grew, instead of keeping their memory alive.
+func (r *Relation) Capacity() int { return cap(r.hashes) }
+
 // withIndex returns a copy of the index map m with ci on cols: index
 // maps are replaced copy-on-write, never mutated, so readers may load
 // one without a lock.

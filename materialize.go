@@ -82,7 +82,7 @@ func (s *System) matSetup() error {
 	if s.graphErr != nil {
 		return fmt.Errorf("ldl: materialize: %w", s.graphErr)
 	}
-	s.matKern = eval.CompileProgram(s.prog)
+	s.matKern = eval.CompileProgram(s.prog, s.graph)
 	return nil
 }
 

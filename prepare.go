@@ -16,12 +16,15 @@ package ldl
 // no placeholder remains in any rule (each becomes a variable bound by
 // a single-tuple parameter relation), and precompiles the join kernels
 // and the dependency graph. Executing the prepared form then costs only
-// inserting the actual constants — as parameter-relation tuples and
-// substituted seed facts — into a copy-on-write fork of the current
-// epoch: zero optimizer search, zero rewriting, zero kernel
-// compilation per call. Optimize runs the same prepare and run steps in
-// literal mode: the constants stay inline and the result is pinned to
-// the epoch it was optimized on.
+// the fixpoint and the answer: the goal is parsed once (ParseGoal) into
+// its key and constants, and the constants' interned IDs are written —
+// as parameter-relation tuples and into seed rows pre-shaped once per
+// form — into relations a pooled engine owns, which shadow the current
+// epoch's for that run; the epoch itself is only read. Zero optimizer
+// search, zero rewriting, zero kernel compilation and no program built
+// per call. Optimize runs the same prepare and run steps in literal
+// mode: the constants stay inline and the result is pinned to the epoch
+// it was optimized on.
 
 import (
 	"encoding/binary"
@@ -32,6 +35,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"ldl/internal/core"
@@ -70,6 +74,31 @@ func paramIndex(a term.Atom) (int, bool) {
 	return n, true
 }
 
+// Goal is a parsed query goal: its arguments, its canonical form key
+// (see QueryForm) and its constants in placeholder order. ParseGoal
+// reads the text once; the serving layer looks its plan up by Key and
+// runs it with Prepared.ExecuteGoal, which reads no text again.
+type Goal struct {
+	text   string
+	args   []term.Term
+	key    string
+	consts []term.Term
+}
+
+// ParseGoal parses a goal such as "sg(john, Y)" and canonicalizes it.
+func ParseGoal(goal string) (_ Goal, err error) {
+	defer guard(&err)
+	lit, err := parser.ParseLiteral(goal)
+	if err != nil {
+		return Goal{}, err
+	}
+	key, consts := formKey(lit)
+	return Goal{text: goal, args: lit.Args, key: key, consts: consts}, nil
+}
+
+// Key is the goal's canonical form key (see QueryForm).
+func (g Goal) Key() string { return g.key }
+
 // QueryForm canonicalizes a goal into its adorned-form key: predicate,
 // arity, constant positions (c0, c1, ... in order of appearance) and
 // variable repetition structure (v0, v1, ... numbered by first
@@ -78,36 +107,28 @@ func paramIndex(a term.Atom) (int, bool) {
 // own arguments the same way, so p(f(a), Y) and p(f(b), Z) share the
 // key p/2(f/1(c0),v0). Two goals with equal keys are answered by the
 // same prepared plan with different parameter bindings.
-func QueryForm(goal string) (_ string, err error) {
-	defer guard(&err)
-	lit, err := parser.ParseLiteral(goal)
-	if err != nil {
-		return "", err
-	}
-	key, _, _ := canonicalForm(lit)
-	return key, nil
+func QueryForm(goal string) (string, error) {
+	g, err := ParseGoal(goal)
+	return g.key, err
 }
 
-// canonicalForm computes the cache key, the shape literal (every
-// constant, top-level or nested in a compound, replaced by a
-// placeholder atom) and the constants in placeholder order.
-func canonicalForm(lit lang.Literal) (string, lang.Literal, []term.Term) {
+// formKey computes the cache key and the constants in placeholder
+// order: everything a request needs of its goal's form.
+func formKey(lit lang.Literal) (string, []term.Term) {
 	var b strings.Builder
 	var consts []term.Term
 	vars := map[string]int{}
 	b.WriteString(lit.Pred)
-	shape := lang.Literal{Pred: lit.Pred, Args: canonicalArgs(&b, vars, &consts, lit.Args)}
-	return b.String(), shape, consts
+	appendFormKey(&b, vars, &consts, lit.Args)
+	return b.String(), consts
 }
 
-// canonicalArgs writes "/arity(k0,k1,...)" to b, numbering variables
-// by first occurrence in vars and appending constants to consts, and
-// returns the shape arguments.
-func canonicalArgs(b *strings.Builder, vars map[string]int, consts *[]term.Term, args []term.Term) []term.Term {
+// appendFormKey writes "/arity(k0,k1,...)" to b, numbering variables
+// by first occurrence in vars and appending constants to consts.
+func appendFormKey(b *strings.Builder, vars map[string]int, consts *[]term.Term, args []term.Term) {
 	b.WriteByte('/')
 	b.WriteString(strconv.Itoa(len(args)))
 	b.WriteByte('(')
-	shape := make([]term.Term, len(args))
 	for i, t := range args {
 		if i > 0 {
 			b.WriteByte(',')
@@ -121,18 +142,34 @@ func canonicalArgs(b *strings.Builder, vars map[string]int, consts *[]term.Term,
 			}
 			b.WriteByte('v')
 			b.WriteString(strconv.Itoa(n))
-			shape[i] = t
 		case term.Comp:
 			b.WriteString(x.Functor)
-			shape[i] = term.Comp{Functor: x.Functor, Args: canonicalArgs(b, vars, consts, x.Args)}
+			appendFormKey(b, vars, consts, x.Args)
 		default: // Atom, Int, Str
 			b.WriteByte('c')
 			b.WriteString(strconv.Itoa(len(*consts)))
-			shape[i] = paramAtom(len(*consts))
 			*consts = append(*consts, t)
 		}
 	}
 	b.WriteByte(')')
+}
+
+// shapeArgs replaces every constant of args, top-level or nested in a
+// compound, by the placeholder atom of its position in formKey's
+// order, numbering from *n: the shape literal Prepare optimizes.
+func shapeArgs(args []term.Term, n *int) []term.Term {
+	shape := make([]term.Term, len(args))
+	for i, t := range args {
+		switch x := t.(type) {
+		case term.Var:
+			shape[i] = t
+		case term.Comp:
+			shape[i] = term.Comp{Functor: x.Functor, Args: shapeArgs(x.Args, n)}
+		default: // Atom, Int, Str
+			shape[i] = paramAtom(*n)
+			*n++
+		}
+	}
 	return shape
 }
 
@@ -143,6 +180,7 @@ type Prepared struct {
 	sys     *System
 	key     string
 	shape   lang.Literal
+	nparams int
 	epochID uint64
 	result  *core.Result
 	opts    options
@@ -165,7 +203,30 @@ type Prepared struct {
 	graph     *depgraph.Graph
 	seeds     []lang.Rule // seed-fact templates, placeholders included
 	methodFor map[string]eval.Method
-	ansPred   string
+	ansTag    string
+
+	// Built on the first execute, so Prepare pays for neither: the
+	// rows a run binds (bindRows), and the pool of engines whose
+	// derived, delta and input relations runs recycle.
+	bindOnce sync.Once
+	binds    []bindRow
+	engines  eval.Pool
+}
+
+// bindRow is one row a run binds before its fixpoint — a seed fact or
+// a parameter relation's single tuple — pre-shaped in ID space: the
+// layout slot of its relation and, per column, a fixed interned ID, a
+// parameter index, or a compound template whose placeholders are
+// substituted and the result interned.
+type bindRow struct {
+	slot int
+	cols []bindCol
+}
+
+type bindCol struct {
+	id    term.ID   // fixed constant; 0 when param or tmpl applies
+	param int       // >= 0: the goal's constant of this index
+	tmpl  term.Term // compound holding placeholders, when non-nil
 }
 
 // Prepare optimizes and compiles a query form for repeated execution.
@@ -180,8 +241,10 @@ func (s *System) Prepare(goal string, opts ...Option) (_ *Prepared, err error) {
 	if err != nil {
 		return nil, err
 	}
-	key, shape, consts := canonicalForm(lit)
-	p, _, err := s.prepare(s.snapshot(), key, shape, len(consts), o)
+	key, _ := formKey(lit)
+	nparams := 0
+	shape := lang.Literal{Pred: lit.Pred, Args: shapeArgs(lit.Args, &nparams)}
+	p, _, err := s.prepare(s.snapshot(), key, shape, nparams, o)
 	return p, err
 }
 
@@ -211,7 +274,7 @@ func (s *System) prepare(ep *epochState, key string, shape lang.Literal, nparams
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &Prepared{sys: s, key: key, shape: shape, epochID: ep.id, result: res, opts: o}
+	p := &Prepared{sys: s, key: key, shape: shape, nparams: nparams, epochID: ep.id, result: res, opts: o}
 	if !res.Safe {
 		// The unsafe verdict is static (binding-pattern analysis), not
 		// statistical: the empty-fingerprint entry stays fresh across
@@ -246,9 +309,9 @@ func (s *System) prepare(ep *epochState, key string, shape lang.Literal, nparams
 	}
 	p.prog = prog2
 	p.graph = graph
-	p.kernels = eval.CompileProgram(prog2)
+	p.kernels = eval.CompileProgram(prog2, graph)
 	p.methodFor = methodOverrides(compiled.FixMethods, prog2)
-	p.ansPred = compiled.AnswerTag[:strings.LastIndexByte(compiled.AnswerTag, '/')]
+	p.ansTag = compiled.AnswerTag
 	p.baseTags = progBaseTags(prog2)
 	p.statsFP = statsFingerprint(ep.cat, p.baseTags)
 	return p, opt, nil
@@ -474,88 +537,132 @@ func (p *Prepared) explain(header string) string {
 	return b.String()
 }
 
-// Execute runs the prepared plan with the constants taken from goal,
-// which must have the same canonical form as the prepared goal (same
-// QueryForm key). Per-call options (deadline, context, budgets)
-// overlay the Prepare-time options. It is safe to call concurrently:
-// each call forks the current epoch snapshot copy-on-write, binds the
-// constants, and evaluates with the shared precompiled kernels.
-func (p *Prepared) Execute(goal string, opts ...Option) ([][]string, error) {
-	rows, _, err := p.ExecuteStats(goal, opts...)
-	return rows, err
-}
-
-// ExecuteStats is Execute plus work counters.
-func (p *Prepared) ExecuteStats(goal string, opts ...Option) (_ [][]string, es ExecStats, err error) {
+// ExecuteGoal runs the prepared plan with the constants taken from
+// goal, which must have the same canonical form as the prepared goal
+// (same Key). Per-call options (deadline, context, budgets) overlay
+// the Prepare-time options. It is safe to call concurrently: each call
+// binds the constants' interned IDs into run-owned relations of a
+// pooled engine and evaluates the current epoch snapshot, read-only,
+// with the shared precompiled kernels.
+func (p *Prepared) ExecuteGoal(goal Goal, opts ...Option) (_ [][]string, es ExecStats, err error) {
 	defer guard(&err)
 	if !p.result.Safe {
 		return nil, es, fmt.Errorf("ldl: prepared form %s is unsafe: %s", p.key, p.result.Reason)
 	}
-	o := p.opts.with(opts)
-	lit, err := parser.ParseLiteral(goal)
+	if goal.key != p.key {
+		return nil, es, fmt.Errorf("ldl: goal %s has form %s, prepared form is %s", goal.text, goal.key, p.key)
+	}
+	return p.run(p.sys.snapshot(), goal.args, goal.consts, p.opts.with(opts))
+}
+
+// ExecuteStats is ExecuteGoal on a goal given as text, plus work
+// counters.
+func (p *Prepared) ExecuteStats(goal string, opts ...Option) ([][]string, ExecStats, error) {
+	g, err := ParseGoal(goal)
 	if err != nil {
-		return nil, es, err
+		return nil, ExecStats{}, err
 	}
-	key, _, consts := canonicalForm(lit)
-	if key != p.key {
-		return nil, es, fmt.Errorf("ldl: goal %s has form %s, prepared form is %s", goal, key, p.key)
-	}
-	return p.run(p.sys.snapshot(), lit.Args, consts, o)
+	return p.ExecuteGoal(g, opts...)
 }
 
 // run executes the safe compiled form against epoch ep with consts
-// bound to the placeholders, and returns the answers matching args. It
-// forks, not clones, the epoch: the snapshot is never touched, and setup
-// costs O(relations the bindings touch), not O(database).
+// bound to the placeholders, and returns the answers matching args.
+// The epoch is only read: the bound rows go into relations the run's
+// engine owns, which shadow the database's, so setup costs
+// O(bound rows), not O(database) or O(relations).
 func (p *Prepared) run(ep *epochState, args, consts []term.Term, o options) (_ [][]string, es ExecStats, err error) {
-	db2 := ep.db.Fork()
-	// Bind: substituted seed facts plus one single-tuple parameter
-	// relation per constant.
-	bind := make([]lang.Rule, 0, len(p.seeds)+len(consts))
-	for _, f := range p.seeds {
-		bind = append(bind, lang.Rule{Head: substLitConsts(f.Head, consts)})
-	}
-	for i, c := range consts {
-		bind = append(bind, lang.Rule{Head: lang.Lit(paramRel(i), c)})
-	}
-	if len(bind) > 0 {
-		bp, err := lang.NewProgram(bind)
-		if err != nil {
-			return nil, es, err
-		}
-		if err := db2.LoadFacts(bp); err != nil {
-			return nil, es, err
-		}
-	}
+	p.bindOnce.Do(p.buildBinds)
 	// Budgets turn a diverging execution (which the safety analysis
 	// should have prevented) into an error instead of a hang. The
 	// governor layers the caller's (typically tighter) budget on top.
-	e, err := eval.New(p.prog, db2, eval.Options{
+	e := p.engines.Get(p.kernels, ep.db, eval.Options{
 		Method: eval.SemiNaive, MethodFor: p.methodFor,
 		MaxTuples: 5_000_000, MaxIterations: 200_000,
 		SizeHints: ep.hints,
 		Gov:       o.governor(),
-		Kernels:   p.kernels, Graph: p.graph,
 	})
-	if err != nil {
-		return nil, es, err
+	defer p.engines.Put(e)
+	var idbuf [8]term.ID
+	ids := idbuf[:0]
+	for _, c := range consts {
+		ids = append(ids, term.Intern(c))
+	}
+	var rowbuf [8]term.ID
+	for _, b := range p.binds {
+		row := rowbuf[:0]
+		for _, c := range b.cols {
+			switch {
+			case c.param >= 0:
+				row = append(row, ids[c.param])
+			case c.tmpl != nil:
+				t, _ := substParams(c.tmpl, consts)
+				row = append(row, term.Intern(t))
+			default:
+				row = append(row, c.id)
+			}
+		}
+		e.Input(b.slot).InsertIDs(row)
 	}
 	if err := e.Run(); err != nil {
 		return nil, es, err
 	}
-	ts, err := e.Answers(lang.Query{Goal: lang.Literal{Pred: p.ansPred, Args: args}})
+	ts, err := e.AnswersFor(p.ansTag, args)
 	if err != nil {
 		return nil, es, err
 	}
 	return renderRows(ts), execStats(e, ep.id), nil
 }
 
-func substLitConsts(l lang.Literal, consts []term.Term) lang.Literal {
-	args, changed := mapArgs(l.Args, func(t term.Term) (term.Term, bool) {
-		return substParams(t, consts)
-	})
-	if !changed {
-		return l
+// buildBinds pre-shapes the rows every run binds: each seed fact in
+// order, then each parameter relation's tuple. A row of a predicate
+// the compiled program does not mention is left out — no rule could
+// see it.
+func (p *Prepared) buildBinds() {
+	for _, f := range p.seeds {
+		slot, ok := p.kernels.Slot(f.Head.Tag())
+		if !ok {
+			continue
+		}
+		b := bindRow{slot: slot, cols: make([]bindCol, len(f.Head.Args))}
+		for i, a := range f.Head.Args {
+			b.cols[i] = bindColOf(a)
+		}
+		p.binds = append(p.binds, b)
 	}
-	return lang.Literal{Pred: l.Pred, Args: args, Neg: l.Neg}
+	for i := 0; i < p.nparams; i++ {
+		if slot, ok := p.kernels.Slot(paramRel(i) + "/1"); ok {
+			p.binds = append(p.binds, bindRow{slot: slot, cols: []bindCol{{param: i}}})
+		}
+	}
+}
+
+// bindColOf classifies one seed argument: a placeholder is the
+// goal's constant of its index, a compound holding placeholders is a
+// template, and anything else a constant interned once here.
+func bindColOf(a term.Term) bindCol {
+	if x, ok := a.(term.Atom); ok {
+		if i, ok := paramIndex(x); ok {
+			return bindCol{param: i}
+		}
+	}
+	if hasPlaceholder(a) {
+		return bindCol{param: -1, tmpl: a}
+	}
+	return bindCol{param: -1, id: term.Intern(a)}
+}
+
+// hasPlaceholder reports whether t is or contains a placeholder atom.
+func hasPlaceholder(t term.Term) bool {
+	switch x := t.(type) {
+	case term.Atom:
+		_, ok := paramIndex(x)
+		return ok
+	case term.Comp:
+		for _, a := range x.Args {
+			if hasPlaceholder(a) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -275,3 +275,40 @@ func TestInsertFactsRejectsRulesAndDerived(t *testing.T) {
 		t.Errorf("failed inserts advanced the epoch to %d", sys.Epoch())
 	}
 }
+
+// TestRepeatedConstantBinding binds one constant into two placeholders
+// of a form — once nested in a compound seed argument, once top-level —
+// and re-binds the form to goals whose two constants differ: every
+// prepared answer must equal unoptimized evaluation's.
+func TestRepeatedConstantBinding(t *testing.T) {
+	sys, err := Load(`
+e(a, b). e(b, a). e(b, c). e(c, c). e(c, d).
+q(f(X), Y) <- e(X, Y).
+q(f(X), Y) <- e(X, Z), q(f(Z), Y).
+r(f(X), X2) <- q(f(X), X2).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, form := range [][]string{
+		{"q(f(a), a)", "q(f(b), b)", "q(f(a), d)", "q(f(d), a)", "q(f(c), c)"},
+		{"r(f(c), c)", "r(f(a), c)", "r(f(b), b)"},
+	} {
+		p, err := sys.Prepare(form[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Safe() {
+			t.Fatalf("%s: unsafe: %s", p.Key(), p.Reason())
+		}
+		for _, goal := range form {
+			rows, _, err := p.ExecuteStats(goal)
+			if err != nil {
+				t.Fatalf("%s: %v", goal, err)
+			}
+			if got, want := strings.Join(sortedRows(rows), ";"), strings.Join(unoptimized(t, sys, goal), ";"); got != want {
+				t.Errorf("%s on %s: prepared %q, unoptimized %q", goal, p.Key(), got, want)
+			}
+		}
+	}
+}

@@ -96,7 +96,7 @@ func TestSharedDatabaseStress(t *testing.T) {
 					got, _, err = sys.EvaluateUnoptimized("sg(a, Y)")
 					want = wantSG
 				case 3:
-					got, err = prepTC.Execute("tc(1, Y)")
+					got, _, err = prepTC.ExecuteStats("tc(1, Y)")
 					want = wantTC
 				case 4:
 					got, err = sys.Query("tc(1, Y)")
