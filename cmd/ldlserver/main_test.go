@@ -399,10 +399,16 @@ func TestMaterializedServerStats(t *testing.T) {
 	}
 }
 
+// gaugeRuns numbers TestTermInternedGauge's runs: the intern table is
+// process-global, so each repetition (-count N) needs constants no
+// earlier run interned.
+var gaugeRuns int
+
 // TestTermInternedGauge: STATS term_interned shows the intern table's
 // growth. A LOAD of N fresh constants raises it by at least N; the
 // same LOAD again adds no fact and interns nothing new.
 func TestTermInternedGauge(t *testing.T) {
+	gaugeRuns++
 	c := dial(t, startServer(t, service.Config{}))
 	interned := func() int {
 		t.Helper()
@@ -419,7 +425,7 @@ func TestTermInternedGauge(t *testing.T) {
 	const n = 20
 	var facts strings.Builder
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(&facts, "par(gauge_fresh_%d, a1). ", i)
+		fmt.Fprintf(&facts, "par(gauge_fresh_%d_%d, a1). ", gaugeRuns, i)
 	}
 	load := "LOAD " + facts.String()
 

@@ -63,7 +63,7 @@ func bytesPerCommit(t testing.TB, base, n int, follower bool) uint64 {
 			fmt.Fprintf(&b, "kv(%s, %s).\n", r[0], r[1])
 		}
 		srcs[i] = b.String()
-		batches[i] = wal.Batch{Epoch: s.Epoch() + uint64(i) + 1, Rels: []wal.RelFacts{{Tag: "kv/2", Arity: 2, Tuples: rows}}}
+		batches[i] = wal.Batch{Epoch: s.Epoch() + uint64(i) + 1, Rels: []wal.RelFacts{relFacts("kv/2", 2, rows)}}
 	}
 	apply := func(i int) {
 		var err error

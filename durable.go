@@ -24,7 +24,6 @@ package ldl
 // only durability cost is a nil check.
 
 import (
-	"fmt"
 	"time"
 
 	"ldl/internal/store"
@@ -94,12 +93,7 @@ func withWALFS(fs wal.FS) SystemOption {
 // semantics make the overlap harmless).
 func (s *System) openLog(db *store.Database, cfg sysConfig, base uint64) error {
 	log, rep, err := wal.Open(cfg.segDir, wal.Options{FS: cfg.walFS, Sync: cfg.fsync, Interval: cfg.interval, BaseEpoch: base},
-		func(b wal.Batch) error {
-			if _, _, err := s.applyBatch(db, b); err != nil {
-				return fmt.Errorf("ldl: recovery: %w", err)
-			}
-			return nil
-		})
+		func(b wal.Batch) error { _, _, err := s.applyBatch(db, b); return err })
 	if err != nil {
 		return err
 	}

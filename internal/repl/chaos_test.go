@@ -30,11 +30,8 @@ const dir = "data"
 // mkBatch builds the leader batch for epoch e: two distinct tuples in
 // par/2, so every epoch's contribution is distinguishable.
 func mkBatch(e uint64) wal.Batch {
-	return wal.Batch{Epoch: e, Rels: []wal.RelFacts{{Tag: "par/2", Arity: 2,
-		Tuples: [][]term.Term{
-			{term.Atom(fmt.Sprintf("e%d_a", e)), term.Int(int64(e))},
-			{term.Atom(fmt.Sprintf("e%d_b", e)), term.Int(int64(e))},
-		}}}}
+	a, b, n := term.Intern(term.Atom(fmt.Sprintf("e%d_a", e))), term.Intern(term.Atom(fmt.Sprintf("e%d_b", e))), term.Intern(term.Int(int64(e)))
+	return wal.Batch{Epoch: e, Rels: []wal.RelFacts{{Tag: "par/2", Arity: 2, Rows: 2, Cols: [][]term.ID{{a, b}, {n, n}}}}}
 }
 
 // appendSync appends b and commits it under the log's fsync policy.
@@ -50,8 +47,8 @@ func appendSync(l *wal.Log, b wal.Batch) error {
 func tupleKeys(b wal.Batch) []string {
 	var out []string
 	for _, r := range b.Rels {
-		for _, t := range r.Tuples {
-			out = append(out, fmt.Sprintf("%s|%v|%v", r.Tag, t[0], t[1]))
+		for i := 0; i < r.Rows; i++ {
+			out = append(out, fmt.Sprintf("%s|%v|%v", r.Tag, term.InternedTerm(r.Cols[0][i]), term.InternedTerm(r.Cols[1][i])))
 		}
 	}
 	return out
@@ -176,10 +173,8 @@ func (ld *chaosLeader) checkpoint(e uint64) {
 	}
 	cols := make([][]term.ID, 2)
 	for i := uint64(2); i <= e; i++ {
-		for _, tup := range mkBatch(i).Rels[0].Tuples {
-			for c, v := range tup {
-				cols[c] = append(cols[c], term.Intern(v))
-			}
+		for c, col := range mkBatch(i).Rels[0].Cols {
+			cols[c] = append(cols[c], col...)
 		}
 	}
 	name, rows := segment.SegName(e, "par/2", 0), len(cols[0])

@@ -453,24 +453,30 @@ func (f *Follower) stream(ctx context.Context, conn net.Conn, target string) (pr
 			f.observeTerm(streamTerm)
 			f.noteLeaderEpoch(head)
 		case kindSeed, kindBatch:
-			b, err := wal.DecodeBatchPayload(payload)
+			// Fence on the header before decoding the rows: a refused
+			// frame interns none of its terms.
+			h, _, err := wal.DecodeHeader(payload)
 			if err != nil {
 				return progress, fmt.Errorf("repl: frame decode: %w", err)
 			}
-			if b.Term > streamTerm {
-				streamTerm = b.Term
+			if h.Term > streamTerm {
+				streamTerm = h.Term
 			}
 			if streamTerm > 0 && streamTerm < f.localTerm() {
 				f.noteFenced()
-				return progress, fmt.Errorf("%w: stream term %d below local %d (epoch %d)", errStaleTerm, streamTerm, f.localTerm(), b.Epoch)
+				return progress, fmt.Errorf("%w: stream term %d below local %d (epoch %d)", errStaleTerm, streamTerm, f.localTerm(), h.Epoch)
 			}
 			if streamTerm > 0 && !f.bindTerm(streamTerm, identity) {
 				f.noteFenced()
 				return progress, fmt.Errorf("%w: term %d already served by %s", errSplitTerm, streamTerm, f.boundLeaderFor(streamTerm))
 			}
-			if b.Kind == wal.RecTerm {
+			if h.Kind == wal.RecTerm {
 				f.observeTerm(streamTerm)
 				continue // a shipped term bump carries no facts
+			}
+			b, err := wal.DecodeBatchPayload(payload)
+			if err != nil {
+				return progress, fmt.Errorf("repl: frame decode: %w", err)
 			}
 			// Raise the batch to the stream's authority before applying:
 			// the leader of streamTerm vouches for it (it may be history

@@ -42,6 +42,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"ldl/internal/wal"
 )
 
 // Frame kinds.
@@ -61,14 +63,12 @@ const maxFrame = 64<<20 + 64
 // re-requests the data by reconnecting from its applied epoch.
 var ErrCorruptFrame = errors.New("repl: corrupt frame (crc mismatch)")
 
-// appendFrame encodes one frame into buf.
+// appendFrame encodes one frame into buf: the WAL's len|crc frame
+// around the kind byte and the payload.
 func appendFrame(buf []byte, kind byte, payload []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+len(payload)))
-	body := append([]byte{kind}, payload...)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-	buf = append(buf, hdr[:]...)
-	return append(buf, body...)
+	buf, at := wal.OpenFrame(buf)
+	buf = append(append(buf, kind), payload...)
+	return wal.CloseFrame(buf, at)
 }
 
 // writeFrame sends one frame with a single Write call — the granularity

@@ -68,15 +68,8 @@ func (s *Shipper) Serve(conn io.Writer, from uint64) error {
 	}
 	cur := plan.Cursor
 
-	var buf []byte
-	emit := func(b wal.Batch) error {
-		payload, err := wal.EncodeBatchPayload(buf[:0], b)
-		if err != nil {
-			return err
-		}
-		buf = payload
-		return writeFrame(conn, kindBatch, payload)
-	}
+	// Logged records ship as the bytes the log holds.
+	emit := func(payload []byte) error { return writeFrame(conn, kindBatch, payload) }
 
 	lastBeat := time.Now()
 	for {

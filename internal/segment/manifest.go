@@ -13,6 +13,7 @@ package segment
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -89,20 +90,20 @@ func isSegName(name string) bool {
 // encodeManifest serializes m as one CRC frame over a magic-prefixed
 // payload.
 func encodeManifest(m *Manifest) []byte {
-	var p []byte
+	p, at := wal.OpenFrame(nil)
 	p = binary.LittleEndian.AppendUint64(p, manifestMagic)
 	p = binary.LittleEndian.AppendUint64(p, m.Epoch)
-	p = appendUvarint(p, uint64(len(m.Rels)))
+	p = binary.AppendUvarint(p, uint64(len(m.Rels)))
 	for _, r := range m.Rels {
-		p = appendString(p, r.Tag)
-		p = appendUvarint(p, uint64(r.Arity))
-		p = appendUvarint(p, uint64(r.Rows))
-		p = appendUvarint(p, uint64(len(r.Segments)))
+		p = wal.AppendString(p, r.Tag)
+		p = binary.AppendUvarint(p, uint64(r.Arity))
+		p = binary.AppendUvarint(p, uint64(r.Rows))
+		p = binary.AppendUvarint(p, uint64(len(r.Segments)))
 		for _, s := range r.Segments {
-			p = appendString(p, s)
+			p = wal.AppendString(p, s)
 		}
 		p = binary.LittleEndian.AppendUint64(p, uint64(int64(r.Stats.Card*256)))
-		p = appendUvarint(p, uint64(len(r.Stats.Distinct)))
+		p = binary.AppendUvarint(p, uint64(len(r.Stats.Distinct)))
 		for _, d := range r.Stats.Distinct {
 			p = binary.LittleEndian.AppendUint64(p, uint64(int64(d*256)))
 		}
@@ -112,13 +113,13 @@ func encodeManifest(m *Manifest) []byte {
 			p = append(p, 0)
 		}
 	}
-	return appendFrame(nil, p)
+	return wal.CloseFrame(p, at)
 }
 
 // decodeManifest parses an encoded manifest, rejecting malformed input
 // without panicking.
 func decodeManifest(data []byte) (*Manifest, error) {
-	p, rest, err := readFrame(data)
+	p, rest, err := wal.ReadFrame(data, math.MaxUint32)
 	if err != nil || len(rest) != 0 {
 		return nil, errCorrupt
 	}
@@ -127,31 +128,31 @@ func decodeManifest(data []byte) (*Manifest, error) {
 	}
 	m := &Manifest{Epoch: binary.LittleEndian.Uint64(p[8:])}
 	p = p[16:]
-	nRels, p, err := decodeUvarint(p)
+	nRels, p, err := wal.DecodeUvarint(p)
 	if err != nil || nRels > uint64(len(data)) {
 		return nil, errCorrupt
 	}
 	for i := uint64(0); i < nRels; i++ {
 		var r RelEntry
-		if r.Tag, p, err = decodeString(p); err != nil {
+		if r.Tag, p, err = wal.DecodeString(p); err != nil {
 			return nil, errCorrupt
 		}
 		var v uint64
-		if v, p, err = decodeUvarint(p); err != nil || v > maxArity {
+		if v, p, err = wal.DecodeUvarint(p); err != nil || v > maxArity {
 			return nil, errCorrupt
 		}
 		r.Arity = int(v)
-		if v, p, err = decodeUvarint(p); err != nil {
+		if v, p, err = wal.DecodeUvarint(p); err != nil {
 			return nil, errCorrupt
 		}
 		r.Rows = int(v)
 		var nSegs int
-		if nSegs, p, err = decodeLen(p); err != nil {
+		if nSegs, p, err = wal.DecodeLen(p); err != nil {
 			return nil, errCorrupt
 		}
 		for s := 0; s < nSegs; s++ {
 			var name string
-			if name, p, err = decodeString(p); err != nil || !isSegName(name) {
+			if name, p, err = wal.DecodeString(p); err != nil || !isSegName(name) {
 				return nil, errCorrupt
 			}
 			r.Segments = append(r.Segments, name)
@@ -162,7 +163,7 @@ func decodeManifest(data []byte) (*Manifest, error) {
 		r.Stats.Card = float64(int64(binary.LittleEndian.Uint64(p))) / 256
 		p = p[8:]
 		var nDist uint64
-		if nDist, p, err = decodeUvarint(p); err != nil || nDist > maxArity || nDist*8 > uint64(len(p)) {
+		if nDist, p, err = wal.DecodeUvarint(p); err != nil || nDist > maxArity || nDist*8 > uint64(len(p)) {
 			return nil, errCorrupt
 		}
 		for d := uint64(0); d < nDist; d++ {
@@ -299,7 +300,9 @@ func PlanShip(dir string, fs wal.FS, from uint64) (wal.ShipPlan, error) {
 }
 
 // manifestRows reads every row man commits to as one batch at its
-// epoch.
+// epoch: per relation, its segments' ID columns concatenated (the
+// first segment's columns, freshly decoded and owned here, extended by
+// the rest's).
 func manifestRows(fs wal.FS, dir string, man *Manifest) (*wal.Batch, error) {
 	b := &wal.Batch{Epoch: man.Epoch, Rels: make([]wal.RelFacts, 0, len(man.Rels))}
 	for _, re := range man.Rels {
@@ -307,14 +310,14 @@ func manifestRows(fs wal.FS, dir string, man *Manifest) (*wal.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		rf := wal.RelFacts{Tag: re.Tag, Arity: re.Arity, Tuples: make([][]term.Term, 0, re.Rows)}
-		for _, sg := range segs {
-			for i := 0; i < sg.Rows; i++ {
-				tup := make([]term.Term, sg.Arity)
-				for c := range tup {
-					tup[c] = term.InternedTerm(sg.Cols[c][i])
-				}
-				rf.Tuples = append(rf.Tuples, tup)
+		rf := wal.RelFacts{Tag: re.Tag, Arity: re.Arity, Rows: re.Rows, Cols: make([][]term.ID, re.Arity)}
+		for i, sg := range segs {
+			if i == 0 {
+				rf.Cols = sg.Cols
+				continue
+			}
+			for c, col := range sg.Cols {
+				rf.Cols[c] = append(rf.Cols[c], col...)
 			}
 		}
 		b.Rels = append(b.Rels, rf)

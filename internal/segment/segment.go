@@ -10,11 +10,11 @@
 // (process-stable, so filters persist), one over full-row hashes, and
 // an integer zone map per all-Int column.
 //
-// Layout: CRC-framed sections (the WAL's len|crc framing) — header,
-// dictionary, one section per column, stats — closed by a fixed-size
-// footer holding the body length and a whole-body CRC. A reader
-// validates the footer first, then the body checksum, then parses; a
-// torn or doctored file fails closed. Files are written tmp → fsync →
+// Layout: CRC-framed sections (the WAL's len|crc frame: wal.OpenFrame,
+// wal.ReadFrame) — header, dictionary, one section per column, stats —
+// closed by a fixed-size footer holding the body length and a
+// whole-body CRC. A reader validates the footer first, then the body
+// checksum, then parses; a torn or doctored file fails closed. Files are written tmp → fsync →
 // rename → dir-sync, and a manifest names the exact segment set per
 // relation, so a crash anywhere leaves the previous manifest's state
 // intact. The segment tier is the only durable base state: a follower
@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"ldl/internal/store"
 	"ldl/internal/term"
@@ -40,8 +41,6 @@ const (
 	// footerSize: bodyLen u64 | bodyCRC u32 | version u32 | magic u64 |
 	// footer CRC u32.
 	footerSize = 28
-
-	frameHeader = 8 // len u32 | crc u32, mirroring the WAL record frame
 
 	// maxArity bounds decoded arities: column masks are uint32 bitsets
 	// upstream.
@@ -84,70 +83,10 @@ func (s *Segment) PartData() store.PartData {
 	}
 }
 
-// appendFrame wraps payload in the len|crc frame.
-func appendFrame(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
-// readFrame peels one frame off b, returning the payload and the rest.
-func readFrame(b []byte) (payload, rest []byte, err error) {
-	if len(b) < frameHeader {
-		return nil, nil, errCorrupt
-	}
-	n := binary.LittleEndian.Uint32(b)
-	crc := binary.LittleEndian.Uint32(b[4:])
-	if uint64(n) > uint64(len(b)-frameHeader) {
-		return nil, nil, errCorrupt
-	}
-	payload = b[frameHeader : frameHeader+int(n)]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, nil, errCorrupt
-	}
-	return payload, b[frameHeader+int(n):], nil
-}
-
-func appendUvarint(buf []byte, v uint64) []byte { return binary.AppendUvarint(buf, v) }
-
-func decodeUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, errCorrupt
-	}
-	return v, b[n:], nil
-}
-
-// decodeLen reads a uvarint bounded by the remaining buffer length —
-// the guard that keeps hostile counts from becoming huge allocations.
-func decodeLen(b []byte) (int, []byte, error) {
-	v, rest, err := decodeUvarint(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if v > uint64(len(rest)) {
-		return 0, nil, errCorrupt
-	}
-	return int(v), rest, nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = appendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func decodeString(b []byte) (string, []byte, error) {
-	n, rest, err := decodeLen(b)
-	if err != nil {
-		return "", nil, err
-	}
-	return string(rest[:n]), rest[n:], nil
-}
-
 func appendBloom(buf []byte, bl store.Bloom) []byte {
 	words := bl.Words()
-	buf = appendUvarint(buf, uint64(bl.K()))
-	buf = appendUvarint(buf, uint64(len(words)))
+	buf = binary.AppendUvarint(buf, uint64(bl.K()))
+	buf = binary.AppendUvarint(buf, uint64(len(words)))
 	for _, w := range words {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
@@ -155,13 +94,13 @@ func appendBloom(buf []byte, bl store.Bloom) []byte {
 }
 
 func decodeBloom(b []byte) (store.Bloom, []byte, error) {
-	k, b, err := decodeUvarint(b)
+	k, b, err := wal.DecodeUvarint(b)
 	if err != nil {
-		return store.Bloom{}, nil, err
+		return store.Bloom{}, nil, errCorrupt
 	}
-	n, b, err := decodeUvarint(b)
+	n, b, err := wal.DecodeUvarint(b)
 	if err != nil {
-		return store.Bloom{}, nil, err
+		return store.Bloom{}, nil, errCorrupt
 	}
 	if n*8 > uint64(len(b)) || k > 16 {
 		return store.Bloom{}, nil, errCorrupt
@@ -199,23 +138,20 @@ func Encode(tag string, arity int, cols [][]term.ID, rows int) ([]byte, error) {
 	}
 
 	// Header.
-	var payload []byte
-	payload = appendString(payload, tag)
-	payload = appendUvarint(payload, uint64(arity))
-	payload = appendUvarint(payload, uint64(rows))
-	payload = appendUvarint(payload, uint64(len(dict)))
-	body := appendFrame(nil, payload)
+	body, at := wal.OpenFrame(nil)
+	body = wal.AppendString(body, tag)
+	body = binary.AppendUvarint(body, uint64(arity))
+	body = binary.AppendUvarint(body, uint64(rows))
+	body = binary.AppendUvarint(body, uint64(len(dict)))
+	body = wal.CloseFrame(body, at)
 
 	// Dictionary: the terms themselves, in ordinal order, in the WAL's
 	// term codec.
-	payload = payload[:0]
-	var err error
+	body, at = wal.OpenFrame(body)
 	for _, id := range dict {
-		if payload, err = wal.AppendTerm(payload, term.InternedTerm(id)); err != nil {
-			return nil, fmt.Errorf("segment: %s: %w", tag, err)
-		}
+		body = wal.AppendID(body, id)
 	}
-	body = appendFrame(body, payload)
+	body = wal.CloseFrame(body, at)
 
 	// Columns: ordinal per row, plus blooms/zone maps gathered in the
 	// same pass.
@@ -224,13 +160,13 @@ func Encode(tag string, arity int, cols [][]term.ID, rows int) ([]byte, error) {
 	zoneMin := make([]int64, arity)
 	zoneMax := make([]int64, arity)
 	for c := 0; c < arity; c++ {
-		payload = payload[:0]
+		body, at = wal.OpenFrame(body)
 		bl := store.NewBloom(rows, bloomBitsPerKey)
 		allInt := rows > 0
 		var mn, mx int64
 		for i := 0; i < rows; i++ {
 			id := cols[c][i]
-			payload = appendUvarint(payload, uint64(ord[id]))
+			body = binary.AppendUvarint(body, uint64(ord[id]))
 			bl.Add(term.IDHash(id))
 			if allInt {
 				if v, ok := term.InternedTerm(id).(term.Int); ok {
@@ -247,7 +183,7 @@ func Encode(tag string, arity int, cols [][]term.ID, rows int) ([]byte, error) {
 		}
 		colBlooms[c] = bl
 		zoneOK[c], zoneMin[c], zoneMax[c] = allInt, mn, mx
-		body = appendFrame(body, payload)
+		body = wal.CloseFrame(body, at)
 	}
 
 	// Stats: row bloom, then per-column bloom + zone map.
@@ -259,18 +195,19 @@ func Encode(tag string, arity int, cols [][]term.ID, rows int) ([]byte, error) {
 		}
 		rowBloom.Add(store.IDRowHash(rowbuf))
 	}
-	payload = appendBloom(payload[:0], rowBloom)
+	body, at = wal.OpenFrame(body)
+	body = appendBloom(body, rowBloom)
 	for c := 0; c < arity; c++ {
-		payload = appendBloom(payload, colBlooms[c])
+		body = appendBloom(body, colBlooms[c])
 		if zoneOK[c] {
-			payload = append(payload, 1)
-			payload = binary.AppendVarint(payload, zoneMin[c])
-			payload = binary.AppendVarint(payload, zoneMax[c])
+			body = append(body, 1)
+			body = binary.AppendVarint(body, zoneMin[c])
+			body = binary.AppendVarint(body, zoneMax[c])
 		} else {
-			payload = append(payload, 0)
+			body = append(body, 0)
 		}
 	}
-	body = appendFrame(body, payload)
+	body = wal.CloseFrame(body, at)
 
 	// Footer.
 	out := body
@@ -307,24 +244,24 @@ func Decode(data []byte) (*Segment, error) {
 	}
 
 	// Header.
-	payload, body, err := readFrame(body)
+	payload, body, err := wal.ReadFrame(body, math.MaxUint32)
 	if err != nil {
-		return nil, err
+		return nil, errCorrupt
 	}
-	tag, payload, err := decodeString(payload)
+	tag, payload, err := wal.DecodeString(payload)
 	if err != nil {
-		return nil, err
+		return nil, errCorrupt
 	}
-	arity64, payload, err := decodeUvarint(payload)
+	arity64, payload, err := wal.DecodeUvarint(payload)
 	if err != nil || arity64 > maxArity {
 		return nil, errCorrupt
 	}
 	arity := int(arity64)
-	rows64, payload, err := decodeUvarint(payload)
+	rows64, payload, err := wal.DecodeUvarint(payload)
 	if err != nil {
 		return nil, errCorrupt
 	}
-	dictN64, payload, err := decodeUvarint(payload)
+	dictN64, payload, err := wal.DecodeUvarint(payload)
 	if err != nil || len(payload) != 0 {
 		return nil, errCorrupt
 	}
@@ -337,22 +274,15 @@ func Decode(data []byte) (*Segment, error) {
 	rows, dictN := int(rows64), int(dictN64)
 
 	// Dictionary.
-	payload, body, err = readFrame(body)
+	payload, body, err = wal.ReadFrame(body, math.MaxUint32)
 	if err != nil {
-		return nil, err
+		return nil, errCorrupt
 	}
 	ordToID := make([]term.ID, dictN)
-	for d := 0; d < dictN; d++ {
-		var t term.Term
-		t, payload, err = wal.DecodeTerm(payload)
-		if err != nil {
+	for d := range ordToID {
+		if ordToID[d], payload, err = wal.DecodeID(payload); err != nil {
 			return nil, errCorrupt
 		}
-		id, _, ok := term.TryIntern(t)
-		if !ok {
-			return nil, errCorrupt
-		}
-		ordToID[d] = id
 	}
 	if len(payload) != 0 {
 		return nil, errCorrupt
@@ -361,14 +291,14 @@ func Decode(data []byte) (*Segment, error) {
 	// Columns.
 	seg := &Segment{Tag: tag, Arity: arity, Rows: rows, Cols: make([][]term.ID, arity)}
 	for c := 0; c < arity; c++ {
-		payload, body, err = readFrame(body)
+		payload, body, err = wal.ReadFrame(body, math.MaxUint32)
 		if err != nil {
-			return nil, err
+			return nil, errCorrupt
 		}
 		col := make([]term.ID, rows)
 		for i := 0; i < rows; i++ {
 			var o uint64
-			o, payload, err = decodeUvarint(payload)
+			o, payload, err = wal.DecodeUvarint(payload)
 			if err != nil || o >= uint64(dictN) {
 				return nil, errCorrupt
 			}
@@ -381,9 +311,9 @@ func Decode(data []byte) (*Segment, error) {
 	}
 
 	// Stats.
-	payload, body, err = readFrame(body)
+	payload, body, err = wal.ReadFrame(body, math.MaxUint32)
 	if err != nil {
-		return nil, err
+		return nil, errCorrupt
 	}
 	seg.RowBloom, payload, err = decodeBloom(payload)
 	if err != nil {

@@ -18,10 +18,8 @@ const shipDir = "data"
 
 // shipBatch is the leader's batch for epoch e: two distinct par/2 rows.
 func shipBatch(e uint64) wal.Batch {
-	return wal.Batch{Epoch: e, Rels: []wal.RelFacts{{Tag: "par/2", Arity: 2, Tuples: [][]term.Term{
-		{term.Atom(fmt.Sprintf("e%d_a", e)), term.Int(int64(e))},
-		{term.Atom(fmt.Sprintf("e%d_b", e)), term.Int(int64(e))},
-	}}}}
+	a, b, n := term.Intern(term.Atom(fmt.Sprintf("e%d_a", e))), term.Intern(term.Atom(fmt.Sprintf("e%d_b", e))), term.Intern(term.Int(int64(e)))
+	return wal.Batch{Epoch: e, Rels: []wal.RelFacts{{Tag: "par/2", Arity: 2, Rows: 2, Cols: [][]term.ID{{a, b}, {n, n}}}}}
 }
 
 // shipLeader opens a log on fs and appends the batches for epochs
@@ -60,10 +58,8 @@ func flush(t *testing.T, fs wal.FS, l *wal.Log, e uint64) {
 	}
 	cols := make([][]term.ID, 2)
 	for i := uint64(2); i <= e; i++ {
-		for _, tup := range shipBatch(i).Rels[0].Tuples {
-			for c, v := range tup {
-				cols[c] = append(cols[c], term.Intern(v))
-			}
+		for c, col := range shipBatch(i).Rels[0].Cols {
+			cols[c] = append(cols[c], col...)
 		}
 	}
 	name, rows := SegName(e, "par/2", 0), len(cols[0])
@@ -94,9 +90,10 @@ func shipAll(t *testing.T, fs wal.FS, from uint64) (got []wal.Batch, seeds int) 
 			got = append(got, *plan.Seed)
 			seeds++
 		}
-		cur, err := wal.ReadLive(shipDir, fs, plan.Cursor, 100, func(b wal.Batch) error {
+		cur, err := wal.ReadLive(shipDir, fs, plan.Cursor, 100, func(p []byte) error {
+			b, err := wal.DecodeBatchPayload(p)
 			got = append(got, b)
-			return nil
+			return err
 		})
 		if errors.Is(err, wal.ErrRetired) {
 			if plan, err = PlanShip(shipDir, fs, cur.Epoch); err != nil {
@@ -155,13 +152,13 @@ func TestShipRetiredUnderCursor(t *testing.T) {
 		t.Fatalf("fresh follower over a full log: plan %+v, err %v; want a plain resume", plan, err)
 	}
 	// Deliver epoch 2 only, leaving the cursor mid-segment.
-	cur, err := wal.ReadLive(shipDir, fs, plan.Cursor, 2, func(wal.Batch) error { return nil })
+	cur, err := wal.ReadLive(shipDir, fs, plan.Cursor, 2, func([]byte) error { return nil })
 	if err != nil || cur.Epoch != 2 {
 		t.Fatalf("partial read: cur=%+v err=%v", cur, err)
 	}
 	// A flush retires the segment under the cursor.
 	flush(t, fs, l, 4)
-	if _, err := wal.ReadLive(shipDir, fs, cur, 100, func(wal.Batch) error { return nil }); !errors.Is(err, wal.ErrRetired) {
+	if _, err := wal.ReadLive(shipDir, fs, cur, 100, func([]byte) error { return nil }); !errors.Is(err, wal.ErrRetired) {
 		t.Fatalf("read from retired segment = %v, want ErrRetired", err)
 	}
 	// Re-plan from the cursor's epoch reseeds and converges.

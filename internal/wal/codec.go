@@ -2,9 +2,8 @@ package wal
 
 // Record and term codec. One log record encodes one InsertFacts batch:
 // the epoch it published plus, per touched relation, the relation tag
-// and its new ground tuples. Checkpoint files reuse the same framing
-// and relation encoding with a different magic, so one decoder (and one
-// fuzz target) covers both.
+// and its new ground rows. The frame, varint, string and term helpers
+// are shared with the segment files and manifests (internal/segment).
 //
 // Framing (little-endian):
 //
@@ -22,8 +21,8 @@ package wal
 //	  per relation:
 //	    uvarint len(tag), tag bytes
 //	    uvarint arity
-//	    uvarint #tuples
-//	    per tuple: arity terms
+//	    uvarint #rows
+//	    per row: arity terms
 //
 // A 'T' record carries no facts: it persists a leader-term bump
 // (PROMOTE, or a higher term observed on the wire) so recovery can
@@ -37,8 +36,9 @@ package wal
 //	's' uvarint len bytes          string
 //	'c' uvarint len functor, uvarint #args, args...   compound
 //
-// Only ground terms are encodable — the fact base never stores a
-// variable — so decoding always yields insertable tuples.
+// In memory a batch holds its rows as interned term.ID columns, the
+// store's row form: encoding writes each cell's interned term, and
+// decoding interns each term it reads. The bytes never hold an ID.
 
 import (
 	"encoding/binary"
@@ -46,22 +46,26 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"ldl/internal/term"
 )
 
-// RelFacts is one relation's slice of a batch or checkpoint: its tag
-// ("name/arity"), arity, and ground tuples.
+// RelFacts is one relation's slice of a batch: its tag ("name/arity"),
+// arity, and Rows ground rows as interned ID columns — Cols[c][i] is
+// column c of row i, the column-major shape store.Relation.InsertRows
+// and segment files use.
 type RelFacts struct {
-	Tag    string
-	Arity  int
-	Tuples [][]term.Term
+	Tag   string
+	Arity int
+	Rows  int
+	Cols  [][]term.ID
 }
 
 // Record kinds. The zero Kind encodes as RecBatch so plain
 // Batch{Epoch, Rels} literals keep meaning "a fact batch".
 const (
-	RecBatch byte = 'B' // an InsertFacts batch (or checkpoint state)
+	RecBatch byte = 'B' // an InsertFacts batch (or a replication seed)
 	RecTerm  byte = 'T' // a leader-term bump, no facts
 )
 
@@ -84,11 +88,11 @@ func (b Batch) kind() byte {
 	return b.Kind
 }
 
-// Tuples sums the tuple count across relations.
+// Tuples sums the row count across relations.
 func (b Batch) Tuples() int {
 	n := 0
 	for _, r := range b.Rels {
-		n += len(r.Tuples)
+		n += r.Rows
 	}
 	return n
 }
@@ -114,58 +118,46 @@ var errBadCRC = errors.New("wal: crc mismatch")
 // the log itself never wrote).
 var errDecode = errors.New("wal: malformed record payload")
 
-// appendUvarint appends v in unsigned varint encoding.
-func appendUvarint(buf []byte, v uint64) []byte {
-	return binary.AppendUvarint(buf, v)
+// OpenFrame appends a frame header placeholder to buf and returns the
+// header's offset; CloseFrame fills it in once the payload has been
+// appended after it, so a payload is encoded in place, never copied.
+func OpenFrame(buf []byte) ([]byte, int) {
+	return append(buf, 0, 0, 0, 0, 0, 0, 0, 0), len(buf)
 }
 
-// appendTerm appends the codec encoding of a ground term. It returns an
-// error (not a panic) on variables so callers at API boundaries can
-// reject non-ground input gracefully.
-func appendTerm(buf []byte, t term.Term) ([]byte, error) {
-	switch x := t.(type) {
-	case term.Atom:
-		buf = append(buf, 'a')
-		buf = appendUvarint(buf, uint64(len(x)))
-		return append(buf, x...), nil
-	case term.Int:
-		buf = append(buf, 'i')
-		return binary.AppendVarint(buf, int64(x)), nil
-	case term.Str:
-		buf = append(buf, 's')
-		buf = appendUvarint(buf, uint64(len(x)))
-		return append(buf, x...), nil
-	case term.Comp:
-		buf = append(buf, 'c')
-		buf = appendUvarint(buf, uint64(len(x.Functor)))
-		buf = append(buf, x.Functor...)
-		buf = appendUvarint(buf, uint64(len(x.Args)))
-		var err error
-		for _, a := range x.Args {
-			if buf, err = appendTerm(buf, a); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	default:
-		return nil, fmt.Errorf("wal: cannot encode non-ground term %s", t)
+// CloseFrame completes the frame OpenFrame started at offset at: its
+// payload is everything appended since.
+func CloseFrame(buf []byte, at int) []byte {
+	payload := buf[at+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[at+4:], crc32.ChecksumIEEE(payload))
+	return buf
+}
+
+// ReadFrame peels one frame off the head of b, returning its payload
+// and the bytes after it. A frame declaring more than limit payload
+// bytes is a hard decode error, never an allocation; an incomplete
+// frame is errShortFrame, a checksum mismatch errBadCRC.
+func ReadFrame(b []byte, limit uint32) (payload, rest []byte, err error) {
+	if len(b) < frameHeader {
+		return nil, nil, errShortFrame
 	}
+	n := binary.LittleEndian.Uint32(b)
+	if n > limit {
+		return nil, nil, fmt.Errorf("%w: declared payload of %d bytes", errDecode, n)
+	}
+	if uint64(len(b)-frameHeader) < uint64(n) {
+		return nil, nil, errShortFrame
+	}
+	payload = b[frameHeader : frameHeader+int(n)]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:]) {
+		return nil, nil, errBadCRC
+	}
+	return payload, b[frameHeader+int(n):], nil
 }
 
-// AppendTerm appends the codec encoding of one ground term — the
-// shared term wire format the segment tier reuses for its dictionaries,
-// so a term round-trips identically through log records and segment
-// files. Returns an error (not a panic) on non-ground terms.
-func AppendTerm(buf []byte, t term.Term) ([]byte, error) { return appendTerm(buf, t) }
-
-// DecodeTerm reads one term encoded by AppendTerm, returning it and the
-// remaining bytes. Hostile input yields an error, never a panic or an
-// oversized allocation (lengths are bounded by the buffer, nesting by
-// the codec's depth cap).
-func DecodeTerm(b []byte) (term.Term, []byte, error) { return decodeTerm(b, 0) }
-
-// decodeUvarint reads a uvarint bounded by the remaining buffer.
-func decodeUvarint(b []byte) (uint64, []byte, error) {
+// DecodeUvarint reads a uvarint from the head of b.
+func DecodeUvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
 	if n <= 0 {
 		return 0, nil, errDecode
@@ -173,11 +165,11 @@ func decodeUvarint(b []byte) (uint64, []byte, error) {
 	return v, b[n:], nil
 }
 
-// decodeLen reads a uvarint that must fit as a byte count within the
+// DecodeLen reads a uvarint that must fit as a byte count within the
 // remaining buffer — the guard that keeps hostile lengths from turning
 // into huge allocations.
-func decodeLen(b []byte) (int, []byte, error) {
-	v, rest, err := decodeUvarint(b)
+func DecodeLen(b []byte) (int, []byte, error) {
+	v, rest, err := DecodeUvarint(b)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -185,6 +177,69 @@ func decodeLen(b []byte) (int, []byte, error) {
 		return 0, nil, errDecode
 	}
 	return int(v), rest, nil
+}
+
+// AppendString appends s as a uvarint length and its bytes.
+func AppendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+// DecodeString reads a string written by AppendString.
+func DecodeString(b []byte) (string, []byte, error) {
+	n, rest, err := DecodeLen(b)
+	if err != nil {
+		return "", nil, err
+	}
+	return string(rest[:n]), rest[n:], nil
+}
+
+// AppendID appends the codec encoding of the term interned under id.
+func AppendID(buf []byte, id term.ID) []byte {
+	return appendTerm(buf, term.InternedTerm(id))
+}
+
+// appendTerm appends the codec encoding of a ground term. Interned
+// terms are ground by the intern table's contract.
+func appendTerm(buf []byte, t term.Term) []byte {
+	switch x := t.(type) {
+	case term.Atom:
+		buf = append(buf, 'a')
+		return AppendString(buf, string(x))
+	case term.Int:
+		buf = append(buf, 'i')
+		return binary.AppendVarint(buf, int64(x))
+	case term.Str:
+		buf = append(buf, 's')
+		return AppendString(buf, string(x))
+	case term.Comp:
+		buf = append(buf, 'c')
+		buf = AppendString(buf, x.Functor)
+		buf = binary.AppendUvarint(buf, uint64(len(x.Args)))
+		for _, a := range x.Args {
+			buf = appendTerm(buf, a)
+		}
+		return buf
+	default:
+		panic(fmt.Sprintf("wal: cannot encode non-ground term %s", t))
+	}
+}
+
+// DecodeID reads one term encoded by AppendID and interns it,
+// returning its ID and the remaining bytes. Hostile input yields an
+// error, never a panic or an oversized allocation (lengths are bounded
+// by the buffer, nesting by the codec's depth cap); so does a term the
+// intern table refuses.
+func DecodeID(b []byte) (term.ID, []byte, error) {
+	t, rest, err := decodeTerm(b, 0)
+	if err != nil {
+		return 0, nil, err
+	}
+	id, _, ok := term.TryIntern(t)
+	if !ok {
+		return 0, nil, errDecode
+	}
+	return id, rest, nil
 }
 
 // decodeTerm reads one term.
@@ -198,11 +253,8 @@ func decodeTerm(b []byte, depth int) (term.Term, []byte, error) {
 	kind, b := b[0], b[1:]
 	switch kind {
 	case 'a':
-		n, rest, err := decodeLen(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return term.Atom(rest[:n]), rest[n:], nil
+		s, rest, err := DecodeString(b)
+		return term.Atom(s), rest, err
 	case 'i':
 		v, n := binary.Varint(b)
 		if n <= 0 {
@@ -210,19 +262,14 @@ func decodeTerm(b []byte, depth int) (term.Term, []byte, error) {
 		}
 		return term.Int(v), b[n:], nil
 	case 's':
-		n, rest, err := decodeLen(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return term.Str(rest[:n]), rest[n:], nil
+		s, rest, err := DecodeString(b)
+		return term.Str(s), rest, err
 	case 'c':
-		n, rest, err := decodeLen(b)
+		functor, rest, err := DecodeString(b)
 		if err != nil {
 			return nil, nil, err
 		}
-		functor := string(rest[:n])
-		rest = rest[n:]
-		argc, rest, err := decodeUvarint(rest)
+		argc, rest, err := DecodeUvarint(rest)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -233,11 +280,9 @@ func decodeTerm(b []byte, depth int) (term.Term, []byte, error) {
 		}
 		args := make([]term.Term, argc)
 		for i := range args {
-			var a term.Term
-			if a, rest, err = decodeTerm(rest, depth+1); err != nil {
+			if args[i], rest, err = decodeTerm(rest, depth+1); err != nil {
 				return nil, nil, err
 			}
-			args[i] = a
 		}
 		return term.Comp{Functor: functor, Args: args}, rest, nil
 	default:
@@ -245,58 +290,75 @@ func decodeTerm(b []byte, depth int) (term.Term, []byte, error) {
 	}
 }
 
-// appendBatchPayload appends the (unframed) payload encoding of b.
-func appendBatchPayload(buf []byte, b Batch) ([]byte, error) {
+// EncodeBatchPayload appends the unframed payload encoding of b. The
+// replication stream carries the log's record payloads, so one codec
+// (and one fuzz target) covers disk and wire.
+func EncodeBatchPayload(buf []byte, b Batch) ([]byte, error) {
 	kind := b.kind()
 	if kind != RecBatch && kind != RecTerm {
 		return nil, fmt.Errorf("wal: unknown record kind %q", kind)
 	}
 	buf = append(buf, kind)
-	buf = appendUvarint(buf, b.Term)
-	buf = appendUvarint(buf, b.Epoch)
+	buf = binary.AppendUvarint(buf, b.Term)
+	buf = binary.AppendUvarint(buf, b.Epoch)
 	if kind == RecTerm {
 		if len(b.Rels) != 0 {
 			return nil, fmt.Errorf("wal: term record cannot carry relations")
 		}
 		return buf, nil
 	}
-	buf = appendUvarint(buf, uint64(len(b.Rels)))
-	var err error
+	buf = binary.AppendUvarint(buf, uint64(len(b.Rels)))
 	for _, r := range b.Rels {
-		buf = appendUvarint(buf, uint64(len(r.Tag)))
-		buf = append(buf, r.Tag...)
-		buf = appendUvarint(buf, uint64(r.Arity))
-		buf = appendUvarint(buf, uint64(len(r.Tuples)))
-		for _, t := range r.Tuples {
-			if len(t) != r.Arity {
-				return nil, fmt.Errorf("wal: %s: tuple arity %d != relation arity %d", r.Tag, len(t), r.Arity)
+		if len(r.Cols) != r.Arity {
+			return nil, fmt.Errorf("wal: %s: %d columns for arity %d", r.Tag, len(r.Cols), r.Arity)
+		}
+		for _, col := range r.Cols {
+			if len(col) < r.Rows {
+				return nil, fmt.Errorf("wal: %s: column of %d rows, want %d", r.Tag, len(col), r.Rows)
 			}
-			for _, x := range t {
-				if buf, err = appendTerm(buf, x); err != nil {
-					return nil, err
-				}
+		}
+		buf = AppendString(buf, r.Tag)
+		buf = binary.AppendUvarint(buf, uint64(r.Arity))
+		buf = binary.AppendUvarint(buf, uint64(r.Rows))
+		for i := 0; i < r.Rows; i++ {
+			for _, col := range r.Cols {
+				buf = AppendID(buf, col[i])
 			}
 		}
 	}
 	return buf, nil
 }
 
-// decodeBatchPayload decodes an unframed batch payload. The whole
-// payload must be consumed — trailing garbage is corruption.
-func decodeBatchPayload(b []byte) (Batch, error) {
-	var out Batch
+// DecodeHeader decodes only a record payload's kind, term and epoch,
+// returned as a Batch without relations, and the bytes after them: the
+// shipper and the follower route and fence a record by its header
+// without decoding, or interning, its rows.
+func DecodeHeader(b []byte) (Batch, []byte, error) {
+	var h Batch
 	var err error
 	if len(b) == 0 {
-		return Batch{}, errDecode
+		return Batch{}, nil, errDecode
 	}
-	out.Kind, b = b[0], b[1:]
-	if out.Kind != RecBatch && out.Kind != RecTerm {
-		return Batch{}, errDecode
+	h.Kind, b = b[0], b[1:]
+	if h.Kind != RecBatch && h.Kind != RecTerm {
+		return Batch{}, nil, errDecode
 	}
-	if out.Term, b, err = decodeUvarint(b); err != nil {
-		return Batch{}, err
+	if h.Term, b, err = DecodeUvarint(b); err != nil {
+		return Batch{}, nil, err
 	}
-	if out.Epoch, b, err = decodeUvarint(b); err != nil {
+	if h.Epoch, b, err = DecodeUvarint(b); err != nil {
+		return Batch{}, nil, err
+	}
+	return h, b, nil
+}
+
+// DecodeBatchPayload decodes an unframed batch payload, interning every
+// term. Arbitrary input is safe: bounded allocation, bounded term depth,
+// no panics. The whole payload must be consumed — trailing garbage is
+// corruption.
+func DecodeBatchPayload(b []byte) (Batch, error) {
+	out, b, err := DecodeHeader(b)
+	if err != nil {
 		return Batch{}, err
 	}
 	if out.Kind == RecTerm {
@@ -305,7 +367,7 @@ func decodeBatchPayload(b []byte) (Batch, error) {
 		}
 		return out, nil
 	}
-	nrels, b, err := decodeUvarint(b)
+	nrels, b, err := DecodeUvarint(b)
 	if err != nil {
 		return Batch{}, err
 	}
@@ -315,43 +377,39 @@ func decodeBatchPayload(b []byte) (Batch, error) {
 	out.Rels = make([]RelFacts, 0, nrels)
 	for i := uint64(0); i < nrels; i++ {
 		var r RelFacts
-		n, rest, err := decodeLen(b)
-		if err != nil {
+		if r.Tag, b, err = DecodeString(b); err != nil {
 			return Batch{}, err
 		}
-		r.Tag = string(rest[:n])
-		b = rest[n:]
-		arity, rest2, err := decodeUvarint(b)
+		arity, rest, err := DecodeUvarint(b)
 		if err != nil {
 			return Batch{}, err
 		}
 		if arity == 0 || arity > math.MaxInt32 {
 			return Batch{}, errDecode
 		}
-		r.Arity = int(arity)
-		b = rest2
-		ntup, rest3, err := decodeUvarint(b)
+		nrows, rest, err := DecodeUvarint(rest)
 		if err != nil {
 			return Batch{}, err
 		}
-		b = rest3
-		// A tuple costs at least 2 bytes per term; reject counts the
+		b = rest
+		// A row costs at least 2 bytes per term; reject counts the
 		// remaining bytes cannot possibly hold. Both factors are first
 		// bounded by the buffer length so the product cannot overflow.
-		if ntup > 0 && (ntup > uint64(len(b)) || arity > uint64(len(b)) || ntup*arity > uint64(len(b))) {
+		if nrows > 0 && (nrows > uint64(len(b)) || arity > uint64(len(b)) || nrows*arity > uint64(len(b))) {
 			return Batch{}, errDecode
 		}
-		r.Tuples = make([][]term.Term, 0, ntup)
-		for j := uint64(0); j < ntup; j++ {
-			tup := make([]term.Term, r.Arity)
-			for c := 0; c < r.Arity; c++ {
-				var x term.Term
-				if x, b, err = decodeTerm(b, 0); err != nil {
+		r.Arity, r.Rows = int(arity), int(nrows)
+		cells := make([]term.ID, r.Arity*r.Rows)
+		r.Cols = make([][]term.ID, r.Arity)
+		for c := range r.Cols {
+			r.Cols[c] = cells[c*r.Rows : (c+1)*r.Rows : (c+1)*r.Rows]
+		}
+		for j := 0; j < r.Rows; j++ {
+			for _, col := range r.Cols {
+				if col[j], b, err = DecodeID(b); err != nil {
 					return Batch{}, err
 				}
-				tup[c] = x
 			}
-			r.Tuples = append(r.Tuples, tup)
 		}
 		out.Rels = append(out.Rels, r)
 	}
@@ -361,25 +419,19 @@ func decodeBatchPayload(b []byte) (Batch, error) {
 	return out, nil
 }
 
-// batchEqual compares two batches structurally (term-for-term).
+// batchEqual compares two batches row for row by term ID.
 func batchEqual(a, b Batch) bool {
 	if a.kind() != b.kind() || a.Term != b.Term || a.Epoch != b.Epoch || len(a.Rels) != len(b.Rels) {
 		return false
 	}
 	for i, ra := range a.Rels {
 		rb := b.Rels[i]
-		if ra.Tag != rb.Tag || ra.Arity != rb.Arity || len(ra.Tuples) != len(rb.Tuples) {
+		if ra.Tag != rb.Tag || ra.Arity != rb.Arity || ra.Rows != rb.Rows || len(ra.Cols) != len(rb.Cols) {
 			return false
 		}
-		for j, ta := range ra.Tuples {
-			tb := rb.Tuples[j]
-			if len(ta) != len(tb) {
+		for c := range ra.Cols {
+			if !slices.Equal(ra.Cols[c][:ra.Rows], rb.Cols[c][:rb.Rows]) {
 				return false
-			}
-			for c := range ta {
-				if !term.Equal(ta[c], tb[c]) {
-					return false
-				}
 			}
 		}
 	}
@@ -387,21 +439,18 @@ func batchEqual(a, b Batch) bool {
 }
 
 // AppendRecord appends the framed encoding of b to buf — the append
-// path of the log and (with a header in front) of checkpoints.
+// path of the log.
 func AppendRecord(buf []byte, b Batch) ([]byte, error) {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-	buf, err := appendBatchPayload(buf, b)
+	buf, at := OpenFrame(buf)
+	buf, err := EncodeBatchPayload(buf, b)
 	if err != nil {
 		return nil, err
 	}
-	payload := buf[start+frameHeader:]
-	if len(payload) > maxRecordSize {
-		return nil, fmt.Errorf("wal: record of %d bytes exceeds the %d byte limit", len(payload), maxRecordSize)
+	if n := len(buf) - at - frameHeader; n > maxRecordSize {
+		return nil, fmt.Errorf("wal: record of %d bytes exceeds the %d byte limit", n, maxRecordSize)
 	}
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
-	debugCheckRecord(buf[start:], b)
+	buf = CloseFrame(buf, at)
+	debugCheckRecord(buf[at:], b)
 	return buf, nil
 }
 
@@ -411,23 +460,10 @@ func AppendRecord(buf []byte, b Batch) ([]byte, error) {
 // incomplete frame (errShortFrame — the torn-tail case) from a checksum
 // or structural failure.
 func ReadRecord(data []byte) (Batch, int, error) {
-	if len(data) < frameHeader {
-		return Batch{}, 0, errShortFrame
-	}
-	n := binary.LittleEndian.Uint32(data)
-	if n > maxRecordSize {
-		return Batch{}, 0, fmt.Errorf("%w: declared payload of %d bytes", errDecode, n)
-	}
-	if uint64(len(data)) < frameHeader+uint64(n) {
-		return Batch{}, 0, errShortFrame
-	}
-	payload := data[frameHeader : frameHeader+int(n)]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4:]) {
-		return Batch{}, 0, errBadCRC
-	}
-	b, err := decodeBatchPayload(payload)
+	payload, _, err := ReadFrame(data, maxRecordSize)
 	if err != nil {
 		return Batch{}, 0, err
 	}
-	return b, frameHeader + int(n), nil
+	b, err := DecodeBatchPayload(payload)
+	return b, frameHeader + len(payload), err
 }

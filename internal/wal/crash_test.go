@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+
+	"ldl/internal/term"
 )
 
 // factState is the oracle's model of the fact base: tag -> set of
@@ -27,7 +29,7 @@ func (s factState) add(b Batch) {
 			set = map[string]bool{}
 			s[r.Tag] = set
 		}
-		for _, t := range r.Tuples {
+		for _, t := range rowsOf(r) {
 			set[fmt.Sprint(t)] = true
 		}
 	}
@@ -148,13 +150,11 @@ func checkpointRels(state factState) []RelFacts {
 	// fragile, so rebuild from scratch: the state after k batches is the
 	// union of mkBatch(2..k+1), and the checkpoint runs after
 	// checkpointAfter batches.
-	var rels []RelFacts
-	r := RelFacts{Tag: "par/2", Arity: 2}
+	var rows [][]term.Term
 	for i := 0; i < checkpointAfter; i++ {
-		r.Tuples = append(r.Tuples, mkBatch(uint64(firstEpoch + i)).Rels[0].Tuples...)
+		rows = append(rows, rowsOf(mkBatch(uint64(firstEpoch + i)).Rels[0])...)
 	}
-	rels = append(rels, r)
-	return rels
+	return []RelFacts{relFacts("par/2", 2, rows)}
 }
 
 // prefixStates returns the fact state after every prefix of the

@@ -28,7 +28,7 @@ func TestSnapshotFileRefused(t *testing.T) {
 	nop := func(Batch) error { return nil }
 	_, rerr := Recover(dir, fs, nop)
 	_, _, oerr := Open(dir, Options{FS: fs}, nop)
-	_, lerr := ReadLive(dir, fs, Cursor{}, 100, nop)
+	_, lerr := ReadLive(dir, fs, Cursor{}, 100, func([]byte) error { return nil })
 	for what, err := range map[string]error{"Recover": rerr, "Open": oerr, "ReadLive": lerr} {
 		if err == nil || !strings.Contains(err.Error(), snap) {
 			t.Errorf("%s over a snapshot checkpoint = %v, want an error naming %s", what, err, snap)

@@ -5,7 +5,7 @@ package wal
 // Build with -tags ldldebug to verify, on every record the log writes,
 // the invariant recovery rests on: a framed record must read back as
 // exactly the batch that was encoded (same epoch, same relations, same
-// tuples, term-for-term). A codec asymmetry would otherwise surface
+// rows, ID for ID). A codec asymmetry would otherwise surface
 // only after a crash, as silently different recovered facts; this mode
 // catches it at append time.
 

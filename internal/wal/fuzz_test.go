@@ -15,18 +15,18 @@ import (
 func FuzzReadRecord(f *testing.F) {
 	// Seed with valid records of increasing shape complexity.
 	seed := []Batch{
-		{Epoch: 2, Rels: []RelFacts{{Tag: "par/2", Arity: 2, Tuples: [][]term.Term{
+		{Epoch: 2, Rels: []RelFacts{relFacts("par/2", 2, [][]term.Term{
 			{term.Atom("john"), term.Atom("mary")},
-		}}}},
-		{Epoch: 3, Rels: []RelFacts{{Tag: "t/3", Arity: 3, Tuples: [][]term.Term{
+		})}},
+		{Epoch: 3, Rels: []RelFacts{relFacts("t/3", 3, [][]term.Term{
 			{term.Int(-7), term.Str("a\x00b"), term.Comp{Functor: "f", Args: []term.Term{term.Atom("x"), term.Int(1)}}},
 			{term.Int(42), term.Str(""), term.List(term.Atom("a"), term.Atom("b"))},
-		}}}},
+		})}},
 		{Epoch: 9, Rels: []RelFacts{
-			{Tag: "empty/1", Arity: 1},
-			{Tag: "p/1", Arity: 1, Tuples: [][]term.Term{{term.Atom("k")}}},
+			relFacts("empty/1", 1, nil),
+			relFacts("p/1", 1, [][]term.Term{{term.Atom("k")}}),
 		}},
-		{Epoch: 4, Term: 3, Rels: []RelFacts{{Tag: "p/1", Arity: 1, Tuples: [][]term.Term{{term.Atom("t")}}}}},
+		{Epoch: 4, Term: 3, Rels: []RelFacts{relFacts("p/1", 1, [][]term.Term{{term.Atom("t")}})}},
 		{Kind: RecTerm, Term: 7, Epoch: 12},
 		{Kind: RecTerm, Term: ^uint64(0), Epoch: 1},
 	}

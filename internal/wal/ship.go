@@ -30,20 +30,6 @@ import (
 // checkpoint that did the retiring.
 var ErrRetired = errors.New("wal: segment retired under the reader")
 
-// EncodeBatchPayload appends the unframed payload encoding of b — the
-// replication stream reuses the log's record payload format so one
-// codec (and one fuzz target) covers disk and wire.
-func EncodeBatchPayload(buf []byte, b Batch) ([]byte, error) {
-	return appendBatchPayload(buf, b)
-}
-
-// DecodeBatchPayload decodes an unframed batch payload produced by
-// EncodeBatchPayload. Arbitrary input is safe: bounded allocation,
-// bounded term depth, no panics.
-func DecodeBatchPayload(data []byte) (Batch, error) {
-	return decodeBatchPayload(data)
-}
-
 // Cursor is a reader's position in the segment stream: which segment,
 // the byte offset of the next unread frame in it, and the highest epoch
 // delivered (or deliberately skipped) so far. Epoch, not offset, is the
@@ -66,14 +52,18 @@ type ShipPlan struct {
 }
 
 // ReadLive reads every complete record past cur with epoch in
-// (cur.Epoch, maxEpoch], calls emit for each, and returns the advanced
-// cursor. It returns with a nil error when it runs out of complete
-// frames (the writer has not produced more yet — read again after the
-// next publish); ErrRetired when cur's segment was deleted under it
-// (re-plan); *CorruptError on mid-stream damage. maxEpoch caps delivery
-// at the writer's published epoch so a record appended but not yet
+// (cur.Epoch, maxEpoch], calls emit with each one's payload bytes as
+// they were logged, and returns the advanced cursor. It checks each
+// frame and decodes only the payload's header (kind, term, epoch): a
+// shipper forwards the bytes without decoding or interning the rows.
+// The payload is valid only during the emit call. ReadLive returns
+// with a nil error when it runs out of complete frames (the writer has
+// not produced more yet — read again after the next publish);
+// ErrRetired when cur's segment was deleted under it (re-plan);
+// *CorruptError on mid-stream damage. maxEpoch caps delivery at the
+// writer's published epoch so a record appended but not yet
 // acknowledged is never shipped.
-func ReadLive(dir string, fs FS, cur Cursor, maxEpoch uint64, emit func(Batch) error) (Cursor, error) {
+func ReadLive(dir string, fs FS, cur Cursor, maxEpoch uint64, emit func(payload []byte) error) (Cursor, error) {
 	if fs == nil {
 		fs = OS()
 	}
@@ -95,27 +85,31 @@ func ReadLive(dir string, fs FS, cur Cursor, maxEpoch uint64, emit func(Batch) e
 			return cur, fmt.Errorf("wal: read live: %w", err)
 		}
 		for int(cur.Off) < len(data) {
-			b, n, derr := ReadRecord(data[cur.Off:])
+			payload, _, derr := ReadFrame(data[cur.Off:], maxRecordSize)
+			if errors.Is(derr, errShortFrame) {
+				// The frame is still being written (or is a torn tail
+				// the writer will truncate at reopen): wait.
+				return cur, nil
+			}
+			var h Batch
+			if derr == nil {
+				h, _, derr = DecodeHeader(payload)
+			}
 			if derr != nil {
-				if errors.Is(derr, errShortFrame) {
-					// The frame is still being written (or is a torn
-					// tail the writer will truncate at reopen): wait.
-					return cur, nil
-				}
 				return cur, &CorruptError{Name: segmentName(cur.Base), Offset: cur.Off, Reason: derr.Error()}
 			}
-			if b.Epoch > maxEpoch {
+			if h.Epoch > maxEpoch {
 				// Appended but not yet published: leave the cursor
 				// before it and retry after the writer acknowledges.
 				return cur, nil
 			}
-			if b.Epoch > cur.Epoch {
-				if err := emit(b); err != nil {
+			if h.Epoch > cur.Epoch {
+				if err := emit(payload); err != nil {
 					return cur, err
 				}
-				cur.Epoch = b.Epoch
+				cur.Epoch = h.Epoch
 			}
-			cur.Off += int64(n)
+			cur.Off += int64(frameHeader + len(payload))
 		}
 		// Clean end of this segment: hop to the next one if rotation
 		// has opened it, else wait for more appends here.

@@ -23,7 +23,7 @@ func shipAll(t *testing.T, fs FS, from, maxEpoch uint64) (got []Batch) {
 	if len(segs) > 0 {
 		cur.Base = segs[0]
 	}
-	if _, err := ReadLive(dir, fs, cur, maxEpoch, collect(&got)); err != nil {
+	if _, err := ReadLive(dir, fs, cur, maxEpoch, collectLive(&got)); err != nil {
 		t.Fatalf("ReadLive: %v", err)
 	}
 	return got
@@ -87,7 +87,7 @@ func TestShipRetiredUnderCursor(t *testing.T) {
 		}
 	}
 	// Deliver epoch 2 only, leaving the cursor mid-segment.
-	cur, err := ReadLive(dir, fs, Cursor{}, 2, func(Batch) error { return nil })
+	cur, err := ReadLive(dir, fs, Cursor{}, 2, func([]byte) error { return nil })
 	if err != nil || cur.Epoch != 2 {
 		t.Fatalf("partial read: cur=%+v err=%v", cur, err)
 	}
@@ -98,7 +98,7 @@ func TestShipRetiredUnderCursor(t *testing.T) {
 	if err := l.Retire(4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadLive(dir, fs, cur, 100, func(Batch) error { return nil }); !errors.Is(err, ErrRetired) {
+	if _, err := ReadLive(dir, fs, cur, 100, func([]byte) error { return nil }); !errors.Is(err, ErrRetired) {
 		t.Fatalf("read from retired segment = %v, want ErrRetired", err)
 	}
 }
@@ -124,7 +124,7 @@ func TestShipWaitsAtTornTail(t *testing.T) {
 	f.Close()
 
 	var got []Batch
-	cur, err := ReadLive(dir, fs, Cursor{}, 100, collect(&got))
+	cur, err := ReadLive(dir, fs, Cursor{}, 100, collectLive(&got))
 	if err != nil {
 		t.Fatalf("incomplete frame must mean wait, got %v", err)
 	}
@@ -138,7 +138,7 @@ func TestShipWaitsAtTornTail(t *testing.T) {
 	}
 	f.Write(buf[len(buf)/2:])
 	f.Close()
-	if _, err := ReadLive(dir, fs, cur, 100, collect(&got)); err != nil {
+	if _, err := ReadLive(dir, fs, cur, 100, collectLive(&got)); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[1].Epoch != 3 {
@@ -149,7 +149,7 @@ func TestShipWaitsAtTornTail(t *testing.T) {
 func TestShipEmptyDir(t *testing.T) {
 	fs := NewMemFS()
 	fs.MkdirAll(dir)
-	if cur, err := ReadLive(dir, fs, Cursor{}, 100, func(Batch) error { t.Fatal("emitted from empty dir"); return nil }); err != nil || cur != (Cursor{}) {
+	if cur, err := ReadLive(dir, fs, Cursor{}, 100, func([]byte) error { t.Fatal("emitted from empty dir"); return nil }); err != nil || cur != (Cursor{}) {
 		t.Fatalf("ReadLive on empty dir: cur=%+v err=%v", cur, err)
 	}
 }

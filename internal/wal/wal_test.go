@@ -21,7 +21,29 @@ func mkBatch(e uint64) Batch {
 		{term.Atom(fmt.Sprintf("e%d_a", e)), term.Int(int64(e))},
 		{term.Atom(fmt.Sprintf("e%d_b", e)), term.Int(int64(e))},
 	}
-	return Batch{Epoch: e, Rels: []RelFacts{{Tag: "par/2", Arity: 2, Tuples: tuples}}}
+	return Batch{Epoch: e, Rels: []RelFacts{relFacts("par/2", 2, tuples)}}
+}
+
+// relFacts interns boxed test rows into a relation's ID columns.
+func relFacts(tag string, arity int, rows [][]term.Term) RelFacts {
+	r := RelFacts{Tag: tag, Arity: arity, Rows: len(rows), Cols: make([][]term.ID, arity)}
+	for _, row := range rows {
+		for c, t := range row {
+			r.Cols[c] = append(r.Cols[c], term.Intern(t))
+		}
+	}
+	return r
+}
+
+// rowsOf boxes a relation's ID columns back into rows.
+func rowsOf(r RelFacts) [][]term.Term {
+	rows := make([][]term.Term, r.Rows)
+	for i := range rows {
+		for _, col := range r.Cols {
+			rows[i] = append(rows[i], term.InternedTerm(col[i]))
+		}
+	}
+	return rows
 }
 
 // appendSync appends b and commits it under the log's fsync policy.
@@ -38,6 +60,18 @@ func collect(dst *[]Batch) func(Batch) error {
 	return func(b Batch) error {
 		*dst = append(*dst, b)
 		return nil
+	}
+}
+
+// collectLive returns a ReadLive emit func decoding each shipped
+// payload into dst.
+func collectLive(dst *[]Batch) func([]byte) error {
+	return func(p []byte) error {
+		b, err := DecodeBatchPayload(p)
+		if err == nil {
+			*dst = append(*dst, b)
+		}
+		return err
 	}
 }
 
@@ -359,10 +393,11 @@ func TestRecordLimits(t *testing.T) {
 	if _, _, err := ReadRecord(hdr[:]); err == nil || errors.Is(err, errShortFrame) {
 		t.Errorf("oversized declared length: err=%v, want hard decode error", err)
 	}
-	// Non-ground terms are rejected at encode time with an error, not a
-	// panic.
-	bad := Batch{Epoch: 2, Rels: []RelFacts{{Tag: "p/1", Arity: 1, Tuples: [][]term.Term{{term.Var{Name: "X"}}}}}}
-	if _, err := AppendRecord(nil, bad); err == nil || !strings.Contains(err.Error(), "non-ground") {
-		t.Errorf("encoding a variable: err=%v", err)
+	// Rows the columns do not hold are rejected at encode time with an
+	// error, not a panic.
+	bad := mkBatch(2)
+	bad.Rels[0].Rows++
+	if _, err := AppendRecord(nil, bad); err == nil || !strings.Contains(err.Error(), "column of 2 rows, want 3") {
+		t.Errorf("encoding a short column: err=%v", err)
 	}
 }

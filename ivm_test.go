@@ -240,10 +240,8 @@ tc(X, Y) <- e(X, Z), tc(Z, Y).
 		t.Fatal(err)
 	}
 	follower.SetReadOnly("leader:1234")
-	batch := wal.Batch{Epoch: 2, Rels: []wal.RelFacts{{
-		Tag: "e/2", Arity: 2,
-		Tuples: [][]term.Term{{term.Int(2), term.Int(3)}, {term.Int(3), term.Int(4)}},
-	}}}
+	batch := wal.Batch{Epoch: 2, Rels: []wal.RelFacts{relFacts("e/2", 2,
+		[][]term.Term{{term.Int(2), term.Int(3)}, {term.Int(3), term.Int(4)}})}}
 	if err := follower.ApplyReplicated(batch); err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,7 @@ import (
 	"ldl/internal/segment"
 	"ldl/internal/stats"
 	"ldl/internal/store"
+	"ldl/internal/term"
 	"ldl/internal/wal"
 )
 
@@ -327,7 +328,7 @@ func Load(src string, opts ...SystemOption) (_ *System, err error) {
 			return nil, err
 		}
 	}
-	if err := db.LoadFacts(prog); err != nil {
+	if _, _, err := s.applyBatch(db, factBatch(prog.Facts)); err != nil {
 		return nil, err
 	}
 	// The store holds the facts now; the program keeps only their tags.
@@ -390,40 +391,49 @@ func (s *System) InsertFacts(src string) (added int, epoch uint64, err error) {
 	if len(prog.Rules) > 0 {
 		return 0, 0, fmt.Errorf("ldl: InsertFacts: %s is a rule, not a fact", prog.Rules[0].Head)
 	}
+	// Refused writes must not grow the intern table; commit re-checks.
+	if ro, leader := s.ReadOnly(); ro {
+		return 0, 0, &ReadOnlyError{Leader: leader}
+	}
 	return s.commit(factBatch(prog.Facts), true)
 }
 
-// factBatch groups parsed facts into the wal.Batch a leader commits:
-// one entry per relation, each relation's tuples in source order, the
-// relations sorted by tag for a deterministic log encoding. The same
-// batch is applied to the store and logged, so the rows a leader
-// inserts are exactly the rows its followers and its recovery replay.
+// factBatch interns parsed (hence ground) facts, once, into the batch a
+// leader applies and logs: per relation its rows in source order as ID
+// columns, relations sorted by tag for a deterministic log encoding.
 func factBatch(facts []lang.Rule) wal.Batch {
-	byTag := map[string]*wal.RelFacts{}
-	var tags []string
+	var b wal.Batch
+	rel := map[relKey]int{}
 	for _, c := range facts {
-		tag := c.Head.Tag()
-		g := byTag[tag]
-		if g == nil {
-			g = &wal.RelFacts{Tag: tag, Arity: c.Head.Arity()}
-			byTag[tag] = g
-			tags = append(tags, tag)
+		h := c.Head
+		key := relKey{h.Pred, len(h.Args)}
+		k, ok := rel[key]
+		if !ok {
+			k, rel[key] = len(b.Rels), len(b.Rels)
+			b.Rels = append(b.Rels, wal.RelFacts{Tag: h.Tag(), Arity: len(h.Args), Cols: make([][]term.ID, len(h.Args))})
 		}
-		g.Tuples = append(g.Tuples, c.Head.Args)
+		r := &b.Rels[k]
+		for i, a := range h.Args {
+			r.Cols[i] = append(r.Cols[i], term.Intern(a))
+		}
+		r.Rows++
 	}
-	sort.Strings(tags)
-	rels := make([]wal.RelFacts, len(tags))
-	for i, tag := range tags {
-		rels[i] = *byTag[tag]
-	}
-	return wal.Batch{Rels: rels}
+	sort.Slice(b.Rels, func(i, j int) bool { return b.Rels[i].Tag < b.Rels[j].Tag })
+	return b
+}
+
+// relKey names a relation without building its "name/arity" tag.
+type relKey struct {
+	pred  string
+	arity int
 }
 
 // applyBatch inserts a batch of base facts into db — the only code that
-// adds outside rows to a store: leader commits, follower applies and
-// log recovery all land here. It returns each touched relation's length
-// before the batch (the watermarks stats.Update and view maintenance
-// read the appended suffix from) and the number of genuinely new rows.
+// adds outside rows to a store: program facts at boot, leader commits,
+// follower applies and log recovery all land here, as ID columns. It
+// returns each touched relation's length before the batch (the
+// watermarks stats.Update and view maintenance read the appended suffix
+// from) and the number of genuinely new rows.
 func (s *System) applyBatch(db *store.Database, b wal.Batch) (marks map[string]int, added int, err error) {
 	marks = make(map[string]int, len(b.Rels))
 	for _, r := range b.Rels {
@@ -431,18 +441,14 @@ func (s *System) applyBatch(db *store.Database, b wal.Batch) (marks map[string]i
 			return nil, 0, fmt.Errorf("%s is a derived predicate in the current program", r.Tag)
 		}
 		rel := db.EnsureOwned(r.Tag, r.Arity)
+		if rel.Arity != r.Arity || len(r.Cols) != r.Arity {
+			return nil, 0, fmt.Errorf("%s: %d columns for a relation of arity %d", r.Tag, len(r.Cols), rel.Arity)
+		}
 		if _, seen := marks[r.Tag]; !seen {
 			marks[r.Tag] = rel.Len()
 		}
-		for _, tup := range r.Tuples {
-			isNew, err := rel.Insert(store.Tuple(tup))
-			if err != nil {
-				return nil, 0, err
-			}
-			if isNew {
-				added++
-			}
-		}
+		n, _ := rel.InsertRows(r.Cols, r.Rows, nil) // errors come only from a callback
+		added += n
 	}
 	return marks, added, nil
 }

@@ -20,13 +20,10 @@ import (
 // log under the given epoch — the follower-side view of one shipped
 // record.
 func shipBatch(epoch uint64, i int) wal.Batch {
-	return wal.Batch{Epoch: epoch, Rels: []wal.RelFacts{{
-		Tag: "par/2", Arity: 2,
-		Tuples: [][]term.Term{
-			{term.Atom(fmt.Sprintf("x%d", i)), term.Atom(fmt.Sprintf("y%d", i))},
-			{term.Atom(fmt.Sprintf("y%d", i)), term.Atom(fmt.Sprintf("z%d", i))},
-		},
-	}}}
+	return wal.Batch{Epoch: epoch, Rels: []wal.RelFacts{relFacts("par/2", 2, [][]term.Term{
+		{term.Atom(fmt.Sprintf("x%d", i)), term.Atom(fmt.Sprintf("y%d", i))},
+		{term.Atom(fmt.Sprintf("y%d", i)), term.Atom(fmt.Sprintf("z%d", i))},
+	})}}
 }
 
 func TestApplyReplicatedFollowsLeaderEpochs(t *testing.T) {
@@ -67,8 +64,8 @@ func TestApplyReplicatedFollowsLeaderEpochs(t *testing.T) {
 
 	// A batch touching a derived predicate means the programs diverged:
 	// refuse.
-	bad := wal.Batch{Epoch: 9, Rels: []wal.RelFacts{{Tag: "anc/2", Arity: 2,
-		Tuples: [][]term.Term{{term.Atom("a"), term.Atom("b")}}}}}
+	bad := wal.Batch{Epoch: 9, Rels: []wal.RelFacts{relFacts("anc/2", 2,
+		[][]term.Term{{term.Atom("a"), term.Atom("b")}})}}
 	if err := follower.ApplyReplicated(bad); err == nil {
 		t.Fatal("derived-predicate batch applied")
 	}

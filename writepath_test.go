@@ -45,14 +45,9 @@ func paritySchedule(seed int64, n int) []parityBatch {
 	out := make([]parityBatch, n)
 	for i := range out {
 		var src strings.Builder
-		byTag := map[string]*wal.RelFacts{}
+		byTag := map[string][][]term.Term{}
 		add := func(tag string, args ...term.Term) {
-			g := byTag[tag]
-			if g == nil {
-				g = &wal.RelFacts{Tag: tag, Arity: len(args)}
-				byTag[tag] = g
-			}
-			g.Tuples = append(g.Tuples, args)
+			byTag[tag] = append(byTag[tag], args)
 			parts := make([]string, len(args))
 			for j, a := range args {
 				parts[j] = a.String()
@@ -75,11 +70,22 @@ func paritySchedule(seed int64, n int) []parityBatch {
 		}
 		sort.Strings(tags)
 		for _, tag := range tags {
-			out[i].rels = append(out[i].rels, *byTag[tag])
+			out[i].rels = append(out[i].rels, relFacts(tag, len(byTag[tag][0]), byTag[tag]))
 		}
 		out[i].src = src.String()
 	}
 	return out
+}
+
+// relFacts interns boxed test rows into a batch relation's ID columns.
+func relFacts(tag string, arity int, rows [][]term.Term) wal.RelFacts {
+	r := wal.RelFacts{Tag: tag, Arity: arity, Rows: len(rows), Cols: make([][]term.ID, arity)}
+	for _, row := range rows {
+		for c, t := range row {
+			r.Cols[c] = append(r.Cols[c], term.Intern(t))
+		}
+	}
+	return r
 }
 
 // epochFingerprint renders everything an epoch publishes: its id, every
